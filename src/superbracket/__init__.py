@@ -17,7 +17,7 @@ from .core import (
     term_parity,
 )
 from .elements import Element
-from .engine import GENP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
+from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
 from .genericpoisson import GpAlgebra, gp_normal_form, jacobi_defect
 from .concrete import StructureAlgebra
 from .farkas import CustomaryPolynomial, PoissonPolynomial
@@ -33,6 +33,7 @@ __all__ = [
     "Element",
     "FreeAlgebra",
     "GENP",
+    "GP",
     "Gen",
     "Generator",
     "GpAlgebra",

@@ -31,8 +31,7 @@ from .core import (
     scalar_str,
 )
 from .elements import Element
-from .engine import GENP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
-from .genericpoisson import GpAlgebra
+from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
 from . import concrete, farkas, kantor
 
 EXIT_OK = 0
@@ -313,11 +312,9 @@ def _resolve_algebra(path: str) -> concrete.StructureAlgebra:
     return concrete.load_algebra(path)
 
 
-def _engine(args) -> FreeAlgebra | GpAlgebra:
+def _engine(args) -> FreeAlgebra:
     alphabet = _alphabet_from_option(args.gens)
     guard = int(os.environ.get("JB_MAX_DEGREE", "12"))
-    if args.theory == "gp":
-        return GpAlgebra(alphabet, max_degree=guard)
     return FreeAlgebra(alphabet, args.theory, max_degree=guard)
 
 
@@ -337,15 +334,13 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    value = dim_multilinear(args.n, args.theory if args.theory != "gp" else GENP)
+    value = dim_multilinear(args.n, args.theory)
     _emit(args, {"n": args.n, "theory": args.theory, "dim": value}, str(value))
     return EXIT_OK
 
 
 def _cmd_basis(args) -> int:
     algebra = _engine(args)
-    if isinstance(algebra, GpAlgebra):
-        raise AlgebraError("basis enumeration applies to the genp/jb theories")
     counts = {}
     for piece in args.multidegree.split(","):
         name, _, count = piece.partition(":")
@@ -376,8 +371,6 @@ def _cmd_check_identity(args) -> int:
     if not args.free:
         raise AlgebraError("check-identity needs --algebra FILE or --free")
     algebra = _engine(args)
-    if isinstance(algebra, GpAlgebra):
-        raise AlgebraError("--free identity checking runs in the genp/jb theories")
     term = parse(algebra.alphabet, args.expr, allow_vars=True)
     bindings = {name: algebra.gen(name) for name in _collect_vars(term)}
     e = algebra.substitute(term, bindings)
@@ -444,7 +437,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_farkas(args) -> int:
     algebra = _engine(args)
-    if isinstance(algebra, GpAlgebra) or algebra.theory != GENP:
+    if algebra.theory != GENP:
         raise AlgebraError("the reduction runs in the genp theory")
     term = parse(algebra.alphabet, args.expr)
     letters = [p.strip() for p in args.letters.split(",") if p.strip()]
@@ -477,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         if gens:
             p.add_argument("--gens", default="", help="comma list, e.g. x1,x2,th:odd")
         if theory:
-            p.add_argument("--theory", choices=[GENP, JB, "gp"], default=GENP)
+            p.add_argument("--theory", choices=[GENP, JB, GP], default=GENP)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nf", help="normal form of an expression")

@@ -3,9 +3,9 @@
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key identifies an interned basis word of the owning algebra's word space; the
 empty tuple is the unit.  Odd factors never carry an exponent above 1.  The
-same machinery backs both the generalized-Poisson/Jordan-bracket engine and
-the generic-Poisson engine; they differ only in how the owning algebra
-brackets two monomials.
+same machinery backs all three theories of the free engine (generalized
+Poisson, Jordan brackets, generic Poisson); they differ only in how the
+owning algebra brackets two basis words.
 
 Elements are immutable; all operators return new objects.
 """

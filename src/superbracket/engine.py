@@ -1,13 +1,15 @@
-"""Free unital generalized Poisson and Jordan-bracket superalgebras.
+"""Free unital generalized Poisson, Jordan-bracket and generic Poisson superalgebras.
 
-Elements live in the shared monomial basis: products of Lie basis words with
+Elements live in a shared monomial basis: products of basis words with
 exponents (odd words squarefree, no bare unit factor), plus the unit.  The
-two theories share the product; they differ in how a bracket of two basis
-words is straightened:
+three theories share the product and the Leibniz expansion; they differ only
+in how a bracket of two basis words is rewritten:
 
 * generalized Poisson: plain super-Jacobi rewriting (stays in the Lie span);
 * Jordan brackets: the Jacobi-like rewriting acquires three derivation terms,
-  so straightening produces genuine products.
+  so straightening produces genuine products;
+* generic Poisson: no Jacobi relation, so the words are oriented trees and a
+  bracket is only oriented; brackets with the unit vanish.
 
 The distinguished derivation is ``D(a) = {a, 1}``.
 """
@@ -40,6 +42,7 @@ from .speedups import merge_factors
 
 GENP = "genp"
 JB = "jb"
+GP = "gp"
 
 _ONE = Fraction(1)
 
@@ -49,12 +52,12 @@ class DegreeGuardError(AlgebraError):
 
 
 class FreeAlgebra:
-    """The free unital algebra of one of the two bracket theories."""
+    """The free unital algebra of one of the three bracket theories."""
 
     def __init__(self, alphabet: Alphabet, theory: str = GENP, max_degree=None):
-        if theory not in (GENP, JB):
+        if theory not in (GENP, JB, GP):
             raise AlgebraError(f"unknown theory {theory!r}")
-        self.space = WordSpace(alphabet)
+        self.space = WordSpace(alphabet, oriented=theory == GP)
         self.theory = theory
         self.max_degree = max_degree
         self._mono_bracket_cache = {}
@@ -175,7 +178,20 @@ class FreeAlgebra:
         if self.theory == GENP:
             combo = space.bracket_words(w1, w2)
             return self.element((c, (factor_of(w),)) for w, c in combo.items())
+        if self.theory == GP:
+            return self._gp_bracket_words(w1, w2)
         return self._jb_bracket_words(w1, w2)
+
+    def _gp_bracket_words(self, u, v) -> Element:
+        """Orientation only: {u,v} is an atom up to the super sign, and plain
+        Leibniz with the unit law forces {x,1} = 0."""
+        unit = self.space.unit_word
+        if u is unit or v is unit or u.key == v.key and u.parity == 0:
+            return self.zero()
+        if u.key < v.key:
+            sign = _ONE if (u.parity & v.parity) else -_ONE
+            return self.word_element(self.space.get((v.word, u.word))).scale(sign)
+        return self.word_element(self.space.get((u.word, v.word)))
 
     def _leibniz_expand(self, m1, m2) -> Element:
         """Bracket against a product monomial via the deformed Leibniz rule.
@@ -183,7 +199,8 @@ class FreeAlgebra:
         Closed form of iterating ``{a,bc} = {a,b}c + (-1)^{|a||b|} b{a,c}
         - D(a)bc`` over the factors of m2: each factor block is pulled to the
         front with its Koszul sign, and a single derivation term with
-        multiplicity (number of factors - 1) remains.
+        multiplicity (number of factors - 1) remains.  In gp, D vanishes, so
+        the rule is the plain Leibniz rule.
         """
         total = monomial_factor_count(m2)
         a_elem = Element(self, {m1: _ONE})
@@ -347,6 +364,8 @@ class FreeAlgebra:
 
     def basis(self, degrees) -> tuple:
         """All basis monomials of the exact multidegree (unit occurrences count)."""
+        if self.theory == GP:
+            raise AlgebraError("basis enumeration applies to the genp/jb theories")
         degrees = tuple(degrees)
         if len(degrees) != self.alphabet.size:
             raise AlgebraError("multidegree length does not match the alphabet")
@@ -370,35 +389,25 @@ class FreeAlgebra:
         found.sort(key=lambda w: w.key, reverse=True)
         return found
 
-    def _fill(self, words, i, remaining, acc, out):
+    def _fill(self, words, start, remaining, acc, out):
+        """Pick each next factor from words[start:]; one level per factor."""
         if not any(remaining):
             out.append(tuple(acc))
             return
-        if i >= len(words):
-            return
-        w = words[i]
-        self._fill(words, i + 1, remaining, acc, out)
-        max_exp = 1 if w.parity else min(
-            (r // d) for r, d in zip(remaining, w.degrees) if d
-        )
-        exp = 0
-        rem = list(remaining)
-        while exp < max_exp:
-            exp += 1
-            ok = True
-            for t, d in enumerate(w.degrees):
-                rem[t] -= d
-                if rem[t] < 0:
-                    ok = False
-            if not ok:
-                break
-            acc.append((w.key, w.parity, exp))
-            self._fill(words, i + 1, tuple(rem), acc, out)
-            acc.pop()
+        for i in range(start, len(words)):
+            w = words[i]
+            room = min(r // d for r, d in zip(remaining, w.degrees) if d)
+            rem = remaining
+            for exp in range(1, (min(room, 1) if w.parity else room) + 1):
+                rem = tuple(r - d for r, d in zip(rem, w.degrees))
+                acc.append((w.key, w.parity, exp))
+                self._fill(words, i + 1, rem, acc, out)
+                acc.pop()
 
     # -- serialization ----------------------------------------------------------
 
-    def element_to_json(self, e: Element) -> list:
+    def element_to_json(self, e: Element):
+        """A list of terms; gp wraps it as ``{"gp": true, "terms": [...]}``."""
         out = []
         for m, c in e.monomials():
             mono = [
@@ -406,7 +415,7 @@ class FreeAlgebra:
                 for key, _, exp in m
             ]
             out.append({"coeff": scalar_str(c), "monomial": mono})
-        return out
+        return {"gp": True, "terms": out} if self.theory == GP else out
 
     def element_from_json(self, data) -> Element:
         from .cli import parse_word  # deferred: the word grammar lives with the parser

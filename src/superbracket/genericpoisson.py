@@ -5,225 +5,25 @@ be rewritten, only oriented; the atoms of the normal form are therefore
 arbitrary oriented binary bracket trees (even squares vanish, odd squares
 are kept, possibly nested).  Brackets against products expand by the plain
 Leibniz rule; brackets with the unit vanish, as forced by Leibniz in the
-unital algebra.
+unital algebra.  The engine is :class:`~superbracket.engine.FreeAlgebra`
+with the ``gp`` theory; this module adds the Kantor-double criteria.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlgebraError, Alphabet, scalar_str
-from .elements import (
-    Element,
-    UNIT_MONOMIAL,
-    combine,
-    factor_of,
-    monomial_factor_count,
-    monomial_parity,
-)
-from .identities import double_criterion_residual, jordan_gp_residual
-from .liebasis import word_degrees, word_key, word_parity
-from .speedups import merge_factors
-
-_ONE = Fraction(1)
+from .core import AlgebraError, Alphabet
+from .elements import Element
+from .engine import GP, FreeAlgebra
+from .identities import ElementOps, double_criterion_residual, jordan_gp_residual
 
 
-def is_oriented(alphabet: Alphabet, word) -> bool:
-    """Whether a raw tree is an oriented atom: each node has left > right,
-    or equal odd subtrees."""
-    if isinstance(word, int):
-        return True
-    u, v = word
-    if not (is_oriented(alphabet, u) and is_oriented(alphabet, v)):
-        return False
-    ku, kv = word_key(u), word_key(v)
-    if ku > kv:
-        return True
-    return ku == kv and word_parity(alphabet, u) == 1
-
-
-class Atom:
-    """Interned oriented bracket tree."""
-
-    __slots__ = ("word", "key", "parity", "degrees", "length")
-
-    def __init__(self, word, key, parity, degrees):
-        self.word = word
-        self.key = key
-        self.parity = parity
-        self.degrees = degrees
-        self.length = key[0]
-
-    def __repr__(self):
-        return f"<atom {self.word}>"
-
-
-class GpAlgebra:
+class GpAlgebra(FreeAlgebra):
     """The free unital generic Poisson superalgebra over an alphabet."""
 
     def __init__(self, alphabet: Alphabet, max_degree=None):
-        self.space = _AtomSpace(alphabet)
-        self.theory = "gp"
-        self.max_degree = max_degree
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.space.alphabet
-
-    def describe(self) -> str:
-        return "gp"
-
-    def zero(self) -> Element:
-        return Element(self, {})
-
-    def one(self) -> Element:
-        return Element(self, {UNIT_MONOMIAL: _ONE})
-
-    def gen(self, name: str) -> Element:
-        g = self.alphabet.gen(name)
-        if g.is_unit:
-            return self.one()
-        return Element(self, {(factor_of(self.space.get(g.index)),): _ONE})
-
-    def monomial_degrees(self, m) -> tuple:
-        degs = [0] * self.alphabet.size
-        for key, _, exp in m:
-            for i, d in enumerate(self.space.by_key[key].degrees):
-                degs[i] += exp * d
-        return tuple(degs)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        self._claim(a, b)
-        out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                sign, merged = merge_factors(m1, m2)
-                if sign == 0:
-                    continue
-                c = c1 * c2 if sign == 1 else -c1 * c2
-                val = out.get(merged)
-                val = c if val is None else val + c
-                if val:
-                    out[merged] = val
-                elif merged in out:
-                    del out[merged]
-        return Element(self, out)
-
-    def bracket(self, a: Element, b: Element) -> Element:
-        self._claim(a, b)
-        pieces = []
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                pieces.append((c1 * c2, self._bracket_mono(m1, m2)))
-        return combine(self, pieces)
-
-    def _claim(self, a: Element, b: Element):
-        if a.algebra is not self or b.algebra is not self:
-            raise AlgebraError("elements belong to a different algebra/theory")
-
-    def _bracket_mono(self, m1, m2) -> Element:
-        n2 = monomial_factor_count(m2)
-        if n2 >= 2:
-            return self._leibniz_expand(m1, m2)
-        n1 = monomial_factor_count(m1)
-        if n1 >= 2:
-            sign = _ONE if (monomial_parity(m1) & monomial_parity(m2)) else -_ONE
-            return self._bracket_mono(m2, m1).scale(sign)
-        if n1 == 0 or n2 == 0:
-            # plain Leibniz and the unit law force {x, 1} = 0
-            return self.zero()
-        u = self.space.by_key[m1[0][0]]
-        v = self.space.by_key[m2[0][0]]
-        return self._bracket_atoms(u, v)
-
-    def _bracket_atoms(self, u: Atom, v: Atom) -> Element:
-        if u.key == v.key:
-            if u.parity == 0:
-                return self.zero()
-            return self._atom_element(self.space.get((u.word, v.word)))
-        if u.key > v.key:
-            return self._atom_element(self.space.get((u.word, v.word)))
-        sign = _ONE if (u.parity & v.parity) else -_ONE
-        return self._atom_element(self.space.get((v.word, u.word))).scale(sign)
-
-    def _atom_element(self, atom: Atom) -> Element:
-        return Element(self, {(factor_of(atom),): _ONE})
-
-    def _leibniz_expand(self, m1, m2) -> Element:
-        # {a, e1^t1 ... en^tn} = sum_k (prefix sign) t_k {a,e_k} (m2/e_k)
-        a_elem = Element(self, {m1: _ONE})
-        pieces = []
-        prefix = 0
-        for idx, (key, par, exp) in enumerate(m2):
-            q = par & exp & 1
-            sign = -_ONE if (prefix & q) else _ONE
-            if exp > 1:
-                rest = m2[:idx] + ((key, par, exp - 1),) + m2[idx + 1:]
-            else:
-                rest = m2[:idx] + m2[idx + 1:]
-            single = Element(self, {((key, par, 1),): _ONE})
-            br = self.bracket(a_elem, single)
-            pieces.append((sign * exp, self.mul(br, Element(self, {rest: _ONE}))))
-            prefix ^= q
-        return combine(self, pieces)
-
-    # -- term evaluation ------------------------------------------------------
-
-    def normal_form(self, term) -> Element:
-        from .core import Bracket, Gen, Prod, Sum, Var
-
-        if isinstance(term, Gen):
-            return self.gen(term.name)
-        if isinstance(term, Var):
-            raise AlgebraError(f"unbound variable ?{term.name}")
-        if isinstance(term, Prod):
-            return self.mul(self.normal_form(term.left), self.normal_form(term.right))
-        if isinstance(term, Bracket):
-            return self.bracket(self.normal_form(term.left), self.normal_form(term.right))
-        if isinstance(term, Sum):
-            return combine(self, ((c, self.normal_form(t)) for c, t in term.terms))
-        raise AlgebraError(f"not a term: {term!r}")
-
-    def element_to_json(self, e: Element) -> dict:
-        terms = []
-        for m, c in e.monomials():
-            mono = [
-                {"word": self.space.render(self.space.by_key[key].word), "exp": exp}
-                for key, _, exp in m
-            ]
-            terms.append({"coeff": scalar_str(c), "monomial": mono})
-        return {"gp": True, "terms": terms}
-
-
-class _AtomSpace:
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._atoms = {}
-        self.by_key = {}
-
-    def get(self, word) -> Atom:
-        found = self._atoms.get(word)
-        if found is not None:
-            return found
-        if isinstance(word, int):
-            if not 0 < word < self.alphabet.size:
-                raise AlgebraError(f"atom leaf index {word} out of range (unit excluded)")
-        elif not is_oriented(self.alphabet, word):
-            raise AlgebraError(f"not an oriented atom: {word}")
-        atom = Atom(
-            word,
-            word_key(word),
-            word_parity(self.alphabet, word),
-            word_degrees(self.alphabet, word),
-        )
-        self._atoms[word] = atom
-        self.by_key[atom.key] = atom
-        return atom
-
-    def render(self, word) -> str:
-        if isinstance(word, int):
-            return self.alphabet.generators[word].name
-        return "{%s,%s}" % (self.render(word[0]), self.render(word[1]))
+        super().__init__(alphabet, GP, max_degree)
 
 
 def gp_normal_form(algebra: GpAlgebra, term) -> Element:
@@ -247,16 +47,12 @@ def jacobi_defect(algebra: GpAlgebra, a, b, c) -> Element:
 
 def criterion_residual(algebra: GpAlgebra, which: int, f, h, g, w) -> Element:
     """Left-minus-right of one of the three Kantor-double Jordan criteria."""
-    from .identities import ElementOps
-
     args = [_as_element(algebra, x) for x in (f, h, g, w)]
     return double_criterion_residual(ElementOps(algebra), which, *args)
 
 
 def jordan_criterion_product(algebra: GpAlgebra, a, b, c, d) -> Element:
     """The full criterion polynomial: jacobi_defect(a,b,c) times d."""
-    from .identities import ElementOps
-
     args = [_as_element(algebra, x) for x in (a, b, c, d)]
     return jordan_gp_residual(ElementOps(algebra), *args)
 

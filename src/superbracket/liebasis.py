@@ -10,6 +10,10 @@ The order is length-first, then lexicographic on the (left, right) components;
 letters compare by their declared order with the unit minimal.  Odd squares
 ``{v,v}`` order as the pair (v, v).
 
+The generic Poisson theory has no Jacobi relation, so its basis words are
+instead the *oriented* trees: arbitrary binary bracket trees over the
+non-unit letters in which every node has left > right or equal odd halves.
+
 Raw words are nested tuples: a leaf is a generator index, a node is a pair of
 words.  Interned :class:`BasisWord` objects carry the derived data.
 """
@@ -76,8 +80,23 @@ def is_good(word) -> bool:
     return True
 
 
+def is_oriented(alphabet: Alphabet, word) -> bool:
+    """Whether a raw tree is an oriented atom: each node has left > right,
+    or equal odd subtrees."""
+    if isinstance(word, int):
+        return True
+    u, v = word
+    if not (is_oriented(alphabet, u) and is_oriented(alphabet, v)):
+        return False
+    ku, kv = word_key(u), word_key(v)
+    if ku > kv:
+        return True
+    return ku == kv and word_parity(alphabet, u) == 1
+
+
 class BasisWord:
-    """Interned basis word: a good word, or the square of an odd good word."""
+    """Interned basis word: a good word or the square of an odd good word
+    (an oriented tree in an oriented space)."""
 
     __slots__ = ("word", "key", "parity", "degrees", "length", "square")
 
@@ -108,10 +127,15 @@ class BasisWord:
 
 
 class WordSpace:
-    """Per-alphabet interning of basis words plus the straightening cache."""
+    """Per-alphabet interning of basis words plus the straightening cache.
 
-    def __init__(self, alphabet: Alphabet):
+    With ``oriented`` set, the interned words are the generic Poisson atoms
+    (oriented trees without the unit letter) instead of the Lie basis.
+    """
+
+    def __init__(self, alphabet: Alphabet, oriented: bool = False):
         self.alphabet = alphabet
+        self.oriented = oriented
         self._words = {}
         self.by_key = {}
         self._bracket_cache = {}
@@ -137,6 +161,9 @@ class WordSpace:
         if isinstance(word, int):
             if not 0 <= word < self.alphabet.size:
                 raise AlgebraError(f"generator index {word} out of range")
+        elif self.oriented:
+            if not is_oriented(self.alphabet, word) or word_degrees(self.alphabet, word)[0]:
+                raise AlgebraError(f"not an oriented atom: {word}")
         elif not is_good(word):
             u, v = word
             square = (

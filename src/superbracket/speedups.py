@@ -1,23 +1,72 @@
-"""Kernel selection: compiled extension if built, pure Python otherwise.
+"""Kernels for the hot inner loops: the monomial merge and the odd-inversion sign.
 
-Set ``SUPERBRACKET_PURE=1`` to force the pure-Python kernels (used by the
-benchmark and for debugging).
+A *factor* is a triple ``(key, parity, exp)``: an opaque totally ordered key
+identifying a basis word, the word's parity (0 or 1), and a positive
+exponent.  A monomial is a key-sorted tuple of factors.
 """
 
-import os
+IMPLEMENTATION = "python"  # reported by the benchmark harness
 
-from . import _speedups_py as pure
 
-compiled = None
-if not os.environ.get("SUPERBRACKET_PURE"):
-    try:
-        from . import _speedups as compiled  # type: ignore[no-redef]
-    except ImportError:
-        compiled = None
+def merge_factors(fa, fb):
+    """Merge two key-sorted factor tuples into one, with the Koszul sign.
 
-impl = compiled if compiled is not None else pure
+    Returns ``(sign, merged)``.  The sign is the parity of the number of
+    odd-odd crossings performed by a stable merge (each factor block counts
+    with parity ``parity*exp mod 2``), i.e. the sign produced by sorting the
+    concatenation with adjacent transpositions.  ``sign == 0`` means the
+    product vanishes because an odd factor met itself.
+    """
+    if not fa:
+        return 1, fb
+    if not fb:
+        return 1, fa
+    la, lb = len(fa), len(fb)
+    # odd blocks remaining in fa from position i onwards
+    ra = 0
+    for k, p, e in fa:
+        ra += p & e & 1
+    out = []
+    sign = 0
+    i = j = 0
+    while i < la and j < lb:
+        ka, pa, ea = fa[i]
+        kb, pb, eb = fb[j]
+        if ka < kb:
+            out.append(fa[i])
+            ra -= pa & ea & 1
+            i += 1
+        elif kb < ka:
+            if pb & eb & 1:
+                sign ^= ra & 1
+            out.append(fb[j])
+            j += 1
+        else:
+            # same basis word on both sides
+            if pa:
+                return 0, ()
+            out.append((ka, pa, ea + eb))
+            i += 1
+            j += 1
+    out.extend(fa[i:])
+    out.extend(fb[j:])
+    return (-1 if sign & 1 else 1), tuple(out)
 
-IMPLEMENTATION = impl.IMPLEMENTATION
-merge_factors = impl.merge_factors
-odd_inversion_sign = impl.odd_inversion_sign
-rank_mod_p = impl.rank_mod_p
+
+def odd_inversion_sign(sources, parities):
+    """Sign of a permutation restricted to odd elements.
+
+    ``sources[t]`` is the original position of the element now sitting at
+    position ``t``; ``parities[t]`` its parity.  Counts the inversions whose
+    two members are both odd and returns (-1)**count.
+    """
+    n = len(sources)
+    count = 0
+    for t in range(n):
+        if not parities[t]:
+            continue
+        st = sources[t]
+        for u in range(t + 1, n):
+            if parities[u] and sources[u] < st:
+                count += 1
+    return -1 if count & 1 else 1

@@ -9,9 +9,9 @@ bracketings inside the free associative superalgebra.
 from fractions import Fraction
 from itertools import permutations
 
+import linalg
 from superbracket.core import Alphabet
-from superbracket.engine import FreeAlgebra
-from superbracket.speedups import rank_mod_p
+from superbracket.engine import GP, FreeAlgebra
 
 PRIME = 2_147_483_647
 
@@ -30,7 +30,7 @@ def max_word_degree(element):
 def random_homogeneous(algebra, rng, max_degree=5, max_terms=3):
     """Random parity-homogeneous element of word degree <= max_degree."""
     alphabet = algebra.alphabet
-    if not hasattr(algebra, "basis"):
+    if algebra.theory == GP:
         return _random_tree_homogeneous(algebra, rng, max_degree, max_terms)
     for _ in range(100):
         degs = [0] * alphabet.size
@@ -205,6 +205,30 @@ def tensor_expand(tree, parities):
     return {w: c for w, c in out.items() if c}, (pl + pr) & 1
 
 
+def rank_mod_p(rows, ncols, p):
+    """Rank over GF(p) of the matrix given as an iterable of dense rows."""
+    pivots = []  # list of (col, normalized row)
+    rank = 0
+    for row in rows:
+        row = [x % p for x in row]
+        for col, piv in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        lead = -1
+        for c in range(ncols):
+            if row[c]:
+                lead = c
+                break
+        if lead < 0:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [(a * inv) % p for a in row]
+        pivots.append((lead, row))
+        rank += 1
+    return rank
+
+
 def multilinear_lie_dimension(n, parities=None):
     """Rank of the span of all multilinear bracketings of n letters inside
     the tensor algebra, computed modulo a large prime."""
@@ -243,7 +267,6 @@ def find_multilinear_identities(struct, letters, unit_counts=(0, 1, 2), max_resu
     evaluations on all basis assignments.  Returns PoissonPolynomial values
     whose identity terms vanish on the algebra by construction.
     """
-    from superbracket import linalg
     from superbracket.farkas import PoissonPolynomial
     from superbracket.engine import GENP
     from superbracket.concrete import vbasis

@@ -18,7 +18,7 @@ from superbracket.elements import Element, monomial_factor_count
 from superbracket.engine import GENP, JB, FreeAlgebra, dim_multilinear
 from superbracket.genericpoisson import GpAlgebra, criterion_residual, jacobi_defect
 from superbracket.liebasis import WordSpace
-from superbracket import identities, linalg
+from superbracket import identities
 from superbracket.concrete import (
     adjoin_unit,
     euler_wronskian_algebra,
@@ -39,6 +39,7 @@ from superbracket.farkas import (
     leftnormed_product_expansion,
     reduce_to_customary,
 )
+import linalg
 from helpers import (
     find_multilinear_identities,
     free_ops,

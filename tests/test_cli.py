@@ -122,6 +122,19 @@ class TestDispatch:
         for item in data:
             assert set(item) == {"coeff", "monomial"}
 
+    def test_dim_gp_is_a_usage_error(self, capsys):
+        code, out, err = self.run(capsys, "dim", "--theory", "gp", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_check_identity_free_gp(self, capsys):
+        leibniz = "{?a,?b*?c} - {?a,?b}*?c - ?b*{?a,?c}"
+        jacobi = "{{?a,?b},?c} - {?a,{?b,?c}} - {{?a,?c},?b}"
+        argv = ("check-identity", "--free", "--theory", "gp", "--gens", "a,b,c")
+        assert self.run(capsys, *argv, leibniz)[:2] == (0, "true\n")
+        assert self.run(capsys, *argv, "D(?a)")[:2] == (0, "true\n")
+        code, out, _ = self.run(capsys, *argv, jacobi)
+        assert code == 1 and out.startswith("false: ")
+
     def test_nf_gp(self, capsys):
         code, out, _ = self.run(
             capsys, "nf", "--theory", "gp", "--gens", "x1,x2,x3", "--json", "{{x1,x2},x3}"
@@ -218,6 +231,11 @@ class TestDispatch:
         monkeypatch.setenv("JB_MAX_DEGREE", "6")
         expr = "*".join(["D(x1)"] * 4)  # degree 8 exceeds the guard
         assert main(["nf", "--gens", "x1", expr]) == 3
+
+    def test_degree_guard_gp(self, capsys, monkeypatch):
+        monkeypatch.setenv("JB_MAX_DEGREE", "2")
+        code, _, err = self.run(capsys, "nf", "--theory", "gp", "--gens", "x,y", "x*x*x*y")
+        assert code == 3 and err.startswith("error:")
 
     def test_guard_default_allows_moderate_terms(self, capsys, monkeypatch):
         monkeypatch.delenv("JB_MAX_DEGREE", raising=False)

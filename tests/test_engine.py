@@ -354,6 +354,10 @@ class TestEnumeration:
         assert expected == n * math.factorial(n)
         assert expected == math.factorial(n + 1) - math.factorial(n)
 
+    def test_dimension_six(self):
+        # 2,371 candidate words: the enumeration must not recurse per word
+        assert dim_multilinear(6) == 6 * math.factorial(6) == 4320
+
 
 class TestGuard:
     def test_degree_guard_trips(self):

@@ -5,7 +5,6 @@ import pytest
 
 from superbracket.core import AlgebraError, Alphabet
 from superbracket.engine import GENP, JB, FreeAlgebra
-from superbracket import linalg
 from superbracket.concrete import wronskian_algebra
 from superbracket.farkas import (
     CustomaryPolynomial,
@@ -23,6 +22,7 @@ from superbracket.farkas import (
     poisson_polynomial,
     reduce_to_customary,
 )
+import linalg
 from helpers import find_multilinear_identities
 
 ONE = Fraction(1)

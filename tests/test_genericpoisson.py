@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from superbracket.core import Alphabet, Bracket, Gen, Prod
+from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count
+from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, dim_multilinear
 from superbracket.genericpoisson import (
     GpAlgebra,
     criterion_residual,
@@ -162,3 +163,28 @@ class TestJson:
         data = gp.element_to_json(gp.bracket(gp.gen("x1"), gp.gen("x2")))
         assert data["gp"] is True
         assert data["terms"][0]["monomial"][0]["word"] == "{x2,x1}"
+
+
+class TestEngine:
+    def test_gp_algebra_is_the_gp_theory(self, gp):
+        free = FreeAlgebra(gp.alphabet, GP)
+        t = Bracket(Bracket(Gen("x1"), Prod(Gen("x2"), Gen("th"))), Gen("x3"))
+        assert gp.theory == GP
+        assert free.element_to_json(free.normal_form(t)) == gp.element_to_json(gp.normal_form(t))
+
+    def test_no_basis_enumeration(self, gp):
+        with pytest.raises(AlgebraError):
+            gp.basis((0, 1, 0, 0, 0))
+        with pytest.raises(AlgebraError):
+            dim_multilinear(2, GP)
+
+    def test_atoms_exclude_the_unit(self, gp):
+        x1 = gp.alphabet.gen("x1").index
+        with pytest.raises(AlgebraError):
+            gp.space.get((x1, 0))  # {x1,1} vanishes, so it is no atom
+
+    def test_degree_guard_trips(self):
+        algebra = GpAlgebra(Alphabet([("x", 0), ("y", 0)]), max_degree=2)
+        x, y = algebra.gen("x"), algebra.gen("y")
+        with pytest.raises(DegreeGuardError):
+            algebra.mul(algebra.mul(x, x), y)
