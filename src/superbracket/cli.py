@@ -10,6 +10,11 @@ Grammar::
 Juxtaposition of factors is the associative product; ``D(a)`` desugars to
 ``{a,1}`` and ``<a,b>`` to ``{a,b} - (D(a) b - a D(b))``.  Variables
 (``?name``) are only meaningful to the identity checkers.
+
+Brackets, parentheses, ``D(...)`` and ``<...>`` nest at most
+:data:`MAX_NESTING` deep; deeper input is a :class:`ParseError` (exit 2 from
+the command line), since the parser, the evaluator and the word functions
+all recurse once or more per level.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core import (
     Prod,
     Sum,
     Var,
+    scalar,
     scalar_str,
 )
 from .elements import Element
@@ -38,6 +44,11 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Deepest nesting of {..}, (..), D(..) and <..> that parse() and parse_word()
+# accept.  The parser spends three Python frames per level, and normal forms
+# at this depth complete in every theory under the default recursion limit.
+MAX_NESTING = 200
 
 
 class ParseError(AlgebraError):
@@ -89,6 +100,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.allow_vars = allow_vars
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -113,15 +125,15 @@ class _Parser:
 
     def expr(self):
         pieces = []
-        sign = Fraction(1)
+        sign = 1
         if self.peek()[0] == "-":
             self.next()
-            sign = Fraction(-1)
+            sign = -1
         coeff, term = self.term()
         pieces.append((sign * coeff, term))
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            sign = Fraction(1) if op == "+" else Fraction(-1)
+            sign = 1 if op == "+" else -1
             coeff, term = self.term()
             pieces.append((sign * coeff, term))
         if len(pieces) == 1 and pieces[0][0] == 1:
@@ -129,18 +141,18 @@ class _Parser:
         return Sum(tuple(pieces))
 
     def term(self):
-        coeff = Fraction(1)
+        coeff = 1
         kind, text, _ = self.peek()
         if kind == "num" and not (text == "1" and self.tokens[self.pos + 1][0] not in ("/",)):
             # an integer or p/q coefficient; a bare "1" is the unit factor
             self.next()
-            num = int(text)
+            coeff = int(text)
             if self.peek()[0] == "/":
                 self.next()
-                den = int(self.expect("num")[1])
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+                _, den, at = self.expect("num")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", at)
+                coeff = scalar(Fraction(coeff, int(den)))
             if self.peek()[0] == "*":
                 self.next()
         factors = []
@@ -163,6 +175,18 @@ class _Parser:
         return coeff, term
 
     def factor(self):
+        kind, text, pos = self.peek()
+        if kind in ("{", "<", "(") or (text == "D" and self.tokens[self.pos + 1][0] == "("):
+            if self.depth >= MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            try:
+                return self._factor()
+            finally:
+                self.depth -= 1
+        return self._factor()
+
+    def _factor(self):
         kind, text, pos = self.next()
         if kind == "num":
             if text != "1":
@@ -204,9 +228,9 @@ class _Parser:
 def _angle_term(alphabet, a, b):
     unit = Gen(alphabet.unit.name)
     return Sum((
-        (Fraction(1), Bracket(a, b)),
-        (Fraction(-1), Prod(Bracket(a, unit), b)),
-        (Fraction(1), Prod(a, Bracket(b, unit))),
+        (1, Bracket(a, b)),
+        (-1, Prod(Bracket(a, unit), b)),
+        (1, Prod(a, Bracket(b, unit))),
     ))
 
 
@@ -220,7 +244,7 @@ def parse_word(alphabet: Alphabet, src: str):
     tokens = _tokenize(src)
     pos = [0]
 
-    def walk():
+    def walk(depth=0):
         kind, text, at = tokens[pos[0]]
         pos[0] += 1
         if kind == "ident" or (kind == "num" and text == "1"):
@@ -229,12 +253,14 @@ def parse_word(alphabet: Alphabet, src: str):
                 raise ParseError(f"undeclared identifier {name!r}", at)
             return alphabet.by_name[name].index
         if kind == "{":
-            left = walk()
+            if depth >= MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
+            left = walk(depth + 1)
             kind, text, at = tokens[pos[0]]
             pos[0] += 1
             if kind != ",":
                 raise ParseError("expected ','", at)
-            right = walk()
+            right = walk(depth + 1)
             kind, text, at = tokens[pos[0]]
             pos[0] += 1
             if kind != "}":
@@ -350,7 +376,7 @@ def _cmd_basis(args) -> int:
     payload = []
     lines = []
     for m in monos:
-        e = Element(algebra, {m: Fraction(1)})
+        e = Element(algebra, {m: 1})
         payload.append(algebra.element_to_json(e)[0]["monomial"])
         lines.append(print_element(algebra, e))
     _emit(args, {"count": len(monos), "monomials": payload},
@@ -423,7 +449,7 @@ def _cmd_eval(args) -> int:
     bindings = {}
     for spec in args.bind or []:
         name, _, coords = spec.partition("=")
-        vec = [Fraction(x) for x in coords.split(",")]
+        vec = [scalar(x) for x in coords.split(",")]
         if len(vec) != algebra.dim:
             raise AlgebraError(f"binding {name!r} has {len(vec)} coordinates, need {algebra.dim}")
         bindings[name.strip()] = tuple(vec)

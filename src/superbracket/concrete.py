@@ -20,11 +20,11 @@ CLAIMS = ("none", "poisson", "genp", "jb", "gp")
 
 
 def vzero(dim):
-    return tuple([Fraction(0)] * dim)
+    return (0,) * dim
 
 
 def vbasis(dim, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 def vadd(a, b):
@@ -36,8 +36,17 @@ def vsub(a, b):
 
 
 def vscale(c, a):
-    c = Fraction(c)
-    return tuple(c * x for x in a)
+    c = scalar(c)
+    return _exact(c * x for x in a)
+
+
+def _exact(values):
+    """Vector of the values with the coefficient invariant restored: an
+    integral Fraction left by arithmetic becomes an ``int``."""
+    values = tuple(values)
+    if type(sum(values)) is int:  # only ints sum to an int: nothing to restore
+        return values
+    return tuple(x if type(x) is int else scalar(x) for x in values)
 
 
 def is_zero_vec(a):
@@ -61,7 +70,7 @@ class StructureAlgebra:
             raise AlgebraError("parity list length != dimension")
         self.product = _check_table(product, self.dim)
         self.bracket_table = _check_table(bracket or {}, self.dim)
-        self.unit = tuple(Fraction(x) for x in unit) if unit is not None else None
+        self.unit = tuple(scalar(x) for x in unit) if unit is not None else None
         if self.unit is not None and len(self.unit) != self.dim:
             raise AlgebraError("unit vector length != dimension")
         self.claim = claim
@@ -81,7 +90,7 @@ class StructureAlgebra:
         return self.bracket(a, self.unit)
 
     def _apply(self, table, a, b):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -94,7 +103,7 @@ class StructureAlgebra:
                 c = ai * bj
                 for k, coeff in row:
                     out[k] += c * coeff
-        return tuple(out)
+        return _exact(out)
 
     def parity_of(self, v):
         """Parity of a homogeneous vector; raises when supports mix parities."""
@@ -155,7 +164,7 @@ class StructureAlgebra:
         def ev(t):
             if isinstance(t, (Gen, Var)):
                 if t.name in bindings:
-                    return tuple(Fraction(x) for x in bindings[t.name])
+                    return tuple(scalar(x) for x in bindings[t.name])
                 if isinstance(t, Gen) and t.name == "1":
                     if self.unit is None:
                         raise AlgebraError("term uses the unit but the algebra has none")
@@ -297,7 +306,7 @@ def _check_table(table, dim):
         for k, coeff in row:
             if not 0 <= k < dim:
                 raise AlgebraError(f"table target index {k} out of range")
-            coeff = Fraction(coeff)
+            coeff = scalar(coeff)
             if coeff:
                 cleaned.append((int(k), coeff))
         if cleaned:
@@ -377,7 +386,7 @@ def _polarize(term, name, deg):
     pieces = []
     for perm in permutations(labels):
         counter = [0]
-        pieces.append((Fraction(1), _relabel(term, name, perm, counter)))
+        pieces.append((1, _relabel(term, name, perm, counter)))
     return Sum(tuple(pieces))
 
 
@@ -422,9 +431,9 @@ def wronskian_algebra(m: int) -> StructureAlgebra:
     for i in range(m):
         for j in range(m):
             if i + j < m:
-                product[(i, j)] = [(i + j, Fraction(1))]
+                product[(i, j)] = [(i + j, 1)]
             if i != j and 0 <= i + j - 1 < m:
-                bracket[(i, j)] = [(i + j - 1, Fraction(i - j))]
+                bracket[(i, j)] = [(i + j - 1, i - j)]
     return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), "genp")
 
 
@@ -441,9 +450,9 @@ def euler_wronskian_algebra(m: int) -> StructureAlgebra:
     for i in range(m):
         for j in range(m):
             if i + j < m:
-                product[(i, j)] = [(i + j, Fraction(1))]
+                product[(i, j)] = [(i + j, 1)]
                 if i != j:
-                    bracket[(i, j)] = [(i + j, Fraction(i - j))]
+                    bracket[(i, j)] = [(i + j, i - j)]
     return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), "genp")
 
 
@@ -470,7 +479,7 @@ def nonlie_example_algebra() -> StructureAlgebra:
     {e1,e2} = e2, {e1,e3} = e3, {e2,e3} = e1; the Jacobiator on (e1,e2,e3)
     is 2 e1, so the bracket is not a Lie bracket.
     """
-    one = Fraction(1)
+    one = 1
     bracket = {
         (0, 1): [(1, one)], (1, 0): [(1, -one)],
         (0, 2): [(2, one)], (2, 0): [(2, -one)],
@@ -485,7 +494,7 @@ def zero_bracket_poisson(m: int) -> StructureAlgebra:
     for i in range(m):
         for j in range(m):
             if i + j < m:
-                product[(i, j)] = [(i + j, Fraction(1))]
+                product[(i, j)] = [(i + j, 1)]
     return StructureAlgebra(m, [0] * m, product, {}, vbasis(m, 0), "poisson")
 
 
@@ -497,10 +506,10 @@ def adjoin_unit(algebra: StructureAlgebra, claim=None) -> StructureAlgebra:
     if algebra.unit is not None:
         raise AlgebraError("algebra already has a unit")
     d = algebra.dim + 1
-    product = {(0, 0): [(0, Fraction(1))]}
+    product = {(0, 0): [(0, 1)]}
     for i in range(algebra.dim):
-        product[(0, i + 1)] = [(i + 1, Fraction(1))]
-        product[(i + 1, 0)] = [(i + 1, Fraction(1))]
+        product[(0, i + 1)] = [(i + 1, 1)]
+        product[(i + 1, 0)] = [(i + 1, 1)]
     for (i, j), row in algebra.product.items():
         product[(i + 1, j + 1)] = [(k + 1, c) for k, c in row]
     bracket = {

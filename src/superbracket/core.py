@@ -1,8 +1,13 @@
 """Graded alphabet, exact scalars, raw term trees, and Koszul sign bookkeeping.
 
-The base field is fixed to the rationals; every coefficient in the package is
-a :class:`fractions.Fraction`, so each identity check is an exact zero test.
-All values here are immutable and every function is pure.
+The base field is fixed to the rationals, and every coefficient in the package
+keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
+whose denominator is greater than 1.  :func:`scalar` is the one place that
+establishes it.  Python's ints and Fractions mix exactly, compare equal and
+hash equal (``Fraction(2, 1) == 2``), so the same code serves both, the
+integer path skips the cost of building Fractions, and every identity check
+stays an exact zero test.  All values here are immutable and every function
+is pure.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 from .speedups import odd_inversion_sign
 
@@ -27,16 +33,31 @@ class UndefinedParityError(AlgebraError):
     """A parity or multidegree was requested where it is not defined."""
 
 
-def scalar(value) -> Fraction:
-    """Coerce ints, strings like ``"3/2"``, and Fractions to an exact scalar."""
-    if isinstance(value, Fraction):
+Scalar = Union[int, Fraction]
+
+
+def scalar(value) -> Scalar:
+    """Coerce ints, strings like ``"3/2"``, and Fractions to an exact scalar.
+
+    The result is an ``int`` when the value is integral and a ``Fraction``
+    with denominator greater than 1 otherwise; ints come back unchanged.
+    Booleans are refused rather than read as 0 or 1.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise AlgebraError(f"not an exact scalar: {value!r}") from None
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
     raise AlgebraError(f"not an exact scalar: {value!r}")
 
 
-def scalar_str(value: Fraction) -> str:
+def scalar_str(value: Scalar) -> str:
     """Render a scalar as ``p/q`` with the denominator always present."""
     return f"{value.numerator}/{value.denominator}"
 
@@ -160,7 +181,7 @@ class Bracket:
 
 @dataclass(frozen=True)
 class Sum:
-    terms: tuple  # of (Fraction, term)
+    terms: tuple  # of (scalar, term)
 
 
 def term_sum(*pairs) -> Sum:
@@ -208,7 +229,7 @@ def multidegree(alphabet: Alphabet, t) -> tuple:
     raise AlgebraError(f"not a term: {t!r}")
 
 
-def koszul_merge_sign(left_parities, right_parities, merged_order) -> Fraction:
+def koszul_merge_sign(left_parities, right_parities, merged_order) -> int:
     """Sign for interleaving two sign-graded factor sequences.
 
     ``merged_order[t]`` gives, for position ``t`` of the merged sequence, the
@@ -227,5 +248,4 @@ def koszul_merge_sign(left_parities, right_parities, merged_order) -> Fraction:
     right_pos = [x for x in order if x >= nl]
     if left_pos != sorted(left_pos) or right_pos != sorted(right_pos):
         raise AlgebraError("merged_order is not a shuffle of the two sequences")
-    sign = odd_inversion_sign(order, [parities[s] for s in order])
-    return Fraction(sign)
+    return odd_inversion_sign(order, [parities[s] for s in order])

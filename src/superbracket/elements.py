@@ -1,5 +1,9 @@
 """Sparse elements: rational linear combinations of commutative monomials.
 
+Coefficients keep the package invariant (see :mod:`superbracket.core`): an
+``int``, or a ``Fraction`` whose denominator is greater than 1.  Every
+operation that can turn a Fraction integral restores it with :func:`settle`.
+
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key identifies an interned basis word of the owning algebra's word space; the
 empty tuple is the unit.  Odd factors never carry an exponent above 1.  The
@@ -11,8 +15,6 @@ Elements are immutable; all operators return new objects.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core import AlgebraError, scalar
 from .speedups import merge_factors
@@ -51,6 +53,15 @@ def monomial_factor_count(m) -> int:
     return sum(exp for _, _, exp in m)
 
 
+def settle(terms: dict) -> dict:
+    """Restore the coefficient invariant in place after arithmetic: a sum or
+    product of Fractions that came out integral becomes an ``int``."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = scalar(c)
+    return terms
+
+
 class Element:
     """A finite rational combination of monomials of one algebra."""
 
@@ -72,7 +83,7 @@ class Element:
                 out[m] = val
             elif m in out:
                 del out[m]
-        return Element(self.algebra, out)
+        return Element(self.algebra, settle(out))
 
     def __sub__(self, other):
         return self + (-other)
@@ -93,7 +104,7 @@ class Element:
         c = scalar(coeff)
         if not c:
             return Element(self.algebra, {})
-        return Element(self.algebra, {m: c * v for m, v in self.terms.items()})
+        return Element(self.algebra, settle({m: c * v for m, v in self.terms.items()}))
 
     def bracket(self, other) -> "Element":
         self._check(other)
@@ -136,8 +147,8 @@ class Element:
         """Canonically ordered (monomial, coefficient) pairs."""
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
 
-    def coefficient(self, m) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m):
+        return self.terms.get(m, 0)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -157,6 +168,8 @@ def combine(algebra, pieces) -> Element:
     for coeff, el in pieces:
         if not coeff:
             continue
+        if type(coeff) is not int:
+            coeff = scalar(coeff)
         for m, c in el.terms.items():
             val = out.get(m)
             val = coeff * c if val is None else val + coeff * c
@@ -164,4 +177,4 @@ def combine(algebra, pieces) -> Element:
                 out[m] = val
             elif m in out:
                 del out[m]
-    return Element(algebra, out)
+    return Element(algebra, settle(out))

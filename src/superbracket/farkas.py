@@ -14,14 +14,13 @@ was an identity of; the test suite exercises this on concrete witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .core import AlgebraError, Alphabet, Gen, Var, scalar, scalar_str
 from .elements import Element
 from .engine import GENP, FreeAlgebra
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class DegenerateReductionError(AlgebraError):
@@ -300,8 +299,8 @@ class CustomaryPolynomial:
             if any(p >= q for p, q in pairs):
                 raise AlgebraError("pairs must be in (smaller, larger) form")
             key = (tuple(sorted(pairs)), tuple(sorted(singles)))
-            cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in cleaned.items() if v}
+            cleaned[key] = cleaned.get(key, 0) + coeff
+        self.terms = {k: scalar(v) for k, v in cleaned.items() if v}
 
     @property
     def m(self) -> int:
@@ -333,7 +332,7 @@ class CustomaryPolynomial:
                 tuple(tuple(p) for p in t.get("pairs", [])),
                 tuple(t.get("D", [])),
             )
-            terms[key] = terms.get(key, Fraction(0)) + scalar(str(t["coeff"]))
+            terms[key] = terms.get(key, 0) + scalar(str(t["coeff"]))
         return cls(letters, terms)
 
     def __eq__(self, other):
@@ -497,7 +496,7 @@ def _to_formal(poly: PoissonPolynomial) -> dict:
             expanded = new
         for c, pairs, ds, bares in expanded:
             key = (tuple(sorted(pairs)), tuple(sorted(ds)), tuple(sorted(bares)))
-            val = out.get(key, Fraction(0)) + c
+            val = out.get(key, 0) + c
             if val:
                 out[key] = val
             elif key in out:
@@ -533,7 +532,7 @@ def _formal_to_customary(algebra: FreeAlgebra, letters, formal: dict) -> Customa
             tuple(sorted((position[p], position[q]) for p, q in pairs)),
             tuple(sorted(position[d] for d in ds)),
         )
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return CustomaryPolynomial(order, terms)
 
 

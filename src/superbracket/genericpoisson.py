@@ -11,8 +11,6 @@ with the ``gp`` theory; this module adds the Kantor-double criteria.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import AlgebraError, Alphabet
 from .elements import Element
 from .engine import GP, FreeAlgebra
@@ -39,7 +37,7 @@ def jacobi_defect(algebra: GpAlgebra, a, b, c) -> Element:
     """
     a, b, c = (_as_element(algebra, x) for x in (a, b, c))
     pb, pc = b.parity(), c.parity()
-    sign = Fraction(-1) if (pb & pc) else Fraction(1)
+    sign = -1 if (pb & pc) else 1
     out = algebra.bracket(algebra.bracket(a, b), c)
     out = out - algebra.bracket(algebra.bracket(a, c), b).scale(sign)
     return out - algebra.bracket(a, algebra.bracket(b, c))

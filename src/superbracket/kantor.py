@@ -14,7 +14,6 @@ identity evaluated on the double; the two verdicts must agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .core import AlgebraError, scalar_str
@@ -24,6 +23,8 @@ from .concrete import (
     VectorOps,
     is_zero_vec,
     vbasis,
+    vscale,
+    vzero,
 )
 from .elements import Element
 from .engine import FreeAlgebra
@@ -126,18 +127,13 @@ def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
             put(i, j, algebra.mul(basis[i], basis[j]), False)
             put(i, d + j, algebra.mul(basis[i], basis[j]), True)
             sj = -1 if algebra.parities[j] else 1
-            put(d + i, j, vscale_list(sj, algebra.mul(basis[i], basis[j])), True)
-            put(d + i, d + j, vscale_list(sj, algebra.bracket(basis[i], basis[j])), False)
+            put(d + i, j, vscale(sj, algebra.mul(basis[i], basis[j])), True)
+            put(d + i, d + j, vscale(sj, algebra.bracket(basis[i], basis[j])), False)
     parities = tuple(algebra.parities) + tuple(p ^ 1 for p in algebra.parities)
     unit = None
     if algebra.unit is not None:
-        unit = tuple(algebra.unit) + tuple([Fraction(0)] * d)
+        unit = tuple(algebra.unit) + vzero(d)
     return StructureAlgebra(2 * d, parities, product, {}, unit, "none")
-
-
-def vscale_list(c, vec):
-    c = Fraction(c)
-    return tuple(c * x for x in vec)
 
 
 def criteria_check(algebra, elements=None) -> Report:
@@ -245,7 +241,7 @@ def _is_structure(backend):
 
 def _zero_like(backend, x):
     if _is_structure(backend):
-        return tuple([Fraction(0)] * backend.dim)
+        return vzero(backend.dim)
     return backend.zero()
 
 
@@ -263,7 +259,7 @@ def _sub(backend, x, y):
 
 def _scale(backend, c, x):
     if _is_structure(backend):
-        return vscale_list(c, x)
+        return vscale(c, x)
     return x.scale(c)
 
 
@@ -293,7 +289,7 @@ def _parity_split(backend, x):
         comps = {}
         for i, v in enumerate(x):
             if v:
-                comps.setdefault(backend.parities[i], [Fraction(0)] * backend.dim)
+                comps.setdefault(backend.parities[i], [0] * backend.dim)
                 comps[backend.parities[i]][i] = v
         return [(p, tuple(vec)) for p, vec in comps.items()]
     comps = {}

@@ -20,11 +20,9 @@ words.  Interned :class:`BasisWord` objects carry the derived data.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import Alphabet, AlgebraError
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def word_key(word) -> tuple:
@@ -193,7 +191,8 @@ class WordSpace:
     def bracket_words(self, u: BasisWord, v: BasisWord) -> dict:
         """Lie superbracket of two basis words, expanded in the basis.
 
-        Returns a map BasisWord -> Fraction.  Re-orients with
+        Returns a map BasisWord -> int: straightening only ever produces
+        integer coefficients.  Re-orients with
         super-anticommutativity and rewrites the left-nested bad case with
         the super-Jacobi relation
         ``{{a,b},c} = {a,{b,c}} + (-1)^{|b||c|} {{a,c},b}``
@@ -291,13 +290,13 @@ class WordSpace:
         return "{%s,%s}" % (self.render(word[0]), self.render(word[1]))
 
 
-def _scaled(combo: dict, coeff: Fraction) -> dict:
+def _scaled(combo: dict, coeff: int) -> dict:
     if coeff == 1:
         return combo
     return {w: coeff * c for w, c in combo.items()}
 
 
-def _accumulate(out: dict, combo: dict, coeff: Fraction):
+def _accumulate(out: dict, combo: dict, coeff: int):
     for w, c in combo.items():
         val = out.get(w)
         out[w] = c * coeff if val is None else val + c * coeff

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from superbracket.core import Alphabet, Bracket, Gen, Prod
-from superbracket.cli import ParseError, main, parse, parse_word, print_element
+from superbracket.cli import MAX_NESTING, ParseError, main, parse, parse_word, print_element
 from superbracket.concrete import dump_algebra, euler_wronskian_algebra
 from helpers import random_homogeneous
 
@@ -61,6 +61,24 @@ class TestParse:
     def test_unit_literal(self, genp):
         assert genp.normal_form(parse(genp.alphabet, "1")) == genp.one()
         assert genp.normal_form(parse(genp.alphabet, "2")) == genp.one().scale(2)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError):
+            parse(ALPHABET, "1/0 x1")
+
+    def test_nesting_limit(self):
+        def nested(depth, open_, close):
+            return open_ * depth + "x1" + close * depth
+
+        for open_, close in (("{", ",x2}"), ("(", ")"), ("D(", ")"), ("<", ",x2>")):
+            parse(ALPHABET, nested(MAX_NESTING, open_, close))
+            with pytest.raises(ParseError) as err:
+                parse(ALPHABET, nested(MAX_NESTING + 1, open_, close))
+            assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
+        word = nested(MAX_NESTING, "{", ",x2}")
+        assert parse_word(ALPHABET, word) is not None
+        with pytest.raises(ParseError):
+            parse_word(ALPHABET, "{" + word + ",x2}")
 
     def test_parse_word(self):
         assert parse_word(ALPHABET, "{{x2,x1},x1}") == ((2, 1), 1)
@@ -236,6 +254,18 @@ class TestDispatch:
         monkeypatch.setenv("JB_MAX_DEGREE", "2")
         code, _, err = self.run(capsys, "nf", "--theory", "gp", "--gens", "x,y", "x*x*x*y")
         assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("theory", ["genp", "jb", "gp"])
+    def test_nf_at_the_nesting_limit(self, capsys, theory):
+        deep = "x"
+        for _ in range(MAX_NESTING):
+            deep = "{" + deep + ",y}"
+        code, out, _ = self.run(capsys, "nf", "--theory", theory, "--gens", "x,y", deep)
+        # ad(y)^n x is one basis word, up to the sign of the first orientation
+        assert code == 0 and out.split()[0] == "-1/1" and len(out.split()) == 2
+        code, _, err = self.run(capsys, "nf", "--theory", theory, "--gens", "x,y",
+                                "{" + deep + ",y}")
+        assert code == 2 and err.startswith("error:") and "nesting" in err
 
     def test_guard_default_allows_moderate_terms(self, capsys, monkeypatch):
         monkeypatch.delenv("JB_MAX_DEGREE", raising=False)

@@ -1,0 +1,215 @@
+"""The coefficient invariant: an ``int``, or a Fraction with denominator > 1.
+
+Differential and property tests pin the integer path to the Fraction path:
+the same inputs carried as Fractions (including integral ones, which the
+package never builds itself) must give equal answers, and every coefficient
+the engine or a structure algebra hands back must satisfy the invariant.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from superbracket import concrete, kantor
+from superbracket.core import AlgebraError, Sum, scalar
+from superbracket.elements import Element
+from helpers import random_homogeneous, random_term
+
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+seeds = st.integers(0, 2**32 - 1)
+proper = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 6)).filter(
+    lambda q: q.denominator > 1
+)
+
+
+def invariant(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def assert_invariant(e: Element):
+    bad = [c for c in e.terms.values() if not invariant(c)]
+    assert not bad, bad
+
+
+def as_fractions(e: Element) -> Element:
+    """The same element with every coefficient a Fraction, integral ones included."""
+    return Element(e.algebra, {m: Fraction(c) for m, c in e.terms.items()})
+
+
+@pytest.fixture(params=["genp", "jb", "gp"])
+def algebra(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestScalar:
+    def test_int_comes_back_unchanged(self):
+        big = 10**30 + 7
+        assert scalar(big) is big
+
+    @pytest.mark.parametrize("value", [Fraction(6, 3), "6/3", "2", 2])
+    def test_integral_values_become_int(self, value):
+        c = scalar(value)
+        assert type(c) is int and c == 2
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), "3/2", "6/4"])
+    def test_proper_fractions_stay_fractions(self, value):
+        assert scalar(value) == Fraction(3, 2) and type(scalar(value)) is Fraction
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0"])
+    def test_rejected(self, value):
+        with pytest.raises(AlgebraError):
+            scalar(value)
+
+    def test_coefficient_of_a_missing_monomial_is_int_zero(self, genp):
+        assert type(genp.gen("x1").coefficient(())) is int
+
+
+class TestFreeEngine:
+    @SETTINGS
+    @given(seed=seeds, q=proper)
+    def test_scaling_commutes_with_the_operations(self, algebra, seed, q):
+        rng = random.Random(seed)
+        a = random_homogeneous(algebra, rng, max_degree=3, max_terms=2)
+        b = random_homogeneous(algebra, rng, max_degree=2, max_terms=2)
+        for op in (algebra.bracket, algebra.mul):
+            scaled = op(a.scale(q), b)
+            assert scaled == op(a, b).scale(q)
+            assert_invariant(scaled)
+        assert algebra.deriv(a.scale(q)) == algebra.deriv(a).scale(q)
+
+    @SETTINGS
+    @given(seed=seeds)
+    def test_fraction_inputs_give_the_int_answer(self, algebra, seed):
+        rng = random.Random(seed)
+        a = random_homogeneous(algebra, rng, max_degree=3, max_terms=2)
+        b = random_homogeneous(algebra, rng, max_degree=2, max_terms=2)
+        fa, fb = as_fractions(a), as_fractions(b)
+        for op in (algebra.bracket, algebra.mul):
+            want = op(a, b)
+            got = op(fa, fb)
+            assert got == want
+            assert_invariant(want)
+            assert_invariant(got)
+        assert_invariant(fa + fb)
+        assert_invariant(fa.scale(1))
+
+    @SETTINGS
+    @given(seed=seeds, q=proper)
+    def test_normal_form(self, algebra, seed, q):
+        rng = random.Random(seed)
+        t1 = random_term(algebra.alphabet, rng)
+        t2 = random_term(algebra.alphabet, rng)
+        # q + (1 - q) is an integral Fraction sum inside one combine
+        e = algebra.normal_form(Sum(((q, t1), (1 - q, t1), (Fraction(4, 2), t2))))
+        assert_invariant(e)
+        assert e == algebra.normal_form(Sum(((1, t1), (2, t2))))
+
+    @SETTINGS
+    @given(seed=seeds, k=st.integers(1, 7))
+    def test_json_round_trip(self, genp, jb, seed, k):
+        # gp writes the {"gp": true} wrapper, which no loader reads
+        rng = random.Random(seed)
+        for algebra in (genp, jb):
+            e = random_homogeneous(algebra, rng, max_degree=3)
+            data = algebra.element_to_json(e)
+            for item in data:
+                num, den = item["coeff"].split("/")
+                item["coeff"] = f"{k * int(num)}/{k * int(den)}"
+            back = algebra.element_from_json(data)
+            assert back == e
+            assert_invariant(back)
+
+    def test_twist_and_untwist(self, jb, rng):
+        for _ in range(10):
+            a = random_homogeneous(jb, rng, max_degree=2, max_terms=2)
+            b = random_homogeneous(jb, rng, max_degree=2, max_terms=2)
+            twisted = jb.twisted_bracket(a, b)
+            back = jb.untwist_bracket(a, b, jb.twisted_deriv, base_bracket=jb.twisted_bracket)
+            assert back == jb.bracket(a, b)
+            assert_invariant(twisted)
+            assert_invariant(back)
+
+
+BUILTINS = [
+    concrete.wronskian_algebra(3),
+    concrete.wronskian_algebra(4),
+    concrete.euler_wronskian_algebra(3),
+    concrete.untwisted_algebra(concrete.euler_wronskian_algebra(3)),
+    concrete.nonlie_example_algebra(),
+    concrete.adjoin_unit(concrete.nonlie_example_algebra()),
+    concrete.zero_bracket_poisson(3),
+]
+
+
+def _inflate(data, k):
+    """Rewrite every "p/q" coefficient of an algebra's JSON as "kp/kq"."""
+    def big(s):
+        num, den = s.split("/")
+        return f"{k * int(num)}/{k * int(den)}"
+
+    out = json.loads(json.dumps(data))
+    for table in ("product", "bracket"):
+        out[table] = {key: [[t, big(c)] for t, c in row] for key, row in out[table].items()}
+    if "unit" in out:
+        out["unit"] = [big(c) for c in out["unit"]]
+    return out
+
+
+def _with_fraction_tables(alg):
+    """A copy whose tables and unit hold Fractions, integral ones included,
+    set past the loader's normalization."""
+    forced = concrete.StructureAlgebra.from_json(alg.to_json())
+    for name in ("product", "bracket_table"):
+        table = getattr(forced, name)
+        setattr(forced, name, {key: tuple((t, Fraction(c)) for t, c in row)
+                               for key, row in table.items()})
+    if forced.unit is not None:
+        forced.unit = tuple(Fraction(x) for x in forced.unit)
+    return forced
+
+
+class TestStructureTables:
+    def test_builtin_integer_tables_hold_ints(self):
+        for alg in (concrete.wronskian_algebra(4), concrete.euler_wronskian_algebra(4)):
+            coeffs = [c for row in alg.product.values() for _, c in row]
+            coeffs += [c for row in alg.bracket_table.values() for _, c in row]
+            assert all(type(c) is int for c in coeffs + list(alg.unit))
+
+    def test_half_tables_stay_exact(self):
+        alg = concrete.untwisted_algebra(concrete.euler_wronskian_algebra(3))
+        coeffs = [c for row in alg.bracket_table.values() for _, c in row]
+        assert any(type(c) is Fraction for c in coeffs)
+        assert all(invariant(c) for c in coeffs)
+
+    @SETTINGS
+    @given(index=st.integers(0, len(BUILTINS) - 1), k=st.integers(1, 7))
+    def test_unreduced_json_gives_the_same_verdicts(self, index, k):
+        alg = BUILTINS[index]
+        loaded = concrete.StructureAlgebra.from_json(_inflate(alg.to_json(), k))
+        forced = _with_fraction_tables(alg)
+        assert loaded.to_json() == alg.to_json()
+        for other in (loaded, forced):
+            assert other.validate().to_json() == alg.validate().to_json()
+            assert kantor.criteria_check(other).to_json() == kantor.criteria_check(alg).to_json()
+
+    @SETTINGS
+    @given(index=st.integers(0, len(BUILTINS) - 1), seed=seeds)
+    def test_fraction_vectors_give_the_int_answer(self, index, seed):
+        alg = BUILTINS[index]
+        rng = random.Random(seed)
+        a = tuple(rng.randint(-3, 3) for _ in range(alg.dim))
+        b = tuple(rng.randint(-3, 3) for _ in range(alg.dim))
+        fa, fb = (tuple(Fraction(x) for x in v) for v in (a, b))
+        for op in (alg.mul, alg.bracket):
+            want = op(a, b)
+            assert op(fa, fb) == want
+            assert all(invariant(x) for x in want + op(fa, fb))
+        half = concrete.vscale(Fraction(1, 2), concrete.vadd(a, a))
+        assert half == a and all(type(x) is int for x in half)

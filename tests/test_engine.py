@@ -390,6 +390,18 @@ class TestSerialization:
             back = genp.element_from_json(genp.element_to_json(e))
             assert back == e
 
+    def test_unit_word_factor_is_the_unit(self, genp, jb, gp):
+        for algebra in (genp, jb, gp):
+            data = [{"coeff": "1", "monomial": [{"word": "1"}, {"word": "x1"}]},
+                    {"coeff": "2", "monomial": [{"word": "1", "exp": 3}]}]
+            want = algebra.gen("x1") + algebra.one().scale(2)
+            assert algebra.element_from_json(data) == want
+
+    def test_bad_exponent_rejected(self, genp):
+        for factor in ({"word": "x1", "exp": 0}, {"word": "th", "exp": 2}):
+            with pytest.raises(AlgebraError):
+                genp.element_from_json([{"coeff": "1", "monomial": [factor]}])
+
 
 class TestConfluence:
     def test_item5_vs_first_factor_route_sample(self, genp, jb, rng):
