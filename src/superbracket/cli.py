@@ -13,8 +13,8 @@ Juxtaposition of factors is the associative product; ``D(a)`` desugars to
 
 Brackets, parentheses, ``D(...)`` and ``<...>`` nest at most
 :data:`MAX_NESTING` deep; deeper input is a :class:`ParseError` (exit 2 from
-the command line), since the parser, the evaluator and the word functions
-all recurse once or more per level.
+the command line).  Only the parser recurses per level: the evaluators and
+the word functions walk with :func:`superbracket.core.fold`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core import (
     Var,
     scalar,
     scalar_str,
+    var_names,
 )
 from .elements import Element
 from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
@@ -46,8 +47,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # Deepest nesting of {..}, (..), D(..) and <..> that parse() and parse_word()
-# accept.  The parser spends three Python frames per level, and normal forms
-# at this depth complete in every theory under the default recursion limit.
+# accept.  The parser is the only code that recurses per level, three Python
+# frames each, so this keeps it well inside the default recursion limit.
 MAX_NESTING = 200
 
 
@@ -398,7 +399,7 @@ def _cmd_check_identity(args) -> int:
         raise AlgebraError("check-identity needs --algebra FILE or --free")
     algebra = _engine(args)
     term = parse(algebra.alphabet, args.expr, allow_vars=True)
-    bindings = {name: algebra.gen(name) for name in _collect_vars(term)}
+    bindings = {name: algebra.gen(name) for name in var_names(term)}
     e = algebra.substitute(term, bindings)
     holds = e.is_zero()
     payload = {"identity": args.expr, "status": "pass" if holds else "fail"}
@@ -406,21 +407,6 @@ def _cmd_check_identity(args) -> int:
         payload["witness"] = algebra.element_to_json(e)
     _emit(args, payload, "true" if holds else f"false: {print_element(algebra, e)}")
     return EXIT_OK if holds else EXIT_FALSE
-
-
-def _collect_vars(term):
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Gen):
-        return set()
-    if isinstance(term, (Prod, Bracket)):
-        return _collect_vars(term.left) | _collect_vars(term.right)
-    if isinstance(term, Sum):
-        out = set()
-        for _, t in term.terms:
-            out |= _collect_vars(t)
-        return out
-    return set()
 
 
 def _cmd_kantor_check(args) -> int:

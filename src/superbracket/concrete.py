@@ -10,10 +10,12 @@ involved.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .core import AlgebraError, Bracket, Gen, Prod, Sum, Var, scalar, scalar_str
+from .core import (AlgebraError, Bracket, Gen, Prod, Sum, Var, fold, map_leaves, scalar,
+                   scalar_str, var_names)
 from . import identities
 
 CLAIMS = ("none", "poisson", "genp", "jb", "gp")
@@ -161,27 +163,24 @@ class StructureAlgebra:
         """
         bindings = bindings or {}
 
-        def ev(t):
-            if isinstance(t, (Gen, Var)):
-                if t.name in bindings:
-                    return tuple(scalar(x) for x in bindings[t.name])
-                if isinstance(t, Gen) and t.name == "1":
-                    if self.unit is None:
-                        raise AlgebraError("term uses the unit but the algebra has none")
-                    return self.unit
-                raise AlgebraError(f"unbound leaf {t.name!r}")
-            if isinstance(t, Prod):
-                return self.mul(ev(t.left), ev(t.right))
-            if isinstance(t, Bracket):
-                return self.bracket(ev(t.left), ev(t.right))
-            if isinstance(t, Sum):
-                out = vzero(self.dim)
-                for c, sub in t.terms:
-                    out = vadd(out, vscale(c, ev(sub)))
-                return out
-            raise AlgebraError(f"not a term: {t!r}")
+        def leaf(t):
+            if t.name in bindings:
+                return tuple(scalar(x) for x in bindings[t.name])
+            if isinstance(t, Gen) and t.name == "1":
+                if self.unit is None:
+                    raise AlgebraError("term uses the unit but the algebra has none")
+                return self.unit
+            raise AlgebraError(f"unbound leaf {t.name!r}")
 
-        return ev(term)
+        def node(t, values):
+            if not isinstance(t, Sum):
+                return (self.mul if isinstance(t, Prod) else self.bracket)(*values)
+            out = vzero(self.dim)
+            for (c, _), v in zip(t.terms, values):
+                out = vadd(out, vscale(c, v))
+            return out
+
+        return fold(term, leaf, node)
 
     def is_identity(self, term):
         """Whether the term vanishes under every basis substitution of its Vars.
@@ -191,7 +190,7 @@ class StructureAlgebra:
         ``(True, None)`` or ``(False, witness_assignment)``.
         """
         term = multilinearize(term)
-        names = sorted(_var_names(term))
+        names = sorted(var_names(term))
         basis = [vbasis(self.dim, i) for i in range(self.dim)]
         for idx in iproduct(range(self.dim), repeat=len(names)):
             binding = {n: basis[i] for n, i in zip(names, idx)}
@@ -344,75 +343,45 @@ def multilinearize(term):
     return term
 
 
-def _var_names(term):
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Gen):
-        return set()
-    if isinstance(term, (Prod, Bracket)):
-        return _var_names(term.left) | _var_names(term.right)
-    if isinstance(term, Sum):
-        out = set()
-        for _, t in term.terms:
-            out |= _var_names(t)
-        return out
-    raise AlgebraError(f"not a term: {term!r}")
-
-
 def _var_degrees(term):
-    if isinstance(term, Var):
-        return {term.name: 1}
-    if isinstance(term, Gen):
-        return {}
-    if isinstance(term, (Prod, Bracket)):
-        out = dict(_var_degrees(term.left))
-        for n, d in _var_degrees(term.right).items():
-            out[n] = out.get(n, 0) + d
-        return out
-    if isinstance(term, Sum):
-        branch = None
-        for _, t in term.terms:
-            d = _var_degrees(t)
-            if branch is None:
-                branch = d
-            elif branch != d:
-                raise AlgebraError("term is not homogeneous in its variables")
-        return branch or {}
-    raise AlgebraError(f"not a term: {term!r}")
+    def node(t, degrees):
+        if not isinstance(t, Sum):
+            return degrees[0] + degrees[1]
+        if any(d != degrees[0] for d in degrees):
+            raise AlgebraError("term is not homogeneous in its variables")
+        return degrees[0] if degrees else Counter()
+
+    return fold(term, lambda t: Counter([t.name] if isinstance(t, Var) else ()), node)
 
 
 def _polarize(term, name, deg):
     labels = [f"{name}#{t}" for t in range(deg)]
+    numbers = _occurrence_numbers(term, name)
     pieces = []
     for perm in permutations(labels):
-        counter = [0]
-        pieces.append((1, _relabel(term, name, perm, counter)))
+        copy = iter(perm[k] for k in numbers)
+        pieces.append((1, map_leaves(term, lambda t: Var(next(copy)) if t == Var(name) else t)))
     return Sum(tuple(pieces))
 
 
-def _relabel(term, name, labels, counter):
-    if isinstance(term, Var):
-        if term.name != name:
-            return term
-        idx = counter[0]
-        counter[0] += 1
-        return Var(labels[idx])
-    if isinstance(term, Gen):
-        return term
-    if isinstance(term, Prod):
-        return Prod(_relabel(term.left, name, labels, counter),
-                    _relabel(term.right, name, labels, counter))
-    if isinstance(term, Bracket):
-        return Bracket(_relabel(term.left, name, labels, counter),
-                       _relabel(term.right, name, labels, counter))
-    if isinstance(term, Sum):
-        out = []
-        for c, t in term.terms:
-            sub_counter = [counter[0]]
-            out.append((c, _relabel(t, name, labels, sub_counter)))
-        counter[0] = sub_counter[0]
-        return Sum(tuple(out))
-    raise AlgebraError(f"not a term: {term!r}")
+def _occurrence_numbers(term, name):
+    """Copy number of each occurrence of ``?name``, in reading order.
+
+    Occurrences are numbered left to right, except that every branch of a Sum
+    numbers its own from the same start (the branches are alternatives), and
+    numbering after the Sum continues from its last branch.
+    """
+
+    def leaf(t):  # (numbers, count)
+        return ([0], 1) if t == Var(name) else ([], 0)
+
+    def node(t, kids):
+        if isinstance(t, Sum):
+            return [k for nums, _ in kids for k in nums], kids[-1][1] if kids else 0
+        (left, nl), (right, nr) = kids
+        return left + [k + nl for k in right], nl + nr
+
+    return fold(term, leaf, node)[0]
 
 
 # -- built-in algebras ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graded alphabet, exact scalars, raw term trees, and Koszul sign bookkeeping.
+"""Graded alphabet, exact scalars, raw term trees and their fold, and Koszul signs.
 
 The base field is fixed to the rationals, and every coefficient in the package
 keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, xor
 from typing import Union
 
 from .speedups import odd_inversion_sign
@@ -184,8 +185,91 @@ class Sum:
     terms: tuple  # of (scalar, term)
 
 
-def term_sum(*pairs) -> Sum:
-    return Sum(tuple((scalar(c), t) for c, t in pairs))
+def term_parts(t):
+    """Children of a term-tree node in order, or None for a Gen or Var leaf."""
+    if isinstance(t, (Prod, Bracket)):
+        return (t.left, t.right)
+    if isinstance(t, Sum):
+        return tuple(sub for _, sub in t.terms)
+    if isinstance(t, (Gen, Var)):
+        return None
+    raise AlgebraError(f"not a term: {t!r}")
+
+
+def word_parts(word):
+    """Children of a raw bracket word: None for a letter index, else the pair."""
+    if isinstance(word, int):
+        return None
+    if isinstance(word, tuple) and len(word) == 2:
+        return word
+    raise AlgebraError(f"not a raw word: {word!r}")
+
+
+def fold(tree, leaf, node, parts=term_parts):
+    """Post-order fold of a term tree, or with ``parts=word_parts`` of a raw
+    word, on an explicit stack: nesting depth costs no Python frames.
+
+    ``parts(t)`` gives the children of ``t``, or None when ``t`` is a leaf.
+    A leaf folds to ``leaf(t)`` and an inner node to ``node(t, values)``, its
+    children's values in order.  Each subtree is finished before the next
+    one starts, left to right, so leaves are met in reading order, as a
+    recursive walk meets them.
+    """
+    values = []
+    stack = [(tree, None)]
+    while stack:
+        t, kids = stack.pop()
+        if kids is None:
+            kids = parts(t)
+            if kids is None:
+                values.append(leaf(t))
+                continue
+            stack.append((t, kids))
+            stack.extend((k, None) for k in reversed(kids))
+            continue
+        at = len(values) - len(kids)
+        value = node(t, values[at:])
+        del values[at:]
+        values.append(value)
+    return values[0]
+
+
+def map_leaves(term, fn):
+    """The term with each Gen and Var leaf replaced by ``fn(leaf)``; leaves
+    are met in reading order."""
+
+    def node(t, kids):
+        if isinstance(t, Sum):
+            return Sum(tuple((c, k) for (c, _), k in zip(t.terms, kids)))
+        return type(t)(*kids)
+
+    return fold(term, fn, node)
+
+
+def var_names(term) -> set:
+    """Names of the Var leaves of a term."""
+    return fold(term, lambda t: {t.name} if isinstance(t, Var) else set(),
+                lambda t, names: set().union(*names))
+
+
+def _additive(alphabet: Alphabet, t, grade, plus, empty, what, plural):
+    """Fold of a grading that both multiplications add: ``grade(generator)``
+    at the leaves, ``plus`` at the nodes, and all branches of a Sum equal."""
+
+    def leaf(g):
+        if isinstance(g, Var):
+            raise UndefinedParityError(f"{what} of variable leaf ?{g.name} is undefined")
+        return grade(alphabet.gen(g.name))
+
+    def node(s, values):
+        if not isinstance(s, Sum):
+            return plus(*values)
+        kinds = set(values)
+        if len(kinds) > 1:
+            raise UndefinedParityError(f"sum of terms with different {plural}")
+        return kinds.pop() if kinds else empty
+
+    return fold(t, leaf, node)
 
 
 def term_parity(alphabet: Alphabet, t) -> int:
@@ -195,38 +279,14 @@ def term_parity(alphabet: Alphabet, t) -> int:
     irrelevant.  Sums must be parity-homogeneous.  Var leaves have no
     parity and raise.
     """
-    if isinstance(t, Gen):
-        return alphabet.gen(t.name).parity
-    if isinstance(t, (Prod, Bracket)):
-        return (term_parity(alphabet, t.left) + term_parity(alphabet, t.right)) & 1
-    if isinstance(t, Sum):
-        parities = {term_parity(alphabet, sub) for _, sub in t.terms}
-        if len(parities) > 1:
-            raise UndefinedParityError("sum of terms with different parities")
-        return parities.pop() if parities else EVEN
-    if isinstance(t, Var):
-        raise UndefinedParityError(f"parity of variable leaf ?{t.name} is undefined")
-    raise AlgebraError(f"not a term: {t!r}")
+    return _additive(alphabet, t, lambda g: g.parity, xor, EVEN, "parity", "parities")
 
 
 def multidegree(alphabet: Alphabet, t) -> tuple:
     """Occurrence count of every generator, the unit included."""
-    if isinstance(t, Gen):
-        deg = [0] * alphabet.size
-        deg[alphabet.gen(t.name).index] = 1
-        return tuple(deg)
-    if isinstance(t, (Prod, Bracket)):
-        dl = multidegree(alphabet, t.left)
-        dr = multidegree(alphabet, t.right)
-        return tuple(a + b for a, b in zip(dl, dr))
-    if isinstance(t, Sum):
-        degs = {multidegree(alphabet, sub) for _, sub in t.terms}
-        if len(degs) > 1:
-            raise UndefinedParityError("sum of terms with different multidegrees")
-        return degs.pop() if degs else alphabet.zero_degrees()
-    if isinstance(t, Var):
-        raise UndefinedParityError(f"multidegree of variable leaf ?{t.name} is undefined")
-    raise AlgebraError(f"not a term: {t!r}")
+    zero = alphabet.zero_degrees()
+    return _additive(alphabet, t, lambda g: zero[:g.index] + (1,) + zero[g.index + 1:],
+                     lambda a, b: tuple(map(add, a, b)), zero, "multidegree", "multidegrees")
 
 
 def koszul_merge_sign(left_parities, right_parities, merged_order) -> int:

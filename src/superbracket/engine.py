@@ -25,9 +25,10 @@ from .core import (
     Gen,
     Prod,
     Sum,
-    Var,
+    fold,
     scalar,
     scalar_str,
+    word_parts,
 )
 from .elements import (
     Element,
@@ -196,8 +197,8 @@ class FreeAlgebra:
             return self.zero()
         if u.key < v.key:
             sign = _ONE if (u.parity & v.parity) else -_ONE
-            return self.word_element(self.space.get((v.word, u.word))).scale(sign)
-        return self.word_element(self.space.get((u.word, v.word)))
+            return self.word_element(self.space.join(v, u)).scale(sign)
+        return self.word_element(self.space.join(u, v))
 
     def _leibniz_expand(self, m1, m2) -> Element:
         """Bracket against a product monomial via the deformed Leibniz rule.
@@ -238,15 +239,15 @@ class FreeAlgebra:
         if u.key == v.key:
             if u.parity == 0:
                 return self.zero()
-            return self.word_element(space.get((u.word, v.word)))
+            return self.word_element(space.join(u, v))
         if u.key < v.key:
             sign = _ONE if (u.parity & v.parity) else -_ONE
             return self._jb_bracket_words(v, u).scale(sign)
         if isinstance(u.word, int):
-            return self.word_element(space.get((u.word, v.word)))
+            return self.word_element(space.join(u, v))
         a, b = space.components(u)
         if not u.square and not v.square and b.key <= v.key:
-            return self.word_element(space.get((u.word, v.word)))
+            return self.word_element(space.join(u, v))
         if u.square and a.key == v.key:
             # {{a,a},a} for odd a: the deformed Jacobi identity gives
             # 3{{a,a},a} = -3 D(a){a,a}.
@@ -292,21 +293,19 @@ class FreeAlgebra:
         return self._eval(term, checked)
 
     def _eval(self, t, bindings) -> Element:
-        if isinstance(t, Gen):
-            return self.gen(t.name)
-        if isinstance(t, Var):
-            if bindings is None or t.name not in bindings:
-                raise AlgebraError(f"unbound variable ?{t.name}")
-            return bindings[t.name]
-        if isinstance(t, Prod):
-            return self.mul(self._eval(t.left, bindings), self._eval(t.right, bindings))
-        if isinstance(t, Bracket):
-            return self.bracket(self._eval(t.left, bindings), self._eval(t.right, bindings))
-        if isinstance(t, Sum):
-            return combine(
-                self, ((c, self._eval(sub, bindings)) for c, sub in t.terms)
-            )
-        raise AlgebraError(f"not a term: {t!r}")
+        def leaf(g):
+            if isinstance(g, Gen):
+                return self.gen(g.name)
+            if bindings is None or g.name not in bindings:
+                raise AlgebraError(f"unbound variable ?{g.name}")
+            return bindings[g.name]
+
+        def node(s, values):
+            if isinstance(s, Sum):
+                return combine(self, zip((c for c, _ in s.terms), values))
+            return (self.mul if isinstance(s, Prod) else self.bracket)(*values)
+
+        return fold(t, leaf, node)
 
     def element_to_term(self, e: Element):
         """Rebuild a raw term tree that normalizes back to the element."""
@@ -463,9 +462,8 @@ def _word_degree(m) -> int:
 
 
 def _word_term(alphabet, word):
-    if isinstance(word, int):
-        return Gen(alphabet.generators[word].name)
-    return Bracket(_word_term(alphabet, word[0]), _word_term(alphabet, word[1]))
+    gens = alphabet.generators
+    return fold(word, lambda i: Gen(gens[i].name), lambda w, kids: Bracket(*kids), word_parts)
 
 
 def _subdegrees(degrees):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import AlgebraError, Alphabet, Gen, Var, scalar, scalar_str
+from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
 from .elements import Element
 from .engine import GENP, FreeAlgebra
 
@@ -183,27 +183,11 @@ def _substitute_letter(target: FreeAlgebra, poly: PoissonPolynomial, x: str, rep
 
 
 def _gen_to_var(term, name, var_name):
-    return _map_leaves(term, lambda g: Var(var_name) if g.name == name else g)
+    return map_leaves(term, lambda g: Var(var_name) if g == Gen(name) else g)
 
 
 def _gens_to_vars(term, names):
-    return _map_leaves(term, lambda g: Var(g.name) if g.name in names else g)
-
-
-def _map_leaves(term, fn):
-    from .core import Bracket, Prod, Sum
-
-    if isinstance(term, Gen):
-        return fn(term)
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Prod):
-        return Prod(_map_leaves(term.left, fn), _map_leaves(term.right, fn))
-    if isinstance(term, Bracket):
-        return Bracket(_map_leaves(term.left, fn), _map_leaves(term.right, fn))
-    if isinstance(term, Sum):
-        return Sum(tuple((c, _map_leaves(t, fn)) for c, t in term.terms))
-    raise AlgebraError(f"not a term: {term!r}")
+    return map_leaves(term, lambda g: Var(g.name) if isinstance(g, Gen) and g.name in names else g)
 
 
 # -- heights and shape decomposition ---------------------------------------------

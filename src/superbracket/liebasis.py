@@ -20,9 +20,20 @@ words.  Interned :class:`BasisWord` objects carry the derived data.
 
 from __future__ import annotations
 
-from .core import Alphabet, AlgebraError
+from .core import Alphabet, AlgebraError, fold, word_parts
 
 _ONE = 1
+
+
+def _join_key(ku, kv) -> tuple:
+    """Key of ``{u,v}`` from the keys of u and v."""
+    return (ku[0] + kv[0], ku, kv)
+
+
+def _good_join(ku, kv) -> bool:
+    """Whether ``{u,v}`` is good, given good u and v by their keys: u > v
+    and, when u = {u1,u2}, u2 <= v (a letter's key has length 1)."""
+    return ku > kv and (ku[0] == 1 or ku[2] <= kv)
 
 
 def word_key(word) -> tuple:
@@ -31,65 +42,24 @@ def word_key(word) -> tuple:
     Keys compare first by word length, then recursively on components, which
     realizes the length-first lexicographic order on bracket words.
     """
-    if isinstance(word, int):
-        return (1, word)
-    lk = word_key(word[0])
-    rk = word_key(word[1])
-    return (lk[0] + rk[0], lk, rk)
-
-
-def word_length(word) -> int:
-    if isinstance(word, int):
-        return 1
-    return word_length(word[0]) + word_length(word[1])
-
-
-def word_parity(alphabet: Alphabet, word) -> int:
-    if isinstance(word, int):
-        return alphabet.parities[word]
-    return (word_parity(alphabet, word[0]) + word_parity(alphabet, word[1])) & 1
-
-
-def word_degrees(alphabet: Alphabet, word) -> tuple:
-    deg = [0] * alphabet.size
-    _count(word, deg)
-    return tuple(deg)
-
-
-def _count(word, deg):
-    if isinstance(word, int):
-        deg[word] += 1
-    else:
-        _count(word[0], deg)
-        _count(word[1], deg)
+    return fold(word, lambda i: (1, i), lambda w, keys: _join_key(*keys), word_parts)
 
 
 def is_good(word) -> bool:
     """Whether a raw word is a good word."""
-    if isinstance(word, int):
-        return True
-    u, v = word
-    if not (is_good(u) and is_good(v)):
-        return False
-    if word_key(u) <= word_key(v):
-        return False
-    if not isinstance(u, int) and word_key(u[1]) > word_key(v):
-        return False
-    return True
+
+    def node(w, keys):  # a word's key, or None when it is not good
+        ku, kv = keys
+        if ku is None or kv is None or not _good_join(ku, kv):
+            return None
+        return _join_key(ku, kv)
+
+    return fold(word, lambda i: (1, i), node, word_parts) is not None
 
 
-def is_oriented(alphabet: Alphabet, word) -> bool:
-    """Whether a raw tree is an oriented atom: each node has left > right,
-    or equal odd subtrees."""
-    if isinstance(word, int):
-        return True
-    u, v = word
-    if not (is_oriented(alphabet, u) and is_oriented(alphabet, v)):
-        return False
-    ku, kv = word_key(u), word_key(v)
-    if ku > kv:
-        return True
-    return ku == kv and word_parity(alphabet, u) == 1
+def _word_repr(word) -> str:
+    """``repr(word)`` without the recursion that fails on deep words."""
+    return fold(word, repr, lambda w, parts: "(%s, %s)" % tuple(parts), word_parts)
 
 
 class BasisWord:
@@ -143,48 +113,71 @@ class WordSpace:
 
     def leaf(self, gen_or_name) -> BasisWord:
         if isinstance(gen_or_name, str):
-            return self.get(self.alphabet.gen(gen_or_name).index)
-        return self.get(gen_or_name.index)
+            return self._letter(self.alphabet.gen(gen_or_name).index)
+        return self._letter(gen_or_name.index)
 
     @property
     def unit_word(self) -> BasisWord:
-        return self.get(0)
+        return self._letter(0)
 
     def get(self, word) -> BasisWord:
-        """Intern a raw word, checking basis membership."""
+        """Intern a raw word, checking basis membership.  The word is walked
+        in full: looking up an equal deep copy would compare it recursively."""
+        found = fold(word, self._letter, lambda w, kids: self._join(*kids), word_parts)
+        return self._basis(found, word)
+
+    def join(self, u: BasisWord, v: BasisWord) -> BasisWord:
+        """The basis word ``{u,v}`` of two interned words."""
+        return self._basis(self._join(u, v), (u.word, v.word))
+
+    def _basis(self, found, word) -> BasisWord:
+        if found is None:
+            kind = "an oriented atom" if self.oriented else "a basis word"
+            raise AlgebraError(f"not {kind}: {_word_repr(word)}")
+        return found
+
+    def _letter(self, index) -> BasisWord:
+        found = self._words.get(index)
+        if found is not None:
+            return found
+        if not 0 <= index < self.alphabet.size:
+            raise AlgebraError(f"generator index {index} out of range")
+        degrees = [0] * self.alphabet.size
+        degrees[index] = 1
+        return self._intern(index, (1, index), self.alphabet.parities[index], tuple(degrees), False)
+
+    def _join(self, u, v):
+        """The one per-node rule: ``{u,v}`` from interned u and v, or None
+        when it is no basis word (then neither is any word containing it)."""
+        if u is None or v is None:
+            return None
+        word = (u.word, v.word)  # its parts are interned: lookups compare by identity
         found = self._words.get(word)
         if found is not None:
             return found
-        square = False
-        if isinstance(word, int):
-            if not 0 <= word < self.alphabet.size:
-                raise AlgebraError(f"generator index {word} out of range")
-        elif self.oriented:
-            if not is_oriented(self.alphabet, word) or word_degrees(self.alphabet, word)[0]:
-                raise AlgebraError(f"not an oriented atom: {word}")
-        elif not is_good(word):
-            u, v = word
-            square = (
-                u == v
-                and is_good(u)
-                and word_parity(self.alphabet, u) == 1
-            )
-            if not square:
-                raise AlgebraError(f"not a basis word: {word}")
-        bw = BasisWord(
-            word,
-            word_key(word),
-            word_parity(self.alphabet, word),
-            word_degrees(self.alphabet, word),
-            square,
-        )
+        if self.oriented:
+            # each node has left > right or equal odd halves; no unit letter
+            square = False
+            ok = not (u.degrees[0] or v.degrees[0]) and (u > v or u is v and u.parity)
+        else:
+            # good, or the square of an odd good word
+            square = u is v and u.parity == 1 and not u.square
+            ok = square or not (u.square or v.square) and _good_join(u.key, v.key)
+        if not ok:
+            return None
+        degrees = tuple(a + b for a, b in zip(u.degrees, v.degrees))
+        key = _join_key(u.key, v.key)
+        return self._intern(word, key, (u.parity + v.parity) & 1, degrees, square)
+
+    def _intern(self, word, key, parity, degrees, square) -> BasisWord:
+        bw = BasisWord(word, key, parity, degrees, square)
         self._words[word] = bw
-        self.by_key[bw.key] = bw
+        self.by_key[key] = bw
         return bw
 
     def components(self, w: BasisWord):
         u, v = w.word
-        return self.get(u), self.get(v)
+        return self._words[u], self._words[v]
 
     # -- straightening ------------------------------------------------------
 
@@ -217,16 +210,16 @@ class WordSpace:
         if u.key == v.key:
             if u.parity == 0:
                 return {}
-            return {self.get((u.word, v.word)): _ONE}
+            return {self.join(u, v): _ONE}
         if u.key < v.key:
             coeff = _ONE if (u.parity & v.parity) else -_ONE
             return _scaled(self.bracket_words(v, u), coeff)
         # u > v
         if isinstance(u.word, int):
-            return {self.get((u.word, v.word)): _ONE}
+            return {self.join(u, v): _ONE}
         a, b = self.components(u)
         if not u.square and not v.square and b.key <= v.key:
-            return {self.get((u.word, v.word)): _ONE}
+            return {self.join(u, v): _ONE}
         if u.square and a.key == v.key:
             # {{a,a},a} for odd a: Jacobi plus anticommutativity force
             # 3{{a,a},a} = 0, so it vanishes over the rationals.
@@ -251,18 +244,14 @@ class WordSpace:
             result = ()
         elif total == 1:
             idx = degrees.index(1)
-            result = (self.get(idx),)
+            result = (self._letter(idx),)
         else:
             found = []
             for d1, d2 in _splits(degrees):
                 for u in self.good_words(d1):
-                    usecond = None if isinstance(u.word, int) else word_key(u.word[1])
                     for v in self.good_words(d2):
-                        if u.key <= v.key:
-                            continue
-                        if usecond is not None and usecond > v.key:
-                            continue
-                        found.append(self.get((u.word, v.word)))
+                        if _good_join(u.key, v.key):
+                            found.append(self.join(u, v))
             result = tuple(found)
         self._good_cache[degrees] = result
         return result
@@ -278,16 +267,15 @@ class WordSpace:
             half = tuple(d // 2 for d in degrees)
             for v in self.good_words(half):
                 if v.parity:
-                    words.append(self.get((v.word, v.word)))
+                    words.append(self.join(v, v))
         words.sort(key=lambda w: w.key)
         result = tuple(words)
         self._basis_cache[degrees] = result
         return result
 
     def render(self, word) -> str:
-        if isinstance(word, int):
-            return self.alphabet.generators[word].name
-        return "{%s,%s}" % (self.render(word[0]), self.render(word[1]))
+        gens = self.alphabet.generators
+        return fold(word, lambda i: gens[i].name, lambda w, p: "{%s,%s}" % tuple(p), word_parts)
 
 
 def _scaled(combo: dict, coeff: int) -> dict:

@@ -87,6 +87,38 @@ def random_term(alphabet, rng, depth=3, allow_unit=True):
     return Prod(left, right) if rng.random() < 0.5 else Bracket(left, right)
 
 
+def random_sum_term(alphabet, rng, size=4, allow_unit=True):
+    """Random raw term tree over ``size`` leaves, with Sum nodes and Var leaves.
+
+    The branches of a Sum rearrange the same leaves, so every Sum is
+    homogeneous in multidegree and parity.  A Var leaf carries the name of a
+    non-unit generator and stands for it: substitute the generator to read
+    the term as a plain one.
+    """
+    from superbracket.core import Bracket, Gen, Prod, Sum, Var
+
+    unit = alphabet.unit.name
+    names = list(alphabet.names()) + ([unit] if allow_unit else [])
+
+    def build(leaves):
+        if len(leaves) == 1:
+            name = leaves[0]
+            return Var(name) if name != unit and rng.random() < 0.3 else Gen(name)
+        if rng.random() < 0.25:
+            branches = []
+            for _ in range(rng.randint(1, 3)):
+                shuffled = leaves[:]
+                rng.shuffle(shuffled)
+                coeff = Fraction(rng.choice([1, 2, -1, -3]), rng.choice([1, 2]))
+                branches.append((coeff, build(shuffled)))
+            return Sum(tuple(branches))
+        cut = rng.randint(1, len(leaves) - 1)
+        node = Prod if rng.random() < 0.5 else Bracket
+        return node(build(leaves[:cut]), build(leaves[cut:]))
+
+    return build([rng.choice(names) for _ in range(size)])
+
+
 # -- bubble-sort sign oracle ---------------------------------------------------
 
 def bubble_shuffle_sign(parities, order):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from superbracket.cli import parse
 from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod, Sum, Var
 from superbracket.engine import GENP, FreeAlgebra
 from superbracket.concrete import (
@@ -172,6 +173,18 @@ class TestIsIdentity:
         t = Sum(((ONE, Var("x")), (ONE, Prod(Var("x"), Var("x")))))
         with pytest.raises(AlgebraError):
             algebra.is_identity(t)
+
+    @pytest.mark.parametrize("src, witness", [
+        # a Sum whose branches each repeat ?a: every branch numbers its
+        # copies of ?a from the same start
+        ("?a*{?a,?b} - {?a,?b}*?a", None),
+        ("?a*?a", {"assignment": {"a#0": 0, "a#1": 0}, "residual": ["2/1", "0/1", "0/1"]}),
+        ("{?a,?a*?b} - ?a*{?a,?b}",
+         {"assignment": {"a#0": 0, "a#1": 1, "b": 0}, "residual": ["0/1", "-1/1", "0/1"]}),
+    ])
+    def test_polarization(self, src, witness):
+        term = parse(Alphabet([]), src, allow_vars=True)
+        assert euler_wronskian_algebra(3).is_identity(term) == (witness is None, witness)
 
 
 class TestBuiltins:
