@@ -55,6 +55,42 @@ def is_zero_vec(a):
     return all(x == 0 for x in a)
 
 
+def vjson(a):
+    return [scalar_str(x) for x in a]
+
+
+def first_failure(arity, elements, residual, is_zero=is_zero_vec):
+    """The first ``arity``-tuple of elements, in ``itertools.product`` order,
+    on which the residual does not vanish, as ``(indices, arguments,
+    residual)``; None when it vanishes on all of them.
+
+    Over a basis this decides a multilinear identity completely.
+    """
+    for idx in iproduct(range(len(elements)), repeat=arity):
+        args = [elements[i] for i in idx]
+        res = residual(*args)
+        if not is_zero(res):
+            return idx, args, res
+    return None
+
+
+def check_entry(name, failure, parity, render):
+    """One :class:`Report` entry: a pass, or a fail whose witness gives the
+    failing indices, the parities of their arguments and the rendered residual."""
+    if failure is None:
+        return {"identity": name, "status": "pass"}
+    idx, args, res = failure
+    return {
+        "identity": name,
+        "status": "fail",
+        "witness": {
+            "indices": list(idx),
+            "parities": [parity(a) for a in args],
+            "residual": render(res),
+        },
+    }
+
+
 class StructureAlgebra:
     """Superalgebra from sparse multiplication tables.
 
@@ -127,12 +163,7 @@ class StructureAlgebra:
         checks = []
 
         def run(name, arity, fn):
-            for idx in iproduct(range(self.dim), repeat=arity):
-                res = fn(*(basis[i] for i in idx))
-                if not is_zero_vec(res):
-                    checks.append(_check(name, idx, self.parities, res))
-                    return
-            checks.append(_check(name, None, None, None))
+            checks.append(check_entry(name, first_failure(arity, basis, fn), ops.parity, vjson))
 
         run("supercommutativity", 2, lambda a, b: identities.supercommutativity_residual(ops, a, b))
         run("associativity", 3, lambda a, b, c: identities.associativity_residual(ops, a, b, c))
@@ -192,15 +223,12 @@ class StructureAlgebra:
         term = multilinearize(term)
         names = sorted(var_names(term))
         basis = [vbasis(self.dim, i) for i in range(self.dim)]
-        for idx in iproduct(range(self.dim), repeat=len(names)):
-            binding = {n: basis[i] for n, i in zip(names, idx)}
-            res = self.evaluate(term, binding)
-            if not is_zero_vec(res):
-                return False, {
-                    "assignment": dict(zip(names, idx)),
-                    "residual": [scalar_str(x) for x in res],
-                }
-        return True, None
+        failure = first_failure(len(names), basis,
+                                lambda *vecs: self.evaluate(term, dict(zip(names, vecs))))
+        if failure is None:
+            return True, None
+        idx, _, res = failure
+        return False, {"assignment": dict(zip(names, idx)), "residual": vjson(res)}
 
     # -- serialization -------------------------------------------------------------
 
@@ -213,7 +241,7 @@ class StructureAlgebra:
             "claim": self.claim,
         }
         if self.unit is not None:
-            out["unit"] = [scalar_str(x) for x in self.unit]
+            out["unit"] = vjson(self.unit)
         return out
 
     @classmethod
@@ -280,20 +308,6 @@ class Report:
     def __repr__(self):
         word = "ok" if self.ok else "FAIL"
         return f"<report {word}: {[c['identity'] for c in self.failed()]}>"
-
-
-def _check(name, idx, parities, residual):
-    if idx is None:
-        return {"identity": name, "status": "pass"}
-    return {
-        "identity": name,
-        "status": "fail",
-        "witness": {
-            "indices": list(idx),
-            "parities": [parities[i] for i in idx],
-            "residual": [scalar_str(x) for x in residual],
-        },
-    }
 
 
 def _check_table(table, dim):
@@ -432,13 +446,10 @@ def zero_product_algebra(bracket, parities=None, dim=None) -> StructureAlgebra:
     parities = list(parities) if parities is not None else [0] * dim
     alg = StructureAlgebra(dim, parities, {}, bracket, None, "gp")
     ops = VectorOps(alg)
-    for i in range(dim):
-        for j in range(dim):
-            res = identities.anticommutativity_residual(
-                ops, vbasis(dim, i), vbasis(dim, j)
-            )
-            if not is_zero_vec(res):
-                raise AlgebraError(f"bracket table not anticommutative at ({i},{j})")
+    failure = first_failure(2, [vbasis(dim, i) for i in range(dim)],
+                            lambda a, b: identities.anticommutativity_residual(ops, a, b))
+    if failure is not None:
+        raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg
 
 
@@ -505,12 +516,13 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
     basis = [vbasis(algebra.dim, i) for i in range(algebra.dim)]
-    for a in basis:
-        for b in basis:
-            lhs = algebra.deriv(algebra.mul(a, b))
-            rhs = vadd(algebra.mul(algebra.deriv(a), b), algebra.mul(a, algebra.deriv(b)))
-            if not is_zero_vec(vsub(lhs, rhs)):
-                raise AlgebraError("bracket-with-unit is not a derivation of the product")
+
+    def derivation_residual(a, b):  # D(ab) - (D(a)b + aD(b))
+        lhs = algebra.deriv(algebra.mul(a, b))
+        return vsub(lhs, vadd(algebra.mul(algebra.deriv(a), b), algebra.mul(a, algebra.deriv(b))))
+
+    if first_failure(2, basis, derivation_residual) is not None:
+        raise AlgebraError("bracket-with-unit is not a derivation of the product")
     half = Fraction(1, 2)
     bracket = {}
     for i in range(algebra.dim):

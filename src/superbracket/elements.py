@@ -17,7 +17,6 @@ Elements are immutable; all operators return new objects.
 from __future__ import annotations
 
 from .core import AlgebraError, scalar
-from .speedups import merge_factors
 
 UNIT_MONOMIAL = ()
 
@@ -25,20 +24,6 @@ UNIT_MONOMIAL = ()
 def factor_of(word, exp: int = 1):
     """Factor triple of an interned basis word."""
     return (word.key, word.parity, exp)
-
-
-def monomial_of(*words):
-    """Monomial from basis words given in any order (must be distinct or even)."""
-    m = UNIT_MONOMIAL
-    sign = 1
-    for w in words:
-        s, m = merge_factors(m, (factor_of(w),))
-        sign *= s
-    if sign == 0:
-        raise AlgebraError("odd factor squared in monomial")
-    if sign != 1:
-        raise AlgebraError("words were not given in canonical order")
-    return m
 
 
 def monomial_parity(m) -> int:

@@ -63,7 +63,6 @@ class FreeAlgebra:
         self.theory = theory
         self.max_degree = max_degree
         self._mono_bracket_cache = {}
-        self._jb_cache = {}
         self._monomials = {}
 
     @property
@@ -226,15 +225,6 @@ class FreeAlgebra:
         return combine(self, pieces)
 
     def _jb_bracket_words(self, u, v) -> Element:
-        pair = (u.word, v.word)
-        cached = self._jb_cache.get(pair)
-        if cached is not None:
-            return cached
-        result = self._jb_bracket_uncached(u, v)
-        self._jb_cache[pair] = result
-        return result
-
-    def _jb_bracket_uncached(self, u, v) -> Element:
         space = self.space
         if u.key == v.key:
             if u.parity == 0:
@@ -242,7 +232,7 @@ class FreeAlgebra:
             return self.word_element(space.join(u, v))
         if u.key < v.key:
             sign = _ONE if (u.parity & v.parity) else -_ONE
-            return self._jb_bracket_words(v, u).scale(sign)
+            return self.bracket(self.word_element(v), self.word_element(u)).scale(sign)
         if isinstance(u.word, int):
             return self.word_element(space.join(u, v))
         a, b = space.components(u)

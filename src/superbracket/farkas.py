@@ -52,9 +52,6 @@ class PoissonPolynomial:
         """The element as a term tree with the letters turned into Vars."""
         return _gens_to_vars(self.algebra.element_to_term(self.element), set(self.letters))
 
-    def map_letters(self, fn):
-        return PoissonPolynomial(self.algebra, fn(self.element), self.letters)
-
 
 def poisson_polynomial(algebra: FreeAlgebra, term_or_element, letters) -> PoissonPolynomial:
     if isinstance(term_or_element, Element):
@@ -332,18 +329,15 @@ class CustomaryPolynomial:
 
 def customary_to_element(c: CustomaryPolynomial, algebra: FreeAlgebra) -> Element:
     """Expand the angle brackets and D factors in the engine."""
-    total = algebra.zero()
-    for (pairs, singles), coeff in c.terms.items():
-        term = algebra.one()
-        for p, q in pairs:
-            term = algebra.mul(
-                term,
-                angle_bracket(algebra, algebra.gen(c.letters[p - 1]), algebra.gen(c.letters[q - 1])),
-            )
-        for s in singles:
-            term = algebra.mul(term, algebra.deriv(algebra.gen(c.letters[s - 1])))
-        total = total + term.scale(coeff)
-    return total
+
+    def index(position):
+        return algebra.alphabet.gen(c.letters[position - 1]).index
+
+    formal = {
+        (tuple((index(p), index(q)) for p, q in pairs), tuple(index(s) for s in singles), ()): coeff
+        for (pairs, singles), coeff in c.terms.items()
+    }
+    return _formal_to_element(algebra, formal)
 
 
 # -- the reduction pipeline -----------------------------------------------------------

@@ -14,7 +14,8 @@ from __future__ import annotations
 from .core import AlgebraError, Alphabet
 from .elements import Element
 from .engine import GP, FreeAlgebra
-from .identities import ElementOps, double_criterion_residual, jordan_gp_residual
+from .identities import (ElementOps, double_criterion_residual, jacobi_defect_residual,
+                         jordan_gp_residual)
 
 
 class GpAlgebra(FreeAlgebra):
@@ -35,12 +36,8 @@ def jacobi_defect(algebra: GpAlgebra, a, b, c) -> Element:
     This is the parenthesized factor of the Jordan-ness criterion for the
     Kantor double of a generic Poisson superalgebra.
     """
-    a, b, c = (_as_element(algebra, x) for x in (a, b, c))
-    pb, pc = b.parity(), c.parity()
-    sign = -1 if (pb & pc) else 1
-    out = algebra.bracket(algebra.bracket(a, b), c)
-    out = out - algebra.bracket(algebra.bracket(a, c), b).scale(sign)
-    return out - algebra.bracket(a, algebra.bracket(b, c))
+    args = [_as_element(algebra, x) for x in (a, b, c)]
+    return jacobi_defect_residual(ElementOps(algebra), *args)
 
 
 def criterion_residual(algebra: GpAlgebra, which: int, f, h, g, w) -> Element:

@@ -80,15 +80,16 @@ def deformed_jacobi_residual(ops, a, b, c):
     return out
 
 
+def jacobi_defect_residual(ops, a, b, c):
+    """{{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}"""
+    s = _sgn(ops.parity(b) & ops.parity(c))
+    out = ops.sub(ops.bracket(ops.bracket(a, b), c), ops.scale(s, ops.bracket(ops.bracket(a, c), b)))
+    return ops.sub(out, ops.bracket(a, ops.bracket(b, c)))
+
+
 def jordan_gp_residual(ops, a, b, c, d):
     """({{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}) . d"""
-    pb, pc = ops.parity(b), ops.parity(c)
-    defect = ops.sub(
-        ops.bracket(ops.bracket(a, b), c),
-        ops.scale(_sgn(pb & pc), ops.bracket(ops.bracket(a, c), b)),
-    )
-    defect = ops.sub(defect, ops.bracket(a, ops.bracket(b, c)))
-    return ops.mul(defect, d)
+    return ops.mul(jacobi_defect_residual(ops, a, b, c), d)
 
 
 def double_criterion_residual(ops, which, f, h, g, w):

@@ -36,27 +36,6 @@ def _good_join(ku, kv) -> bool:
     return ku > kv and (ku[0] == 1 or ku[2] <= kv)
 
 
-def word_key(word) -> tuple:
-    """Injective, order-defining key of a raw word.
-
-    Keys compare first by word length, then recursively on components, which
-    realizes the length-first lexicographic order on bracket words.
-    """
-    return fold(word, lambda i: (1, i), lambda w, keys: _join_key(*keys), word_parts)
-
-
-def is_good(word) -> bool:
-    """Whether a raw word is a good word."""
-
-    def node(w, keys):  # a word's key, or None when it is not good
-        ku, kv = keys
-        if ku is None or kv is None or not _good_join(ku, kv):
-            return None
-        return _join_key(ku, kv)
-
-    return fold(word, lambda i: (1, i), node, word_parts) is not None
-
-
 def _word_repr(word) -> str:
     """``repr(word)`` without the recursion that fails on deep words."""
     return fold(word, repr, lambda w, parts: "(%s, %s)" % tuple(parts), word_parts)

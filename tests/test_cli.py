@@ -217,6 +217,58 @@ class TestDispatch:
         )
         assert code == 0 and "super-jordan-linearized: pass" in out
 
+    # Check reports, byte for byte: the first failing tuple in product order,
+    # its parities and its residual are part of the wire format.
+
+    def test_kantor_check_json_golden(self, capsys):
+        code, out, _ = self.run(capsys, "kantor-check", "--algebra", "builtin:wronskian3", "--json")
+        assert code == 1
+        assert out == (
+            '[{"identity": "super-jordan-linearized", "status": "fail", "witness": '
+            '{"indices": [1, 1, 3, 4], "parities": [0, 0, 1, 1], '
+            '"residual": ["0/1", "0/1", "3/1", "0/1", "0/1", "0/1"]}}, '
+            '{"identity": "jorskob1", "status": "fail", "witness": '
+            '{"indices": [0, 1, 1, 2], "parities": [0, 0, 0, 0], "residual": ["0/1", "0/1", "3/1"]}}, '
+            '{"identity": "jorskob2", "status": "fail", "witness": '
+            '{"indices": [0, 1, 0, 2], "parities": [0, 0, 0, 0], "residual": ["0/1", "0/1", "-3/1"]}}, '
+            '{"identity": "jorskob3", "status": "fail", "witness": '
+            '{"indices": [1, 1, 1, 0], "parities": [0, 0, 0, 0], "residual": ["0/1", "0/1", "-3/1"]}}]\n'
+        )
+
+    def test_validate_json_golden(self, capsys):
+        code, out, _ = self.run(capsys, "validate", "builtin:unital-nonlie-gp", "--json")
+        assert code == 0
+        assert out == (
+            '[{"identity": "supercommutativity", "status": "pass"}, '
+            '{"identity": "associativity", "status": "pass"}, '
+            '{"identity": "unit", "status": "pass"}, '
+            '{"identity": "anticommutativity", "status": "pass"}, '
+            '{"identity": "leibniz", "status": "pass"}]\n'
+        )
+        code, out, _ = self.run(capsys, "validate", "builtin:wronskian3", "--json")
+        assert code == 1
+        assert out == (
+            '[{"identity": "supercommutativity", "status": "pass"}, '
+            '{"identity": "associativity", "status": "pass"}, '
+            '{"identity": "unit", "status": "pass"}, '
+            '{"identity": "anticommutativity", "status": "pass"}, '
+            '{"identity": "deformed-leibniz", "status": "fail", "witness": '
+            '{"indices": [0, 1, 2], "parities": [0, 0, 0], "residual": ["0/1", "0/1", "3/1"]}}, '
+            '{"identity": "jacobi", "status": "pass"}]\n'
+        )
+
+    def test_check_identity_algebra_json_golden(self, capsys):
+        expr = "{?a,{?b,?c}} - {{?a,?b},?c} - {?b,{?a,?c}}"
+        code, out, _ = self.run(
+            capsys, "check-identity", "--algebra", "builtin:unital-nonlie-gp", "--json", expr
+        )
+        assert code == 1
+        assert out == (
+            '{"identity": "{?a,{?b,?c}} - {{?a,?b},?c} - {?b,{?a,?c}}", "status": "fail", '
+            '"witness": {"assignment": {"a": 1, "b": 2, "c": 3}, '
+            '"residual": ["0/1", "-2/1", "0/1", "0/1"]}}\n'
+        )
+
     def test_eval(self, capsys, tmp_path):
         path = tmp_path / "w3.json"
         from superbracket.concrete import wronskian_algebra

@@ -11,11 +11,11 @@ from superbracket.concrete import (
     euler_wronskian_algebra,
     nonlie_example_algebra,
     untwisted_algebra,
+    vbasis,
     wronskian_algebra,
     zero_bracket_poisson,
 )
 from superbracket.kantor import (
-    DoubleElement,
     criteria_check,
     double_is_jordan,
     double_of,
@@ -25,60 +25,86 @@ from superbracket.kantor import (
 ONE = Fraction(1)
 
 
-class TestDoubleElement:
-    def test_plain_times_plain(self, jb):
-        a, b = jb.gen("x1"), jb.gen("x2")
-        p = DoubleElement.plain(jb, a) * DoubleElement.plain(jb, b)
-        assert p.a == jb.mul(a, b) and p.b.is_zero()
+def small_algebra():
+    """Basis 1, x (even), th (odd); x*x = x*th = th*th = 0, and the bracket
+    {x,th} = th = -{th,x}, {th,th} = x, zero against the unit."""
+    mul = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)],
+           (0, 2): [(2, 1)], (2, 0): [(2, 1)]}
+    brk = {(1, 2): [(2, 1)], (2, 1): [(2, -1)], (2, 2): [(1, 1)]}
+    return StructureAlgebra(3, [0, 0, 1], mul, brk, (1, 0, 0), "none")
 
-    def test_shifted_times_shifted_is_signed_bracket(self, jb):
-        a, b = jb.gen("x1"), jb.gen("th")
-        p = DoubleElement.shifted(jb, a) * DoubleElement.shifted(jb, b)
-        # (ax)(bx) = (-1)^{|b|} {a,b}; |th| = 1
-        assert p.a == jb.bracket(a, b).scale(-1)
-        assert p.b.is_zero()
 
-    def test_unit_shifted_squares_to_zero(self, jb):
-        u = DoubleElement.shifted(jb, jb.one())
-        assert (u * u).is_zero()
+UNIT, X, TH = 0, 1, 2
 
-    def test_plain_times_shifted(self, jb):
-        a, b = jb.gen("x1"), jb.gen("x2")
-        p = DoubleElement.plain(jb, a) * DoubleElement.shifted(jb, b)
-        assert p.b == jb.mul(a, b) and p.a.is_zero()
-        q = DoubleElement.shifted(jb, a) * DoubleElement.plain(jb, b)
-        assert q.b == jb.mul(a, b)  # |x2| = 0, no sign
 
-    def test_k_grading(self, jb):
-        for name in ("x1", "th"):
-            g = jb.gen(name)
-            assert DoubleElement.plain(jb, g).parity() == g.parity()
-            assert DoubleElement.shifted(jb, g).parity() == (g.parity() ^ 1)
-        for p, q in product((0, 1), repeat=2):
-            x = DoubleElement.plain(jb, jb.gen("th" if p else "x1"))
-            y = DoubleElement.shifted(jb, jb.gen("th" if q else "x1"))
-            assert (x * y).is_zero() or (x * y).parity() == (x.parity() + y.parity()) & 1
+def plain(i):
+    return vbasis(6, i)
 
-    def test_supercommutative_in_k_grading(self, jb):
-        elems = [
-            DoubleElement.plain(jb, jb.gen("x1")),
-            DoubleElement.plain(jb, jb.gen("th")),
-            DoubleElement.shifted(jb, jb.gen("x1")),
-            DoubleElement.shifted(jb, jb.gen("th")),
-            DoubleElement.shifted(jb, jb.one()),
-        ]
-        for x in elems:
-            for y in elems:
-                sign = -1 if (x.parity() & y.parity()) else 1
-                diff = (x * y) - (y * x).scale(sign)
-                assert diff.is_zero()
 
-    def test_mixed_backends_rejected(self, jb, genp):
-        with pytest.raises(AlgebraError):
-            DoubleElement.plain(jb, jb.gen("x1")) * DoubleElement.plain(genp, genp.gen("x1"))
+def shifted(i):
+    return vbasis(6, 3 + i)
+
+
+def embed(vec, shift):
+    """A vector of A as the plain part of K(A), or with ``shift`` the shifted one."""
+    zero = (0,) * 3
+    return zero + tuple(vec) if shift else tuple(vec) + zero
 
 
 class TestDoubleOf:
+    """The four product rules of the double, its K-grading and its
+    supercommutativity, on a small algebra with an odd basis vector."""
+
+    def test_plain_times_plain(self):
+        a, dbl = small_algebra(), double_of(small_algebra())
+        for i, j in product(range(3), repeat=2):
+            # a * b = ab
+            assert dbl.mul(plain(i), plain(j)) == embed(a.mul(vbasis(3, i), vbasis(3, j)), False)
+        assert dbl.mul(plain(UNIT), plain(TH)) == plain(TH)
+
+    def test_plain_times_shifted(self):
+        a, dbl = small_algebra(), double_of(small_algebra())
+        for i, j in product(range(3), repeat=2):
+            ab = a.mul(vbasis(3, i), vbasis(3, j))
+            sign = -1 if a.parities[j] else 1
+            # a * bx = (ab)x and ax * b = (-1)^{|b|} (ab)x
+            assert dbl.mul(plain(i), shifted(j)) == embed(ab, True)
+            assert dbl.mul(shifted(i), plain(j)) == embed(tuple(sign * c for c in ab), True)
+        assert dbl.mul(plain(UNIT), shifted(TH)) == shifted(TH)
+        assert dbl.mul(shifted(UNIT), plain(TH)) == tuple(-c for c in shifted(TH))  # |th| = 1
+        assert dbl.mul(shifted(UNIT), plain(X)) == shifted(X)  # |x| = 0, no sign
+
+    def test_shifted_times_shifted_is_signed_bracket(self):
+        a, dbl = small_algebra(), double_of(small_algebra())
+        for i, j in product(range(3), repeat=2):
+            br = a.bracket(vbasis(3, i), vbasis(3, j))
+            sign = -1 if a.parities[j] else 1
+            # ax * bx = (-1)^{|b|} {a,b}
+            assert dbl.mul(shifted(i), shifted(j)) == embed(tuple(sign * c for c in br), False)
+        assert dbl.mul(shifted(TH), shifted(TH)) == tuple(-c for c in plain(X))  # -{th,th}
+        assert dbl.mul(shifted(X), shifted(TH)) == tuple(-c for c in plain(TH))  # -{x,th}
+        assert dbl.mul(shifted(TH), shifted(X)) == tuple(-c for c in plain(TH))  # +{th,x}
+
+    def test_unit_shifted_squares_to_zero(self):
+        dbl = double_of(small_algebra())
+        assert all(c == 0 for c in dbl.mul(shifted(UNIT), shifted(UNIT)))
+
+    def test_k_grading(self):
+        dbl = double_of(small_algebra())
+        # K(A)_0 = A_0 + A_1 x and K(A)_1 = A_1 + A_0 x
+        assert dbl.parities == (0, 0, 1, 1, 1, 0)
+        for i, j in product(range(6), repeat=2):
+            p = dbl.mul(vbasis(6, i), vbasis(6, j))
+            assert all(c == 0 for c in p) or \
+                dbl.parity_of(p) == (dbl.parities[i] + dbl.parities[j]) & 1
+
+    def test_supercommutative_in_k_grading(self):
+        dbl = double_of(small_algebra())
+        for i, j in product(range(6), repeat=2):
+            x, y = vbasis(6, i), vbasis(6, j)
+            sign = -1 if (dbl.parities[i] & dbl.parities[j]) else 1
+            assert dbl.mul(x, y) == tuple(sign * c for c in dbl.mul(y, x))
+
     def test_dimension_doubles(self):
         assert double_of(nonlie_example_algebra()).dim == 6
 

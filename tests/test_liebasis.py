@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from superbracket.core import AlgebraError, Alphabet
-from superbracket.liebasis import WordSpace, is_good, word_key
+from superbracket.liebasis import WordSpace
 from helpers import (
     eval_combination_in_matrices,
     eval_word_in_matrices,
@@ -25,23 +25,27 @@ def leaf_ids(alphabet, *names):
 
 
 class TestIsGood:
+    """Basis membership through the production path, ``WordSpace.get``."""
+
     def test_generators_are_good(self):
-        assert is_good(1)
+        assert WordSpace(EVEN3).get(1).word == 1
 
     def test_descending_pair(self):
         x1, x2 = leaf_ids(EVEN3, "x1", "x2")
-        assert is_good((x2, x1))
+        assert WordSpace(EVEN3).get((x2, x1)).word == (x2, x1)
 
     def test_ascending_pair_is_not(self):
         x1, x2 = leaf_ids(EVEN3, "x1", "x2")
-        assert not is_good((x1, x2))
+        with pytest.raises(AlgebraError):
+            WordSpace(EVEN3).get((x1, x2))
 
     def test_left_nested_needs_small_inner_right(self):
         # {{x2,x1},1}: the inner right x1 exceeds the outer right 1
         x1, x2 = leaf_ids(EVEN3, "x1", "x2")
-        assert not is_good(((x2, x1), 0))
+        with pytest.raises(AlgebraError):
+            WordSpace(EVEN3).get(((x2, x1), 0))
         # while {{x2,x1},x1} is fine
-        assert is_good(((x2, x1), x1))
+        assert WordSpace(EVEN3).get(((x2, x1), x1)).word == ((x2, x1), x1)
 
 
 class TestOrdering:
@@ -252,5 +256,6 @@ class TestEnumeration:
 
 
 def test_word_key_orders_by_length_first():
-    assert word_key(1) < word_key((2, 1))
-    assert word_key((2, 1)) < word_key(((2, 1), 1))
+    space = WordSpace(EVEN3)
+    assert space.get(1).key < space.get((2, 1)).key
+    assert space.get((2, 1)).key < space.get(((2, 1), 1)).key
