@@ -5,6 +5,13 @@ indexed graded basis, with an optional unit vector and a claimed theory.
 Everything is exact; validation and identity checking substitute basis
 vectors exhaustively, which is complete for the multilinear identities
 involved.
+
+Vectors are dense coefficient tuples at the public edge (``mul``,
+``bracket``, ``evaluate``, the ``v*`` helpers, report residuals) and sparse
+inside every check: a sparse vector is a tuple of ``(index, coeff)`` pairs,
+sorted by index and free of zeros, so it is hashable and the zero vector is
+``()``.  The checks run over :class:`SparseOps`, whose products are
+memoized for the length of one check.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
+from operator import not_
 
-from .core import (AlgebraError, Bracket, Gen, Prod, Sum, Var, fold, map_leaves, scalar,
+from .core import (AlgebraError, Gen, Prod, Sum, Var, fold, map_leaves, scalar,
                    scalar_str, var_names)
 from . import identities
 
@@ -30,11 +38,18 @@ def vbasis(dim, i):
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in _pairs(a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y for x, y in _pairs(a, b))
+
+
+def _pairs(a, b):
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        raise AlgebraError(f"vector lengths {len(a)} and {len(b)} differ")
+    return zip(a, b)
 
 
 def vscale(c, a):
@@ -51,18 +66,135 @@ def _exact(values):
     return tuple(x if type(x) is int else scalar(x) for x in values)
 
 
-def is_zero_vec(a):
-    return all(x == 0 for x in a)
-
-
 def vjson(a):
     return [scalar_str(x) for x in a]
 
 
-def first_failure(arity, elements, residual, is_zero=is_zero_vec):
+# -- sparse vectors ------------------------------------------------------------
+
+def to_sparse(a, dim):
+    """The sparse form of a dense vector of length ``dim``."""
+    a = tuple(a)
+    if len(a) != dim:
+        raise AlgebraError(f"vector length {len(a)} != dimension {dim}")
+    return tuple((i, c) for i, c in enumerate(map(scalar, a)) if c)
+
+
+def to_dense(a, dim):
+    """The dense tuple of a sparse vector."""
+    out = [0] * dim
+    for k, c in a:
+        out[k] = c
+    return tuple(out)
+
+
+def _settled(acc):
+    """Sparse vector of an ``{index: coeff}`` accumulator: zeros dropped,
+    integral Fractions turned into ints."""
+    return tuple(sorted((k, c if type(c) is int else scalar(c)) for k, c in acc.items() if c))
+
+
+def _apply(table, a, b):
+    """The bilinear extension of a table to two sparse vectors."""
+    acc = {}
+    for i, ai in a:
+        for j, bj in b:
+            row = table.get((i, j))
+            if row:
+                c = ai * bj
+                for k, coeff in row:
+                    acc[k] = acc.get(k, 0) + c * coeff
+    return _settled(acc)
+
+
+def _parity(parities, a):
+    seen = {parities[i] for i, _ in a}
+    if len(seen) > 1:
+        raise AlgebraError("vector is not parity-homogeneous")
+    return seen.pop() if seen else 0
+
+
+class SparseOps:
+    """identities.py adapter over the sparse vectors of a structure algebra.
+
+    Products and brackets are memoized by their arguments for the life of the
+    adapter; every check makes its own, so the memo ends with the check.
+    Beyond the identities.py methods it gives the sweeps the sparse ``basis``,
+    ``unit`` and ``zero``, the zero test ``is_zero`` and ``render``, a
+    residual's dense report form.
+    """
+
+    zero = ()
+    is_zero = staticmethod(not_)
+
+    def __init__(self, algebra: StructureAlgebra):
+        self.algebra = algebra
+        self.basis = [((i, 1),) for i in range(algebra.dim)]
+        self.unit = None if algebra.unit is None else to_sparse(algebra.unit, algebra.dim)
+        self._products = {}
+        self._brackets = {}
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = self._products.get((a, b))
+        if out is None:
+            out = self._products[(a, b)] = _apply(self.algebra.product, a, b)
+        return out
+
+    def bracket(self, a, b):
+        if not a or not b:
+            return ()
+        out = self._brackets.get((a, b))
+        if out is None:
+            out = self._brackets[(a, b)] = _apply(self.algebra.bracket_table, a, b)
+        return out
+
+    def deriv(self, a):
+        if self.unit is None:
+            raise AlgebraError("derivation needs a unit (none declared)")
+        return self.bracket(a, self.unit)
+
+    def parity(self, a):
+        if len(a) == 1:  # every sweep argument is a basis vector
+            return self.algebra.parities[a[0][0]]
+        return _parity(self.algebra.parities, a)
+
+    def scale(self, c, a):
+        if c == 1:
+            return a
+        if c == -1:
+            return tuple((k, -x) for k, x in a)
+        if not c:
+            return ()
+        return tuple((k, scalar(c * x)) for k, x in a)
+
+    def add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
+        acc = dict(a)
+        for k, x in b:
+            acc[k] = acc.get(k, 0) + x
+        return _settled(acc)
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        acc = dict(a)
+        for k, x in b:
+            acc[k] = acc.get(k, 0) - x
+        return _settled(acc)
+
+    def render(self, a):
+        return vjson(to_dense(a, self.algebra.dim))
+
+
+def first_failure(arity, elements, residual, is_zero):
     """The first ``arity``-tuple of elements, in ``itertools.product`` order,
-    on which the residual does not vanish, as ``(indices, arguments,
-    residual)``; None when it vanishes on all of them.
+    on which the residual does not vanish (``is_zero`` is false), as
+    ``(indices, arguments, residual)``; None when it vanishes on all of them.
 
     Over a basis this decides a multilinear identity completely.
     """
@@ -102,8 +234,13 @@ class StructureAlgebra:
     def __init__(self, dim, parities, product, bracket=None, unit=None, claim="none"):
         if claim not in CLAIMS:
             raise AlgebraError(f"unknown claim {claim!r}")
-        self.dim = int(dim)
-        self.parities = tuple(int(p) & 1 for p in parities)
+        if type(dim) is not int:
+            raise AlgebraError(f"dimension must be an integer, not {dim!r}")
+        self.dim = dim
+        self.parities = tuple(parities)
+        if any(p not in (0, 1) for p in self.parities):
+            raise AlgebraError(f"parities must be 0 or 1, not {list(self.parities)}")
+        self.parities = tuple(int(p) for p in self.parities)
         if len(self.parities) != self.dim:
             raise AlgebraError("parity list length != dimension")
         self.product = _check_table(product, self.dim)
@@ -116,10 +253,10 @@ class StructureAlgebra:
     # -- bilinear operations ------------------------------------------------
 
     def mul(self, a, b):
-        return self._apply(self.product, a, b)
+        return self._dense_op(self.product, a, b)
 
     def bracket(self, a, b):
-        return self._apply(self.bracket_table, a, b)
+        return self._dense_op(self.bracket_table, a, b)
 
     def deriv(self, a):
         """Bracket with the unit; only defined on unital algebras."""
@@ -127,28 +264,13 @@ class StructureAlgebra:
             raise AlgebraError("derivation needs a unit (none declared)")
         return self.bracket(a, self.unit)
 
-    def _apply(self, table, a, b):
-        out = [0] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                row = table.get((i, j))
-                if not row:
-                    continue
-                c = ai * bj
-                for k, coeff in row:
-                    out[k] += c * coeff
-        return _exact(out)
+    def _dense_op(self, table, a, b):
+        d = self.dim
+        return to_dense(_apply(table, to_sparse(a, d), to_sparse(b, d)), d)
 
     def parity_of(self, v):
         """Parity of a homogeneous vector; raises when supports mix parities."""
-        seen = {self.parities[i] for i, x in enumerate(v) if x}
-        if len(seen) > 1:
-            raise AlgebraError("vector is not parity-homogeneous")
-        return seen.pop() if seen else 0
+        return _parity(self.parities, to_sparse(v, self.dim))
 
     # -- validation -----------------------------------------------------------
 
@@ -158,17 +280,17 @@ class StructureAlgebra:
         Returns a :class:`Report`; each check carries a witness tuple on
         failure.
         """
-        ops = VectorOps(self)
-        basis = [vbasis(self.dim, i) for i in range(self.dim)]
+        ops = SparseOps(self)
         checks = []
 
         def run(name, arity, fn):
-            checks.append(check_entry(name, first_failure(arity, basis, fn), ops.parity, vjson))
+            failure = first_failure(arity, ops.basis, fn, ops.is_zero)
+            checks.append(check_entry(name, failure, ops.parity, ops.render))
 
         run("supercommutativity", 2, lambda a, b: identities.supercommutativity_residual(ops, a, b))
         run("associativity", 3, lambda a, b, c: identities.associativity_residual(ops, a, b, c))
         if self.unit is not None:
-            run("unit", 1, lambda a: identities.unit_residual(ops, self.unit, a))
+            run("unit", 1, lambda a: identities.unit_residual(ops, ops.unit, a))
         run("anticommutativity", 2, lambda a, b: identities.anticommutativity_residual(ops, a, b))
         if self.claim in ("genp", "jb"):
             if self.unit is None:
@@ -191,27 +313,10 @@ class StructureAlgebra:
         """Evaluate a term tree; leaves are Var/Gen names bound to vectors.
 
         The generator name "1" denotes the unit when the algebra has one.
+        Every binding must have the algebra's dimension.
         """
-        bindings = bindings or {}
-
-        def leaf(t):
-            if t.name in bindings:
-                return tuple(scalar(x) for x in bindings[t.name])
-            if isinstance(t, Gen) and t.name == "1":
-                if self.unit is None:
-                    raise AlgebraError("term uses the unit but the algebra has none")
-                return self.unit
-            raise AlgebraError(f"unbound leaf {t.name!r}")
-
-        def node(t, values):
-            if not isinstance(t, Sum):
-                return (self.mul if isinstance(t, Prod) else self.bracket)(*values)
-            out = vzero(self.dim)
-            for (c, _), v in zip(t.terms, values):
-                out = vadd(out, vscale(c, v))
-            return out
-
-        return fold(term, leaf, node)
+        bindings = {name: to_sparse(v, self.dim) for name, v in (bindings or {}).items()}
+        return to_dense(_evaluate(SparseOps(self), term, bindings), self.dim)
 
     def is_identity(self, term):
         """Whether the term vanishes under every basis substitution of its Vars.
@@ -222,13 +327,14 @@ class StructureAlgebra:
         """
         term = multilinearize(term)
         names = sorted(var_names(term))
-        basis = [vbasis(self.dim, i) for i in range(self.dim)]
-        failure = first_failure(len(names), basis,
-                                lambda *vecs: self.evaluate(term, dict(zip(names, vecs))))
+        ops = SparseOps(self)
+        failure = first_failure(len(names), ops.basis,
+                                lambda *vecs: _evaluate(ops, term, dict(zip(names, vecs))),
+                                ops.is_zero)
         if failure is None:
             return True, None
         idx, _, res = failure
-        return False, {"assignment": dict(zip(names, idx)), "residual": vjson(res)}
+        return False, {"assignment": dict(zip(names, idx)), "residual": ops.render(res)}
 
     # -- serialization -------------------------------------------------------------
 
@@ -247,46 +353,27 @@ class StructureAlgebra:
     @classmethod
     def from_json(cls, data) -> "StructureAlgebra":
         if isinstance(data, str):
-            data = json.loads(data)
-        unit = None
-        if data.get("unit") is not None:
-            unit = [scalar(str(x)) for x in data["unit"]]
+            data = _json_loads(data)
+        if not isinstance(data, dict):
+            raise AlgebraError(f"algebra JSON must be an object, not {type(data).__name__}")
+        for key in ("dim", "parity"):
+            if key not in data:
+                raise AlgebraError(f"algebra JSON lacks {key!r}")
+        parity, unit = data["parity"], data.get("unit")
+        if not isinstance(parity, list):
+            raise AlgebraError("algebra JSON 'parity' must be a list")
+        if unit is not None:
+            if not isinstance(unit, list):
+                raise AlgebraError("algebra JSON 'unit' must be a list")
+            unit = [scalar(str(x)) for x in unit]
         return cls(
             data["dim"],
-            data["parity"],
-            _table_from_json(data.get("product", {})),
-            _table_from_json(data.get("bracket", {})),
+            parity,
+            _table_from_json(data.get("product", {}), "product"),
+            _table_from_json(data.get("bracket", {}), "bracket"),
             unit,
             data.get("claim", "none"),
         )
-
-
-class VectorOps:
-    """identities.py adapter over a structure algebra's vectors."""
-
-    def __init__(self, algebra: StructureAlgebra):
-        self.algebra = algebra
-
-    def mul(self, a, b):
-        return self.algebra.mul(a, b)
-
-    def bracket(self, a, b):
-        return self.algebra.bracket(a, b)
-
-    def deriv(self, a):
-        return self.algebra.deriv(a)
-
-    def parity(self, a):
-        return self.algebra.parity_of(a)
-
-    def scale(self, c, a):
-        return vscale(c, a)
-
-    def add(self, a, b):
-        return vadd(a, b)
-
-    def sub(self, a, b):
-        return vsub(a, b)
 
 
 class Report:
@@ -310,18 +397,44 @@ class Report:
         return f"<report {word}: {[c['identity'] for c in self.failed()]}>"
 
 
+def _evaluate(ops, term, bindings):
+    """A term's value over the adapter, its leaves bound to sparse vectors."""
+
+    def leaf(t):
+        if t.name in bindings:
+            return bindings[t.name]
+        if isinstance(t, Gen) and t.name == "1":
+            if ops.unit is None:
+                raise AlgebraError("term uses the unit but the algebra has none")
+            return ops.unit
+        raise AlgebraError(f"unbound leaf {t.name!r}")
+
+    def node(t, values):
+        if not isinstance(t, Sum):
+            return (ops.mul if isinstance(t, Prod) else ops.bracket)(*values)
+        out = ops.zero
+        for (c, _), v in zip(t.terms, values):
+            out = ops.add(out, ops.scale(scalar(c), v))
+        return out
+
+    return fold(term, leaf, node)
+
+
 def _check_table(table, dim):
     out = {}
+    def is_index(x):
+        return type(x) is int and 0 <= x < dim
+
     for (i, j), row in table.items():
-        if not (0 <= i < dim and 0 <= j < dim):
+        if not (is_index(i) and is_index(j)):
             raise AlgebraError(f"table index ({i},{j}) out of range")
         cleaned = []
         for k, coeff in row:
-            if not 0 <= k < dim:
+            if not is_index(k):
                 raise AlgebraError(f"table target index {k} out of range")
             coeff = scalar(coeff)
             if coeff:
-                cleaned.append((int(k), coeff))
+                cleaned.append((k, coeff))
         if cleaned:
             out[(i, j)] = tuple(cleaned)
     return out
@@ -334,12 +447,27 @@ def _table_json(table):
     }
 
 
-def _table_from_json(data):
+def _table_from_json(data, name):
+    if not isinstance(data, dict):
+        raise AlgebraError(f"algebra JSON {name!r} must be an object")
     out = {}
     for key, row in data.items():
-        i, j = (int(x) for x in key.split(","))
-        out[(i, j)] = [(int(k), scalar(str(c))) for k, c in row]
+        try:
+            i, j = (int(x) for x in key.split(","))
+        except ValueError:
+            raise AlgebraError(f"{name} table key {key!r} is not 'i,j'") from None
+        try:
+            out[(i, j)] = [(k, scalar(str(c))) for k, c in row]
+        except (TypeError, ValueError):
+            raise AlgebraError(f"{name} table row {key!r} must list [k, coeff] pairs") from None
     return out
+
+
+def _json_loads(text):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise AlgebraError(f"algebra is not valid JSON: {exc}") from None
 
 
 # -- multilinearization -------------------------------------------------------
@@ -442,12 +570,14 @@ def euler_wronskian_algebra(m: int) -> StructureAlgebra:
 def zero_product_algebra(bracket, parities=None, dim=None) -> StructureAlgebra:
     """Anticommutative bracket with the zero product: always a GP algebra."""
     if dim is None:
+        if not bracket:
+            raise AlgebraError("an empty bracket table needs dim")
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     parities = list(parities) if parities is not None else [0] * dim
     alg = StructureAlgebra(dim, parities, {}, bracket, None, "gp")
-    ops = VectorOps(alg)
-    failure = first_failure(2, [vbasis(dim, i) for i in range(dim)],
-                            lambda a, b: identities.anticommutativity_residual(ops, a, b))
+    ops = SparseOps(alg)
+    failure = first_failure(
+        2, ops.basis, lambda a, b: identities.anticommutativity_residual(ops, a, b), ops.is_zero)
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg
@@ -515,26 +645,22 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
     """
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
-    basis = [vbasis(algebra.dim, i) for i in range(algebra.dim)]
+    ops = SparseOps(algebra)
+    mul, D = ops.mul, ops.deriv
 
     def derivation_residual(a, b):  # D(ab) - (D(a)b + aD(b))
-        lhs = algebra.deriv(algebra.mul(a, b))
-        return vsub(lhs, vadd(algebra.mul(algebra.deriv(a), b), algebra.mul(a, algebra.deriv(b))))
+        return ops.sub(D(mul(a, b)), ops.add(mul(D(a), b), mul(a, D(b))))
 
-    if first_failure(2, basis, derivation_residual) is not None:
+    if first_failure(2, ops.basis, derivation_residual, ops.is_zero) is not None:
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     half = Fraction(1, 2)
     bracket = {}
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            corr = vsub(
-                algebra.mul(basis[i], algebra.deriv(basis[j])),
-                algebra.mul(algebra.deriv(basis[i]), basis[j]),
-            )
-            vec = vadd(algebra.bracket(basis[i], basis[j]), vscale(half, corr))
-            row = [(k, c) for k, c in enumerate(vec) if c]
+    for i, a in enumerate(ops.basis):
+        for j, b in enumerate(ops.basis):
+            corr = ops.sub(mul(a, D(b)), mul(D(a), b))
+            row = ops.add(ops.bracket(a, b), ops.scale(half, corr))
             if row:
-                bracket[(i, j)] = row
+                bracket[(i, j)] = list(row)
     return StructureAlgebra(
         algebra.dim, algebra.parities, dict(algebra.product), bracket,
         algebra.unit, claim,
@@ -542,8 +668,12 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
 
 
 def load_algebra(path) -> StructureAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return StructureAlgebra.from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise AlgebraError(f"cannot read algebra {str(path)!r}: {exc.strerror}") from None
+    return StructureAlgebra.from_json(_json_loads(text))
 
 
 def dump_algebra(algebra: StructureAlgebra, path):

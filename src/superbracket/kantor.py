@@ -11,24 +11,15 @@ builds it as a structure algebra from these four rules.  Jordan-ness of the
 double is checked two independent ways: through the three bracket criteria
 evaluated on A itself, and through the linearized super-Jordan identity
 evaluated on the double; the two verdicts must agree.  Both run on the
-exhaustive sweep :func:`~superbracket.concrete.first_failure`.
+exhaustive sweep :func:`~superbracket.concrete.first_failure`, over the
+sparse vectors and per-check product memo of
+:class:`~superbracket.concrete.SparseOps` on structure algebras.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError
-from .concrete import (
-    Report,
-    StructureAlgebra,
-    VectorOps,
-    check_entry,
-    first_failure,
-    is_zero_vec,
-    vbasis,
-    vjson,
-    vscale,
-    vzero,
-)
+from .concrete import Report, SparseOps, StructureAlgebra, check_entry, first_failure, vzero
 from .engine import FreeAlgebra
 from .identities import (
     ElementOps,
@@ -43,21 +34,21 @@ CRITERIA = (1, 2, 3)
 def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
     """The double as a structure algebra: indices i (plain) and dim+i (shifted)."""
     d = algebra.dim
+    ops = SparseOps(algebra)
     product = {}
 
     def put(i, j, vec, shifted):
-        row = [(k + (d if shifted else 0), c) for k, c in enumerate(vec) if c]
-        if row:
-            product[(i, j)] = row
+        if vec:
+            product[(i, j)] = [(k + (d if shifted else 0), c) for k, c in vec]
 
-    basis = [vbasis(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            put(i, j, algebra.mul(basis[i], basis[j]), False)
-            put(i, d + j, algebra.mul(basis[i], basis[j]), True)
+    for i, a in enumerate(ops.basis):
+        for j, b in enumerate(ops.basis):
+            ab = ops.mul(a, b)
             sj = -1 if algebra.parities[j] else 1
-            put(d + i, j, vscale(sj, algebra.mul(basis[i], basis[j])), True)
-            put(d + i, d + j, vscale(sj, algebra.bracket(basis[i], basis[j])), False)
+            put(i, j, ab, False)
+            put(i, d + j, ab, True)
+            put(d + i, j, ops.scale(sj, ab), True)
+            put(d + i, d + j, ops.scale(sj, ops.bracket(a, b)), False)
     parities = tuple(algebra.parities) + tuple(p ^ 1 for p in algebra.parities)
     unit = None
     if algebra.unit is not None:
@@ -73,9 +64,8 @@ def criteria_check(algebra) -> Report:
     the generators and the unit.
     """
     if isinstance(algebra, StructureAlgebra):
-        ops = VectorOps(algebra)
-        elements = [vbasis(algebra.dim, i) for i in range(algebra.dim)]
-        is_zero, render = is_zero_vec, vjson
+        ops = SparseOps(algebra)
+        elements, is_zero, render = ops.basis, ops.is_zero, ops.render
     elif isinstance(algebra, FreeAlgebra):
         ops = ElementOps(algebra)
         elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
@@ -97,14 +87,15 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     witness otherwise).  This checks the double directly and is the
     cross-validation partner of :func:`criteria_check`.
     """
-    ops = VectorOps(double)
-    basis = [vbasis(double.dim, i) for i in range(double.dim)]
-    failure = first_failure(2, basis, lambda a, b: supercommutativity_residual(ops, a, b))
+    ops = SparseOps(double)
+    failure = first_failure(
+        2, ops.basis, lambda a, b: supercommutativity_residual(ops, a, b), ops.is_zero)
     if failure is not None:
         (i, j), _, res = failure
-        raise AlgebraError(f"input is not supercommutative at ({i},{j}): {vjson(res)}")
-    failure = first_failure(4, basis, lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t))
-    return Report([check_entry("super-jordan-linearized", failure, ops.parity, vjson)])
+        raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
+    failure = first_failure(
+        4, ops.basis, lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t), ops.is_zero)
+    return Report([check_entry("super-jordan-linearized", failure, ops.parity, ops.render)])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

@@ -1,0 +1,86 @@
+"""Dense-tuple oracle for the structure-table sweeps.
+
+:class:`DenseOps` has the interface of :class:`superbracket.concrete.SparseOps`
+(the ``identities.py`` adapter methods plus ``basis``, ``unit``, ``zero``,
+``is_zero`` and ``render``) over dense coefficient tuples: a product walks every
+coordinate pair of both vectors through the table, nothing is memoized, and
+zero is the all-zero tuple.  :func:`dense_run` runs a check with it in place
+of the sparse adapter, so a differential test compares the two vector
+representations through the same sweeps and residual builders.
+
+Build algebras and doubles before calling :func:`dense_run`: the table
+builders (``double_of``, ``untwisted_algebra``) store sparse rows.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+from superbracket import concrete, kantor
+from superbracket.core import AlgebraError, scalar, scalar_str
+
+
+def _exact(values):
+    return tuple(scalar(x) for x in values)
+
+
+class DenseOps:
+    def __init__(self, algebra):
+        self.algebra = algebra
+        d = algebra.dim
+        self.basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        self.unit = algebra.unit
+        self.zero = (0,) * d
+
+    def _apply(self, table, a, b):
+        out = [0] * self.algebra.dim
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if not bj:
+                    continue
+                for k, coeff in table.get((i, j), ()):
+                    out[k] += ai * bj * coeff
+        return _exact(out)
+
+    def mul(self, a, b):
+        return self._apply(self.algebra.product, a, b)
+
+    def bracket(self, a, b):
+        return self._apply(self.algebra.bracket_table, a, b)
+
+    def deriv(self, a):
+        if self.unit is None:
+            raise AlgebraError("derivation needs a unit (none declared)")
+        return self.bracket(a, self.unit)
+
+    def parity(self, a):
+        seen = {self.algebra.parities[i] for i, x in enumerate(a) if x}
+        if len(seen) > 1:
+            raise AlgebraError("vector is not parity-homogeneous")
+        return seen.pop() if seen else 0
+
+    def scale(self, c, a):
+        return _exact(c * x for x in a)
+
+    def add(self, a, b):
+        return _exact(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return _exact(x - y for x, y in zip(a, b))
+
+    @staticmethod
+    def is_zero(a):
+        return all(x == 0 for x in a)
+
+    @staticmethod
+    def render(a):
+        return [scalar_str(x) for x in a]
+
+
+def dense_run(fn, *args):
+    """``fn(*args)`` with every structure-table check on :class:`DenseOps`."""
+    with mock.patch.object(concrete, "SparseOps", DenseOps), \
+            mock.patch.object(kantor, "SparseOps", DenseOps):
+        return fn(*args)

@@ -269,6 +269,24 @@ class TestDispatch:
             '"residual": ["0/1", "-2/1", "0/1", "0/1"]}}\n'
         )
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"parity": [0]}', "lacks 'dim'"),
+        ('{"dim": 1, "parity": [0], "product": {"00": [[0, "1/1"]]}}', "key '00' is not 'i,j'"),
+        ("[1, 2]", "must be an object, not list"),
+        ('{"dim": 1, "parity": [0]', "not valid JSON"),
+        ('{"dim": 2, "parity": [0, 0], "product": {"0,0": [[1.7, "1/1"]]}}', "target index 1.7 out of range"),
+        ('{"dim": 1, "parity": [2]}', "parities must be 0 or 1"),
+    ], ids=["no-dim", "bad-table-key", "not-an-object", "not-json", "float-target", "parity-2"])
+    def test_malformed_algebra_json_is_a_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err
+
+    def test_missing_algebra_file_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, "validate", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "") and err.startswith("error: cannot read algebra")
+
     def test_eval(self, capsys, tmp_path):
         path = tmp_path / "w3.json"
         from superbracket.concrete import wronskian_algebra

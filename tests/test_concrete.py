@@ -273,3 +273,15 @@ class TestJson:
             StructureAlgebra(2, [0, 0], {(0, 5): [(0, ONE)]}, {}, None, "none")
         with pytest.raises(AlgebraError):
             StructureAlgebra(2, [0, 0], {(0, 1): [(7, ONE)]}, {}, None, "none")
+
+    @pytest.mark.parametrize("args", [
+        (2, [0, 2], {}),
+        (2, [0, 0], {(0, 0): [(1.7, ONE)]}),
+        (2, [0, 0], {(0.5, 0): [(1, ONE)]}),
+        ("2", [0, 0], {}),
+    ], ids=["parity-2", "float-target", "float-key", "string-dim"])
+    def test_non_integer_or_non_binary_rejected(self, args):
+        # coercing would give a silently different algebra: parity 2 read as
+        # even, target 1.7 as 1, key (0.5, 0) as a row no product reads
+        with pytest.raises(AlgebraError):
+            StructureAlgebra(*args)

@@ -1,0 +1,272 @@
+"""The sparse, memoized structure-table sweeps.
+
+Differential tests run every check once on the package's sparse adapter and
+once on the dense oracle (:mod:`dense_oracle`) and ask for identical reports,
+first witnesses included.  The property test checks the paper's Kantor-double
+characterization: the bracket criteria on A and the super-Jordan identity on
+K(A) give the same verdict.
+
+The random algebras are truncated polynomial rings Q[t]/(t^m) and Grassmann
+algebras on one or two odd generators, with the bracket
+{a,b} = D(a)b - aD(b) for a random even derivation D (a Jordan bracket by
+construction), optionally with one table entry perturbed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from superbracket import concrete
+from superbracket.concrete import (
+    CLAIMS,
+    SparseOps,
+    StructureAlgebra,
+    euler_wronskian_algebra,
+    to_dense,
+    to_sparse,
+    vbasis,
+    wronskian_algebra,
+    zero_product_algebra,
+)
+from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
+from superbracket.kantor import criteria_check, double_is_jordan, double_of, super_jordan_check
+from dense_oracle import dense_run
+
+COEFFS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])
+SETTINGS = settings(max_examples=20, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+# -- random algebras ---------------------------------------------------------------
+
+def _polynomial(m):
+    """Q[t]/(t^m): basis t^0..t^(m-1), all even; t^i = t * t^(i-1)."""
+    table = {(i, j): [(i + j, 1)] for i, j in product(range(m), repeat=2) if i + j < m}
+    return [0] * m, table, lambda i: 1
+
+
+def _grassmann(n):
+    """The Grassmann algebra on n odd generators, basis index = bitmask;
+    e_S = e_g * e_(S - g) for g the lowest generator in S."""
+    dim = 1 << n
+    parities = [bin(s).count("1") & 1 for s in range(dim)]
+    table = {}
+    for s, t in product(range(dim), repeat=2):
+        if not s & t:  # the sign of sorting the concatenated generators
+            swaps = sum(1 for i, j in product(range(n), repeat=2)
+                        if s >> i & 1 and t >> j & 1 and i > j)
+            table[(s, t)] = [(s | t, -1 if swaps & 1 else 1)]
+    return parities, table, lambda i: i & -i
+
+
+def _derivation_bracket(parities, table, split, images):
+    """{a,b} = D(a)b - aD(b) for the even derivation D with the given images
+    of the generators, extended to the basis by the Leibniz rule."""
+    dim = len(parities)
+    base = StructureAlgebra(dim, parities, table)
+    e = [vbasis(dim, i) for i in range(dim)]
+    d = [(0,) * dim]
+    for i in range(1, dim):
+        g = split(i)
+        d.append(concrete.vadd(base.mul(images[g], e[i - g]), base.mul(e[g], d[i - g])))
+    bracket = {}
+    for i, j in product(range(dim), repeat=2):
+        vec = concrete.vsub(base.mul(d[i], e[j]), base.mul(e[i], d[j]))
+        row = [(k, c) for k, c in enumerate(vec) if c]
+        if row:
+            bracket[(i, j)] = row
+    return bracket
+
+
+@st.composite
+def jordan_tables(draw, max_dim=4):
+    """(parities, product, bracket, unit) of a Jordan-bracket algebra."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, max_dim))
+        parities, table, split = _polynomial(m)
+        # D(t) lies in the ideal (t), so D preserves t^m = 0
+        image = [0, draw(COEFFS)] + [draw(st.sampled_from([0, 1, -1, Fraction(1, 2)]))
+                                     for _ in range(m - 2)]
+        images = {1: tuple(image)}
+    else:
+        n = draw(st.integers(1, 2))
+        parities, table, split = _grassmann(n)
+        images = {1 << g: tuple(draw(COEFFS) if p and draw(st.booleans()) else 0 for p in parities)
+                  for g in range(n)}
+    bracket = _derivation_bracket(parities, table, split, images)
+    return parities, table, bracket, vbasis(len(parities), 0)
+
+
+@st.composite
+def bracket_perturbed(draw, max_dim=4):
+    """A Jordan-bracket algebra with one bracket entry changed, keeping the
+    bracket even and super-anticommutative, so the Kantor characterization
+    applies to it."""
+    parities, table, bracket, unit = draw(jordan_tables(max_dim))
+    dim = len(parities)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        p = parities[i] ^ parities[j]
+        targets = [k for k in range(dim) if parities[k] == p]
+        if (i != j or parities[i]) and targets:
+            k, c = draw(st.sampled_from(targets)), draw(COEFFS)
+            sign = -1 if parities[i] & parities[j] else 1
+            bracket = dict(bracket)
+            bracket[(i, j)] = list(bracket.get((i, j), [])) + [(k, c)]
+            if i != j:
+                bracket[(j, i)] = list(bracket.get((j, i), [])) + [(k, -sign * c)]
+    return StructureAlgebra(dim, parities, table, bracket, unit, "jb")
+
+
+@st.composite
+def any_perturbed(draw):
+    """Any table entry changed (the product may lose associativity or
+    supercommutativity), under a random claim, with or without a unit."""
+    parities, table, bracket, unit = draw(jordan_tables())
+    dim = len(parities)
+    table, bracket = dict(table), dict(bracket)
+    for target in draw(st.lists(st.sampled_from(["product", "bracket"]), max_size=2)):
+        tab = table if target == "product" else bracket
+        key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+        tab[key] = [(draw(st.integers(0, dim - 1)), draw(COEFFS))]
+    claim = draw(st.sampled_from(CLAIMS))
+    if claim not in ("genp", "jb") and draw(st.booleans()):
+        unit = None
+    return StructureAlgebra(dim, parities, table, bracket, unit, claim)
+
+
+def _outcome(fn, *args):
+    try:
+        return "report", fn(*args).to_json()
+    except AlgebraError as exc:
+        return "error", str(exc)
+
+
+# -- differential: sparse sweep against the dense oracle -------------------------------
+
+class TestDenseOracle:
+    @SETTINGS
+    @given(any_perturbed())
+    def test_validate(self, alg):
+        assert _outcome(alg.validate) == dense_run(_outcome, alg.validate)
+
+    @SETTINGS
+    @given(any_perturbed())
+    def test_criteria_check(self, alg):
+        assert _outcome(criteria_check, alg) == dense_run(_outcome, criteria_check, alg)
+
+    @SETTINGS
+    @given(any_perturbed())
+    def test_super_jordan_check(self, alg):
+        dbl = double_of(alg)
+        assert _outcome(super_jordan_check, dbl) == dense_run(_outcome, super_jordan_check, dbl)
+
+    @SETTINGS
+    @given(any_perturbed())
+    def test_is_identity(self, alg):
+        jacobi = Sum(((1, Bracket(Var("a"), Bracket(Var("b"), Var("c")))),
+                      (-1, Bracket(Bracket(Var("a"), Var("b")), Var("c")))))
+        square = Bracket(Prod(Var("a"), Var("a")), Var("b"))
+        for term in (jacobi, square):
+            assert alg.is_identity(term) == dense_run(alg.is_identity, term)
+
+    @pytest.mark.parametrize("make", [
+        lambda: wronskian_algebra(4),
+        lambda: euler_wronskian_algebra(3),
+        lambda: concrete.untwisted_algebra(euler_wronskian_algebra(3)),
+        lambda: concrete.adjoin_unit(concrete.nonlie_example_algebra()),
+    ], ids=["wronskian4", "euler-wronskian3", "untwisted-euler3", "unital-nonlie-gp"])
+    def test_builtins(self, make):
+        alg = make()
+        dbl = double_of(alg)
+        assert alg.validate().to_json() == dense_run(alg.validate).to_json()
+        assert criteria_check(alg).to_json() == dense_run(criteria_check, alg).to_json()
+        assert super_jordan_check(dbl).to_json() == dense_run(super_jordan_check, dbl).to_json()
+
+
+# -- the paper's Kantor-double characterization ----------------------------------------------
+
+class TestKantorCharacterization:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bracket_perturbed(max_dim=5))
+    def test_criteria_verdict_equals_direct_verdict(self, alg):
+        criteria, direct, agree = double_is_jordan(alg)
+        assert agree, (criteria.failed(), direct.failed())
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(jordan_tables())
+    def test_derivation_bracket_doubles_are_jordan(self, tables):
+        alg = StructureAlgebra(len(tables[0]), *tables, "jb")
+        criteria, direct, agree = double_is_jordan(alg)
+        assert criteria.ok and direct.ok
+
+
+# -- the sparse adapter and the dense edge --------------------------------------------------
+
+class TestSparseVectors:
+    def test_round_trip_and_invariant(self):
+        a = to_sparse((0, Fraction(4, 2), "1/2", 0), 4)
+        assert a == ((1, 2), (2, Fraction(1, 2)))
+        assert type(a[0][1]) is int
+        assert to_dense(a, 4) == (0, 2, Fraction(1, 2), 0)
+        assert to_sparse((0, 0), 2) == ()
+
+    def test_products_stay_exact(self):
+        ops = SparseOps(concrete.untwisted_algebra(euler_wronskian_algebra(3)))
+        half = ops.scale(Fraction(1, 2), ((1, 2), (2, 1)))
+        assert half == ((1, 1), (2, Fraction(1, 2))) and type(half[0][1]) is int
+        assert ops.add(half, half) == ((1, 2), (2, 1))
+        assert ops.sub(half, half) == ()
+
+    def test_memo_lives_with_the_check_only(self):
+        alg = euler_wronskian_algebra(4)
+        before = dict(vars(alg))
+        alg.validate(), criteria_check(alg), alg.is_identity(Bracket(Var("a"), Var("a")))
+        assert vars(alg) == before
+
+    @pytest.mark.parametrize("op", ["mul", "bracket"])
+    def test_wrong_length_vectors_rejected(self, op):
+        bracket = {(0, 1): [(1, 1)], (1, 0): [(1, -1)]}
+        alg = StructureAlgebra(2, [0, 0], {(0, 0): [(0, 1)]}, bracket)
+        fn = getattr(alg, op)
+        with pytest.raises(AlgebraError, match="vector length 1 != dimension 2"):
+            fn((1,), (1, 0))
+        with pytest.raises(AlgebraError, match="vector length 3 != dimension 2"):
+            fn((1, 0), (1, 0, 5))
+        assert fn((1, 0), (0, 1)) == ((0, 0) if op == "mul" else (0, 1))
+
+    def test_dense_helpers_reject_mismatched_lengths(self):
+        with pytest.raises(AlgebraError, match="vector lengths 2 and 1 differ"):
+            concrete.vadd((1, 2), (1,))
+        with pytest.raises(AlgebraError, match="vector lengths 1 and 3 differ"):
+            concrete.vsub((1,), (1, 2, 3))
+
+    def test_wrong_length_binding_rejected(self):
+        alg = euler_wronskian_algebra(3)
+        term = Bracket(Var("a"), Var("b"))
+        assert alg.evaluate(term, {"a": (0, 1, 0), "b": (1, 0, 0)}) == (0, 1, 0)
+        with pytest.raises(AlgebraError, match="vector length 2 != dimension 3"):
+            alg.evaluate(term, {"a": (0, 1), "b": (1, 0, 0)})
+        with pytest.raises(AlgebraError, match="vector length 4 != dimension 3"):
+            alg.evaluate(term, {"a": (0, 1, 0), "b": (1, 0, 0, 7)})
+
+    def test_parity_of_mixed_vector(self):
+        alg = StructureAlgebra(2, [0, 1], {})
+        assert alg.parity_of((0, 3)) == 1 and alg.parity_of((0, 0)) == 0
+        with pytest.raises(AlgebraError, match="not parity-homogeneous"):
+            alg.parity_of((1, 1))
+
+
+class TestZeroProductAlgebra:
+    def test_empty_table_needs_dim(self):
+        with pytest.raises(AlgebraError, match="dim"):
+            zero_product_algebra({})
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_empty_table_with_dim(self, dim):
+        alg = zero_product_algebra({}, dim=dim)
+        assert alg.dim == dim and alg.validate().ok
