@@ -318,25 +318,33 @@ def _alphabet_from_option(spec: str) -> Alphabet:
 _BUILTIN_DOC = "wronskianN | euler-wronskianN | untwisted-eulerN | nonlie | unital-nonlie-gp | zero-bracketN"
 
 
+_SIZED_BUILTINS = {
+    "wronskian": concrete.wronskian_algebra,
+    "euler-wronskian": concrete.euler_wronskian_algebra,
+    "untwisted-euler": lambda m: concrete.untwisted_algebra(concrete.euler_wronskian_algebra(m)),
+    "zero-bracket": concrete.zero_bracket_poisson,
+}
+
+
 def _resolve_algebra(path: str) -> concrete.StructureAlgebra:
-    if path.startswith("builtin:"):
-        name = path[len("builtin:"):]
-        if name.startswith("wronskian"):
-            return concrete.wronskian_algebra(int(name[len("wronskian"):]))
-        if name.startswith("euler-wronskian"):
-            return concrete.euler_wronskian_algebra(int(name[len("euler-wronskian"):]))
-        if name.startswith("untwisted-euler"):
-            return concrete.untwisted_algebra(
-                concrete.euler_wronskian_algebra(int(name[len("untwisted-euler"):]))
-            )
-        if name == "nonlie":
-            return concrete.nonlie_example_algebra()
-        if name == "unital-nonlie-gp":
-            return concrete.adjoin_unit(concrete.nonlie_example_algebra())
-        if name.startswith("zero-bracket"):
-            return concrete.zero_bracket_poisson(int(name[len("zero-bracket"):]))
-        raise AlgebraError(f"unknown builtin {name!r} (try {_BUILTIN_DOC})")
-    return concrete.load_algebra(path)
+    if not path.startswith("builtin:"):
+        return concrete.load_algebra(path)
+    name = path[len("builtin:"):]
+    if name == "nonlie":
+        return concrete.nonlie_example_algebra()
+    if name == "unital-nonlie-gp":
+        return concrete.adjoin_unit(concrete.nonlie_example_algebra())
+    for family, build in _SIZED_BUILTINS.items():
+        if name.startswith(family):
+            return build(_integer(name[len(family):], f"the size N of builtin:{family}N"))
+    raise AlgebraError(f"unknown builtin {name!r} (try {_BUILTIN_DOC})")
+
+
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise AlgebraError(f"{what} must be an integer, not {text!r}") from None
 
 
 def _engine(args) -> FreeAlgebra:
@@ -371,7 +379,7 @@ def _cmd_basis(args) -> int:
     counts = {}
     for piece in args.multidegree.split(","):
         name, _, count = piece.partition(":")
-        counts[name.strip()] = int(count or "1")
+        counts[name.strip()] = _integer(count or "1", f"the multidegree count of {name.strip()!r}")
     degrees = algebra.alphabet.degrees_of(counts)
     monos = algebra.basis(degrees)
     payload = []

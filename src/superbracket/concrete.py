@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from operator import not_
@@ -119,12 +120,12 @@ class SparseOps:
 
     Products and brackets are memoized by their arguments for the life of the
     adapter; every check makes its own, so the memo ends with the check.
-    Beyond the identities.py methods it gives the sweeps the sparse ``basis``,
-    ``unit`` and ``zero``, the zero test ``is_zero`` and ``render``, a
-    residual's dense report form.
+    ``combine`` skips zero operands and hands a lone operand with
+    coefficient 1 back as it is.  Beyond the identities.py methods it gives
+    the sweeps the sparse ``basis`` and ``unit``, the zero test ``is_zero``
+    and ``render``, a residual's dense report form.
     """
 
-    zero = ()
     is_zero = staticmethod(not_)
 
     def __init__(self, algebra: StructureAlgebra):
@@ -160,31 +161,18 @@ class SparseOps:
             return self.algebra.parities[a[0][0]]
         return _parity(self.algebra.parities, a)
 
-    def scale(self, c, a):
-        if c == 1:
-            return a
-        if c == -1:
-            return tuple((k, -x) for k, x in a)
-        if not c:
+    def combine(self, pairs):
+        acc, live = {}, 0
+        for c, a in pairs:
+            if a:
+                live += 1
+                lone = c, a
+                for k, x in a:
+                    acc[k] = acc.get(k, 0) + c * x
+        if not live:
             return ()
-        return tuple((k, scalar(c * x)) for k, x in a)
-
-    def add(self, a, b):
-        if not b:
-            return a
-        if not a:
-            return b
-        acc = dict(a)
-        for k, x in b:
-            acc[k] = acc.get(k, 0) + x
-        return _settled(acc)
-
-    def sub(self, a, b):
-        if not b:
-            return a
-        acc = dict(a)
-        for k, x in b:
-            acc[k] = acc.get(k, 0) - x
+        if live == 1 and lone[0] == 1:
+            return lone[1]
         return _settled(acc)
 
     def render(self, a):
@@ -245,6 +233,8 @@ class StructureAlgebra:
             raise AlgebraError("parity list length != dimension")
         self.product = _check_table(product, self.dim)
         self.bracket_table = _check_table(bracket or {}, self.dim)
+        if unit is not None and (isinstance(unit, str) or not isinstance(unit, Sequence)):
+            raise AlgebraError(f"unit must be a sequence of scalars, not {unit!r}")
         self.unit = tuple(scalar(x) for x in unit) if unit is not None else None
         if self.unit is not None and len(self.unit) != self.dim:
             raise AlgebraError("unit vector length != dimension")
@@ -412,10 +402,7 @@ def _evaluate(ops, term, bindings):
     def node(t, values):
         if not isinstance(t, Sum):
             return (ops.mul if isinstance(t, Prod) else ops.bracket)(*values)
-        out = ops.zero
-        for (c, _), v in zip(t.terms, values):
-            out = ops.add(out, ops.scale(scalar(c), v))
-        return out
+        return ops.combine([(scalar(c), v) for (c, _), v in zip(t.terms, values)])
 
     return fold(term, leaf, node)
 
@@ -648,8 +635,8 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
     ops = SparseOps(algebra)
     mul, D = ops.mul, ops.deriv
 
-    def derivation_residual(a, b):  # D(ab) - (D(a)b + aD(b))
-        return ops.sub(D(mul(a, b)), ops.add(mul(D(a), b), mul(a, D(b))))
+    def derivation_residual(a, b):  # D(ab) - D(a)b - aD(b)
+        return ops.combine([(1, D(mul(a, b))), (-1, mul(D(a), b)), (-1, mul(a, D(b)))])
 
     if first_failure(2, ops.basis, derivation_residual, ops.is_zero) is not None:
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
@@ -657,8 +644,7 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
     bracket = {}
     for i, a in enumerate(ops.basis):
         for j, b in enumerate(ops.basis):
-            corr = ops.sub(mul(a, D(b)), mul(D(a), b))
-            row = ops.add(ops.bracket(a, b), ops.scale(half, corr))
+            row = ops.combine([(1, ops.bracket(a, b)), (half, mul(a, D(b))), (-half, mul(D(a), b))])
             if row:
                 bracket[(i, j)] = list(row)
     return StructureAlgebra(

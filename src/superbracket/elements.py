@@ -60,18 +60,11 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-        return Element(self.algebra, settle(out))
+        return combine(self.algebra, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return combine(self.algebra, ((1, self), (-1, other)))
 
     def __neg__(self):
         return Element(self.algebra, {m: -c for m, c in self.terms.items()})

@@ -325,8 +325,8 @@ class FreeAlgebra:
         """
         if self.theory != JB:
             raise AlgebraError("the twist is defined on the Jordan-bracket theory")
-        corr = self.mul(a, self.deriv(b)) - self.mul(self.deriv(a), b)
-        return self.bracket(a, b) - corr
+        return combine(self, [(1, self.bracket(a, b)), (-1, self.mul(a, self.deriv(b))),
+                              (1, self.mul(self.deriv(a), b))])
 
     def twisted_deriv(self, a: Element) -> Element:
         """Distinguished derivation of the twisted bracket: twice the original."""
@@ -343,8 +343,9 @@ class FreeAlgebra:
         """
         self._check_derivation(deriv_op)
         bracket = base_bracket if base_bracket is not None else self.bracket
-        corr = self.mul(a, deriv_op(b)) - self.mul(deriv_op(a), b)
-        return bracket(a, b) + corr.scale(Fraction(1, 2))
+        half = Fraction(1, 2)
+        return combine(self, [(1, bracket(a, b)), (half, self.mul(a, deriv_op(b))),
+                              (-half, self.mul(deriv_op(a), b))])
 
     def _check_derivation(self, deriv_op):
         gens = [self.one()] + [self.gen(n) for n in self.alphabet.names()]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
-from .elements import Element
+from .elements import Element, combine
 from .engine import GENP, FreeAlgebra
 
 _ONE = 1
@@ -67,8 +67,8 @@ def angle_bracket(algebra: FreeAlgebra, a: Element, b: Element) -> Element:
     """{a,b} - (D(a)b - aD(b)); anticommutative, a derivation in each slot."""
     if algebra.theory != GENP:
         raise AlgebraError("angle bracket lives in the generalized Poisson theory")
-    corr = algebra.mul(algebra.deriv(a), b) - algebra.mul(a, algebra.deriv(b))
-    return algebra.bracket(a, b) - corr
+    mul, D = algebra.mul, algebra.deriv
+    return combine(algebra, [(1, algebra.bracket(a, b)), (-1, mul(D(a), b)), (1, mul(a, D(b)))])
 
 
 def left_normed(algebra: FreeAlgebra, xs) -> Element:
@@ -98,7 +98,7 @@ def leftnormed_product_expansion(algebra: FreeAlgebra, y: Element, z: Element, w
     ws = list(ws)
     n = len(ws)
     one = algebra.one()
-    total = algebra.zero()
+    pieces = []
     indices = tuple(range(n))
     for sy in _subsets(indices):
         rest1 = tuple(i for i in indices if i not in sy)
@@ -112,10 +112,8 @@ def leftnormed_product_expansion(algebra: FreeAlgebra, y: Element, z: Element, w
                 for block in blocks:
                     term = algebra.mul(term, left_normed(algebra, [one] + [ws[i] for i in block]))
                 coeff = factorial(len(blocks))
-                if len(blocks) % 2:
-                    coeff = -coeff
-                total = total + term.scale(coeff)
-    return total
+                pieces.append((-coeff if len(blocks) % 2 else coeff, term))
+    return combine(algebra, pieces)
 
 
 def _subsets(indices):
@@ -157,7 +155,7 @@ def derivation_defect(poly: PoissonPolynomial, x: str) -> PoissonPolynomial:
     f_yz = _substitute_letter(ext, poly, x, ext.mul(ye, ze))
     f_z = _substitute_letter(ext, poly, x, ze)
     f_y = _substitute_letter(ext, poly, x, ye)
-    res = f_yz - ext.mul(ye, f_z) - ext.mul(ze, f_y)
+    res = combine(ext, [(1, f_yz), (-1, ext.mul(ye, f_z)), (-1, ext.mul(ze, f_y))])
     letters = tuple(n for n in poly.letters if n != x) + (y, z)
     return PoissonPolynomial(ext, res, letters)
 
@@ -216,9 +214,7 @@ def letter_decompose(poly: PoissonPolynomial, x: str):
     alphabet = alg.alphabet
     idx = alphabet.gen(x).index
     space = alg.space
-    T = alg.zero()
-    T0 = alg.zero()
-    Ti = {}
+    T, T0, Ti = [], [], {}  # (coefficient, cofactor monomial) pairs
     for m, coeff in poly.element.terms.items():
         holders = [
             (pos, space.by_key[key])
@@ -230,25 +226,24 @@ def letter_decompose(poly: PoissonPolynomial, x: str):
         if len(holders) > 1 or m[holders[0][0]][2] != 1 or holders[0][1].degrees[idx] != 1:
             raise AlgebraError(f"polynomial is not multilinear in {x!r}")
         pos, w = holders[0]
-        cofactor = Element(alg, {m[:pos] + m[pos + 1:]: coeff})
+        cofactor = (coeff, m[:pos] + m[pos + 1:])
         word = w.word
         if isinstance(word, int):
-            T = T + cofactor
+            T.append(cofactor)
             continue
         if w.length != 2:
             raise AlgebraError(f"{x}-height is not below 3")
         u, v = word
         if v == 0 and u == idx:
-            T0 = T0 + cofactor
+            T0.append(cofactor)
         elif u == idx:
-            name = alphabet.generators[v].name
-            Ti[name] = Ti.get(name, alg.zero()) + cofactor
+            Ti.setdefault(alphabet.generators[v].name, []).append(cofactor)
         elif v == idx:
-            name = alphabet.generators[u].name
-            Ti[name] = Ti.get(name, alg.zero()) - cofactor
+            Ti.setdefault(alphabet.generators[u].name, []).append((-coeff, cofactor[1]))
         else:
             raise AlgebraError("unexpected factor shape")
-    return T, T0, {k: v for k, v in Ti.items() if not v.is_zero()}
+    Ti = {k: alg.element(pairs) for k, pairs in Ti.items()}
+    return alg.element(T), alg.element(T0), {k: v for k, v in Ti.items() if not v.is_zero()}
 
 
 def is_derivation_in(poly: PoissonPolynomial, x: str) -> bool:
@@ -399,9 +394,8 @@ def reduce_to_customary(poly: PoissonPolynomial, max_rounds: int = 64) -> Reduct
         for x in list(g.letters):
             T, T0, Ti = letter_decompose(g, x)
             alg = g.algebra
-            fstar = -T
-            for name, cof in Ti.items():
-                fstar = fstar + alg.mul(alg.deriv(alg.gen(name)), cof)
+            fstar = combine(alg, [(-1, T)] + [(1, alg.mul(alg.deriv(alg.gen(name)), cof))
+                                              for name, cof in Ti.items()])
             if fstar.is_zero():
                 continue
             g = PoissonPolynomial(alg, fstar, tuple(n for n in g.letters if n != x))
@@ -483,7 +477,7 @@ def _to_formal(poly: PoissonPolynomial) -> dict:
 
 
 def _formal_to_element(algebra: FreeAlgebra, formal: dict) -> Element:
-    total = algebra.zero()
+    pieces = []
     names = algebra.alphabet.generators
     for (pairs, ds, bares), coeff in formal.items():
         term = algebra.one()
@@ -495,8 +489,8 @@ def _formal_to_element(algebra: FreeAlgebra, formal: dict) -> Element:
             term = algebra.mul(term, algebra.deriv(algebra.gen(names[d].name)))
         for b in bares:
             term = algebra.mul(term, algebra.gen(names[b].name))
-        total = total + term.scale(coeff)
-    return total
+        pieces.append((coeff, term))
+    return combine(algebra, pieces)
 
 
 def _formal_to_customary(algebra: FreeAlgebra, letters, formal: dict) -> CustomaryPolynomial:
@@ -527,7 +521,7 @@ def bracket_product_form(c: CustomaryPolynomial, algebra: FreeAlgebra, z_names) 
     zs = [algebra.gen(n) for n in z_names]
     if len(zs) != 2 * c.m:
         raise AlgebraError(f"need exactly {2 * c.m} extra letters, got {len(zs)}")
-    total = algebra.zero()
+    pieces = []
     for (pairs, singles), coeff in c.terms.items():
         used = 0
         term = algebra.one()
@@ -551,8 +545,8 @@ def bracket_product_form(c: CustomaryPolynomial, algebra: FreeAlgebra, z_names) 
             used += 2
         for z in zs[used:]:
             term = algebra.mul(term, z)
-        total = total + term.scale(coeff)
-    return total
+        pieces.append((coeff, term))
+    return combine(algebra, pieces)
 
 
 def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
@@ -563,16 +557,14 @@ def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
     """
     mul, brk = algebra.mul, algebra.bracket
     w12 = mul(w1, w2)
-    out = mul(brk(u1, u2), w12)
-    out = out + mul(brk(u1, w12), u2)
-    out = out + mul(u1, brk(w12, u2))
+    pieces = [(1, mul(brk(u1, u2), w12)), (1, mul(brk(u1, w12), u2)), (1, mul(u1, brk(w12, u2)))]
     for wa, wb in ((w1, w2), (w2, w1)):
-        out = out - mul(mul(brk(u1, wa), u2), wb)
-        out = out + mul(mul(brk(u2, wa), u1), wb)
-    return out
+        pieces += [(-1, mul(mul(brk(u1, wa), u2), wb)), (1, mul(mul(brk(u2, wa), u1), wb))]
+    return combine(algebra, pieces)
 
 
 def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
     """t2 t3 D(t1) = {t2 t3, t1} - {t2,t1} t3 - {t3,t1} t2."""
     mul, brk = algebra.mul, algebra.bracket
-    return brk(mul(t2, t3), t1) - mul(brk(t2, t1), t3) - mul(brk(t3, t1), t2)
+    return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
+                             (-1, mul(brk(t3, t1), t2))])

@@ -47,8 +47,8 @@ def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
             sj = -1 if algebra.parities[j] else 1
             put(i, j, ab, False)
             put(i, d + j, ab, True)
-            put(d + i, j, ops.scale(sj, ab), True)
-            put(d + i, d + j, ops.scale(sj, ops.bracket(a, b)), False)
+            put(d + i, j, ops.combine([(sj, ab)]), True)
+            put(d + i, d + j, ops.combine([(sj, ops.bracket(a, b))]), False)
     parities = tuple(algebra.parities) + tuple(p ^ 1 for p in algebra.parities)
     unit = None
     if algebra.unit is not None:

@@ -1,12 +1,14 @@
 """Dense-tuple oracle for the structure-table sweeps.
 
 :class:`DenseOps` has the interface of :class:`superbracket.concrete.SparseOps`
-(the ``identities.py`` adapter methods plus ``basis``, ``unit``, ``zero``,
-``is_zero`` and ``render``) over dense coefficient tuples: a product walks every
-coordinate pair of both vectors through the table, nothing is memoized, and
-zero is the all-zero tuple.  :func:`dense_run` runs a check with it in place
-of the sparse adapter, so a differential test compares the two vector
-representations through the same sweeps and residual builders.
+(the five ``identities.py`` adapter methods ``mul``, ``bracket``, ``deriv``,
+``parity`` and ``combine``, plus ``basis``, ``unit``, ``is_zero`` and
+``render``) over dense coefficient tuples: a product walks every coordinate
+pair of both vectors through the table, ``combine`` sums every coordinate of
+every operand, nothing is memoized, and zero is the all-zero tuple.
+:func:`dense_run` runs a check with it in place of the sparse adapter, so a
+differential test compares the two vector representations through the same
+sweeps and residual builders.
 
 Build algebras and doubles before calling :func:`dense_run`: the table
 builders (``double_of``, ``untwisted_algebra``) store sparse rows.
@@ -30,7 +32,6 @@ class DenseOps:
         d = algebra.dim
         self.basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
         self.unit = algebra.unit
-        self.zero = (0,) * d
 
     def _apply(self, table, a, b):
         out = [0] * self.algebra.dim
@@ -61,14 +62,12 @@ class DenseOps:
             raise AlgebraError("vector is not parity-homogeneous")
         return seen.pop() if seen else 0
 
-    def scale(self, c, a):
-        return _exact(c * x for x in a)
-
-    def add(self, a, b):
-        return _exact(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return _exact(x - y for x, y in zip(a, b))
+    def combine(self, pairs):
+        out = [0] * self.algebra.dim
+        for c, a in pairs:
+            for k, x in enumerate(a):
+                out[k] += c * x
+        return _exact(out)
 
     @staticmethod
     def is_zero(a):

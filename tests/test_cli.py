@@ -283,6 +283,16 @@ class TestDispatch:
         code, out, err = self.run(capsys, "validate", str(path))
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["basis", "--gens", "x", "--multidegree", "x:z"], "count of 'x' must be an integer, not 'z'"),
+        (["check-identity", "--algebra", "builtin:wronskianx", "?a"], "not 'x'"),
+        (["validate", "builtin:untwisted-euler3/2"], "not '3/2'"),
+        (["validate", "builtin:zero-bracket"], "not ''"),
+    ], ids=["multidegree-count", "builtin-wronskian", "builtin-fraction", "builtin-no-size"])
+    def test_malformed_number_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err
+
     def test_missing_algebra_file_is_a_usage_error(self, capsys, tmp_path):
         code, out, err = self.run(capsys, "validate", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "") and err.startswith("error: cannot read algebra")

@@ -274,6 +274,12 @@ class TestJson:
         with pytest.raises(AlgebraError):
             StructureAlgebra(2, [0, 0], {(0, 1): [(7, ONE)]}, {}, None, "none")
 
+    @pytest.mark.parametrize("unit", ["10", 5], ids=["string", "scalar"])
+    def test_unit_that_is_not_a_sequence_rejected(self, unit):
+        # "10" would be read character by character as the vector (1, 0)
+        with pytest.raises(AlgebraError, match="unit must be a sequence"):
+            StructureAlgebra(2, [0, 0], {(0, 0): [(0, ONE)]}, {}, unit, "none")
+
     @pytest.mark.parametrize("args", [
         (2, [0, 2], {}),
         (2, [0, 0], {(0, 0): [(1.7, ONE)]}),

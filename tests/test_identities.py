@@ -1,0 +1,220 @@
+"""The residual builders against their docstring formulas, sign for sign.
+
+Each builder is compared, for every even/odd pattern of its arguments, with
+its docstring formula parsed from ``?var`` text and evaluated by the
+package's term evaluators.  Outside the Kantor criteria every ``(-1)^{...}``
+of a docstring is the Koszul sign of its term: the parity of the odd-odd
+pairs that the term's letter sequence puts out of argument order.  The
+formulas below therefore carry only the signs in front of their terms, and
+the test computes each Koszul sign itself from the letter sequence.  The
+criteria carry the prefactors A, B, C as quoted in their docstring.
+
+The checks run where the identities fail, so that no term is zero and a
+wrong sign on any term, or on a pair of terms, changes the residual: a
+structure algebra with random graded tables (no identity holds there, and
+its product is neither commutative nor associative), genp for plain
+Leibniz and deformed Jacobi, and gp for the Jacobi forms and the first
+criterion.
+"""
+
+from __future__ import annotations
+
+import inspect
+import random
+import re
+from itertools import product
+
+import pytest
+
+from superbracket import identities
+from superbracket.cli import parse
+from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
+from superbracket.core import Alphabet, Sum
+from superbracket.engine import GENP, GP, FreeAlgebra
+
+FORMULAS = {
+    "supercommutativity": "?a ?b - ?b ?a",
+    "associativity": "(?a ?b) ?c - ?a (?b ?c)",
+    "unit": "1 ?a - ?a",
+    "anticommutativity": "{?a,?b} + {?b,?a}",
+    "leibniz": "{?a,?b ?c} - {?a,?b} ?c - ?b {?a,?c}",
+    "deformed_leibniz": "{?a,?b ?c} - {?a,?b} ?c - ?b {?a,?c} + D(?a) ?b ?c",
+    "jacobi": "{?a,{?b,?c}} - {{?a,?b},?c} - {?b,{?a,?c}}",
+    "deformed_jacobi": "{?a,{?b,?c}} - {{?a,?b},?c} - {?b,{?a,?c}}"
+                       " - D(?a) {?b,?c} - D(?b) {?c,?a} - D(?c) {?a,?b}",
+    "jacobi_defect": "{{?a,?b},?c} - {{?a,?c},?b} - {?a,{?b,?c}}",
+    "jordan_gp": "{{?a,?b},?c} ?d - {{?a,?c},?b} ?d - {?a,{?b,?c}} ?d",
+    "linear_jordan": "((?x ?z) ?y) ?t + ((?x ?t) ?y) ?z + ((?z ?t) ?y) ?x"
+                     " - (?x ?z)(?y ?t) - (?x ?t)(?y ?z) - (?z ?t)(?y ?x)",
+}
+
+# the criteria: each term leads with its prefactor, (-1) to the power of an
+# exponent in the parities (i, k, j, l) of (f, h, g, w)
+PREFACTORS = {
+    "A": lambda i, k, j, l: (i + j) * l,
+    "B": lambda i, k, j, l: (k + j) * i,
+    "C": lambda i, k, j, l: (l + j) * k,
+}
+CRITERIA = {
+    1: "A {{?f,?h} ?g,?w} + B {{?h,?w} ?g,?f} + C {{?w,?f} ?g,?h}"
+       " - A {?f,?h} {?g,?w} - B {?h,?w} {?g,?f} - C {?w,?f} {?g,?h}",
+    2: "B {?h ?w,?g} ?f - B (?h ?w) {?g,?f} - C {?w ?f,?g} ?h + C (?w ?f) {?g,?h}",
+    3: "A {(?f ?h) ?g,?w} - A (?f ?h) {?g,?w} - B {?h ?w,?g} ?f + B {?h ?w,?g ?f}"
+       " - C {?w ?f,?g} ?h + C {?w ?f,?g ?h}",
+}
+
+
+def signed_terms(formula):
+    """``(sign, text)`` for each term of a formula whose terms are joined by
+    `` + `` and `` - `` outside brackets."""
+    out, depth, start, sign = [], 0, 0, 1
+    for at, ch in enumerate(formula):
+        depth += (ch in "({") - (ch in ")}")
+        if depth == 0 and formula[at:at + 3] in (" + ", " - "):
+            out.append((sign, formula[start:at]))
+            sign, start = (1 if formula[at + 1] == "+" else -1), at + 3
+    out.append((sign, formula[start:]))
+    return out
+
+
+def letters(text):
+    return re.findall(r"\?(\w+)", text)
+
+
+def koszul(sequence, order, parity):
+    """(-1) to the number of odd-odd pairs of ``sequence`` out of ``order``."""
+    rank = {name: n for n, name in enumerate(order)}
+    swaps = sum(parity[u] & parity[v]
+                for n, u in enumerate(sequence) for v in sequence[n + 1:] if rank[u] > rank[v])
+    return -1 if swaps % 2 else 1
+
+
+def koszul_formula(formula, alphabet, order, parity):
+    """The formula as a Sum term, each term signed by its Koszul sign."""
+    return Sum(tuple((sign * koszul(letters(text), order, parity),
+                      parse(alphabet, text, allow_vars=True))
+                     for sign, text in signed_terms(formula)))
+
+
+def criterion_formula(which, alphabet, pattern):
+    """Criterion ``which`` as a Sum term, each term signed by its prefactor."""
+    terms = []
+    for sign, text in signed_terms(CRITERIA[which]):
+        name, body = text.split(" ", 1)
+        sign *= -1 if PREFACTORS[name](*pattern) % 2 else 1
+        terms.append((sign, parse(alphabet, body, allow_vars=True)))
+    return Sum(tuple(terms))
+
+
+def builder(name):
+    return getattr(identities, f"{name}_residual")
+
+
+def argument_names(fn):
+    """The builder's element arguments, in order."""
+    return [p for p in inspect.signature(fn).parameters if p not in ("ops", "unit", "which")]
+
+
+# -- a structure algebra where nothing holds -------------------------------------------------
+
+UNIT, EVEN, ODD = 0, (1, 2, 3, 4), (5, 6, 7, 8)
+PARITIES = (0,) + (0,) * 4 + (1,) * 4
+
+
+def random_table(rng):
+    return {
+        (i, j): [(k, rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for k in range(9) if PARITIES[k] == PARITIES[i] ^ PARITIES[j] and rng.random() < 0.5]
+        for i in range(9) for j in range(9)
+    }
+
+
+@pytest.fixture(scope="module")
+def generic():
+    rng = random.Random(7)
+    return StructureAlgebra(9, PARITIES, random_table(rng), random_table(rng), vbasis(9, UNIT))
+
+
+def structure_case(algebra, order, pattern):
+    """The builder's arguments and the evaluator's bindings for one pattern:
+    argument n is the n-th even or odd basis vector of the table."""
+    ops = SparseOps(algebra)
+    indices = [(ODD if p else EVEN)[n] for n, p in enumerate(pattern)]
+    return ops, [ops.basis[i] for i in indices], {v: vbasis(9, i) for v, i in zip(order, indices)}
+
+
+PATTERN_CASES = [(name, pattern) for name in FORMULAS
+                 for pattern in product((0, 1), repeat=len(argument_names(builder(name))))]
+
+
+@pytest.mark.parametrize("name,pattern", PATTERN_CASES,
+                         ids=[f"{n}-{''.join(map(str, p))}" for n, p in PATTERN_CASES])
+def test_builder_matches_formula_on_a_random_table(generic, name, pattern):
+    order = argument_names(builder(name))
+    ops, args, bindings = structure_case(generic, order, pattern)
+    parity = dict(zip(order, pattern))
+    want = generic.evaluate(koszul_formula(FORMULAS[name], Alphabet([]), order, parity), bindings)
+    if name == "unit":
+        got = builder(name)(ops, ops.unit, *args)
+    else:
+        got = builder(name)(ops, *args)
+    assert to_dense(got, 9) == want
+    assert any(want)
+
+
+@pytest.mark.parametrize("which", (1, 2, 3))
+def test_criteria_match_their_formulas_on_a_random_table(generic, which):
+    order = argument_names(identities.double_criterion_residual)
+    for pattern in product((0, 1), repeat=4):
+        ops, args, bindings = structure_case(generic, order, pattern)
+        want = generic.evaluate(criterion_formula(which, Alphabet([]), pattern), bindings)
+        got = identities.double_criterion_residual(ops, which, *args)
+        assert to_dense(got, 9) == want and any(want), pattern
+
+
+# -- the free engines, where the identity fails ------------------------------------------------
+
+def free_algebra(theory, n):
+    gens = [(f"e{k}", 0) for k in range(n)] + [(f"o{k}", 1) for k in range(n)]
+    return FreeAlgebra(Alphabet(gens), theory)
+
+
+def free_case(alg, order, pattern):
+    args = [alg.gen(f"{'o' if p else 'e'}{n}") for n, p in enumerate(pattern)]
+    return args, dict(zip(order, args))
+
+
+@pytest.mark.parametrize("theory,name", [
+    (GENP, "leibniz"), (GENP, "deformed_jacobi"),
+    (GP, "jacobi"), (GP, "jacobi_defect"), (GP, "jordan_gp"),
+])
+def test_builder_matches_formula_in_the_free_engine(theory, name):
+    order = argument_names(builder(name))
+    alg = free_algebra(theory, len(order))
+    ops = identities.ElementOps(alg)
+    for pattern in product((0, 1), repeat=len(order)):
+        args, bindings = free_case(alg, order, pattern)
+        want = alg.substitute(koszul_formula(FORMULAS[name], alg.alphabet, order,
+                                             dict(zip(order, pattern))), bindings)
+        assert builder(name)(ops, *args) == want and not want.is_zero(), pattern
+
+
+def test_first_criterion_matches_its_formula_in_gp():
+    # criteria 2 and 3 vanish on the generators of free gp: the random table checks them
+    order = argument_names(identities.double_criterion_residual)
+    alg = free_algebra(GP, 4)
+    ops = identities.ElementOps(alg)
+    for pattern in product((0, 1), repeat=4):
+        args, bindings = free_case(alg, order, pattern)
+        want = alg.substitute(criterion_formula(1, alg.alphabet, pattern), bindings)
+        got = identities.double_criterion_residual(ops, 1, *args)
+        assert got == want and not want.is_zero(), pattern
+
+
+def test_koszul_sign_reads_the_docstring_factors():
+    # (-1)^{|a|(|b|+|c|)} D(b){c,a} in the deformed Jacobi docstring
+    for pa, pb, pc in product((0, 1), repeat=3):
+        parity = {"a": pa, "b": pb, "c": pc}
+        assert koszul(["b", "c", "a"], "abc", parity) == (-1) ** (pa * (pb + pc))
+    assert signed_terms("{?a,?b} ?c - ?b {?a,?c} + D(?a)") == [
+        (1, "{?a,?b} ?c"), (-1, "?b {?a,?c}"), (1, "D(?a)")]

@@ -217,10 +217,19 @@ class TestSparseVectors:
 
     def test_products_stay_exact(self):
         ops = SparseOps(concrete.untwisted_algebra(euler_wronskian_algebra(3)))
-        half = ops.scale(Fraction(1, 2), ((1, 2), (2, 1)))
+        v = ((1, 2), (2, 1))
+        half = ops.combine([(Fraction(1, 2), v)])
         assert half == ((1, 1), (2, Fraction(1, 2))) and type(half[0][1]) is int
-        assert ops.add(half, half) == ((1, 2), (2, 1))
-        assert ops.sub(half, half) == ()
+        twice = ops.combine([(1, half), (1, half)])
+        assert twice == v and all(type(c) is int for _, c in twice)
+        assert ops.combine([(1, half), (-1, half)]) == ()
+
+    def test_combine_skips_zero_operands(self):
+        ops = SparseOps(euler_wronskian_algebra(3))
+        v = ((1, 2), (2, Fraction(1, 2)))
+        assert ops.combine([(5, ()), (1, v), (-3, ())]) is v
+        assert ops.combine([(-1, v)]) == ((1, -2), (2, Fraction(-1, 2)))
+        assert ops.combine([(2, ())]) == () and ops.combine([]) == ()
 
     def test_memo_lives_with_the_check_only(self):
         alg = euler_wronskian_algebra(4)
