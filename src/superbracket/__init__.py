@@ -12,13 +12,11 @@ from .core import (
     Prod,
     Sum,
     Var,
-    koszul_merge_sign,
     multidegree,
     term_parity,
 )
 from .elements import Element
-from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
-from .genericpoisson import GpAlgebra, gp_normal_form, jacobi_defect
+from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from .concrete import StructureAlgebra
 from .farkas import CustomaryPolynomial, PoissonPolynomial
 
@@ -44,9 +42,6 @@ __all__ = [
     "Sum",
     "Var",
     "dim_multilinear",
-    "gp_normal_form",
-    "jacobi_defect",
-    "koszul_merge_sign",
     "multidegree",
     "term_parity",
 ]

@@ -349,7 +349,7 @@ def _integer(text: str, what: str) -> int:
 
 def _engine(args) -> FreeAlgebra:
     alphabet = _alphabet_from_option(args.gens)
-    guard = int(os.environ.get("JB_MAX_DEGREE", "12"))
+    guard = _integer(os.environ.get("JB_MAX_DEGREE", "12"), "JB_MAX_DEGREE")
     return FreeAlgebra(alphabet, args.theory, max_degree=guard)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 from operator import not_
 
-from .core import (AlgebraError, Gen, Prod, Sum, Var, fold, map_leaves, scalar,
+from .core import (AlgebraError, Gen, Sum, Var, fold, map_leaves, scalar,
                    scalar_str, var_names)
 from . import identities
 
@@ -399,12 +399,7 @@ def _evaluate(ops, term, bindings):
             return ops.unit
         raise AlgebraError(f"unbound leaf {t.name!r}")
 
-    def node(t, values):
-        if not isinstance(t, Sum):
-            return (ops.mul if isinstance(t, Prod) else ops.bracket)(*values)
-        return ops.combine([(scalar(c), v) for (c, _), v in zip(t.terms, values)])
-
-    return fold(term, leaf, node)
+    return identities.evaluate(ops, term, leaf)
 
 
 def _check_table(table, dim):

@@ -1,4 +1,4 @@
-"""Graded alphabet, exact scalars, raw term trees and their fold, and Koszul signs.
+"""Graded alphabet, exact scalars, and raw term trees with their fold.
 
 The base field is fixed to the rationals, and every coefficient in the package
 keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, xor
 from typing import Union
-
-from .speedups import odd_inversion_sign
 
 EVEN = 0
 ODD = 1
@@ -287,25 +285,3 @@ def multidegree(alphabet: Alphabet, t) -> tuple:
     zero = alphabet.zero_degrees()
     return _additive(alphabet, t, lambda g: zero[:g.index] + (1,) + zero[g.index + 1:],
                      lambda a, b: tuple(map(add, a, b)), zero, "multidegree", "multidegrees")
-
-
-def koszul_merge_sign(left_parities, right_parities, merged_order) -> int:
-    """Sign for interleaving two sign-graded factor sequences.
-
-    ``merged_order[t]`` gives, for position ``t`` of the merged sequence, the
-    index of the factor in the concatenation ``left + right`` that lands
-    there.  The order must be a shuffle: the relative order inside each input
-    sequence is preserved.  The sign is (-1)**k where k counts the odd-odd
-    adjacent transpositions a stable sort performs to realize the order.
-    """
-    parities = [int(p) & 1 for p in left_parities] + [int(p) & 1 for p in right_parities]
-    n = len(parities)
-    order = [int(x) for x in merged_order]
-    if sorted(order) != list(range(n)):
-        raise AlgebraError("merged_order is not a permutation")
-    nl = len(left_parities)
-    left_pos = [x for x in order if x < nl]
-    right_pos = [x for x in order if x >= nl]
-    if left_pos != sorted(left_pos) or right_pos != sorted(right_pos):
-        raise AlgebraError("merged_order is not a shuffle of the two sequences")
-    return odd_inversion_sign(order, [parities[s] for s in order])

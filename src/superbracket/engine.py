@@ -12,6 +12,14 @@ in how a bracket of two basis words is rewritten:
   bracket is only oriented; brackets with the unit vanish.
 
 The distinguished derivation is ``D(a) = {a, 1}``.
+
+In the generic Poisson theory, with no Jacobi relation available, a bracket
+of two normal-form atoms cannot be rewritten, only oriented; the atoms of the
+normal form are therefore arbitrary oriented binary bracket trees (even
+squares vanish, odd squares are kept, possibly nested).  Brackets against
+products expand by the plain Leibniz rule; brackets with the unit vanish, as
+forced by Leibniz in the unital algebra.  :class:`GpAlgebra` names this
+theory's algebra.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .elements import (
     monomial_parity,
     settle,
 )
+from .identities import ElementOps, evaluate
 from .liebasis import WordSpace
 from .speedups import merge_factors
 
@@ -290,12 +299,7 @@ class FreeAlgebra:
                 raise AlgebraError(f"unbound variable ?{g.name}")
             return bindings[g.name]
 
-        def node(s, values):
-            if isinstance(s, Sum):
-                return combine(self, zip((c for c, _ in s.terms), values))
-            return (self.mul if isinstance(s, Prod) else self.bracket)(*values)
-
-        return fold(t, leaf, node)
+        return evaluate(ElementOps(self), t, leaf)
 
     def element_to_term(self, e: Element):
         """Rebuild a raw term tree that normalizes back to the element."""
@@ -414,23 +418,39 @@ class FreeAlgebra:
         return {"gp": True, "terms": out} if self.theory == GP else out
 
     def element_from_json(self, data) -> Element:
+        """The element of a list of terms as :meth:`element_to_json` writes
+        them; data of any other shape is an :class:`AlgebraError`."""
         from .cli import parse_word  # deferred: the word grammar lives with the parser
 
+        if not isinstance(data, list):
+            raise AlgebraError(f"element JSON must be a list of terms, not {type(data).__name__}")
         pairs = []
         for item in data:
+            if not (isinstance(item, dict) and "coeff" in item
+                    and isinstance(item.get("monomial"), list)):
+                raise AlgebraError(f"element JSON term {item!r} needs 'coeff' and a 'monomial' list")
             m = UNIT_MONOMIAL
             for f in item["monomial"]:
+                if not (isinstance(f, dict) and isinstance(f.get("word"), str)):
+                    raise AlgebraError(f"monomial factor {f!r} needs a 'word' string")
                 w = self.space.get(parse_word(self.alphabet, f["word"]))
                 if w is self.space.unit_word:
                     continue  # the bare unit letter is the unit, as in word_element
-                exp = int(f.get("exp", 1))
-                if exp < 1 or (w.parity and exp > 1):
-                    raise AlgebraError(f"bad exponent {exp} for {f['word']!r}")
+                exp = f.get("exp", 1)
+                if type(exp) is not int or exp < 1 or (w.parity and exp > 1):
+                    raise AlgebraError(f"bad exponent {exp!r} for {f['word']!r}")
                 sign, m = merge_factors(m, ((w.key, w.parity, exp),))
                 if sign != 1:
                     raise AlgebraError("monomial factors not in canonical order")
             pairs.append((scalar(item["coeff"]), m))
         return self.element(pairs)
+
+
+class GpAlgebra(FreeAlgebra):
+    """The free unital generic Poisson superalgebra over an alphabet."""
+
+    def __init__(self, alphabet: Alphabet, max_degree=None):
+        super().__init__(alphabet, GP, max_degree)
 
 
 def dim_multilinear(n: int, theory: str = GENP) -> int:

@@ -14,11 +14,29 @@ five methods::
 
 All inputs must be parity-homogeneous; residuals are exact elements of the
 adapter's carrier, zero iff the identity holds on those arguments.
+
+:func:`evaluate` is the one fold of a raw term tree over an adapter: the free
+engine's normal form and substitution and a structure algebra's term
+evaluation differ only in how they read a leaf.
 """
 
 from __future__ import annotations
 
+from .core import Prod, Sum, fold, scalar
 from .elements import combine
+
+
+def evaluate(ops, term, leaf):
+    """A term tree's value over the adapter: ``leaf(g)`` at each Gen and Var
+    leaf, ``combine`` at a Sum (its coefficients through :func:`scalar`),
+    ``mul`` at a Prod and ``bracket`` at a Bracket."""
+
+    def node(t, values):
+        if isinstance(t, Sum):
+            return ops.combine([(scalar(c), v) for (c, _), v in zip(t.terms, values)])
+        return (ops.mul if isinstance(t, Prod) else ops.bracket)(*values)
+
+    return fold(term, leaf, node)
 
 
 def _sgn(bit) -> int:

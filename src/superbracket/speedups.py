@@ -1,4 +1,4 @@
-"""Kernels for the hot inner loops: the monomial merge and the odd-inversion sign.
+"""Kernel for the hot inner loop: the monomial merge with its Koszul sign.
 
 A *factor* is a triple ``(key, parity, exp)``: an opaque totally ordered key
 identifying a basis word, the word's parity (0 or 1), and a positive
@@ -51,22 +51,3 @@ def merge_factors(fa, fb):
     out.extend(fa[i:])
     out.extend(fb[j:])
     return (-1 if sign & 1 else 1), tuple(out)
-
-
-def odd_inversion_sign(sources, parities):
-    """Sign of a permutation restricted to odd elements.
-
-    ``sources[t]`` is the original position of the element now sitting at
-    position ``t``; ``parities[t]`` its parity.  Counts the inversions whose
-    two members are both odd and returns (-1)**count.
-    """
-    n = len(sources)
-    count = 0
-    for t in range(n):
-        if not parities[t]:
-            continue
-        st = sources[t]
-        for u in range(t + 1, n):
-            if parities[u] and sources[u] < st:
-                count += 1
-    return -1 if count & 1 else 1

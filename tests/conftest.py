@@ -3,8 +3,7 @@ import random
 import pytest
 
 from superbracket.core import Alphabet
-from superbracket.engine import GENP, JB, FreeAlgebra
-from superbracket.genericpoisson import GpAlgebra
+from superbracket.engine import GENP, JB, FreeAlgebra, GpAlgebra
 
 
 @pytest.fixture(scope="session")

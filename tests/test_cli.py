@@ -335,6 +335,12 @@ class TestDispatch:
         code, _, err = self.run(capsys, "nf", "--theory", "gp", "--gens", "x,y", "x*x*x*y")
         assert code == 3 and err.startswith("error:")
 
+    def test_malformed_degree_guard_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("JB_MAX_DEGREE", "abc")
+        code, out, err = self.run(capsys, "nf", "--gens", "x", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "JB_MAX_DEGREE must be an integer, not 'abc'" in err
+
     @pytest.mark.parametrize("theory", ["genp", "jb", "gp"])
     def test_nf_at_the_nesting_limit(self, capsys, theory):
         deep = "x"

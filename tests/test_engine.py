@@ -402,6 +402,19 @@ class TestSerialization:
             with pytest.raises(AlgebraError):
                 genp.element_from_json([{"coeff": "1", "monomial": [factor]}])
 
+    @pytest.mark.parametrize("data", [
+        [{"coeff": "1"}],
+        [{"monomial": [{"word": "x1"}]}],
+        [{"coeff": "1", "monomial": [{"exp": 1}]}],
+        [{"coeff": "1", "monomial": [{"word": "x1", "exp": "z"}]}],
+        ["x"],
+        5,
+    ], ids=["no-monomial", "no-coeff", "no-word", "exp-not-a-number", "term-not-an-object",
+            "not-a-list"])
+    def test_malformed_json_rejected(self, genp, data):
+        with pytest.raises(AlgebraError):
+            genp.element_from_json(data)
+
 
 class TestConfluence:
     def test_item5_vs_first_factor_route_sample(self, genp, jb, rng):

@@ -5,15 +5,13 @@ import pytest
 
 from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count
-from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, dim_multilinear
-from superbracket.genericpoisson import (
-    GpAlgebra,
-    criterion_residual,
-    jacobi_defect,
-    jordan_criterion_product,
-)
+from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
 from helpers import free_ops, random_term
+
+
+def normal_forms(algebra, *names):
+    return [algebra.normal_form(Gen(n)) for n in names]
 
 
 def parity_alphabets():
@@ -107,7 +105,7 @@ class TestIdentities:
 
 class TestJacobiDefect:
     def test_nonzero_on_even_generators(self, gp):
-        d = jacobi_defect(gp, Gen("x1"), Gen("x2"), Gen("x3"))
+        d = identities.jacobi_defect_residual(free_ops(gp), *normal_forms(gp, "x1", "x2", "x3"))
         assert not d.is_zero()
         assert len(d.terms) == 3
         for m in d.terms:
@@ -134,27 +132,29 @@ class TestJacobiDefect:
         assert holds
 
     def test_repeated_even_argument_vanishes(self, gp):
-        assert jacobi_defect(gp, Gen("x1"), Gen("x1"), Gen("x3")).is_zero()
+        x1, x1_again, x3 = normal_forms(gp, "x1", "x1", "x3")
+        assert identities.jacobi_defect_residual(free_ops(gp), x1, x1_again, x3).is_zero()
 
 
 class TestCriteria:
     def test_criteria_two_and_three_vanish_all_parities(self):
         for bits, algebra in parity_alphabets():
             f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
-            assert criterion_residual(algebra, 2, f, h, g, w).is_zero(), bits
-            assert criterion_residual(algebra, 3, f, h, g, w).is_zero(), bits
+            ops = free_ops(algebra)
+            assert identities.double_criterion_residual(ops, 2, f, h, g, w).is_zero(), bits
+            assert identities.double_criterion_residual(ops, 3, f, h, g, w).is_zero(), bits
 
     def test_criterion_one_survives(self):
         algebra = GpAlgebra(Alphabet([("f", 0), ("h", 0), ("g", 0), ("w", 0)]))
         f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
-        assert not criterion_residual(algebra, 1, f, h, g, w).is_zero()
+        assert not identities.double_criterion_residual(free_ops(algebra), 1, f, h, g, w).is_zero()
 
     def test_bad_criterion_index(self, gp):
         with pytest.raises(ValueError):
-            criterion_residual(gp, 4, gp.gen("x1"), gp.gen("x2"), gp.gen("x3"), gp.gen("th"))
+            identities.double_criterion_residual(free_ops(gp), 4, *normal_forms(gp, "x1", "x2", "x3", "th"))
 
     def test_jordan_criterion_product_builds(self, gp):
-        e = jordan_criterion_product(gp, Gen("x1"), Gen("x2"), Gen("x3"), Gen("th"))
+        e = identities.jordan_gp_residual(free_ops(gp), *normal_forms(gp, "x1", "x2", "x3", "th"))
         assert not e.is_zero()
 
 
