@@ -407,7 +407,7 @@ def _cmd_check_identity(args) -> int:
         raise AlgebraError("check-identity needs --algebra FILE or --free")
     algebra = _engine(args)
     term = parse(algebra.alphabet, args.expr, allow_vars=True)
-    bindings = {name: algebra.gen(name) for name in var_names(term)}
+    bindings = {name: algebra.gen(name) for name in sorted(var_names(term))}
     e = algebra.substitute(term, bindings)
     holds = e.is_zero()
     payload = {"identity": args.expr, "status": "pass" if holds else "fail"}

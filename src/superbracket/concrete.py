@@ -167,8 +167,9 @@ class SparseOps:
             if a:
                 live += 1
                 lone = c, a
+                unit = c == 1 or c == -1  # then no product: a Fraction's costs a gcd
                 for k, x in a:
-                    acc[k] = acc.get(k, 0) + c * x
+                    acc[k] = acc.get(k, 0) + ((x if c == 1 else -x) if unit else c * x)
         if not live:
             return ()
         if live == 1 and lone[0] == 1:

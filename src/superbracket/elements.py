@@ -148,9 +148,11 @@ def combine(algebra, pieces) -> Element:
             continue
         if type(coeff) is not int:
             coeff = scalar(coeff)
+        unit = coeff == 1 or coeff == -1  # then no product: a Fraction's costs a gcd
         for m, c in el.terms.items():
+            c = (c if coeff == 1 else -c) if unit else coeff * c
             val = out.get(m)
-            val = coeff * c if val is None else val + coeff * c
+            val = c if val is None else val + c
             if val:
                 out[m] = val
             elif m in out:

@@ -25,6 +25,7 @@ theory's algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .core import (
     AlgebraError,
@@ -369,39 +370,44 @@ class FreeAlgebra:
         degrees = tuple(degrees)
         if len(degrees) != self.alphabet.size:
             raise AlgebraError("multidegree length does not match the alphabet")
-        words = self._words_within(degrees)
         out = []
-        self._fill(words, 0, degrees, [], out)
-        monos = [tuple(reversed(m)) for m in out]
-        monos.sort(key=lambda m: (sum(e * k[0] for k, _, e in m), tuple((k, e) for k, _, e in m)))
-        return tuple(monos)
+        self._fill(degrees, None, [], out, {})
+        # the total degree is fixed by the multidegree, so factor order decides
+        out.sort()
+        return tuple(out)
 
-    def _words_within(self, degrees):
-        found = []
-        for sub in _subdegrees(degrees):
-            if sum(sub) == 0:
-                continue
-            for w in self.space.basis_words(sub):
-                if isinstance(w.word, int) and w.word == 0:
-                    continue  # the bare unit is never a factor
-                found.append(w)
-        # descending: the DFS assigns exponents from the largest word down
-        found.sort(key=lambda w: w.key, reverse=True)
-        return found
+    def _fill(self, remaining, below, acc, out, memo):
+        """Every multiset of basis words that covers ``remaining`` exactly.
 
-    def _fill(self, words, start, remaining, acc, out):
-        """Pick each next factor from words[start:]; one level per factor."""
-        if not any(remaining):
-            out.append(tuple(acc))
+        Each pick fits and covers the lowest letter left.  Picks covering one
+        letter come in decreasing key order, below ``below``, each distinct
+        word once with its exponent (odd words once), so every multiset
+        comes out once, with one level of recursion per distinct factor.
+        Keys order by length first, so ``below`` caps the sub-degrees too.
+        """
+        low = next((i for i, r in enumerate(remaining) if r), None)
+        if low is None:
+            out.append(tuple(sorted(acc)))
             return
-        for i in range(start, len(words)):
-            w = words[i]
+        cap = sum(remaining) if below is None else min(sum(remaining), below[0])
+        picks = memo.get((remaining, cap))
+        if picks is None:
+            ranges = [range(min(r, cap) + 1) for r in remaining[low:]]
+            ranges[0] = range(1, min(remaining[low], cap) + 1)
+            unit = self.space.unit_word  # the bare unit is never a factor
+            picks = memo[(remaining, cap)] = sorted(
+                (w for sub in product(*ranges) if sum(sub) <= cap
+                 for w in self.space.basis_words((0,) * low + sub) if w is not unit),
+                key=lambda w: w.key, reverse=True)
+        for w in picks:
+            if below is not None and w.key >= below:
+                continue
             room = min(r // d for r, d in zip(remaining, w.degrees) if d)
             rem = remaining
-            for exp in range(1, (min(room, 1) if w.parity else room) + 1):
+            for exp in range(1, 2 if w.parity else room + 1):
                 rem = tuple(r - d for r, d in zip(rem, w.degrees))
                 acc.append((w.key, w.parity, exp))
-                self._fill(words, i + 1, rem, acc, out)
+                self._fill(rem, w.key if rem[low] else None, acc, out, memo)
                 acc.pop()
 
     # -- serialization ----------------------------------------------------------
@@ -419,9 +425,13 @@ class FreeAlgebra:
 
     def element_from_json(self, data) -> Element:
         """The element of a list of terms as :meth:`element_to_json` writes
-        them; data of any other shape is an :class:`AlgebraError`."""
+        them (a gp algebra also reads its ``{"gp": true, "terms": [...]}``
+        wrapper); data of any other shape is an :class:`AlgebraError`."""
         from .cli import parse_word  # deferred: the word grammar lives with the parser
 
+        if (self.theory == GP and isinstance(data, dict) and data.keys() == {"gp", "terms"}
+                and data["gp"] is True):
+            data = data["terms"]
         if not isinstance(data, list):
             raise AlgebraError(f"element JSON must be a list of terms, not {type(data).__name__}")
         pairs = []
@@ -475,13 +485,3 @@ def _word_degree(m) -> int:
 def _word_term(alphabet, word):
     gens = alphabet.generators
     return fold(word, lambda i: Gen(gens[i].name), lambda w, kids: Bracket(*kids), word_parts)
-
-
-def _subdegrees(degrees):
-    if not degrees:
-        yield ()
-        return
-    head = degrees[0]
-    for rest in _subdegrees(degrees[1:]):
-        for x in range(head + 1):
-            yield (x,) + rest

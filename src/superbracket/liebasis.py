@@ -224,6 +224,8 @@ class WordSpace:
         elif total == 1:
             idx = degrees.index(1)
             result = (self._letter(idx),)
+        elif max(degrees) == total:
+            result = ()  # {u,v} good needs u > v, so one letter alone makes none
         else:
             found = []
             for d1, d2 in _splits(degrees):

@@ -359,13 +359,21 @@ class TestDispatch:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self):
-        env = dict(os.environ)
+    @staticmethod
+    def run(*argv, **env_extra):
         root = Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = str(root / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "superbracket", "dim", "--theory", "jb", "3"],
-            capture_output=True, text=True, env=env, cwd=root,
-        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), **env_extra)
+        return subprocess.run([sys.executable, "-m", "superbracket", *argv],
+                              capture_output=True, text=True, env=env, cwd=root)
+
+    def test_module_invocation(self):
+        proc = self.run("dim", "--theory", "jb", "3")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "18"
+
+    def test_undeclared_variable_independent_of_hash_seed(self):
+        # the variables bind in sorted order, so the first undeclared one
+        # named does not depend on set iteration order
+        runs = [self.run("check-identity", "--free", "--gens", "x1", "{?a,{?b,?c}}",
+                         PYTHONHASHSEED=str(seed)) for seed in range(1, 5)]
+        assert {(p.returncode, p.stderr) for p in runs} == {(2, "error: undeclared generator 'a'\n")}

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +17,24 @@ from superbracket.engine import (
 )
 from superbracket import identities
 from helpers import free_ops, random_homogeneous, random_term
+
+
+# SHA-256 of the bases of every multidegree <= 6 of (1, x1, x2, th:odd), taken
+# from the earlier search that tried every candidate word at every step, so
+# the output-sensitive search must reproduce its output byte for byte (genp
+# and jb agree: both share the Lie word basis)
+GOLDEN_BASES = "41913a421389ddb2e53dfd0ee93754165098e94b18db98ca44bedd5613c9a6ab"
+
+
+def _multidegrees(size, top):
+    return [d for d in product(range(top + 1), repeat=size) if sum(d) <= top]
+
+
+def _multinomial(degs):
+    out = math.factorial(sum(degs))
+    for d in degs:
+        out //= math.factorial(d)
+    return out
 
 
 def words(algebra, *raw):
@@ -340,12 +360,9 @@ class TestEnumeration:
         assert [[genp.space.by_key[k].word for k, _, _ in m] for m in monos] == [[1]]
 
     def test_odd_exponent_capped(self, genp):
-        # th^2 is not a basis monomial
-        monos = genp.basis((0, 0, 0, 0, 2))
-        for m in monos:
-            for k, p, exp in m:
-                if p:
-                    assert exp == 1
+        # th^2 is not a basis monomial: the square {th,th} is the only one
+        square = genp.space.get((4, 4))
+        assert genp.basis((0, 0, 0, 0, 2)) == (((square.key, 0, 1),),)
 
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 18)])
     def test_dimensions(self, n, expected):
@@ -357,6 +374,45 @@ class TestEnumeration:
     def test_dimension_six(self):
         # 2,371 candidate words: the enumeration must not recurse per word
         assert dim_multilinear(6) == 6 * math.factorial(6) == 4320
+
+    def test_dimension_seven(self):
+        assert dim_multilinear(7, GENP) == dim_multilinear(7, JB) == 7 * math.factorial(7) == 35280
+
+    def test_single_letter_power(self):
+        # one factor with exponent 3000: one recursion level, and no O(k^2)
+        # walk over the splits of a one-letter multidegree
+        algebra = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("th", 1)]), GENP)
+        t0 = time.perf_counter()
+        monos = algebra.basis((0, 3000, 0, 0))
+        assert time.perf_counter() - t0 < 1.0
+        assert monos == ((((1, 1), 0, 3000),),)
+
+    @pytest.mark.parametrize("theory", [GENP, JB])
+    def test_golden_bases(self, theory):
+        """The bases of every multidegree <= 6 of (1, x1, x2, th), hashed in
+        order: the enumeration and the order of its output are pinned."""
+        algebra = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("th", 1)]), theory)
+        digest = hashlib.sha256()
+        for degs in _multidegrees(4, 6):
+            digest.update(repr(algebra.basis(degs)).encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_BASES
+
+    @pytest.mark.parametrize("theory", [GENP, JB])
+    @pytest.mark.parametrize("gens,top", [
+        ([("x1", 0), ("x2", 0), ("th", 1)], 6),
+        ([("x", 0), ("s", 1), ("t", 1)], 5),
+    ], ids=["x1-x2-th", "x-s-t"])
+    def test_pbw_counts(self, theory, gens, top):
+        """By PBW the basis has the graded dimension of the tensor algebra on
+        the letters, less the monomials carrying a bare unit factor."""
+        algebra = FreeAlgebra(Alphabet(gens), theory)
+        for degs in _multidegrees(len(gens) + 1, top):
+            monos = algebra.basis(degs)
+            want = _multinomial(degs) - (_multinomial((degs[0] - 1,) + degs[1:]) if degs[0] else 0)
+            assert len(monos) == len(set(monos)) == want, degs
+            for m in monos:
+                assert algebra.monomial_degrees(m) == degs
+                assert all(exp == 1 for _, par, exp in m if par), m
 
 
 class TestGuard:
@@ -414,6 +470,29 @@ class TestSerialization:
     def test_malformed_json_rejected(self, genp, data):
         with pytest.raises(AlgebraError):
             genp.element_from_json(data)
+
+    def test_gp_round_trip(self, gp, rng):
+        e = gp.bracket(gp.gen("x1"), gp.gen("x2"))
+        assert gp.element_from_json(gp.element_to_json(e)) == e
+        for _ in range(10):
+            e = random_homogeneous(gp, rng, max_degree=4)
+            data = gp.element_to_json(e)
+            assert data["gp"] is True
+            assert gp.element_from_json(data) == e
+
+    @pytest.mark.parametrize("data", [
+        {"gp": True, "terms": [], "extra": 1},
+        {"gp": 1, "terms": []},
+        {"terms": []},
+        {"gp": True, "terms": "x1"},
+    ], ids=["extra-key", "gp-not-true", "no-gp", "terms-not-a-list"])
+    def test_malformed_gp_wrapper_rejected(self, gp, data):
+        with pytest.raises(AlgebraError):
+            gp.element_from_json(data)
+
+    def test_gp_wrapper_rejected_off_gp(self, genp):
+        with pytest.raises(AlgebraError):
+            genp.element_from_json({"gp": True, "terms": genp.element_to_json(genp.gen("x1"))})
 
 
 class TestConfluence:
