@@ -17,8 +17,19 @@ from .core import (
 )
 from .elements import Element
 from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
-from .concrete import StructureAlgebra
-from .farkas import CustomaryPolynomial, PoissonPolynomial
+
+
+def __getattr__(name):
+    """Load the structure-algebra and Farkas modules on first use (PEP 562),
+    so that the free-algebra CLI commands never compile them."""
+    module = {"StructureAlgebra": "concrete", "CustomaryPolynomial": "farkas",
+              "PoissonPolynomial": "farkas"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __version__ = "0.1.0"
 

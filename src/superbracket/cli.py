@@ -39,7 +39,6 @@ from .core import (
 )
 from .elements import Element
 from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
-from . import concrete, farkas, kantor
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -318,15 +317,12 @@ def _alphabet_from_option(spec: str) -> Alphabet:
 _BUILTIN_DOC = "wronskianN | euler-wronskianN | untwisted-eulerN | nonlie | unital-nonlie-gp | zero-bracketN"
 
 
-_SIZED_BUILTINS = {
-    "wronskian": concrete.wronskian_algebra,
-    "euler-wronskian": concrete.euler_wronskian_algebra,
-    "untwisted-euler": lambda m: concrete.untwisted_algebra(concrete.euler_wronskian_algebra(m)),
-    "zero-bracket": concrete.zero_bracket_poisson,
-}
+def _resolve_algebra(path: str):
+    """The structure algebra of a JSON file or of ``builtin:NAME``."""
+    # imported here, as kantor and farkas in their commands, so that the
+    # free-algebra commands start without compiling them
+    from . import concrete
 
-
-def _resolve_algebra(path: str) -> concrete.StructureAlgebra:
     if not path.startswith("builtin:"):
         return concrete.load_algebra(path)
     name = path[len("builtin:"):]
@@ -334,7 +330,13 @@ def _resolve_algebra(path: str) -> concrete.StructureAlgebra:
         return concrete.nonlie_example_algebra()
     if name == "unital-nonlie-gp":
         return concrete.adjoin_unit(concrete.nonlie_example_algebra())
-    for family, build in _SIZED_BUILTINS.items():
+    sized = {
+        "wronskian": concrete.wronskian_algebra,
+        "euler-wronskian": concrete.euler_wronskian_algebra,
+        "untwisted-euler": lambda m: concrete.untwisted_algebra(concrete.euler_wronskian_algebra(m)),
+        "zero-bracket": concrete.zero_bracket_poisson,
+    }
+    for family, build in sized.items():
         if name.startswith(family):
             return build(_integer(name[len(family):], f"the size N of builtin:{family}N"))
     raise AlgebraError(f"unknown builtin {name!r} (try {_BUILTIN_DOC})")
@@ -418,6 +420,8 @@ def _cmd_check_identity(args) -> int:
 
 
 def _cmd_kantor_check(args) -> int:
+    from . import kantor
+
     algebra = _resolve_algebra(args.algebra)
     checks = []
     if args.direct or not args.jorskob:
@@ -456,6 +460,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_farkas(args) -> int:
+    from . import farkas
+
     algebra = _engine(args)
     if algebra.theory != GENP:
         raise AlgebraError("the reduction runs in the genp theory")

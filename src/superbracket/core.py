@@ -13,10 +13,8 @@ is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, xor
-from typing import Union
+from operator import add, attrgetter, xor
 
 EVEN = 0
 ODD = 1
@@ -32,7 +30,7 @@ class UndefinedParityError(AlgebraError):
     """A parity or multidegree was requested where it is not defined."""
 
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def scalar(value) -> Scalar:
@@ -61,13 +59,50 @@ def scalar_str(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Generator:
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, set by position;
+    equality, hash, repr and copies go field by field, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def __init_subclass__(cls):
+        # what equality and hash compare: the tuple of the fields, or a lone field itself
+        cls._key = staticmethod(attrgetter(*cls.__slots__))
+
+    def _values(self):
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Generator(_Value):
     """One symbol of the graded alphabet; index 0 is always the unit."""
 
-    index: int
-    name: str
-    parity: int
+    __slots__ = ("index", "name", "parity")
 
     @property
     def is_unit(self) -> bool:
@@ -154,33 +189,26 @@ def _coerce_parity(parity) -> int:
 # Term trees: raw expressions over the two multiplications, before reduction.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class Gen(_Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Value):
     """Placeholder leaf for identity-checking contexts."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: object
-    right: object
+class Prod(_Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: object
-    right: object
+class Bracket(_Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (scalar, term)
+class Sum(_Value):
+    __slots__ = ("terms",)  # a tuple of (scalar, term)
 
 
 def term_parts(t):

@@ -449,9 +449,10 @@ class FreeAlgebra:
                 exp = f.get("exp", 1)
                 if type(exp) is not int or exp < 1 or (w.parity and exp > 1):
                     raise AlgebraError(f"bad exponent {exp!r} for {f['word']!r}")
-                sign, m = merge_factors(m, ((w.key, w.parity, exp),))
-                if sign != 1:
-                    raise AlgebraError("monomial factors not in canonical order")
+                if m and w.key <= m[-1][0]:
+                    how = "repeats" if w.key == m[-1][0] else "is out of canonical order"
+                    raise AlgebraError(f"monomial factor {f['word']!r} {how}")
+                m += ((w.key, w.parity, exp),)
             pairs.append((scalar(item["coeff"]), m))
         return self.element(pairs)
 

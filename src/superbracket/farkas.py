@@ -13,7 +13,6 @@ was an identity of; the test suite exercises this on concrete witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
@@ -31,19 +30,15 @@ class MeasureAbortError(AlgebraError):
     """The height measure failed to decrease; aborted instead of looping."""
 
 
-@dataclass
 class PoissonPolynomial:
     """A normal-form element with a designated set of identity letters."""
 
-    algebra: FreeAlgebra
-    element: Element
-    letters: tuple
-
-    def __post_init__(self):
-        if any(p for p in self.algebra.alphabet.parities):
+    def __init__(self, algebra: FreeAlgebra, element: Element, letters: tuple):
+        if any(p for p in algebra.alphabet.parities):
             raise AlgebraError("identity reduction is defined for even generators only")
-        for name in self.letters:
-            self.algebra.alphabet.gen(name)
+        for name in letters:
+            algebra.alphabet.gen(name)
+        self.algebra, self.element, self.letters = algebra, element, letters
 
     def is_zero(self) -> bool:
         return self.element.is_zero()
@@ -337,11 +332,11 @@ def customary_to_element(c: CustomaryPolynomial, algebra: FreeAlgebra) -> Elemen
 
 # -- the reduction pipeline -----------------------------------------------------------
 
-@dataclass
 class ReductionResult:
-    customary: CustomaryPolynomial
-    trace: list  # of (stage label, PoissonPolynomial)
-    algebra: FreeAlgebra  # the (possibly letter-extended) final algebra
+    def __init__(self, customary: CustomaryPolynomial, trace: list, algebra: FreeAlgebra):
+        self.customary = customary
+        self.trace = trace  # of (stage label, PoissonPolynomial)
+        self.algebra = algebra  # the (possibly letter-extended) final algebra
 
 
 def reduce_to_customary(poly: PoissonPolynomial, max_rounds: int = 64) -> ReductionResult:

@@ -377,3 +377,60 @@ class TestConsoleEntry:
         runs = [self.run("check-identity", "--free", "--gens", "x1", "{?a,{?b,?c}}",
                          PYTHONHASHSEED=str(seed)) for seed in range(1, 5)]
         assert {(p.returncode, p.stderr) for p in runs} == {(2, "error: undeclared generator 'a'\n")}
+
+
+# A fresh interpreter imports the CLI, runs the commands of argv[2] in turn
+# and prints, after the import and after each command, which modules of
+# argv[1] are loaded.  It runs with -S: the modules that the installation's
+# site hooks load belong to the interpreter, not to the package, and pytest
+# itself loads dataclasses and typing, so no in-process check can tell.
+_IMPORT_PROBE = """
+import json, sys
+from superbracket.cli import main
+watched = json.loads(sys.argv[1])
+def loaded():
+    return sorted(name for name in watched if name in sys.modules)
+seen = [loaded()]
+for argv in json.loads(sys.argv[2]):
+    main(argv)
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+_WATCHED = ["dataclasses", "superbracket.concrete", "superbracket.farkas",
+            "superbracket.kantor", "typing"]
+_CONCRETE, _FARKAS, _KANTOR = _WATCHED[1:4]
+
+
+def _loaded_after(*commands):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(_WATCHED), json.dumps(commands)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStartImports:
+    def test_importing_the_cli_loads_only_the_free_engine(self):
+        assert _loaded_after() == [[]]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["nf", "--gens", "x,y", "{x,y}"], []),
+        (["dim", "3"], []),
+        (["basis", "--gens", "x1,x2", "--multidegree", "1:1,x1:1,x2:1"], []),
+        (["check-identity", "--free", "--gens", "x,y", "{x,y}+{y,x}"], []),
+        (["kantor-check", "--algebra", "builtin:wronskian3", "--jorskob"], [_CONCRETE, _KANTOR]),
+        (["validate", "builtin:wronskian3"], [_CONCRETE]),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=1,0,0", "?a"], [_CONCRETE]),
+        (["farkas", "--gens", "x,y", "--input", "{x,y}", "--letters", "x,y"], [_FARKAS]),
+    ], ids=["nf", "dim", "basis", "check-identity", "kantor-check", "validate", "eval", "farkas"])
+    def test_each_command_loads_what_it_uses(self, argv, loaded):
+        assert _loaded_after(argv) == [[], loaded]
+
+    def test_session_loads_modules_as_commands_need_them(self):
+        seen = _loaded_after(["nf", "--gens", "x,y", "{x,y}"],
+                             ["validate", "builtin:wronskian3"],
+                             ["farkas", "--gens", "x,y", "--input", "{x,y}", "--letters", "x,y"])
+        assert seen == [[], [], [_CONCRETE], [_CONCRETE, _FARKAS]]

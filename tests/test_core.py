@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from superbracket.core import (
     Alphabet,
     Bracket,
     Gen,
+    Generator,
     Prod,
     Sum,
     UndefinedParityError,
@@ -198,3 +200,62 @@ def test_every_public_name_resolves():
     assert sorted(set(superbracket.__all__)) == sorted(superbracket.__all__)
     assert all(name in namespace for name in superbracket.__all__)
     assert namespace["GpAlgebra"] is superbracket.engine.GpAlgebra
+    assert superbracket.StructureAlgebra is superbracket.concrete.StructureAlgebra
+    assert superbracket.PoissonPolynomial is superbracket.farkas.PoissonPolynomial
+    assert superbracket.CustomaryPolynomial is superbracket.farkas.CustomaryPolynomial
+    assert not hasattr(superbracket, "nope")
+
+
+class TestValueSemantics:
+    """The alphabet's generators and the term-tree nodes behave as frozen
+    dataclasses: values compared, hashed, printed and copied field by field."""
+
+    NODES = [Gen("x"), Var("x"), Prod(Gen("x"), Var("y")), Bracket(Gen("x"), Var("y")),
+             Sum(((1, Gen("x")), (Fraction(1, 2), Var("y")))), Generator(1, "x", 0)]
+
+    def test_field_wise_equality_and_hash(self):
+        for node in self.NODES:
+            twin = type(node)(*(getattr(node, f) for f in type(node).__slots__))
+            assert twin == node and twin is not node
+            assert hash(twin) == hash(node)
+        assert len(set(self.NODES + [copy.copy(n) for n in self.NODES])) == len(self.NODES)
+        assert Gen("x") != Gen("y")
+        assert Prod(Gen("x"), Gen("y")) != Prod(Gen("y"), Gen("x"))
+
+    def test_classes_never_compare_equal(self):
+        a, b = Gen("a"), Gen("b")
+        assert Gen("x") != Var("x")
+        assert Prod(a, b) != Bracket(a, b)
+        assert Gen("x") != ("x",) and Gen("x") != "x"
+
+    def test_frozen(self):
+        for node in self.NODES:
+            field = type(node).__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+            with pytest.raises(AttributeError):
+                node.extra = 1
+
+    def test_repr(self):
+        assert repr(Gen("x")) == "Gen(name='x')"
+        assert repr(Var("x")) == "Var(name='x')"
+        assert repr(Bracket(Gen("x"), Prod(Gen("y"), Gen("1")))) == (
+            "Bracket(left=Gen(name='x'), right=Prod(left=Gen(name='y'), right=Gen(name='1')))")
+        assert repr(Sum(((-1, Gen("x")),))) == "Sum(terms=((-1, Gen(name='x')),))"
+        assert repr(ALPHABET.unit) == "Generator(index=0, name='1', parity=0)"
+
+    def test_copy_and_deepcopy(self):
+        for node in self.NODES:
+            for clone in (copy.copy(node), copy.deepcopy(node)):
+                assert clone == node and type(clone) is type(node)
+        shared = Prod(Gen("x"), Gen("y"))
+        assert copy.copy(shared).left is shared.left
+        assert copy.deepcopy(shared).left is not shared.left
+
+    def test_field_count_checked(self):
+        with pytest.raises(TypeError):
+            Prod(Gen("x"))
+        with pytest.raises(TypeError):
+            Gen("x", "y")

@@ -25,6 +25,8 @@ from helpers import free_ops, random_homogeneous, random_term
 # and jb agree: both share the Lie word basis)
 GOLDEN_BASES = "41913a421389ddb2e53dfd0ee93754165098e94b18db98ca44bedd5613c9a6ab"
 
+TWO_ODD = Alphabet([("x1", 0), ("x2", 0), ("th", 1), ("ph", 1)])
+
 
 def _multidegrees(size, top):
     return [d for d in product(range(top + 1), repeat=size) if sum(d) <= top]
@@ -452,6 +454,26 @@ class TestSerialization:
                     {"coeff": "2", "monomial": [{"word": "1", "exp": 3}]}]
             want = algebra.gen("x1") + algebra.one().scale(2)
             assert algebra.element_from_json(data) == want
+
+    @pytest.mark.parametrize("factors, message", [
+        (["x2", "x1"], "'x1' is out of canonical order"),
+        (["x1", "x1"], "'x1' repeats"),
+        (["ph", "th"], "'th' is out of canonical order"),
+        (["th", "th"], "'th' repeats"),
+    ], ids=["even-out-of-order", "even-repeated", "odd-out-of-order", "odd-repeated"])
+    def test_non_canonical_factor_order_rejected(self, factors, message):
+        # the reader takes monomials as element_to_json writes them: strictly
+        # increasing words, a repeated word written once with its exponent
+        algebra = FreeAlgebra(TWO_ODD, GENP)
+        data = [{"coeff": "1", "monomial": [{"word": w} for w in factors]}]
+        with pytest.raises(AlgebraError, match=message):
+            algebra.element_from_json(data)
+
+    def test_canonical_factor_order_accepted(self):
+        algebra = FreeAlgebra(TWO_ODD, GENP)
+        for a, b in (("x1", "x2"), ("th", "ph")):
+            data = [{"coeff": "1", "monomial": [{"word": a}, {"word": b}]}]
+            assert algebra.element_from_json(data) == algebra.mul(algebra.gen(a), algebra.gen(b))
 
     def test_bad_exponent_rejected(self, genp):
         for factor in ({"word": "x1", "exp": 0}, {"word": "th", "exp": 2}):

@@ -147,6 +147,12 @@ class TestDerivationDefect:
         mixed = FreeAlgebra(Alphabet([("x", 0), ("th", 1)]), GENP)
         with pytest.raises(AlgebraError):
             poisson_polynomial(mixed, mixed.gen("x"), ("x",))
+        with pytest.raises(AlgebraError, match="even generators only"):
+            PoissonPolynomial(mixed, mixed.gen("x"), ("x",))
+
+    def test_undeclared_letter_rejected(self, alg):
+        with pytest.raises(AlgebraError, match="undeclared generator 'q'"):
+            PoissonPolynomial(alg, alg.gen("x"), ("x", "q"))
 
 
 class TestHeight:
