@@ -38,35 +38,6 @@ def vbasis(dim, i):
     return tuple(1 if j == i else 0 for j in range(dim))
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in _pairs(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in _pairs(a, b))
-
-
-def _pairs(a, b):
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise AlgebraError(f"vector lengths {len(a)} and {len(b)} differ")
-    return zip(a, b)
-
-
-def vscale(c, a):
-    c = scalar(c)
-    return _exact(c * x for x in a)
-
-
-def _exact(values):
-    """Vector of the values with the coefficient invariant restored: an
-    integral Fraction left by arithmetic becomes an ``int``."""
-    values = tuple(values)
-    if type(sum(values)) is int:  # only ints sum to an int: nothing to restore
-        return values
-    return tuple(x if type(x) is int else scalar(x) for x in values)
-
-
 def vjson(a):
     return [scalar_str(x) for x in a]
 
@@ -550,14 +521,14 @@ def euler_wronskian_algebra(m: int) -> StructureAlgebra:
     return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), "genp")
 
 
-def zero_product_algebra(bracket, parities=None, dim=None) -> StructureAlgebra:
-    """Anticommutative bracket with the zero product: always a GP algebra."""
+def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
+    """Anticommutative bracket on an even basis with the zero product: always
+    a GP algebra."""
     if dim is None:
         if not bracket:
             raise AlgebraError("an empty bracket table needs dim")
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
-    parities = list(parities) if parities is not None else [0] * dim
-    alg = StructureAlgebra(dim, parities, {}, bracket, None, "gp")
+    alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
     ops = SparseOps(alg)
     failure = first_failure(
         2, ops.basis, lambda a, b: identities.anticommutativity_residual(ops, a, b), ops.is_zero)
@@ -591,7 +562,7 @@ def zero_bracket_poisson(m: int) -> StructureAlgebra:
     return StructureAlgebra(m, [0] * m, product, {}, vbasis(m, 0), "poisson")
 
 
-def adjoin_unit(algebra: StructureAlgebra, claim=None) -> StructureAlgebra:
+def adjoin_unit(algebra: StructureAlgebra) -> StructureAlgebra:
     """Adjoin a unit acting as identity, bracketing to zero.
 
     Plain Leibniz survives unit adjunction, so a GP algebra stays GP.
@@ -615,11 +586,11 @@ def adjoin_unit(algebra: StructureAlgebra, claim=None) -> StructureAlgebra:
         product,
         bracket,
         vbasis(d, 0),
-        claim or algebra.claim,
+        algebra.claim,
     )
 
 
-def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra:
+def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     """Inverse derivation twist on the tables: bracket + (aD(b) - D(a)b)/2.
 
     Applied to a generalized Poisson algebra this produces a Jordan-bracket
@@ -629,24 +600,18 @@ def untwisted_algebra(algebra: StructureAlgebra, claim="jb") -> StructureAlgebra
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
     ops = SparseOps(algebra)
-    mul, D = ops.mul, ops.deriv
-
-    def derivation_residual(a, b):  # D(ab) - D(a)b - aD(b)
-        return ops.combine([(1, D(mul(a, b))), (-1, mul(D(a), b)), (-1, mul(a, D(b)))])
-
-    if first_failure(2, ops.basis, derivation_residual, ops.is_zero) is not None:
+    derivation = lambda a, b: identities.derivation_residual(ops, a, b)
+    if first_failure(2, ops.basis, derivation, ops.is_zero) is not None:
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
-    half = Fraction(1, 2)
+    twisted = identities.Twisted(ops, Fraction(1, 2))
     bracket = {}
     for i, a in enumerate(ops.basis):
         for j, b in enumerate(ops.basis):
-            row = ops.combine([(1, ops.bracket(a, b)), (half, mul(a, D(b))), (-half, mul(D(a), b))])
+            row = twisted.bracket(a, b)
             if row:
                 bracket[(i, j)] = list(row)
     return StructureAlgebra(
-        algebra.dim, algebra.parities, dict(algebra.product), bracket,
-        algebra.unit, claim,
-    )
+        algebra.dim, algebra.parities, dict(algebra.product), bracket, algebra.unit, "jb")
 
 
 def load_algebra(path) -> StructureAlgebra:

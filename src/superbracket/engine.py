@@ -3,13 +3,17 @@
 Elements live in a shared monomial basis: products of basis words with
 exponents (odd words squarefree, no bare unit factor), plus the unit.  The
 three theories share the product and the Leibniz expansion; they differ only
-in how a bracket of two basis words is rewritten:
+in how a bracket of two basis words is rewritten.  Every word rule starts
+alike: an even square vanishes, the pair is oriented by
+super-anticommutativity, and a pair that :meth:`WordSpace.join` accepts is
+one basis word.  Then each theory applies its own rewrite:
 
-* generalized Poisson: plain super-Jacobi rewriting (stays in the Lie span);
+* generalized Poisson: plain super-Jacobi rewriting (stays in the Lie span),
+  in :meth:`WordSpace.bracket_words`;
 * Jordan brackets: the Jacobi-like rewriting acquires three derivation terms,
-  so straightening produces genuine products;
-* generic Poisson: no Jacobi relation, so the words are oriented trees and a
-  bracket is only oriented; brackets with the unit vanish.
+  so straightening produces genuine products (:meth:`FreeAlgebra._bracket_words`);
+* generic Poisson: no rewrite, since every oriented pair of atoms is an atom;
+  only a bracket with the unit is left, and it vanishes (the same method).
 
 The distinguished derivation is ``D(a) = {a, 1}``.
 
@@ -24,7 +28,6 @@ theory's algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .core import (
@@ -194,20 +197,7 @@ class FreeAlgebra:
         if self.theory == GENP:
             combo = space.bracket_words(w1, w2)
             return self.element((c, (factor_of(w),)) for w, c in combo.items())
-        if self.theory == GP:
-            return self._gp_bracket_words(w1, w2)
-        return self._jb_bracket_words(w1, w2)
-
-    def _gp_bracket_words(self, u, v) -> Element:
-        """Orientation only: {u,v} is an atom up to the super sign, and plain
-        Leibniz with the unit law forces {x,1} = 0."""
-        unit = self.space.unit_word
-        if u is unit or v is unit or u.key == v.key and u.parity == 0:
-            return self.zero()
-        if u.key < v.key:
-            sign = _ONE if (u.parity & v.parity) else -_ONE
-            return self.word_element(self.space.join(v, u)).scale(sign)
-        return self.word_element(self.space.join(u, v))
+        return self._bracket_words(w1, w2)
 
     def _leibniz_expand(self, m1, m2) -> Element:
         """Bracket against a product monomial via the deformed Leibniz rule.
@@ -234,21 +224,25 @@ class FreeAlgebra:
         pieces.append((1 - total, d_part))
         return combine(self, pieces)
 
-    def _jb_bracket_words(self, u, v) -> Element:
-        space = self.space
-        if u.key == v.key:
-            if u.parity == 0:
-                return self.zero()
-            return self.word_element(space.join(u, v))
+    def _bracket_words(self, u, v) -> Element:
+        """The jb and gp word rule.  It starts as genp's straightening in
+        :class:`WordSpace` does; then in gp only a bracket with the unit is
+        left, which plain Leibniz with the unit law forces to vanish, and in
+        jb a left-nested word is rewritten by the deformed Jacobi identity.
+        """
+        if u is v and u.parity == 0:
+            return self.zero()
         if u.key < v.key:
             sign = _ONE if (u.parity & v.parity) else -_ONE
             return self.bracket(self.word_element(v), self.word_element(u)).scale(sign)
-        if isinstance(u.word, int):
-            return self.word_element(space.join(u, v))
+        space = self.space
+        w = space.join(u, v)
+        if w is not None:
+            return self.word_element(w)
+        if self.theory == GP:
+            return self.zero()
         a, b = space.components(u)
-        if not u.square and not v.square and b.key <= v.key:
-            return self.word_element(space.join(u, v))
-        if u.square and a.key == v.key:
+        if u.square and a is v:
             # {{a,a},a} for odd a: the deformed Jacobi identity gives
             # 3{{a,a},a} = -3 D(a){a,a}.
             return self.mul(self.deriv(self.word_element(a)), self.word_element(u)).scale(-1)
@@ -318,48 +312,6 @@ class FreeAlgebra:
                     t = Prod(t, f)
             parts.append((c, t))
         return Sum(tuple(parts))
-
-    # -- twist ----------------------------------------------------------------
-
-    def twisted_bracket(self, a: Element, b: Element) -> Element:
-        """Derivation twist of a Jordan bracket into a generalized Poisson one.
-
-        ``{a,b} - (aD(b) - D(a)b)``, whose distinguished derivation is 2D,
-        satisfies the generalized Poisson identities exactly (the Jacobi
-        deformation terms cancel against the correction).
-        """
-        if self.theory != JB:
-            raise AlgebraError("the twist is defined on the Jordan-bracket theory")
-        return combine(self, [(1, self.bracket(a, b)), (-1, self.mul(a, self.deriv(b))),
-                              (1, self.mul(self.deriv(a), b))])
-
-    def twisted_deriv(self, a: Element) -> Element:
-        """Distinguished derivation of the twisted bracket: twice the original."""
-        return self.deriv(a).scale(2)
-
-    def untwist_bracket(self, a: Element, b: Element, deriv_op, base_bracket=None) -> Element:
-        """Inverse twist: ``{a,b} + (a E(b) - E(a) b)/2`` for a derivation E.
-
-        Applied to a generalized Poisson bracket with distinguished
-        derivation E, this produces a Jordan bracket whose distinguished
-        derivation is E/2; composing with :meth:`twisted_bracket` gives the
-        original bracket back.  E is spot-checked to be an even derivation
-        of the product on generator pairs.
-        """
-        self._check_derivation(deriv_op)
-        bracket = base_bracket if base_bracket is not None else self.bracket
-        half = Fraction(1, 2)
-        return combine(self, [(1, bracket(a, b)), (half, self.mul(a, deriv_op(b))),
-                              (-half, self.mul(deriv_op(a), b))])
-
-    def _check_derivation(self, deriv_op):
-        gens = [self.one()] + [self.gen(n) for n in self.alphabet.names()]
-        for x in gens:
-            for y in gens:
-                lhs = deriv_op(self.mul(x, y))
-                rhs = self.mul(deriv_op(x), y) + self.mul(x, deriv_op(y))
-                if lhs != rhs:
-                    raise AlgebraError("operation is not a derivation of the product")
 
     # -- enumeration ----------------------------------------------------------
 
@@ -444,11 +396,11 @@ class FreeAlgebra:
                 if not (isinstance(f, dict) and isinstance(f.get("word"), str)):
                     raise AlgebraError(f"monomial factor {f!r} needs a 'word' string")
                 w = self.space.get(parse_word(self.alphabet, f["word"]))
-                if w is self.space.unit_word:
-                    continue  # the bare unit letter is the unit, as in word_element
                 exp = f.get("exp", 1)
                 if type(exp) is not int or exp < 1 or (w.parity and exp > 1):
                     raise AlgebraError(f"bad exponent {exp!r} for {f['word']!r}")
+                if w is self.space.unit_word:
+                    continue  # the bare unit letter is the unit, as in word_element
                 if m and w.key <= m[-1][0]:
                     how = "repeats" if w.key == m[-1][0] else "is out of canonical order"
                     raise AlgebraError(f"monomial factor {f['word']!r} {how}")

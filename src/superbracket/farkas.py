@@ -18,8 +18,13 @@ from itertools import combinations
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
 from .elements import Element, combine
 from .engine import GENP, FreeAlgebra
+from .identities import ElementOps, Twisted
 
 _ONE = 1
+
+# stage 1 guard: the height multiset strictly decreases, so this is never
+# reached by a correct reduction
+MAX_DEFECT_ROUNDS = 64
 
 
 class DegenerateReductionError(AlgebraError):
@@ -62,8 +67,7 @@ def angle_bracket(algebra: FreeAlgebra, a: Element, b: Element) -> Element:
     """{a,b} - (D(a)b - aD(b)); anticommutative, a derivation in each slot."""
     if algebra.theory != GENP:
         raise AlgebraError("angle bracket lives in the generalized Poisson theory")
-    mul, D = algebra.mul, algebra.deriv
-    return combine(algebra, [(1, algebra.bracket(a, b)), (-1, mul(D(a), b)), (1, mul(a, D(b)))])
+    return Twisted(ElementOps(algebra), 1).bracket(a, b)
 
 
 def left_normed(algebra: FreeAlgebra, xs) -> Element:
@@ -241,10 +245,6 @@ def letter_decompose(poly: PoissonPolynomial, x: str):
     return alg.element(T), alg.element(T0), {k: v for k, v in Ti.items() if not v.is_zero()}
 
 
-def is_derivation_in(poly: PoissonPolynomial, x: str) -> bool:
-    return derivation_defect(poly, x).is_zero()
-
-
 # -- the customary target ----------------------------------------------------------
 
 class CustomaryPolynomial:
@@ -339,7 +339,7 @@ class ReductionResult:
         self.algebra = algebra  # the (possibly letter-extended) final algebra
 
 
-def reduce_to_customary(poly: PoissonPolynomial, max_rounds: int = 64) -> ReductionResult:
+def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
     """Run the three-stage reduction; every trace entry is implied by the input.
 
     Raises :class:`DegenerateReductionError` if the polynomial collapses to
@@ -369,7 +369,7 @@ def reduce_to_customary(poly: PoissonPolynomial, max_rounds: int = 64) -> Reduct
         if not high:
             break
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_DEFECT_ROUNDS:
             raise AlgebraError("height reduction did not converge")
         before = measure(g)
         g = derivation_defect(g, high[0])

@@ -17,7 +17,8 @@ adapter's carrier, zero iff the identity holds on those arguments.
 
 :func:`evaluate` is the one fold of a raw term tree over an adapter: the free
 engine's normal form and substitution and a structure algebra's term
-evaluation differ only in how they read a leaf.
+evaluation differ only in how they read a leaf.  :class:`Twisted` is the one
+derivation twist, itself an adapter over any other.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def deformed_leibniz_residual(ops, a, b, c):
     """{a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c} + D(a)bc"""
     mul = ops.mul
     return ops.combine(_leibniz_terms(ops, a, b, c) + [(1, mul(mul(ops.deriv(a), b), c))])
+
+
+def derivation_residual(ops, a, b):
+    """D(ab) - D(a)b - aD(b), for the even derivation D"""
+    mul, D = ops.mul, ops.deriv
+    return ops.combine([(1, D(mul(a, b))), (-1, mul(D(a), b)), (-1, mul(a, D(b)))])
 
 
 def _jacobi_terms(ops, a, b, c):
@@ -200,3 +207,26 @@ class ElementOps:
 
     def combine(self, pairs):
         return combine(self.algebra, pairs)
+
+
+class Twisted:
+    """The derivation twist of an adapter by a scalar c: the same product,
+    the bracket ``{a,b} + c(aD(b) - D(a)b)`` and the derivation ``(1 - c)D``
+    (the twisted bracket with the unit).
+
+    c = -1 turns a Jordan bracket into a generalized Poisson one and c = 1/2
+    turns it back (Kantor); c = 1 gives the angle bracket of a generalized
+    Poisson algebra, a derivation in each slot.
+    """
+
+    def __init__(self, ops, c):
+        self.ops, self.c = ops, scalar(c)
+        self.mul, self.parity, self.combine = ops.mul, ops.parity, ops.combine
+
+    def bracket(self, a, b):
+        ops, c = self.ops, self.c
+        return ops.combine([(1, ops.bracket(a, b)), (-c, ops.mul(ops.deriv(a), b)),
+                            (c, ops.mul(a, ops.deriv(b)))])
+
+    def deriv(self, a):
+        return self.ops.combine([(1 - self.c, self.ops.deriv(a))])

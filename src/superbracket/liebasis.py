@@ -16,6 +16,14 @@ non-unit letters in which every node has left > right or equal odd halves.
 
 Raw words are nested tuples: a leaf is a generator index, a node is a pair of
 words.  Interned :class:`BasisWord` objects carry the derived data.
+:meth:`WordSpace.join` is the one basis-word test, in both kinds of space.
+
+:meth:`WordSpace.bracket_words` is the generalized Poisson word rule.  The
+engine's rule for Jordan brackets and generic Poisson starts the same way:
+an even square vanishes, the pair is oriented by super-anticommutativity,
+and a pair that joins to a basis word is that word.  Only what is left
+differs: genp and jb rewrite a left-nested word by their Jacobi identity,
+and in gp only a bracket with the unit is left.
 """
 
 from __future__ import annotations
@@ -23,17 +31,6 @@ from __future__ import annotations
 from .core import Alphabet, AlgebraError, fold, word_parts
 
 _ONE = 1
-
-
-def _join_key(ku, kv) -> tuple:
-    """Key of ``{u,v}`` from the keys of u and v."""
-    return (ku[0] + kv[0], ku, kv)
-
-
-def _good_join(ku, kv) -> bool:
-    """Whether ``{u,v}`` is good, given good u and v by their keys: u > v
-    and, when u = {u1,u2}, u2 <= v (a letter's key has length 1)."""
-    return ku > kv and (ku[0] == 1 or ku[2] <= kv)
 
 
 def _word_repr(word) -> str:
@@ -102,14 +99,8 @@ class WordSpace:
     def get(self, word) -> BasisWord:
         """Intern a raw word, checking basis membership.  The word is walked
         in full: looking up an equal deep copy would compare it recursively."""
-        found = fold(word, self._letter, lambda w, kids: self._join(*kids), word_parts)
-        return self._basis(found, word)
-
-    def join(self, u: BasisWord, v: BasisWord) -> BasisWord:
-        """The basis word ``{u,v}`` of two interned words."""
-        return self._basis(self._join(u, v), (u.word, v.word))
-
-    def _basis(self, found, word) -> BasisWord:
+        found = fold(word, self._letter,
+                     lambda w, kids: None if None in kids else self.join(*kids), word_parts)
         if found is None:
             kind = "an oriented atom" if self.oriented else "a basis word"
             raise AlgebraError(f"not {kind}: {_word_repr(word)}")
@@ -125,27 +116,28 @@ class WordSpace:
         degrees[index] = 1
         return self._intern(index, (1, index), self.alphabet.parities[index], tuple(degrees), False)
 
-    def _join(self, u, v):
-        """The one per-node rule: ``{u,v}`` from interned u and v, or None
-        when it is no basis word (then neither is any word containing it)."""
-        if u is None or v is None:
+    def join(self, u: BasisWord, v: BasisWord):
+        """The one basis-word test: the interned word ``{u,v}``, or None when
+        it is no basis word (then neither is any word containing it).  The
+        test runs before the lookup, so a failed join hashes nothing."""
+        if self.oriented:
+            # each node has left > right or equal odd halves; no unit letter
+            square = False
+            ok = not (u.degrees[0] or v.degrees[0]) and (u.key > v.key or u is v and u.parity)
+        else:
+            # the square of an odd good word, or good: u > v and, when
+            # u = {u1,u2}, u2 <= v (a letter's key has length 1)
+            square = u is v and u.parity == 1 and not u.square
+            ok = square or not (u.square or v.square) and u.key > v.key and (
+                u.length == 1 or u.key[2] <= v.key)
+        if not ok:
             return None
         word = (u.word, v.word)  # its parts are interned: lookups compare by identity
         found = self._words.get(word)
         if found is not None:
             return found
-        if self.oriented:
-            # each node has left > right or equal odd halves; no unit letter
-            square = False
-            ok = not (u.degrees[0] or v.degrees[0]) and (u > v or u is v and u.parity)
-        else:
-            # good, or the square of an odd good word
-            square = u is v and u.parity == 1 and not u.square
-            ok = square or not (u.square or v.square) and _good_join(u.key, v.key)
-        if not ok:
-            return None
         degrees = tuple(a + b for a, b in zip(u.degrees, v.degrees))
-        key = _join_key(u.key, v.key)
+        key = (u.length + v.length, u.key, v.key)
         return self._intern(word, key, (u.parity + v.parity) & 1, degrees, square)
 
     def _intern(self, word, key, parity, degrees, square) -> BasisWord:
@@ -186,20 +178,18 @@ class WordSpace:
             self._active.discard(pair)
 
     def _bracket_uncached(self, u: BasisWord, v: BasisWord) -> dict:
-        if u.key == v.key:
-            if u.parity == 0:
-                return {}
-            return {self.join(u, v): _ONE}
+        # the start shared with the engine's rule for jb and gp
+        if u is v and u.parity == 0:
+            return {}
         if u.key < v.key:
             coeff = _ONE if (u.parity & v.parity) else -_ONE
             return _scaled(self.bracket_words(v, u), coeff)
-        # u > v
-        if isinstance(u.word, int):
-            return {self.join(u, v): _ONE}
+        w = self.join(u, v)
+        if w is not None:
+            return {w: _ONE}
+        # the Jacobi rewrite of a left-nested u = {a,b}
         a, b = self.components(u)
-        if not u.square and not v.square and b.key <= v.key:
-            return {self.join(u, v): _ONE}
-        if u.square and a.key == v.key:
+        if u.square and a is v:
             # {{a,a},a} for odd a: Jacobi plus anticommutativity force
             # 3{{a,a},a} = 0, so it vanishes over the rationals.
             return {}
@@ -231,8 +221,9 @@ class WordSpace:
             for d1, d2 in _splits(degrees):
                 for u in self.good_words(d1):
                     for v in self.good_words(d2):
-                        if _good_join(u.key, v.key):
-                            found.append(self.join(u, v))
+                        w = self.join(u, v)
+                        if w is not None and not w.square:
+                            found.append(w)
             result = tuple(found)
         self._good_cache[degrees] = result
         return result

@@ -371,6 +371,19 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "18"
 
+    @pytest.mark.parametrize("theory, terms", [("genp", MAX_NESTING), ("gp", 1)])
+    def test_left_chain_bracket_at_the_nesting_limit(self, theory, terms):
+        # {c,x} for the left chain c = {...{z,y},...,y} one level below the
+        # parser's limit: genp straightens it by one Jacobi step per level
+        # into a word per level, so a word rule that spends more Python
+        # frames per step ends in RecursionError here; in gp it is one atom
+        chain = "z"
+        for _ in range(MAX_NESTING - 1):
+            chain = "{" + chain + ",y}"
+        proc = self.run("nf", "--theory", theory, "--gens", "x,y,z", "{" + chain + ",x}")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sum(1 for tok in proc.stdout.split() if "/" in tok) == terms
+
     def test_undeclared_variable_independent_of_hash_seed(self):
         # the variables bind in sorted order, so the first undeclared one
         # named does not depend on set iteration order

@@ -277,63 +277,61 @@ class TestSubstitute:
 
 
 class TestTwist:
+    """The derivation twist through :class:`identities.Twisted`: c = -1 turns
+    the jb bracket into a genp one with derivation 2D, c = 1/2 turns it back."""
+
     def test_twisted_bracket_of_generator_and_unit(self, jb):
-        got = jb.twisted_bracket(jb.gen("x1"), jb.one())
+        twist = identities.Twisted(identities.ElementOps(jb), -1)
+        got = twist.bracket(jb.gen("x1"), jb.one())
         assert got == jb.deriv(jb.gen("x1")).scale(2)
-        assert got == jb.twisted_deriv(jb.gen("x1"))
+        assert got == twist.deriv(jb.gen("x1"))
 
     def test_reduces_to_bracket_when_derivs_vanish(self, jb):
+        twist = identities.Twisted(identities.ElementOps(jb), -1)
         # the unit has zero derivation
-        assert jb.twisted_bracket(jb.one(), jb.one()).is_zero()
+        assert twist.bracket(jb.one(), jb.one()).is_zero()
         th = jb.gen("th")
         sq = jb.bracket(th, th)
-        assert jb.deriv(sq).is_zero() or True  # not required; just bracket test below
+        # D is a derivation of the bracket up to the Jordan-bracket term:
+        # D({th,th}) = 2{D(th),th}, not zero
+        assert jb.deriv(sq) == jb.bracket(jb.deriv(th), th).scale(2)
+        assert not jb.deriv(sq).is_zero()
         a = jb.one()
-        assert jb.twisted_bracket(a, a) == jb.bracket(a, a)
+        assert twist.bracket(a, a) == jb.bracket(a, a)
 
     def test_twisted_bracket_satisfies_genp_identities(self, jb):
+        twist = identities.Twisted(identities.ElementOps(jb), -1)
         gens = [jb.gen(n) for n in jb.alphabet.names()] + [jb.one()]
-
-        def sgnbit(b):
-            return -1 if b else 1
-
         for a, b, c in product(gens, repeat=3):
-            pa, pb = a.parity(), b.parity()
-            leib = (
-                jb.twisted_bracket(a, jb.mul(b, c))
-                - jb.mul(jb.twisted_bracket(a, b), c)
-                - jb.mul(b, jb.twisted_bracket(a, c)).scale(sgnbit(pa & pb))
-                + jb.mul(jb.mul(jb.twisted_deriv(a), b), c)
-            )
-            jac = (
-                jb.twisted_bracket(a, jb.twisted_bracket(b, c))
-                - jb.twisted_bracket(jb.twisted_bracket(a, b), c)
-                - jb.twisted_bracket(b, jb.twisted_bracket(a, c)).scale(sgnbit(pa & pb))
-            )
-            assert leib.is_zero() and jac.is_zero()
+            assert identities.deformed_leibniz_residual(twist, a, b, c).is_zero()
+            assert identities.jacobi_residual(twist, a, b, c).is_zero()
 
     def test_untwist_round_trip(self, jb):
+        untwist = identities.Twisted(identities.Twisted(identities.ElementOps(jb), -1),
+                                     Fraction(1, 2))
         gens = [jb.gen(n) for n in jb.alphabet.names()]
         for a in gens:
             for b in gens:
-                back = jb.untwist_bracket(
-                    a, b, jb.twisted_deriv, base_bracket=jb.twisted_bracket
-                )
-                assert back == jb.bracket(a, b)
+                assert untwist.bracket(a, b) == jb.bracket(a, b)
+                assert untwist.deriv(a) == jb.deriv(a)
 
-    def test_untwist_with_zero_derivation_is_identity(self, genp):
-        zero_op = lambda x: genp.zero()
-        a, b = genp.gen("x1"), genp.gen("x2")
-        assert genp.untwist_bracket(a, b, zero_op) == genp.bracket(a, b)
+    def test_untwist_with_zero_derivation_is_identity(self, gp):
+        # D vanishes in gp, so every twist leaves the bracket as it is
+        a, b = gp.gen("x1"), gp.gen("x2")
+        assert identities.Twisted(identities.ElementOps(gp), Fraction(1, 2)).bracket(a, b) \
+            == gp.bracket(a, b)
 
-    def test_untwist_rejects_non_derivation(self, genp):
-        bad = lambda x: genp.bracket(x, genp.gen("x1"))
-        with pytest.raises(AlgebraError):
-            genp.untwist_bracket(genp.gen("x1"), genp.gen("x2"), bad)
-
-    def test_twist_requires_jb_theory(self, genp):
-        with pytest.raises(AlgebraError):
-            genp.twisted_bracket(genp.gen("x1"), genp.gen("x2"))
+    def test_twisted_derivations_derive_the_product(self, jb):
+        gens = [jb.gen(n) for n in jb.alphabet.names()] + [jb.one()]
+        for c in (-1, Fraction(1, 2), 1):
+            ops = identities.Twisted(identities.ElementOps(jb), c)
+            for a, b in product(gens, repeat=2):
+                assert identities.derivation_residual(ops, a, b).is_zero()
+        # a bracket with a fixed element is no derivation of the product
+        bad = identities.ElementOps(jb)
+        bad.deriv = lambda x: jb.bracket(x, jb.gen("x1"))
+        assert any(not identities.derivation_residual(bad, a, b).is_zero()
+                   for a, b in product(gens, repeat=2))
 
 
 class TestEnumeration:
@@ -479,6 +477,15 @@ class TestSerialization:
         for factor in ({"word": "x1", "exp": 0}, {"word": "th", "exp": 2}):
             with pytest.raises(AlgebraError):
                 genp.element_from_json([{"coeff": "1", "monomial": [factor]}])
+
+    @pytest.mark.parametrize("exp", ["z", -4, 0], ids=["not-a-number", "negative", "zero"])
+    def test_unit_word_exponent_checked(self, genp, jb, gp, exp):
+        # the unit word is skipped as a factor only after its exponent passes
+        for algebra in (genp, jb, gp):
+            for monomial in ([{"word": "1", "exp": exp}, {"word": "x1"}],
+                             [{"word": "1", "exp": exp}]):
+                with pytest.raises(AlgebraError, match="bad exponent"):
+                    algebra.element_from_json([{"coeff": "1", "monomial": monomial}])
 
     @pytest.mark.parametrize("data", [
         [{"coeff": "1"}],

@@ -72,10 +72,10 @@ def _derivation_bracket(parities, table, split, images):
     d = [(0,) * dim]
     for i in range(1, dim):
         g = split(i)
-        d.append(concrete.vadd(base.mul(images[g], e[i - g]), base.mul(e[g], d[i - g])))
+        d.append(tuple(x + y for x, y in zip(base.mul(images[g], e[i - g]), base.mul(e[g], d[i - g]))))
     bracket = {}
     for i, j in product(range(dim), repeat=2):
-        vec = concrete.vsub(base.mul(d[i], e[j]), base.mul(e[i], d[j]))
+        vec = tuple(x - y for x, y in zip(base.mul(d[i], e[j]), base.mul(e[i], d[j])))
         row = [(k, c) for k, c in enumerate(vec) if c]
         if row:
             bracket[(i, j)] = row
@@ -249,10 +249,12 @@ class TestSparseVectors:
         assert fn((1, 0), (0, 1)) == ((0, 0) if op == "mul" else (0, 1))
 
     def test_dense_helpers_reject_mismatched_lengths(self):
-        with pytest.raises(AlgebraError, match="vector lengths 2 and 1 differ"):
-            concrete.vadd((1, 2), (1,))
-        with pytest.raises(AlgebraError, match="vector lengths 1 and 3 differ"):
-            concrete.vsub((1,), (1, 2, 3))
+        with pytest.raises(AlgebraError, match="vector length 2 != dimension 1"):
+            concrete.to_sparse((1, 2), 1)
+        alg = StructureAlgebra(2, [0, 1], {(0, 0): [(0, 1)]})
+        with pytest.raises(AlgebraError, match="vector length 3 != dimension 2"):
+            alg.parity_of((1, 0, 2))
+        assert alg.parity_of((0, 2)) == 1
 
     def test_wrong_length_binding_rejected(self):
         alg = euler_wronskian_algebra(3)

@@ -1,0 +1,92 @@
+"""The word rules of the three theories, pinned from outside.
+
+Every bracket of two basis words is hashed, so a rewrite of the rules must
+reproduce their output byte for byte; the Jordan-bracket rule is checked
+against the generalized Poisson straightening it deforms; and the
+derivation twist is checked to carry generalized Poisson brackets to Jordan
+brackets on free generators.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from superbracket import identities
+from superbracket.core import AlgebraError, Alphabet
+from superbracket.engine import GENP, GP, JB, FreeAlgebra
+
+ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("th", 1)])
+
+# SHA-256 of every bracket of two basis words of degree <= 3 on (x1, x2, th),
+# the unit letter included, in the element JSON wire form; taken from the
+# three separate word rules that came before the shared one
+GOLDEN_WORD_BRACKETS = {
+    GENP: "ccf2ff0d14e9170ac035875b52fbaee1ca79f6fa6d3150e5b02beea952d73a88",
+    JB: "35eb4d68aa0ae578077e854782b0e28c76b714a7307d83ed35e4888b387ed107",
+    GP: "43f96814a6791c1e02fcb635068771110b473e8321e4e2f1308474e925409833",
+}
+
+
+def basis_words(space, top):
+    """Every interned basis word (oriented atom in gp) of degree <= top, found
+    by offering each raw bracket tree over the alphabet to ``space.get``."""
+    raw = {1: list(range(space.alphabet.size))}
+    for n in range(2, top + 1):
+        raw[n] = [(u, v) for i in range(1, n) for u in raw[i] for v in raw[n - i]]
+    words = []
+    for n in range(1, top + 1):
+        for word in raw[n]:
+            try:
+                words.append(space.get(word))
+            except AlgebraError:
+                pass
+    return words
+
+
+def word_bracket_lines(theory, top=3):
+    alg = FreeAlgebra(ALPHABET, theory)
+    render = alg.space.render
+    for u, v in product(basis_words(alg.space, top), repeat=2):
+        got = alg.bracket(alg.word_element(u), alg.word_element(v))
+        yield f"{render(u.word)} {render(v.word)} {json.dumps(alg.element_to_json(got))}\n"
+
+
+@pytest.mark.parametrize("theory", [GENP, JB, GP])
+def test_golden_word_brackets(theory):
+    digest = hashlib.sha256()
+    for line in word_bracket_lines(theory):
+        digest.update(line.encode())
+    assert digest.hexdigest() == GOLDEN_WORD_BRACKETS[theory]
+
+
+def test_jb_single_words_are_genp_straightening():
+    """The deformation terms of the Jordan-bracket rule are all products, so
+    the part of a jb bracket of two basis words on single words is the Lie
+    straightening of the same pair (both theories share the word basis)."""
+    genp, jb = FreeAlgebra(ALPHABET, GENP), FreeAlgebra(ALPHABET, JB)
+    words = basis_words(jb.space, 3)
+    assert len(words) > 20
+    for u, v in product(words, repeat=2):
+        got = jb.bracket(jb.word_element(u), jb.word_element(v))
+        single = {m[0][0]: c for m, c in got.terms.items() if len(m) == 1 and m[0][2] == 1}
+        lie = genp.space.bracket_words(genp.space.get(u.word), genp.space.get(v.word))
+        assert single == {w.key: c for w, c in lie.items()}, (u, v)
+
+
+def test_half_twist_of_genp_satisfies_the_jb_identities():
+    """``{a,b} + (aD(b) - D(a)b)/2`` with derivation D/2 is a Jordan bracket:
+    the deformed Leibniz and Jacobi identities hold on every triple of free
+    generators and the unit."""
+    genp = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), GENP)
+    ops = identities.Twisted(identities.ElementOps(genp), Fraction(1, 2))
+    gens = [genp.gen(n) for n in genp.alphabet.names()] + [genp.one()]
+    for a, b, c in product(gens, repeat=3):
+        assert identities.deformed_leibniz_residual(ops, a, b, c).is_zero()
+        assert identities.deformed_jacobi_residual(ops, a, b, c).is_zero()
+    # while the untwisted genp bracket is not a Jordan bracket
+    plain = identities.ElementOps(genp)
+    assert any(not identities.deformed_jacobi_residual(plain, a, b, c).is_zero()
+               for a, b, c in product(gens, repeat=3))
