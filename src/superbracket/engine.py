@@ -130,9 +130,50 @@ class FreeAlgebra:
         """Supercommutative associative product, bilinear monomial merge."""
         self._claim(a, b)
         out = {}
-        guard = self.max_degree
+        self._add_products(out, a.terms, b.terms.items())
+        return Element(self, settle(out))
+
+    def bracket(self, a: Element, b: Element) -> Element:
+        """The superbracket, bilinear over monomials."""
+        self._claim(a, b)
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            # one monomial pair: the cached bracket itself (elements are
+            # immutable, so callers may share it) or its multiple
+            (m1, c1), = a.terms.items()
+            (m2, c2), = b.terms.items()
+            k = c1 * c2
+            cached = self._bracket_mono(m1, m2)
+            if k == 1:
+                return cached
+            return -cached if k == -1 else cached.scale(k)
+        out = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
+                k = c1 * c2
+                if type(k) is not int:
+                    k = scalar(k)
+                unit = k == 1 or k == -1  # then no product: a Fraction's costs a gcd
+                for m, c in self._bracket_mono(m1, m2).terms.items():
+                    c = (c if k == 1 else -c) if unit else k * c
+                    val = out.get(m)
+                    val = c if val is None else val + c
+                    if val:
+                        out[m] = val
+                    elif m in out:
+                        del out[m]
+        return Element(self, settle(out))
+
+    def _add_products(self, out: dict, left: dict, right):
+        """Add every product of a ``left`` term and a ``right`` pair into
+        ``out``: the product's one merge loop, with the degree guard.
+
+        ``right`` is a sequence of (monomial, coefficient) pairs, so a caller
+        scaling a single monomial passes the scale as its coefficient.  A
+        coefficient of +-1 costs no multiplication.
+        """
+        guard = self.max_degree
+        for m1, c1 in left.items():
+            for m2, c2 in right:
                 sign, merged = merge_factors(m1, m2)
                 if sign == 0:
                     continue
@@ -141,23 +182,16 @@ class FreeAlgebra:
                         f"monomial degree exceeds guard ({guard}); "
                         "raise JB_MAX_DEGREE if intended"
                     )
-                c = c1 * c2 if sign == 1 else -c1 * c2
+                if c2 == 1 or c2 == -1:  # an int: the invariant has no Fraction +-1
+                    c = c1 if c2 == sign else -c1
+                else:
+                    c = c1 * c2 if sign == 1 else -c1 * c2
                 val = out.get(merged)
                 val = c if val is None else val + c
                 if val:
                     out[merged] = val
                 elif merged in out:
                     del out[merged]
-        return Element(self, settle(out))
-
-    def bracket(self, a: Element, b: Element) -> Element:
-        """The superbracket, bilinear over monomials."""
-        self._claim(a, b)
-        pieces = []
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                pieces.append((c1 * c2, self._bracket_mono(m1, m2)))
-        return combine(self, pieces)
 
     def _claim(self, a: Element, b: Element):
         if a.algebra is not self or b.algebra is not self:
@@ -206,23 +240,21 @@ class FreeAlgebra:
         - D(a)bc`` over the factors of m2: each factor block is pulled to the
         front with its Koszul sign, and a single derivation term with
         multiplicity (number of factors - 1) remains.  In gp, D vanishes, so
-        the rule is the plain Leibniz rule.
+        the rule is the plain Leibniz rule.  The expansion is summed in one
+        pass: each cached bracket with a factor (and D(a)) is merged with the
+        rest of m2 term by term into one dictionary.
         """
         total = monomial_factor_count(m2)
-        a_elem = Element(self, {m1: _ONE})
-        pieces = []
+        out = {}
         prefix = 0
         for idx, (key, par, exp) in enumerate(m2):
             q = par & exp & 1
             sign = -_ONE if (prefix & q) else _ONE
-            rest = _decrement(m2, idx)
-            single = Element(self, {((key, par, 1),): _ONE})
-            br = self.bracket(a_elem, single)
-            pieces.append((sign * exp, self.mul(br, Element(self, {rest: _ONE}))))
+            br = self._bracket_mono(m1, ((key, par, 1),))
+            self._add_products(out, br.terms, ((_decrement(m2, idx), sign * exp),))
             prefix ^= q
-        d_part = self.mul(self.deriv(a_elem), Element(self, {m2: _ONE}))
-        pieces.append((1 - total, d_part))
-        return combine(self, pieces)
+        self._add_products(out, self._bracket_mono(m1, UNIT_MONOMIAL).terms, ((m2, 1 - total),))
+        return Element(self, settle(out))
 
     def _bracket_words(self, u, v) -> Element:
         """The jb and gp word rule.  It starts as genp's straightening in

@@ -3,6 +3,13 @@
 A *factor* is a triple ``(key, parity, exp)``: an opaque totally ordered key
 identifying a basis word, the word's parity (0 or 1), and a positive
 exponent.  A monomial is a key-sorted tuple of factors.
+
+Two merges need no walk: when every key of one tuple is below every key of
+the other, the product is their concatenation.  With ``fa`` below ``fb`` it
+is ``fa + fb`` with sign +1; with ``fb`` below ``fa`` it is ``fb + fa``, and
+the sign is -1 exactly when both tuples hold an odd number of odd blocks
+(every odd block of fb crosses every odd block of fa).  About half the
+merges of the free engine's benchmark workloads take one of these paths.
 """
 
 IMPLEMENTATION = "python"  # reported by the benchmark harness
@@ -21,11 +28,19 @@ def merge_factors(fa, fb):
         return 1, fb
     if not fb:
         return 1, fa
-    la, lb = len(fa), len(fb)
+    if fa[-1][0] < fb[0][0]:
+        return 1, fa + fb
     # odd blocks remaining in fa from position i onwards
     ra = 0
     for k, p, e in fa:
         ra += p & e & 1
+    if fb[-1][0] < fa[0][0]:
+        rb = 0
+        if ra & 1:
+            for k, p, e in fb:
+                rb += p & e & 1
+        return (-1 if rb & 1 else 1), fb + fa
+    la, lb = len(fa), len(fb)
     out = []
     sign = 0
     i = j = 0

@@ -100,6 +100,23 @@ class TestFreeEngine:
         assert_invariant(fa + fb)
         assert_invariant(fa.scale(1))
 
+    @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(-2, 5)])
+    def test_a_shared_bracket_stays_unchanged(self, algebra, q):
+        """Scalars q and 1/q on one-term operands multiply to 1, so the
+        bracket is the unscaled one, with int coefficients, and may be that
+        very element; what callers then build from it leaves it as it was."""
+        x, y, th = algebra.gen("x1"), algebra.gen("x2"), algebra.gen("th")
+        a, b = x, algebra.mul(algebra.mul(y, y), th)
+        plain = algebra.bracket(a, b)
+        got = algebra.bracket(a.scale(q), b.scale(1 / q))
+        assert got.terms and got == plain
+        assert all(type(c) is int for c in got.terms.values())
+        before = dict(plain.terms)
+        for derived in (-got, got.scale(q), got + x, got - got, got * x):
+            assert_invariant(derived)
+        assert algebra.bracket(a, b).terms == before
+        assert algebra.bracket(a.scale(q), b.scale(1 / q)).terms == before
+
     @SETTINGS
     @given(seed=seeds, q=proper)
     def test_normal_form(self, algebra, seed, q):

@@ -165,6 +165,50 @@ class TestKoszulMergeSign:
         got = merge_sign(parities[:nl], parities[nl:], order)
         assert got == Fraction(bubble_shuffle_sign(parities, order))
 
+    @pytest.mark.parametrize("left,right", [
+        ([1, 0], [1]), ([1], [0, 1]), ([1, 1, 1], [1, 0]), ([0, 1], [1, 1, 1]), ([0, 0], [1]),
+    ])
+    def test_concatenation_orders(self, left, right):
+        """All of one side's keys below all of the other's: the merge is a
+        concatenation, in either order, with odd blocks on each side."""
+        n = len(left) + len(right)
+        in_order = tuple(range(n))
+        right_first = tuple(range(len(left), n)) + tuple(range(len(left)))
+        for order in (in_order, right_first):
+            want = bubble_shuffle_sign(left + right, order)
+            assert merge_sign(left, right, order) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_expanded_bubble_sort_oracle(self, data):
+        """Shared keys and exponents above 1: each factor stands for ``exp``
+        copies of its word, sorted by key one adjacent swap at a time; even
+        copies of one key collect into one exponent, and an odd word on both
+        sides gives the vanishing product (0, ())."""
+        parity = data.draw(st.lists(st.integers(0, 1), min_size=6, max_size=6))
+
+        def side():
+            keys = data.draw(st.sets(st.integers(0, 5), max_size=4))
+            return tuple((k, parity[k], 1 if parity[k] else data.draw(st.integers(1, 3)))
+                         for k in sorted(keys))
+
+        fa, fb = side(), side()
+        got = merge_factors(fa, fb)
+        shared = {k for k, _, _ in fa} & {k for k, _, _ in fb}
+        if any(parity[k] for k in shared):
+            assert got == (0, ())
+            return
+        copies = [(k, p) for k, p, e in fa + fb for _ in range(e)]
+        # rank every copy by key, ties in concatenation order, and bubble-sort
+        ranked = sorted(range(len(copies)), key=lambda i: (copies[i][0], i))
+        rank = {src: r for r, src in enumerate(ranked)}
+        parities = [copies[src][1] for src in ranked]
+        sign = bubble_shuffle_sign(parities, [rank[i] for i in range(len(copies))])
+        exps = {}
+        for k, _ in copies:
+            exps[k] = exps.get(k, 0) + 1
+        assert got == (sign, tuple((k, parity[k], exps[k]) for k in sorted(exps)))
+
     def test_three_block_composition(self):
         """Merging three sorted blocks pairwise in either association gives
         one sign, for every parity pattern of total length <= 6."""

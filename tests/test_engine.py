@@ -10,6 +10,7 @@ from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count
 from superbracket.engine import (
     GENP,
+    GP,
     JB,
     DegreeGuardError,
     FreeAlgebra,
@@ -423,6 +424,18 @@ class TestGuard:
         with pytest.raises(DegreeGuardError):
             for _ in range(10):
                 acc = algebra.mul(acc, algebra.deriv(x))
+
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_guard_trips_inside_a_bracket_against_a_product(self, theory):
+        """{x, y^3} expands by Leibniz into {x,y}y^2, of degree 4 > 3: the
+        guard trips in the expansion, although y^3 itself fits, and the
+        half-built bracket is not cached, so asking again raises again."""
+        algebra = FreeAlgebra(Alphabet([("x", 0), ("y", 0)]), theory, max_degree=3)
+        x, y = algebra.gen("x"), algebra.gen("y")
+        y3 = algebra.mul(algebra.mul(y, y), y)
+        for _ in range(2):
+            with pytest.raises(DegreeGuardError):
+                algebra.bracket(x, y3)
 
 
 class TestSerialization:
