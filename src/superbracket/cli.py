@@ -421,6 +421,7 @@ def _cmd_check_identity(args) -> int:
 
 def _cmd_kantor_check(args) -> int:
     from . import kantor
+    from .concrete import Report
 
     algebra = _resolve_algebra(args.algebra)
     checks = []
@@ -428,15 +429,15 @@ def _cmd_kantor_check(args) -> int:
         checks.extend(kantor.super_jordan_check(kantor.double_of(algebra)).checks)
     if args.jorskob or not args.direct:
         checks.extend(kantor.criteria_check(algebra).checks)
-    ok = all(c["status"] == "pass" for c in checks)
-    lines = [f"{c['identity']}: {c['status']}" for c in checks]
-    _emit(args, checks, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_FALSE
+    return _report(args, Report(checks))
 
 
 def _cmd_validate(args) -> int:
-    algebra = _resolve_algebra(args.algebra)
-    report = algebra.validate()
+    return _report(args, _resolve_algebra(args.algebra).validate())
+
+
+def _report(args, report) -> int:
+    """Print a :class:`~superbracket.concrete.Report`, one line per check."""
     lines = [f"{c['identity']}: {c['status']}" for c in report.checks]
     _emit(args, report.to_json(), "\n".join(lines))
     return EXIT_OK if report.ok else EXIT_FALSE

@@ -26,6 +26,7 @@ from operator import not_
 from .core import (AlgebraError, Gen, Sum, Var, fold, map_leaves, scalar,
                    scalar_str, var_names)
 from . import identities
+from .elements import add_terms
 
 CLAIMS = ("none", "poisson", "genp", "jb", "gp")
 
@@ -60,12 +61,6 @@ def to_dense(a, dim):
     return tuple(out)
 
 
-def _settled(acc):
-    """Sparse vector of an ``{index: coeff}`` accumulator: zeros dropped,
-    integral Fractions turned into ints."""
-    return tuple(sorted((k, c if type(c) is int else scalar(c)) for k, c in acc.items() if c))
-
-
 def _apply(table, a, b):
     """The bilinear extension of a table to two sparse vectors."""
     acc = {}
@@ -73,10 +68,8 @@ def _apply(table, a, b):
         for j, bj in b:
             row = table.get((i, j))
             if row:
-                c = ai * bj
-                for k, coeff in row:
-                    acc[k] = acc.get(k, 0) + c * coeff
-    return _settled(acc)
+                add_terms(acc, row, ai * bj)
+    return tuple(sorted(acc.items()))
 
 
 def _parity(parities, a):
@@ -138,14 +131,12 @@ class SparseOps:
             if a:
                 live += 1
                 lone = c, a
-                unit = c == 1 or c == -1  # then no product: a Fraction's costs a gcd
-                for k, x in a:
-                    acc[k] = acc.get(k, 0) + ((x if c == 1 else -x) if unit else c * x)
+                add_terms(acc, a, c)
         if not live:
             return ()
         if live == 1 and lone[0] == 1:
             return lone[1]
-        return _settled(acc)
+        return tuple(sorted(acc.items()))
 
     def render(self, a):
         return vjson(to_dense(a, self.algebra.dim))

@@ -2,12 +2,14 @@
 
 The base field is fixed to the rationals, and every coefficient in the package
 keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
-whose denominator is greater than 1.  :func:`scalar` is the one place that
-establishes it.  Python's ints and Fractions mix exactly, compare equal and
-hash equal (``Fraction(2, 1) == 2``), so the same code serves both, the
-integer path skips the cost of building Fractions, and every identity check
-stays an exact zero test.  All values here are immutable and every function
-is pure.
+whose denominator is greater than 1.  :func:`scalar` sets it on input; the
+one accumulator of coefficient sums, :func:`superbracket.elements.add_terms`,
+keeps it (and stores no zero), and ``FreeAlgebra._add_products`` is that
+accumulator's one inline twin.  Python's ints and Fractions mix exactly,
+compare equal and hash equal (``Fraction(2, 1) == 2``), so the same code
+serves both, the integer path skips the cost of building Fractions, and every
+identity check stays an exact zero test.  All values here are immutable and
+every function is pure.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Sparse elements: rational linear combinations of commutative monomials.
 
 Coefficients keep the package invariant (see :mod:`superbracket.core`): an
-``int``, or a ``Fraction`` whose denominator is greater than 1.  Every
-operation that can turn a Fraction integral restores it with :func:`settle`.
+``int``, or a ``Fraction`` whose denominator is greater than 1, and never
+zero.  :func:`~superbracket.core.scalar` sets it on input; :func:`add_terms`,
+the one accumulator of coefficient sums, keeps it for every sum and scaled
+copy.  ``FreeAlgebra._add_products``, the product's merge loop, is its one
+inline twin.
 
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key identifies an interned basis word of the owning algebra's word space; the
@@ -11,7 +14,8 @@ same machinery backs all three theories of the free engine (generalized
 Poisson, Jordan brackets, generic Poisson); they differ only in how the
 owning algebra brackets two basis words.
 
-Elements are immutable; all operators return new objects.
+Elements are immutable, so an operation may return an element that others
+share (a bracket of two one-term elements is the algebra's cached one).
 """
 
 from __future__ import annotations
@@ -38,13 +42,35 @@ def monomial_factor_count(m) -> int:
     return sum(exp for _, _, exp in m)
 
 
-def settle(terms: dict) -> dict:
-    """Restore the coefficient invariant in place after arithmetic: a sum or
-    product of Fractions that came out integral becomes an ``int``."""
-    for m, c in terms.items():
-        if type(c) is not int:
-            terms[m] = scalar(c)
-    return terms
+def add_terms(out: dict, pairs, k=1) -> dict:
+    """Add ``k * c`` at ``key`` into ``out`` for each ``(key, c)`` of
+    ``pairs``, and return ``out``.
+
+    The accumulator of every sparse coefficient sum, keeping the invariant:
+    no zero is stored (k = 0 or c = 0 adds nothing, and a key whose sum
+    reaches zero is removed), and an integral Fraction sum or product is
+    stored as an ``int``.  ``k`` and the ``c`` are scalars; k = +-1 costs no
+    multiplication (a Fraction product costs a gcd).
+    """
+    if not k:
+        return out
+    neg = k == -1
+    unit = neg or k == 1
+    for key, c in pairs:
+        if not unit:
+            c = k * c
+        elif neg:
+            c = -c
+        val = out.get(key)
+        if val is not None:
+            c += val
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if c:
+            out[key] = c
+        elif val is not None:
+            del out[key]
+    return out
 
 
 class Element:
@@ -79,10 +105,7 @@ class Element:
         return self.scale(other)
 
     def scale(self, coeff) -> "Element":
-        c = scalar(coeff)
-        if not c:
-            return Element(self.algebra, {})
-        return Element(self.algebra, settle({m: c * v for m, v in self.terms.items()}))
+        return Element(self.algebra, add_terms({}, self.terms.items(), scalar(coeff)))
 
     def bracket(self, other) -> "Element":
         self._check(other)
@@ -141,20 +164,8 @@ def _monomial_sort_key(m):
 
 
 def combine(algebra, pieces) -> Element:
-    """Sum of (coefficient, Element) pairs, normalized."""
+    """Sum of (coefficient, Element) pairs."""
     out = {}
     for coeff, el in pieces:
-        if not coeff:
-            continue
-        if type(coeff) is not int:
-            coeff = scalar(coeff)
-        unit = coeff == 1 or coeff == -1  # then no product: a Fraction's costs a gcd
-        for m, c in el.terms.items():
-            c = (c if coeff == 1 else -c) if unit else coeff * c
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-    return Element(algebra, settle(out))
+        add_terms(out, el.terms.items(), coeff if type(coeff) is int else scalar(coeff))
+    return Element(algebra, out)

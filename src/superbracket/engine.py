@@ -45,11 +45,11 @@ from .core import (
 from .elements import (
     Element,
     UNIT_MONOMIAL,
+    add_terms,
     combine,
     factor_of,
     monomial_factor_count,
     monomial_parity,
-    settle,
 )
 from .identities import ElementOps, evaluate
 from .liebasis import WordSpace
@@ -104,18 +104,7 @@ class FreeAlgebra:
 
     def element(self, pairs) -> Element:
         """Element from (coefficient, monomial) pairs."""
-        out = {}
-        for c, m in pairs:
-            c = scalar(c)
-            if not c:
-                continue
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-        return Element(self, settle(out))
+        return Element(self, add_terms({}, ((m, scalar(c)) for c, m in pairs)))
 
     # -- structure ---------------------------------------------------------
 
@@ -131,7 +120,7 @@ class FreeAlgebra:
         self._claim(a, b)
         out = {}
         self._add_products(out, a.terms, b.terms.items())
-        return Element(self, settle(out))
+        return Element(self, out)
 
     def bracket(self, a: Element, b: Element) -> Element:
         """The superbracket, bilinear over monomials."""
@@ -146,30 +135,19 @@ class FreeAlgebra:
             if k == 1:
                 return cached
             return -cached if k == -1 else cached.scale(k)
-        out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                k = c1 * c2
-                if type(k) is not int:
-                    k = scalar(k)
-                unit = k == 1 or k == -1  # then no product: a Fraction's costs a gcd
-                for m, c in self._bracket_mono(m1, m2).terms.items():
-                    c = (c if k == 1 else -c) if unit else k * c
-                    val = out.get(m)
-                    val = c if val is None else val + c
-                    if val:
-                        out[m] = val
-                    elif m in out:
-                        del out[m]
-        return Element(self, settle(out))
+        return combine(self, ((c1 * c2, self._bracket_mono(m1, m2))
+                              for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()))
 
     def _add_products(self, out: dict, left: dict, right):
         """Add every product of a ``left`` term and a ``right`` pair into
         ``out``: the product's one merge loop, with the degree guard.
 
         ``right`` is a sequence of (monomial, coefficient) pairs, so a caller
-        scaling a single monomial passes the scale as its coefficient.  A
-        coefficient of +-1 costs no multiplication.
+        scaling a single monomial passes the scale as its coefficient.  This
+        is the one inline twin of :func:`~superbracket.elements.add_terms`,
+        kept inline because a call per merged term would cost: it keeps the
+        same invariant (no zero stored, an integral Fraction stored as an
+        ``int``), and a coefficient of +-1 costs no multiplication.
         """
         guard = self.max_degree
         for m1, c1 in left.items():
@@ -187,10 +165,13 @@ class FreeAlgebra:
                 else:
                     c = c1 * c2 if sign == 1 else -c1 * c2
                 val = out.get(merged)
-                val = c if val is None else val + c
-                if val:
-                    out[merged] = val
-                elif merged in out:
+                if val is not None:
+                    c += val
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    out[merged] = c
+                elif val is not None:
                     del out[merged]
 
     def _claim(self, a: Element, b: Element):
@@ -254,7 +235,7 @@ class FreeAlgebra:
             self._add_products(out, br.terms, ((_decrement(m2, idx), sign * exp),))
             prefix ^= q
         self._add_products(out, self._bracket_mono(m1, UNIT_MONOMIAL).terms, ((m2, 1 - total),))
-        return Element(self, settle(out))
+        return Element(self, out)
 
     def _bracket_words(self, u, v) -> Element:
         """The jb and gp word rule.  It starts as genp's straightening in

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
-from .elements import Element, combine
+from .elements import Element, add_terms, combine
 from .engine import GENP, FreeAlgebra
 from .identities import ElementOps, Twisted
 
@@ -259,19 +259,16 @@ class CustomaryPolynomial:
     def __init__(self, letters, terms):
         self.letters = tuple(letters)
         m = len(self.letters)
-        cleaned = {}
-        for (pairs, singles), coeff in terms.items():
-            coeff = scalar(coeff)
-            if not coeff:
-                continue
+
+        def checked(pairs, singles):
             used = [i for p in pairs for i in p] + list(singles)
-            if sorted(used) != list(range(1, m + 1)):
+            if any(type(i) is not int for i in used) or sorted(used) != list(range(1, m + 1)):
                 raise AlgebraError(f"term does not partition 1..{m}: {pairs}, {singles}")
             if any(p >= q for p, q in pairs):
                 raise AlgebraError("pairs must be in (smaller, larger) form")
-            key = (tuple(sorted(pairs)), tuple(sorted(singles)))
-            cleaned[key] = cleaned.get(key, 0) + coeff
-        self.terms = {k: scalar(v) for k, v in cleaned.items() if v}
+            return tuple(sorted(pairs)), tuple(sorted(singles))
+
+        self.terms = add_terms({}, ((checked(*key), scalar(c)) for key, c in terms.items()))
 
     @property
     def m(self) -> int:
@@ -296,15 +293,29 @@ class CustomaryPolynomial:
 
     @classmethod
     def from_json(cls, data) -> "CustomaryPolynomial":
-        letters = data.get("letters") or [f"x{i}" for i in range(1, data["m"] + 1)]
-        terms = {}
+        """The polynomial :meth:`to_json` writes (``letters`` may be left out
+        for ``x1..xm``); data of any other shape is an :class:`AlgebraError`."""
+        if not (isinstance(data, dict) and isinstance(data.get("terms"), list)):
+            raise AlgebraError("customary JSON must be an object with a 'terms' list")
+        m, letters = data.get("m"), data.get("letters")
+        if letters:
+            if not (isinstance(letters, list) and all(isinstance(n, str) for n in letters)):
+                raise AlgebraError("customary JSON 'letters' must be a list of names")
+            if m is not None and m != len(letters):
+                raise AlgebraError(f"customary JSON has {len(letters)} letters but 'm' is {m!r}")
+        elif type(m) is int and m >= 0:
+            letters = [f"x{i}" for i in range(1, m + 1)]
+        else:
+            raise AlgebraError(f"customary JSON needs 'letters' or a letter count 'm', not {m!r}")
+        pairs = []
         for t in data["terms"]:
-            key = (
-                tuple(tuple(p) for p in t.get("pairs", [])),
-                tuple(t.get("D", [])),
-            )
-            terms[key] = terms.get(key, 0) + scalar(str(t["coeff"]))
-        return cls(letters, terms)
+            pq, ds = (t.get("pairs", []), t.get("D", [])) if isinstance(t, dict) else (None, None)
+            if not (isinstance(pq, list) and isinstance(ds, list) and "coeff" in t
+                    and all(isinstance(p, list) and len(p) == 2 for p in pq)):
+                raise AlgebraError(f"customary JSON term {t!r} needs a 'coeff', "
+                                   "'pairs' of [p, q] and a 'D' list")
+            pairs.append(((tuple(map(tuple, pq)), tuple(ds)), scalar(str(t["coeff"]))))
+        return cls(letters, add_terms({}, pairs))
 
     def __eq__(self, other):
         return (
@@ -461,13 +472,8 @@ def _to_formal(poly: PoissonPolynomial) -> dict:
                 for c1, p1, d1, b1 in alternatives:
                     new.append((c0 * c1, p0 + p1, d0 + d1, b0 + b1))
             expanded = new
-        for c, pairs, ds, bares in expanded:
-            key = (tuple(sorted(pairs)), tuple(sorted(ds)), tuple(sorted(bares)))
-            val = out.get(key, 0) + c
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        add_terms(out, (((tuple(sorted(pairs)), tuple(sorted(ds)), tuple(sorted(bares))), c)
+                        for c, pairs, ds, bares in expanded))
     return out
 
 
@@ -491,15 +497,12 @@ def _formal_to_element(algebra: FreeAlgebra, formal: dict) -> Element:
 def _formal_to_customary(algebra: FreeAlgebra, letters, formal: dict) -> CustomaryPolynomial:
     order = sorted(letters, key=lambda n: algebra.alphabet.gen(n).index)
     position = {algebra.alphabet.gen(n).index: i + 1 for i, n in enumerate(order)}
-    terms = {}
-    for (pairs, ds, bares), coeff in formal.items():
-        if bares:
-            raise AlgebraError("bare letters survived the discharge stage")
-        key = (
-            tuple(sorted((position[p], position[q]) for p, q in pairs)),
-            tuple(sorted(position[d] for d in ds)),
-        )
-        terms[key] = terms.get(key, 0) + coeff
+    if any(bares for _, _, bares in formal):
+        raise AlgebraError("bare letters survived the discharge stage")
+    terms = add_terms({}, (
+        ((tuple(sorted((position[p], position[q]) for p, q in pairs)),
+          tuple(sorted(position[d] for d in ds))), coeff)
+        for (pairs, ds, _), coeff in formal.items()))
     return CustomaryPolynomial(order, terms)
 
 

@@ -29,6 +29,7 @@ and in gp only a bracket with the unit is left.
 from __future__ import annotations
 
 from .core import Alphabet, AlgebraError, fold, word_parts
+from .elements import add_terms
 
 _ONE = 1
 
@@ -182,8 +183,8 @@ class WordSpace:
         if u is v and u.parity == 0:
             return {}
         if u.key < v.key:
-            coeff = _ONE if (u.parity & v.parity) else -_ONE
-            return _scaled(self.bracket_words(v, u), coeff)
+            combo = self.bracket_words(v, u)
+            return combo if (u.parity & v.parity) else add_terms({}, combo.items(), -_ONE)
         w = self.join(u, v)
         if w is not None:
             return {w: _ONE}
@@ -195,11 +196,11 @@ class WordSpace:
             return {}
         out = {}
         for w, c in self.bracket_words(b, v).items():
-            _accumulate(out, self.bracket_words(a, w), c)
+            add_terms(out, self.bracket_words(a, w).items(), c)
         sgn = -_ONE if (b.parity & v.parity) else _ONE
         for w, c in self.bracket_words(a, v).items():
-            _accumulate(out, self.bracket_words(w, b), sgn * c)
-        return {w: c for w, c in out.items() if c}
+            add_terms(out, self.bracket_words(w, b).items(), sgn * c)
+        return out
 
     # -- enumeration --------------------------------------------------------
 
@@ -248,18 +249,6 @@ class WordSpace:
     def render(self, word) -> str:
         gens = self.alphabet.generators
         return fold(word, lambda i: gens[i].name, lambda w, p: "{%s,%s}" % tuple(p), word_parts)
-
-
-def _scaled(combo: dict, coeff: int) -> dict:
-    if coeff == 1:
-        return combo
-    return {w: coeff * c for w, c in combo.items()}
-
-
-def _accumulate(out: dict, combo: dict, coeff: int):
-    for w, c in combo.items():
-        val = out.get(w)
-        out[w] = c * coeff if val is None else val + c * coeff
 
 
 def _splits(degrees: tuple):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from superbracket import concrete, identities, kantor
 from superbracket.core import AlgebraError, Sum, scalar
-from superbracket.elements import Element
+from superbracket.elements import Element, add_terms
 from helpers import random_homogeneous, random_term
 
 SETTINGS = settings(
@@ -154,6 +154,68 @@ class TestFreeEngine:
             assert back == jb.bracket(a, b)
             assert_invariant(twisted)
             assert_invariant(back)
+
+
+class TestNoZeroStored:
+    """Every sum and scaled copy goes through one accumulator: a zero is
+    never stored, and an integral Fraction is stored as an int."""
+
+    def test_the_accumulator(self):
+        assert add_terms({}, [("a", 0), ("b", 2)], 0) == {}
+        assert add_terms({}, [("a", 0), ("b", 2)]) == {"b": 2}
+        assert add_terms({"a": 1, "b": 2}, [("a", 1)], -1) == {"b": 2}
+        got = add_terms({"a": Fraction(1, 2)}, [("a", Fraction(1, 6)), ("b", Fraction(3, 4))], 3)
+        assert got == {"a": 1, "b": Fraction(9, 4)} and type(got["a"]) is int
+
+    def test_zero_coefficients_give_the_zero_element(self, algebra):
+        m = algebra.gen("x1").monomials()[0][0]
+        m2 = algebra.mul(algebra.gen("x2"), algebra.gen("th")).monomials()[0][0]
+        e = algebra.element([(0, m), ("0/3", m2)])
+        assert e == algebra.zero() and e.is_zero()
+        assert algebra.element([(1, m), (-1, m), (Fraction(0), m2)]).is_zero()
+
+    def test_zero_json_coefficient_gives_zero(self, algebra):
+        data = [{"coeff": "0/1", "monomial": [{"word": "x1"}]}]
+        assert algebra.element_from_json(data).is_zero()
+
+    def test_a_cancelled_key_is_removed(self, algebra):
+        x, y = algebra.gen("x1"), algebra.gen("x2")
+        assert (x + (-x)).terms == {} and (x - x).terms == {}
+        assert (x + y) - x == y and len(((x + y) - x).terms) == 1
+        assert x.scale(0).terms == {} and algebra.bracket(x, x).terms == {}
+        # x y - y x cancels inside the product's merge loop
+        assert algebra.mul(x + y, x - y) == algebra.mul(x, x) - algebra.mul(y, y)
+        assert len(algebra.mul(x + y, x - y).terms) == 2
+
+    def test_integral_fraction_sums_and_products_are_ints(self, algebra):
+        x, y = algebra.gen("x1"), algebra.gen("x2")
+        half, two = Fraction(1, 2), Fraction(2)
+        xy = algebra.mul(x, y)
+        for e in (x.scale(half) + x.scale(half),
+                  x.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+                  algebra.mul(x.scale(half), y.scale(two)),
+                  algebra.bracket((x + y).scale(half), (x + xy).scale(two)),
+                  algebra.element([(half, xy.monomials()[0][0])] * 2)):
+            assert e.terms and all(type(c) is int for c in e.terms.values()), e.terms
+
+    def test_twists_with_a_zero_derivation(self, genp):
+        """Twisted(ops, 1) scales the derivation by 1 - 1 = 0."""
+        x = genp.gen("x1")
+        assert identities.Twisted(identities.ElementOps(genp), 1).deriv(x).terms == {}
+        ops = concrete.SparseOps(concrete.euler_wronskian_algebra(3))
+        twisted = identities.Twisted(ops, 1)
+        assert [twisted.deriv(v) for v in ops.basis] == [(), (), ()]
+
+    def test_sparse_combinations(self):
+        ops = concrete.SparseOps(concrete.euler_wronskian_algebra(3))
+        v = ((1, 2), (2, Fraction(1, 2)))
+        assert ops.combine([(0, v)]) == ()
+        assert ops.combine([(1, v), (-1, v)]) == ()
+        assert ops.combine([(1, v), (-1, ((1, 2),))]) == ((2, Fraction(1, 2)),)
+        got = ops.combine([(2, v), (Fraction(1, 2), ((1, 2),))])
+        assert got == ((1, 5), (2, 1)) and all(type(c) is int for _, c in got)
+        half = ops.mul(((1, Fraction(1, 2)),), ((1, 2),))
+        assert half == ((2, 1),) and type(half[0][1]) is int
 
 
 BUILTINS = [

@@ -243,6 +243,8 @@ class TestCustomary:
     def test_partition_enforced(self):
         with pytest.raises(AlgebraError):
             CustomaryPolynomial(("x", "y"), {(((1, 2),), (2,)): ONE})
+        with pytest.raises(AlgebraError):  # True == 1, but to_json would write true
+            CustomaryPolynomial(("x", "y"), {(((True, 2),), ()): ONE})
 
     def test_json_wire_format(self):
         c = CustomaryPolynomial(
@@ -253,6 +255,33 @@ class TestCustomary:
         assert data["m"] == 4
         assert data["terms"] == [{"coeff": "1/1", "pairs": [[1, 2]], "D": [3, 4]}]
         assert CustomaryPolynomial.from_json(data) == c
+
+    @pytest.mark.parametrize("data", [
+        {},
+        [1],
+        "x",
+        {"m": "x", "terms": []},
+        {"m": 2, "letters": "xy", "terms": []},
+        {"m": 3, "letters": ["x", "y"], "terms": []},
+        {"m": 2, "terms": [5]},
+        {"m": 2, "terms": [{"pairs": [[1, 2]]}]},
+        {"m": 3, "terms": [{"coeff": "1", "pairs": [[1, 2, 3]], "D": []}]},
+        {"m": 2, "terms": [{"coeff": "1", "pairs": [[1, True]]}]},
+        {"m": 2, "terms": [{"coeff": "1", "pairs": [[1, 2]], "D": 3}]},
+        {"m": 2, "terms": [{"coeff": "x", "pairs": [[1, 2]]}]},
+        {"m": 2, "terms": [{"coeff": "1", "pairs": [[2, 1]]}]},
+    ])
+    def test_malformed_json_is_an_algebra_error(self, data):
+        with pytest.raises(AlgebraError):
+            CustomaryPolynomial.from_json(data)
+
+    def test_json_terms_sum_and_cancel(self):
+        term = {"coeff": "1/2", "pairs": [[1, 2]]}
+        c = CustomaryPolynomial.from_json({"m": 2, "terms": [term, term]})
+        assert c.letters == ("x1", "x2") and c.terms == {(((1, 2),), ()): 1}
+        assert type(c.terms[(((1, 2),), ())]) is int
+        minus = dict(term, coeff="-1/2")
+        assert CustomaryPolynomial.from_json({"m": 2, "terms": [term, minus]}).is_zero()
 
 
 class TestReduce:
