@@ -2,14 +2,17 @@
 
 Grammar::
 
-    expr   := '-'? term (('+'|'-') term)*
-    term   := (rational '*'?)? factor*
-    factor := ident | '1' | '{' expr ',' expr '}' | 'D(' expr ')'
-            | '<' expr ',' expr '>' | '(' expr ')' | '?' ident
+    expr    := '-'? term (('+'|'-') term)*
+    term    := rational ('*'? factors)? | factors
+    factors := factor ('*'? factor)*
+    factor  := ident | '1' | '{' expr ',' expr '}' | 'D(' expr ')'
+             | '<' expr ',' expr '>' | '(' expr ')' | '?' ident
 
-Juxtaposition of factors is the associative product; ``D(a)`` desugars to
-``{a,1}`` and ``<a,b>`` to ``{a,b} - (D(a) b - a D(b))``.  Variables
-(``?name``) are only meaningful to the identity checkers.
+A term with neither a rational nor a factor (``"x +"``, ``"{x,}"``, ``""``)
+is a :class:`ParseError`.  Juxtaposition of factors is the associative
+product; ``D(a)`` desugars to ``{a,1}`` and ``<a,b>`` to
+``{a,b} - (D(a) b - a D(b))``.  Variables (``?name``) are only meaningful to
+the identity checkers.
 
 Brackets, parentheses, ``D(...)`` and ``<...>`` nest at most
 :data:`MAX_NESTING` deep; deeper input is a :class:`ParseError` (exit 2 from
@@ -142,8 +145,9 @@ class _Parser:
 
     def term(self):
         coeff = 1
-        kind, text, _ = self.peek()
-        if kind == "num" and not (text == "1" and self.tokens[self.pos + 1][0] not in ("/",)):
+        kind, text, start = self.peek()
+        had_coeff = kind == "num" and not (text == "1" and self.tokens[self.pos + 1][0] != "/")
+        if had_coeff:
             # an integer or p/q coefficient; a bare "1" is the unit factor
             self.next()
             coeff = int(text)
@@ -153,26 +157,27 @@ class _Parser:
                 if int(den) == 0:
                     raise ParseError("zero denominator", at)
                 coeff = scalar(Fraction(coeff, int(den)))
-            if self.peek()[0] == "*":
-                self.next()
         factors = []
         while True:
-            kind, text, pos = self.peek()
-            if kind in ("ident", "{", "(", "<", "?") or (kind == "num" and text == "1"):
-                factors.append(self.factor())
-                if self.peek()[0] == "*":
-                    self.next()
-                    kind, text, pos = self.peek()
-                    if not (kind in ("ident", "{", "(", "<", "?") or (kind == "num" and text == "1")):
-                        raise ParseError("expected a factor after '*'", pos)
-            else:
+            if self.peek()[0] == "*" and (factors or had_coeff):
+                self.next()
+                if not self._at_factor():
+                    raise ParseError("expected a factor after '*'", self.peek()[2])
+            if not self._at_factor():
                 break
+            factors.append(self.factor())
         if not factors:
+            if not had_coeff:
+                raise ParseError("expected a term", start)
             return coeff, Gen(self.alphabet.unit.name)
         term = factors[0]
         for f in factors[1:]:
             term = Prod(term, f)
         return coeff, term
+
+    def _at_factor(self):
+        kind, text, _ = self.peek()
+        return kind in ("ident", "{", "(", "<", "?") or (kind == "num" and text == "1")
 
     def factor(self):
         kind, text, pos = self.peek()

@@ -168,9 +168,20 @@ class Alphabet:
 
     @classmethod
     def from_json(cls, data) -> "Alphabet":
+        """The alphabet :meth:`to_json` writes; data of any other shape is an
+        :class:`AlgebraError`."""
         if isinstance(data, str):
-            data = json.loads(data)
-        return cls([(g["name"], g["parity"]) for g in data["generators"]])
+            try:
+                data = json.loads(data)
+            except ValueError as exc:
+                raise AlgebraError(f"alphabet is not valid JSON: {exc}") from None
+        gens = data.get("generators") if isinstance(data, dict) else None
+        if not (isinstance(gens, list) and all(
+                isinstance(g, dict) and isinstance(g.get("name"), str) and "parity" in g
+                for g in gens)):
+            raise AlgebraError("alphabet JSON must be an object with a 'generators' list "
+                               "of {'name': str, 'parity': ...} objects")
+        return cls([(g["name"], g["parity"]) for g in gens])
 
     def __repr__(self):
         inner = ",".join(f"{g.name}:{g.parity}" for g in self.generators)

@@ -5,8 +5,8 @@ Everything here is in the all-even setting.  A customary polynomial is a sum
 of products of angle brackets <x,y> := {x,y} - (D(x)y - xD(y)) and derivation
 factors D(x), the letter set partitioned by each term.  The reduction runs in
 three stages: height lowering by derivation defects, repeated replacement of
-non-derivation letters, and the final rewrite of brackets into angle/D/bare
-factors with the bare parts discharged letter by letter.  Every intermediate
+non-derivation letters, and the final rewrite of brackets into angle and D
+factors; stage 2 leaves no bare letter for that rewrite.  Every intermediate
 polynomial is an identity of any unital generalized Poisson algebra the input
 was an identity of; the test suite exercises this on concrete witnesses.
 """
@@ -19,8 +19,6 @@ from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_s
 from .elements import Element, add_terms, combine
 from .engine import GENP, FreeAlgebra
 from .identities import ElementOps, Twisted
-
-_ONE = 1
 
 # stage 1 guard: the height multiset strictly decreases, so this is never
 # reached by a correct reduction
@@ -151,9 +149,10 @@ def derivation_defect(poly: PoissonPolynomial, x: str) -> PoissonPolynomial:
         max_degree=poly.algebra.max_degree,
     )
     ye, ze = ext.gen(y), ext.gen(z)
-    f_yz = _substitute_letter(ext, poly, x, ext.mul(ye, ze))
-    f_z = _substitute_letter(ext, poly, x, ze)
-    f_y = _substitute_letter(ext, poly, x, ye)
+    term = _gens_to_vars(poly.algebra.element_to_term(poly.element), {x})
+    f_yz = ext.substitute(term, {x: ext.mul(ye, ze)})
+    f_z = ext.substitute(term, {x: ze})
+    f_y = ext.substitute(term, {x: ye})
     res = combine(ext, [(1, f_yz), (-1, ext.mul(ye, f_z)), (-1, ext.mul(ze, f_y))])
     letters = tuple(n for n in poly.letters if n != x) + (y, z)
     return PoissonPolynomial(ext, res, letters)
@@ -168,16 +167,6 @@ def _fresh_names(alphabet: Alphabet, x: str):
     while z in taken:
         z += "'"
     return y, z
-
-
-def _substitute_letter(target: FreeAlgebra, poly: PoissonPolynomial, x: str, replacement: Element) -> Element:
-    term = poly.algebra.element_to_term(poly.element)
-    term = _gen_to_var(term, x, "@sub")
-    return target.substitute(term, {"@sub": replacement})
-
-
-def _gen_to_var(term, name, var_name):
-    return map_leaves(term, lambda g: Var(var_name) if g == Gen(name) else g)
 
 
 def _gens_to_vars(term, names):
@@ -330,15 +319,16 @@ class CustomaryPolynomial:
 
 def customary_to_element(c: CustomaryPolynomial, algebra: FreeAlgebra) -> Element:
     """Expand the angle brackets and D factors in the engine."""
-
-    def index(position):
-        return algebra.alphabet.gen(c.letters[position - 1]).index
-
-    formal = {
-        (tuple((index(p), index(q)) for p, q in pairs), tuple(index(s) for s in singles), ()): coeff
-        for (pairs, singles), coeff in c.terms.items()
-    }
-    return _formal_to_element(algebra, formal)
+    gens = [algebra.gen(name) for name in c.letters]
+    pieces = []
+    for (pairs, singles), coeff in c.terms.items():
+        term = algebra.one()
+        for p, q in pairs:
+            term = algebra.mul(term, angle_bracket(algebra, gens[p - 1], gens[q - 1]))
+        for s in singles:
+            term = algebra.mul(term, algebra.deriv(gens[s - 1]))
+        pieces.append((coeff, term))
+    return combine(algebra, pieces)
 
 
 # -- the reduction pipeline -----------------------------------------------------------
@@ -393,7 +383,11 @@ def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
             )
         trace.append((f"defect:{high[0]}", g))
 
-    # Stage 2: make the polynomial a derivation in every letter.
+    # Stage 2: make the polynomial a derivation in every letter.  The loop
+    # exits only after a full pass in which fstar = -T + sum_i D(x_i) T_i is
+    # zero for every letter x.  That sum is exactly the bare-x part of the
+    # stage-3 rewrite of x T + sum_i {x, x_i} T_i, so no bare letter reaches
+    # stage 3.
     changed = True
     while changed:
         changed = False
@@ -411,99 +405,55 @@ def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
             changed = True
             break
 
-    # Stage 3: angle-bracket rewrite, then discharge bare letters one by one.
-    formal = _to_formal(g)
-    for name in sorted(g.letters):
-        idx = g.algebra.alphabet.gen(name).index
-        kept = {k: v for k, v in formal.items() if idx not in k[2]}
-        if kept != formal:
-            formal = kept
-            g = PoissonPolynomial(g.algebra, _formal_to_element(g.algebra, formal), g.letters)
-            if g.is_zero():
-                raise DegenerateReductionError(f"discharge of {name!r} vanished")
-            trace.append((f"discharge:{name}", g))
-
-    customary = _formal_to_customary(g.algebra, g.letters, formal)
+    # Stage 3: rewrite the brackets into angle brackets and D factors.
+    customary = _to_customary(g)
     if customary.is_zero():
         raise DegenerateReductionError("reduction ended at the zero polynomial")
     return ReductionResult(customary, trace, g.algebra)
 
 
-def _to_formal(poly: PoissonPolynomial) -> dict:
-    """Element -> {(pairs, ds, bares): coeff} with indices = generator indices.
+def _to_customary(poly: PoissonPolynomial) -> CustomaryPolynomial:
+    """Rewrite every factor into angle brackets, D factors and bare letters.
 
-    Rewrites every two-letter bracket factor {x,y} as
-    <x,y> + D(x)y - xD(y) and multiplies out.
+    The letters are numbered 1..m in generator order.  The two-letter
+    bracket {x_u, x_v}, u > v, becomes
+    -<x_v, x_u> + D(x_u) x_v - x_u D(x_v); the products are multiplied out
+    and summed.  A bare letter left in the sum means the polynomial was not
+    a derivation in that letter, which stage 2 rules out.
     """
-    alg = poly.algebra
-    alphabet = alg.alphabet
-    space = alg.space
-    letter_idx = {alphabet.gen(n).index for n in poly.letters}
+    alphabet = poly.algebra.alphabet
+    space = poly.algebra.space
+    order = sorted(poly.letters, key=lambda n: alphabet.gen(n).index)
+    position = {alphabet.gen(n).index: i for i, n in enumerate(order, 1)}
+
+    def at(index):
+        if index not in position:
+            raise AlgebraError(f"{alphabet.generators[index].name!r} is not a designated letter")
+        return position[index]
+
     out = {}
     for m, coeff in poly.element.terms.items():
-        factors = []  # each: list of (coeff, pairs, ds, bares) alternatives
+        expanded = [(coeff, (), (), ())]  # (coefficient, pairs, D factors, bare letters)
         for key, _, exp in m:
-            w = space.by_key[key]
             if exp != 1:
                 raise AlgebraError("polynomial is not multilinear")
-            word = w.word
+            word = space.by_key[key].word
             if isinstance(word, int):
-                if word not in letter_idx:
-                    raise AlgebraError(f"bare non-letter factor {alphabet.generators[word].name}")
-                factors.append([(_ONE, (), (), (word,))])
+                alternatives = [(1, (), (), (at(word),))]
+            elif not isinstance(word[0], int) or not isinstance(word[1], int):
+                raise AlgebraError("letter height is not below 3")
+            elif word[1] == 0:
+                alternatives = [(1, (), (at(word[0]),), ())]
             else:
-                u, v = word
-                if not isinstance(u, int) or not isinstance(v, int):
-                    raise AlgebraError("letter height is not below 3")
-                if v == 0:
-                    factors.append([(_ONE, (), (u,), ())])
-                else:
-                    # {x_u, x_v} with u > v rewrites to
-                    # -<x_v, x_u> + D(x_u) x_v - x_u D(x_v)
-                    factors.append([
-                        (-_ONE, ((v, u),), (), ()),
-                        (_ONE, (), (u,), (v,)),
-                        (-_ONE, (), (v,), (u,)),
-                    ])
-        expanded = [(coeff, (), (), ())]
-        for alternatives in factors:
-            new = []
-            for c0, p0, d0, b0 in expanded:
-                for c1, p1, d1, b1 in alternatives:
-                    new.append((c0 * c1, p0 + p1, d0 + d1, b0 + b1))
-            expanded = new
+                u, v = at(word[0]), at(word[1])
+                alternatives = [(-1, ((v, u),), (), ()), (1, (), (u,), (v,)), (-1, (), (v,), (u,))]
+            expanded = [(c0 * c1, p0 + p1, d0 + d1, b0 + b1)
+                        for c0, p0, d0, b0 in expanded for c1, p1, d1, b1 in alternatives]
         add_terms(out, (((tuple(sorted(pairs)), tuple(sorted(ds)), tuple(sorted(bares))), c)
                         for c, pairs, ds, bares in expanded))
-    return out
-
-
-def _formal_to_element(algebra: FreeAlgebra, formal: dict) -> Element:
-    pieces = []
-    names = algebra.alphabet.generators
-    for (pairs, ds, bares), coeff in formal.items():
-        term = algebra.one()
-        for p, q in pairs:
-            term = algebra.mul(
-                term, angle_bracket(algebra, algebra.gen(names[p].name), algebra.gen(names[q].name))
-            )
-        for d in ds:
-            term = algebra.mul(term, algebra.deriv(algebra.gen(names[d].name)))
-        for b in bares:
-            term = algebra.mul(term, algebra.gen(names[b].name))
-        pieces.append((coeff, term))
-    return combine(algebra, pieces)
-
-
-def _formal_to_customary(algebra: FreeAlgebra, letters, formal: dict) -> CustomaryPolynomial:
-    order = sorted(letters, key=lambda n: algebra.alphabet.gen(n).index)
-    position = {algebra.alphabet.gen(n).index: i + 1 for i, n in enumerate(order)}
-    if any(bares for _, _, bares in formal):
-        raise AlgebraError("bare letters survived the discharge stage")
-    terms = add_terms({}, (
-        ((tuple(sorted((position[p], position[q]) for p, q in pairs)),
-          tuple(sorted(position[d] for d in ds))), coeff)
-        for (pairs, ds, _), coeff in formal.items()))
-    return CustomaryPolynomial(order, terms)
+    if any(bares for _, _, bares in out):
+        raise AlgebraError("bare letters survived stage 2")
+    return CustomaryPolynomial(order, {(pairs, ds): c for (pairs, ds, _), c in out.items()})
 
 
 # -- the product-embedded identity form ------------------------------------------------

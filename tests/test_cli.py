@@ -80,6 +80,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_word(ALPHABET, "{" + word + ",x2}")
 
+    @pytest.mark.parametrize("src", [
+        "x1 +", "+x1", "{x1,}", "", "- -x1", "x1 + + x2", "D()", "()", "2*", "x1*", "1/2 *",
+    ])
+    def test_empty_term_is_a_parse_error(self, src):
+        with pytest.raises(ParseError):
+            parse(ALPHABET, src)
+
+    @pytest.mark.parametrize("src,want", [
+        ("1", "1"), ("3", "3/1 1"), ("-1", "-1/1 1"), ("0", "0"), ("- 1", "-1/1 1"),
+        ("1/2", "1/2 1"), ("x1 - 1/2", "-1/2 1 + 1/1 x1"), ("2 x1", "2/1 x1"),
+        ("2*x1", "2/1 x1"), ("1*x1", "1/1 x1"),
+    ])
+    def test_terms_keep_their_value(self, genp, src, want):
+        assert print_element(genp, genp.normal_form(parse(genp.alphabet, src))) == want
+
     def test_parse_word(self):
         assert parse_word(ALPHABET, "{{x2,x1},x1}") == ((2, 1), 1)
         assert parse_word(ALPHABET, "x1") == 1
@@ -319,11 +334,46 @@ class TestDispatch:
         data = json.loads(first)
         assert data["terms"] == [{"coeff": "1/1", "pairs": [[1, 2]], "D": []}]
 
+    @pytest.mark.parametrize("expr", ["{x,c} y", "{x,y} {c,1}", "<x,y> D(c)", "x {y,c} - y {x,c}"])
+    def test_farkas_non_letter_is_a_usage_error(self, capsys, expr):
+        code, out, err = self.run(capsys, "farkas", "--gens", "x,y,c", "--letters", "x,y",
+                                  "--input", expr)
+        assert (code, out, err) == (2, "", "error: 'c' is not a designated letter\n")
+
+    def test_farkas_non_letter_dropped_in_stage_two(self, capsys):
+        code, out, _ = self.run(capsys, "farkas", "--gens", "x,y,c", "--letters", "x,y",
+                                "--input", "x D(y) + c D(x) D(y)")
+        assert code == 0
+        assert json.loads(out) == {"m": 1, "letters": ["y"],
+                                   "terms": [{"coeff": "-1/1", "pairs": [], "D": [1]}]}
+
+    @pytest.mark.parametrize("json_flag,want", [
+        ([], "degenerate: input polynomial is zero\n"),
+        (["--json"], '{"degenerate": "input polynomial is zero"}\n'),
+    ], ids=["plain", "json"])
+    def test_farkas_degenerate(self, capsys, json_flag, want):
+        code, out, err = self.run(capsys, "farkas", "--gens", "x,y", "--letters", "x,y",
+                                  "--input", "{x,y} + {y,x}", *json_flag)
+        assert (code, out, err) == (1, want, "")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["validate", "builtin:nosuch3"], "unknown builtin 'nosuch3'"),
+        (["check-identity", "--gens", "x", "?x"], "needs --algebra FILE or --free"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=0,1", "?a"],
+         "binding 'a' has 2 coordinates, need 3"),
+        (["farkas", "--theory", "jb", "--gens", "x,y", "--letters", "x,y", "--input", "{x,y}"],
+         "the reduction runs in the genp theory"),
+    ], ids=["unknown-builtin", "check-identity-no-target", "eval-binding-length", "farkas-jb"])
+    def test_usage_errors(self, capsys, argv, message):
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["nonsense-command"]) == 2
 
     def test_syntax_error_exit_code(self, capsys):
         assert main(["nf", "--gens", "x1", "{x1"]) == 2
+        assert main(["nf", "--gens", "x1", "x1 +"]) == 2
 
     def test_degree_guard_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("JB_MAX_DEGREE", "6")

@@ -49,6 +49,16 @@ class TestAlphabet:
         assert back.parities == ALPHABET.parities
         assert back.names() == ALPHABET.names()
 
+    @pytest.mark.parametrize("data", [
+        "{}", "[1]", '{"generators": 3}', '{"generators": [{"name": "x"}]}',
+        '{"generators": ["x"]}', "not json", '{"generators": [{"name": 1, "parity": "even"}]}',
+        {"generators": [{"parity": "odd"}]},
+    ], ids=["empty-object", "list", "generators-int", "no-parity", "bare-name", "not-json",
+            "int-name", "dict-no-name"])
+    def test_malformed_json_is_an_algebra_error(self, data):
+        with pytest.raises(AlgebraError, match="alphabet"):
+            Alphabet.from_json(data)
+
     def test_undeclared_generator(self):
         with pytest.raises(AlgebraError):
             ALPHABET.gen("nope")

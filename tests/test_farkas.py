@@ -20,6 +20,7 @@ from superbracket.farkas import (
     letter_height,
     poisson_polynomial,
     reduce_to_customary,
+    _to_customary,
 )
 import linalg
 from helpers import find_multilinear_identities
@@ -312,6 +313,21 @@ class TestReduce:
         assert result.customary.terms == {((), (1,)): ONE}
         stages = [label.split(":")[0] for label, _ in result.trace]
         assert "drop-letter" in stages
+
+    def test_surviving_bare_letter_is_refused(self, alg):
+        # x {y,z} before stage 2: every term of its rewrite keeps a bare letter
+        e = alg.mul(alg.gen("x"), alg.bracket(alg.gen("y"), alg.gen("z")))
+        with pytest.raises(AlgebraError, match="bare letters survived stage 2"):
+            _to_customary(poisson_polynomial(alg, e, ("x", "y", "z")))
+
+    def test_stage_three_writes_positions_in_generator_order(self, alg):
+        # {z,x} = -<x,z> + D(z) x - z D(x); the bare parts cancel against
+        # z D(x) - x D(z), and the letters are listed in generator order
+        x, z = alg.gen("x"), alg.gen("z")
+        e = (alg.bracket(z, x) + alg.mul(z, alg.deriv(x))) - alg.mul(x, alg.deriv(z))
+        c = _to_customary(poisson_polynomial(alg, e, ("z", "x")))
+        assert c.letters == ("x", "z") and c.terms == {(((1, 2),), ()): -1}
+        assert customary_to_element(c, alg) == e
 
     def test_zero_input_degenerate(self, alg):
         poly = poisson_polynomial(alg, alg.zero(), ("x",))
