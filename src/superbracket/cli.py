@@ -15,9 +15,13 @@ product; ``D(a)`` desugars to ``{a,1}`` and ``<a,b>`` to
 the identity checkers.
 
 Brackets, parentheses, ``D(...)`` and ``<...>`` nest at most
-:data:`MAX_NESTING` deep; deeper input is a :class:`ParseError` (exit 2 from
-the command line).  Only the parser recurses per level: the evaluators and
-the word functions walk with :func:`superbracket.core.fold`.
+:data:`MAX_NESTING` deep.  The tokenizer counts them and refuses deeper
+input with a :class:`ParseError` (exit 2 from the command line) before the
+parser starts.  The parser is still the only code that recurses per level:
+the evaluators and the word functions walk with
+:func:`superbracket.core.fold`.  The bracket words of element JSON are read
+by the same parser: :func:`parse_word` folds the term tree and refuses any
+node that is not a bracket.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     Prod,
     Sum,
     Var,
+    fold,
     scalar,
     scalar_str,
     var_names,
@@ -49,8 +54,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # Deepest nesting of {..}, (..), D(..) and <..> that parse() and parse_word()
-# accept.  The parser is the only code that recurses per level, three Python
-# frames each, so this keeps it well inside the default recursion limit.
+# accept.  _tokenize checks it, before the parser starts; the parser is the
+# only code that recurses per level, three Python frames each, so this keeps
+# it well inside the default recursion limit.
 MAX_NESTING = 200
 
 
@@ -67,6 +73,7 @@ _SYMBOLS = "{}(),<>+-*/?"
 
 def _tokenize(src: str):
     tokens = []
+    depth = 0
     i = 0
     n = len(src)
     while i < n:
@@ -74,9 +81,9 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("num", src[i:j], i))
             i = j
@@ -89,6 +96,9 @@ def _tokenize(src: str):
             i = j
             continue
         if ch in _SYMBOLS:
+            depth += (ch in "{(<") - (ch in "})>")
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", i)
             tokens.append((ch, ch, i))
             i += 1
             continue
@@ -103,7 +113,6 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.allow_vars = allow_vars
-        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -128,17 +137,13 @@ class _Parser:
 
     def expr(self):
         pieces = []
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
-        coeff, term = self.term()
-        pieces.append((sign * coeff, term))
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            sign = 1 if op == "+" else -1
+        op = self.next()[0] if self.peek()[0] == "-" else "+"
+        while True:
             coeff, term = self.term()
-            pieces.append((sign * coeff, term))
+            pieces.append((-coeff if op == "-" else coeff, term))
+            if self.peek()[0] not in ("+", "-"):
+                break
+            op = self.next()[0]
         if len(pieces) == 1 and pieces[0][0] == 1:
             return pieces[0][1]
         return Sum(tuple(pieces))
@@ -180,18 +185,6 @@ class _Parser:
         return kind in ("ident", "{", "(", "<", "?") or (kind == "num" and text == "1")
 
     def factor(self):
-        kind, text, pos = self.peek()
-        if kind in ("{", "<", "(") or (text == "D" and self.tokens[self.pos + 1][0] == "("):
-            if self.depth >= MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            try:
-                return self._factor()
-            finally:
-                self.depth -= 1
-        return self._factor()
-
-    def _factor(self):
         kind, text, pos = self.next()
         if kind == "num":
             if text != "1":
@@ -245,38 +238,15 @@ def parse(alphabet: Alphabet, src: str, allow_vars: bool = False):
 
 
 def parse_word(alphabet: Alphabet, src: str):
-    """Parse a plain bracket word like ``{{x2,x1},x1}`` to a raw word tree."""
-    tokens = _tokenize(src)
-    pos = [0]
+    """Parse a plain bracket word like ``{{x2,x1},x1}`` to a raw word tree:
+    an expression that is a generator or a bracket of such expressions."""
 
-    def walk(depth=0):
-        kind, text, at = tokens[pos[0]]
-        pos[0] += 1
-        if kind == "ident" or (kind == "num" and text == "1"):
-            name = text
-            if name not in alphabet.by_name:
-                raise ParseError(f"undeclared identifier {name!r}", at)
-            return alphabet.by_name[name].index
-        if kind == "{":
-            if depth >= MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
-            left = walk(depth + 1)
-            kind, text, at = tokens[pos[0]]
-            pos[0] += 1
-            if kind != ",":
-                raise ParseError("expected ','", at)
-            right = walk(depth + 1)
-            kind, text, at = tokens[pos[0]]
-            pos[0] += 1
-            if kind != "}":
-                raise ParseError("expected '}'", at)
-            return (left, right)
-        raise ParseError(f"unexpected {text!r}", at)
+    def node(t, kids):
+        if not isinstance(t, Bracket):
+            raise ParseError(f"{src!r} is not a bracket word", 0)
+        return tuple(kids)
 
-    word = walk()
-    if tokens[pos[0]][0] != "end":
-        raise ParseError("trailing input", tokens[pos[0]][2])
-    return word
+    return fold(parse(alphabet, src), lambda g: alphabet.by_name[g.name].index, node)
 
 
 # -- printer ------------------------------------------------------------------
@@ -498,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    expr_help = "the expression; put -- before one that starts with '-'"
+
     def common(p, gens=True, theory=True):
         if gens:
             p.add_argument("--gens", default="", help="comma list, e.g. x1,x2,th:odd")
@@ -507,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="normal form of an expression")
     common(p)
-    p.add_argument("expr")
+    p.add_argument("expr", help=expr_help)
     p.set_defaults(fn=_cmd_nf)
 
     p = sub.add_parser("dim", help="dimension of the multilinear component")
@@ -524,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--algebra", help="JSON file or builtin:NAME")
     p.add_argument("--free", action="store_true", help="check in the free algebra")
-    p.add_argument("expr")
+    p.add_argument("expr", help=expr_help)
     p.set_defaults(fn=_cmd_check_identity)
 
     p = sub.add_parser("kantor-check", help="Jordan-ness of the Kantor double")
@@ -545,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--bind", action="append", help="name=c0,c1,...")
     p.add_argument("--json", action="store_true")
-    p.add_argument("expr")
+    p.add_argument("expr", help=expr_help)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("validate", help="check a structure algebra's claim")
@@ -564,9 +536,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegreeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

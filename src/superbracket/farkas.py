@@ -39,8 +39,10 @@ class PoissonPolynomial:
     def __init__(self, algebra: FreeAlgebra, element: Element, letters: tuple):
         if any(p for p in algebra.alphabet.parities):
             raise AlgebraError("identity reduction is defined for even generators only")
-        for name in letters:
+        for i, name in enumerate(letters):
             algebra.alphabet.gen(name)
+            if name in letters[:i]:
+                raise AlgebraError(f"letter {name!r} is designated twice")
         self.algebra, self.element, self.letters = algebra, element, letters
 
     def is_zero(self) -> bool:
@@ -343,12 +345,19 @@ class ReductionResult:
 def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
     """Run the three-stage reduction; every trace entry is implied by the input.
 
-    Raises :class:`DegenerateReductionError` if the polynomial collapses to
-    zero on the way, and aborts with a diagnostic if the height measure ever
-    fails to decrease.
+    The input must be multilinear in its letters: a monomial that holds a
+    designated letter twice is an :class:`AlgebraError`, while other
+    generators may repeat.  Raises :class:`DegenerateReductionError` if the
+    polynomial collapses to zero on the way, and aborts with a diagnostic if
+    the height measure ever fails to decrease.
     """
     if poly.is_zero():
         raise DegenerateReductionError("input polynomial is zero")
+    degrees = [poly.algebra.monomial_degrees(m) for m in poly.element.terms]
+    for x in poly.letters:
+        idx = poly.algebra.alphabet.gen(x).index
+        if any(d[idx] > 1 for d in degrees):
+            raise AlgebraError(f"polynomial is not multilinear in {x!r}")
     trace = [("input", poly)]
     g = poly
 

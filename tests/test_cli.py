@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbracket.core import Alphabet, Bracket, Gen, Prod
 from superbracket.cli import MAX_NESTING, ParseError, main, parse, parse_word, print_element
+from superbracket.engine import GENP, FreeAlgebra, GpAlgebra
 from superbracket.concrete import dump_algebra, euler_wronskian_algebra
 from helpers import random_homogeneous
 
@@ -100,6 +105,64 @@ class TestParse:
         assert parse_word(ALPHABET, "x1") == 1
         with pytest.raises(ParseError):
             parse_word(ALPHABET, "{x1,x2")
+
+    @pytest.mark.parametrize("src", ["²", "1/²", "١ x1", "x1 + ٣"])
+    def test_digits_are_ascii(self, src):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(ALPHABET, src)
+
+    @pytest.mark.parametrize("src", ["²", "1/²"])
+    def test_non_ascii_digit_is_a_usage_error(self, capsys, src):
+        assert main(["nf", "--gens", "x,y", src]) == 2
+        assert capsys.readouterr().err.startswith("error: unexpected character '²'")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("xyD12{}(),<>+-*/?² "), max_size=24))
+    def test_no_text_is_an_internal_error(self, src):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            main(["nf", "--gens", "x,y", "--", src])
+        assert "internal error" not in err.getvalue()
+
+
+class TestParseWord:
+    """parse_word reads through parse: a word is an expression that is a
+    generator or a bracket of such expressions."""
+
+    @pytest.mark.parametrize("algebra", [
+        lambda a: FreeAlgebra(a, GENP), GpAlgebra,
+    ], ids=["genp", "gp-oriented"])
+    def test_basis_words_round_trip(self, algebra):
+        alphabet = Alphabet([("x1", 0), ("x2", 0), ("th", 1)])
+        space = algebra(alphabet).space
+        seen = 0
+        for degrees in product(range(5), repeat=alphabet.size):
+            if 0 < sum(degrees) <= 4:
+                for w in space.basis_words(degrees):
+                    assert space.get(parse_word(alphabet, space.render(w.word))) is w
+                    seen += 1
+        assert seen > 50
+
+    @pytest.mark.parametrize("src", ["x1 x2", "2 x1", "x1 + x2", "-x1", "?a", "{x1,x2 x3}", "<x1,x2>"])
+    def test_non_words_are_parse_errors(self, src):
+        with pytest.raises(ParseError):
+            parse_word(ALPHABET, src)
+
+    @pytest.mark.parametrize("src,word", [
+        ("D(x1)", (1, 0)), ("(x1)", 1), ("{x1,(x2)}", (1, 2)), ("{D(x2),x1}", ((2, 0), 1)),
+    ])
+    def test_expression_words_are_words(self, src, word):
+        assert parse_word(ALPHABET, src) == word
+
+    def test_element_json_reads_derivation_words(self, genp):
+        data = [{"coeff": "1/1", "monomial": [{"word": "D(x1)", "exp": 1}]}]
+        assert genp.element_from_json(data) == genp.deriv(genp.gen("x1"))
+
+    def test_nesting_bound_counts_every_kind_of_bracket(self):
+        src = "{" * 100 + "(" * 101 + "x1" + ")" * 101 + ",x2}" * 100
+        for read in (parse, parse_word):
+            with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} at offset 200"):
+                read(ALPHABET, src)
 
 
 class TestPrint:
@@ -346,6 +409,21 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out) == {"m": 1, "letters": ["y"],
                                    "terms": [{"coeff": "-1/1", "pairs": [], "D": [1]}]}
+
+    def test_farkas_non_multilinear_is_a_usage_error(self, capsys):
+        code, out, err = self.run(capsys, "farkas", "--gens", "x,y", "--letters", "x,y",
+                                  "--input", "{x,{x,y}}")
+        assert (code, out, err) == (2, "", "error: polynomial is not multilinear in 'x'\n")
+
+    @pytest.mark.parametrize("letters,expr", [("x,x,y", "<x,y>"), ("x,y,x", "{x,y}")])
+    def test_farkas_duplicate_letter_is_a_usage_error(self, capsys, letters, expr):
+        code, out, err = self.run(capsys, "farkas", "--gens", "x,y", "--letters", letters,
+                                  "--input", expr)
+        assert (code, out, err) == (2, "", "error: letter 'x' is designated twice\n")
+
+    def test_nf_expression_with_leading_minus_after_double_dash(self, capsys):
+        code, out, _ = self.run(capsys, "nf", "--gens", "x,y", "--", "-x+y")
+        assert (code, out) == (0, "-1/1 x + 1/1 y\n")
 
     @pytest.mark.parametrize("json_flag,want", [
         ([], "degenerate: input polynomial is zero\n"),

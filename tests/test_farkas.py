@@ -153,6 +153,11 @@ class TestDerivationDefect:
         with pytest.raises(AlgebraError, match="undeclared generator 'q'"):
             PoissonPolynomial(alg, alg.gen("x"), ("x", "q"))
 
+    @pytest.mark.parametrize("letters", [("x", "x", "y"), ("x", "y", "x")])
+    def test_duplicate_letter_rejected(self, alg, letters):
+        with pytest.raises(AlgebraError, match="letter 'x' is designated twice"):
+            PoissonPolynomial(alg, angle_bracket(alg, alg.gen("x"), alg.gen("y")), letters)
+
 
 class TestHeight:
     def test_bare_letter(self, alg):
@@ -328,6 +333,22 @@ class TestReduce:
         c = _to_customary(poisson_polynomial(alg, e, ("z", "x")))
         assert c.letters == ("x", "z") and c.terms == {(((1, 2),), ()): -1}
         assert customary_to_element(c, alg) == e
+
+    @pytest.mark.parametrize("build", [
+        lambda a, x, y: a.bracket(x, a.bracket(x, y)),
+        lambda a, x, y: a.mul(a.deriv(x), a.deriv(x)) + a.bracket(x, y),
+    ], ids=["nested", "exponent"])
+    def test_non_multilinear_input_is_refused_before_stage_one(self, alg, build):
+        e = build(alg, alg.gen("x"), alg.gen("y"))
+        with pytest.raises(AlgebraError, match="polynomial is not multilinear in 'x'"):
+            reduce_to_customary(poisson_polynomial(alg, e, ("x", "y")))
+
+    def test_other_generators_may_repeat(self, alg):
+        # w is no letter: w w D(x) D(y) drops out with x in stage 2
+        x, y, w = alg.gen("x"), alg.gen("y"), alg.gen("w")
+        e = alg.mul(x, alg.deriv(y)) + alg.mul(alg.mul(w, w), alg.mul(alg.deriv(x), alg.deriv(y)))
+        result = reduce_to_customary(poisson_polynomial(alg, e, ("x", "y")))
+        assert result.customary.letters == ("y",) and result.customary.terms == {((), (1,)): -1}
 
     def test_zero_input_degenerate(self, alg):
         poly = poisson_polynomial(alg, alg.zero(), ("x",))
