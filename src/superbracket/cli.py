@@ -21,7 +21,8 @@ parser starts.  The parser is still the only code that recurses per level:
 the evaluators and the word functions walk with
 :func:`superbracket.core.fold`.  The bracket words of element JSON are read
 by the same parser: :func:`parse_word` folds the term tree and refuses any
-node that is not a bracket.
+node that is not a bracket, and any text with a ``/``, whose coefficient
+the parser would multiply out before the fold.
 """
 
 from __future__ import annotations
@@ -240,6 +241,8 @@ def parse(alphabet: Alphabet, src: str, allow_vars: bool = False):
 def parse_word(alphabet: Alphabet, src: str):
     """Parse a plain bracket word like ``{{x2,x1},x1}`` to a raw word tree:
     an expression that is a generator or a bracket of such expressions."""
+    if "/" in src:  # "2/2 x1" would parse as x1
+        raise ParseError(f"{src!r} is not a bracket word", src.index("/"))
 
     def node(t, kids):
         if not isinstance(t, Bracket):
@@ -399,12 +402,18 @@ def _cmd_kantor_check(args) -> int:
     from .concrete import Report
 
     algebra = _resolve_algebra(args.algebra)
-    checks = []
-    if args.direct or not args.jorskob:
-        checks.extend(kantor.super_jordan_check(kantor.double_of(algebra)).checks)
-    if args.jorskob or not args.direct:
-        checks.extend(kantor.criteria_check(algebra).checks)
-    return _report(args, Report(checks))
+    if args.direct and not args.jorskob:
+        return _report(args, kantor.super_jordan_check(kantor.double_of(algebra)))
+    if args.jorskob and not args.direct:
+        return _report(args, kantor.criteria_check(algebra))
+    by_criteria, direct, agree = kantor.double_is_jordan(algebra)
+    code = _report(args, Report(direct.checks + by_criteria.checks))
+    if agree:
+        return code
+    print(f"error: the verdicts disagree: super-jordan-linearized "
+          f"{'pass' if direct.ok else 'fail'}, jorskob criteria "
+          f"{'pass' if by_criteria.ok else 'fail'}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _cmd_validate(args) -> int:
@@ -443,7 +452,7 @@ def _cmd_farkas(args) -> int:
         raise AlgebraError("the reduction runs in the genp theory")
     term = parse(algebra.alphabet, args.expr)
     letters = [p.strip() for p in args.letters.split(",") if p.strip()]
-    poly = farkas.poisson_polynomial(algebra, term, letters)
+    poly = farkas.PoissonPolynomial(algebra, algebra.normal_form(term), letters)
     try:
         result = farkas.reduce_to_customary(poly)
     except farkas.DegenerateReductionError as exc:

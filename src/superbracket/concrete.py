@@ -221,10 +221,6 @@ class StructureAlgebra:
         d = self.dim
         return to_dense(_apply(table, to_sparse(a, d), to_sparse(b, d)), d)
 
-    def parity_of(self, v):
-        """Parity of a homogeneous vector; raises when supports mix parities."""
-        return _parity(self.parities, to_sparse(v, self.dim))
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):
@@ -612,8 +608,3 @@ def load_algebra(path) -> StructureAlgebra:
     except OSError as exc:
         raise AlgebraError(f"cannot read algebra {str(path)!r}: {exc.strerror}") from None
     return StructureAlgebra.from_json(_json_loads(text))
-
-
-def dump_algebra(algebra: StructureAlgebra, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra.to_json(), fh, indent=1)

@@ -106,10 +106,6 @@ class Generator(_Value):
 
     __slots__ = ("index", "name", "parity")
 
-    @property
-    def is_unit(self) -> bool:
-        return self.index == 0
-
 
 class Alphabet:
     """An ordered, finite, Z2-graded alphabet with a minimal even unit.

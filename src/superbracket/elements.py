@@ -134,9 +134,6 @@ class Element:
             raise AlgebraError("element is not parity-homogeneous")
         return parities.pop() if parities else 0
 
-    def is_homogeneous(self) -> bool:
-        return len({monomial_parity(m) for m in self.terms}) <= 1
-
     def degrees(self) -> tuple:
         """Common multidegree of all monomials; raises if mixed."""
         degs = {self.algebra.monomial_degrees(m) for m in self.terms}
@@ -147,9 +144,6 @@ class Element:
     def monomials(self):
         """Canonically ordered (monomial, coefficient) pairs."""
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
-
-    def coefficient(self, m):
-        return self.terms.get(m, 0)
 
     def _check(self, other):
         if self.algebra is not other.algebra:

@@ -13,8 +13,6 @@ was an identity of; the test suite exercises this on concrete witnesses.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
 from .elements import Element, add_terms, combine
 from .engine import GENP, FreeAlgebra
@@ -34,9 +32,11 @@ class MeasureAbortError(AlgebraError):
 
 
 class PoissonPolynomial:
-    """A normal-form element with a designated set of identity letters."""
+    """A normal-form element with a designated set of identity letters
+    (any iterable of generator names, kept as a tuple)."""
 
-    def __init__(self, algebra: FreeAlgebra, element: Element, letters: tuple):
+    def __init__(self, algebra: FreeAlgebra, element: Element, letters):
+        letters = tuple(letters)
         if any(p for p in algebra.alphabet.parities):
             raise AlgebraError("identity reduction is defined for even generators only")
         for i, name in enumerate(letters):
@@ -53,14 +53,6 @@ class PoissonPolynomial:
         return _gens_to_vars(self.algebra.element_to_term(self.element), set(self.letters))
 
 
-def poisson_polynomial(algebra: FreeAlgebra, term_or_element, letters) -> PoissonPolynomial:
-    if isinstance(term_or_element, Element):
-        el = term_or_element
-    else:
-        el = algebra.normal_form(term_or_element)
-    return PoissonPolynomial(algebra, el, tuple(letters))
-
-
 # -- basic operations ------------------------------------------------------
 
 def angle_bracket(algebra: FreeAlgebra, a: Element, b: Element) -> Element:
@@ -68,69 +60,6 @@ def angle_bracket(algebra: FreeAlgebra, a: Element, b: Element) -> Element:
     if algebra.theory != GENP:
         raise AlgebraError("angle bracket lives in the generalized Poisson theory")
     return Twisted(ElementOps(algebra), 1).bracket(a, b)
-
-
-def left_normed(algebra: FreeAlgebra, xs) -> Element:
-    """{{...{x1,x2},...},xn}; a single element comes back unchanged."""
-    xs = list(xs)
-    if not xs:
-        raise AlgebraError("left-normed bracket of nothing")
-    out = xs[0]
-    for x in xs[1:]:
-        out = algebra.bracket(out, x)
-    return out
-
-
-def leftnormed_product_expansion(algebra: FreeAlgebra, y: Element, z: Element, ws) -> Element:
-    """Expansion of {yz, w1, ..., wn} into products of left-normed blocks.
-
-    The sum runs over a block for y, a block for z, and a set partition of
-    the remaining indices into unit-headed blocks; block contents stay in
-    increasing index order.  A configuration with l unit blocks carries the
-    coefficient (-1)^l l!: the j-th unit block is created by the derivation
-    term of the Leibniz rule, whose multiplicity is the number of blocks
-    already present.  This reproduces the engine normal form of
-    ``left_normed([y*z] + ws)`` exactly.
-    """
-    from math import factorial
-
-    ws = list(ws)
-    n = len(ws)
-    one = algebra.one()
-    pieces = []
-    indices = tuple(range(n))
-    for sy in _subsets(indices):
-        rest1 = tuple(i for i in indices if i not in sy)
-        for sz in _subsets(rest1):
-            rest2 = tuple(i for i in rest1 if i not in sz)
-            for blocks in _set_partitions(rest2):
-                term = algebra.mul(
-                    left_normed(algebra, [y] + [ws[i] for i in sy]),
-                    left_normed(algebra, [z] + [ws[i] for i in sz]),
-                )
-                for block in blocks:
-                    term = algebra.mul(term, left_normed(algebra, [one] + [ws[i] for i in block]))
-                coeff = factorial(len(blocks))
-                pieces.append((-coeff if len(blocks) % 2 else coeff, term))
-    return combine(algebra, pieces)
-
-
-def _subsets(indices):
-    for r in range(len(indices) + 1):
-        yield from combinations(indices, r)
-
-
-def _set_partitions(indices):
-    """All partitions of an index tuple into unordered nonempty blocks."""
-    if not indices:
-        yield []
-        return
-    head, rest = indices[0], indices[1:]
-    for sub in _subsets(rest):
-        block = (head,) + sub
-        remaining = tuple(i for i in rest if i not in sub)
-        for parts in _set_partitions(remaining):
-            yield [block] + parts
 
 
 # -- derivation defect ----------------------------------------------------------
@@ -444,8 +373,6 @@ def _to_customary(poly: PoissonPolynomial) -> CustomaryPolynomial:
     for m, coeff in poly.element.terms.items():
         expanded = [(coeff, (), (), ())]  # (coefficient, pairs, D factors, bare letters)
         for key, _, exp in m:
-            if exp != 1:
-                raise AlgebraError("polynomial is not multilinear")
             word = space.by_key[key].word
             if isinstance(word, int):
                 alternatives = [(1, (), (), (at(word),))]
@@ -456,6 +383,9 @@ def _to_customary(poly: PoissonPolynomial) -> CustomaryPolynomial:
             else:
                 u, v = at(word[0]), at(word[1])
                 alternatives = [(-1, ((v, u),), (), ()), (1, (), (u,), (v,)), (-1, (), (v,), (u,))]
+            # after the letter test, so a repeated non-letter is named as such
+            if exp != 1:
+                raise AlgebraError("polynomial is not multilinear")
             expanded = [(c0 * c1, p0 + p1, d0 + d1, b0 + b1)
                         for c0, p0, d0, b0 in expanded for c1, p1, d1, b1 in alternatives]
         add_terms(out, (((tuple(sorted(pairs)), tuple(sorted(ds)), tuple(sorted(bares))), c)
@@ -463,65 +393,3 @@ def _to_customary(poly: PoissonPolynomial) -> CustomaryPolynomial:
     if any(bares for _, _, bares in out):
         raise AlgebraError("bare letters survived stage 2")
     return CustomaryPolynomial(order, {(pairs, ds): c for (pairs, ds, _), c in out.items()})
-
-
-# -- the product-embedded identity form ------------------------------------------------
-
-def bracket_product_form(c: CustomaryPolynomial, algebra: FreeAlgebra, z_names) -> Element:
-    """The identity rewritten with brackets of products and 2m extra letters.
-
-    Each angle-bracket pair consumes two of the z letters through the
-    four-slot macro, each D factor consumes two through the three-slot
-    macro, and the 2i left-over letters trail as bare factors.  The result
-    equals ``customary_to_element(c) * prod(z)`` exactly.
-    """
-    zs = [algebra.gen(n) for n in z_names]
-    if len(zs) != 2 * c.m:
-        raise AlgebraError(f"need exactly {2 * c.m} extra letters, got {len(zs)}")
-    pieces = []
-    for (pairs, singles), coeff in c.terms.items():
-        used = 0
-        term = algebra.one()
-        for p, q in pairs:
-            term = algebra.mul(
-                term,
-                _pair_macro(
-                    algebra,
-                    algebra.gen(c.letters[p - 1]),
-                    algebra.gen(c.letters[q - 1]),
-                    zs[used],
-                    zs[used + 1],
-                ),
-            )
-            used += 2
-        for s in singles:
-            term = algebra.mul(
-                term,
-                _deriv_macro(algebra, algebra.gen(c.letters[s - 1]), zs[used], zs[used + 1]),
-            )
-            used += 2
-        for z in zs[used:]:
-            term = algebra.mul(term, z)
-        pieces.append((coeff, term))
-    return combine(algebra, pieces)
-
-
-def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
-    """w1 w2 <u1,u2> written with brackets of products.
-
-    {u1,u2}w1w2 + {u1,w1w2}u2 + u1{w1w2,u2}
-      - sum_{w order} {u1,w}u2 w' + sum_{w order} {u2,w}u1 w'.
-    """
-    mul, brk = algebra.mul, algebra.bracket
-    w12 = mul(w1, w2)
-    pieces = [(1, mul(brk(u1, u2), w12)), (1, mul(brk(u1, w12), u2)), (1, mul(u1, brk(w12, u2)))]
-    for wa, wb in ((w1, w2), (w2, w1)):
-        pieces += [(-1, mul(mul(brk(u1, wa), u2), wb)), (1, mul(mul(brk(u2, wa), u1), wb))]
-    return combine(algebra, pieces)
-
-
-def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
-    """t2 t3 D(t1) = {t2 t3, t1} - {t2,t1} t3 - {t3,t1} t2."""
-    mul, brk = algebra.mul, algebra.bracket
-    return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
-                             (-1, mul(brk(t3, t1), t2))])

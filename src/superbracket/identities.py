@@ -1,4 +1,9 @@
-"""Residual builders for every identity the package checks.
+"""Residual builders for the identities the package checks.
+
+These are the identities that a structure algebra's validation, its
+untwisting and the Kantor checks evaluate.  The residuals of the generic
+Poisson characterization, which only the acceptance suite evaluates, are
+test oracles in ``tests/paper_forms.py`` over the same adapters.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
@@ -114,18 +119,6 @@ def deformed_jacobi_residual(ops, a, b, c):
         (-_sgn(pa & (pb + pc)), mul(D(b), brk(c, a))),
         (-_sgn(pc & (pa + pb)), mul(D(c), brk(a, b))),
     ])
-
-
-def jacobi_defect_residual(ops, a, b, c):
-    """{{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}"""
-    s = _sgn(ops.parity(b) & ops.parity(c))
-    brk = ops.bracket
-    return ops.combine([(1, brk(brk(a, b), c)), (-s, brk(brk(a, c), b)), (-1, brk(a, brk(b, c)))])
-
-
-def jordan_gp_residual(ops, a, b, c, d):
-    """({{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}) . d"""
-    return ops.mul(jacobi_defect_residual(ops, a, b, c), d)
 
 
 def double_criterion_residual(ops, which, f, h, g, w):

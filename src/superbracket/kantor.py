@@ -13,16 +13,17 @@ evaluated on A itself, and through the linearized super-Jordan identity
 evaluated on the double; the two verdicts must agree.  Both run on the
 exhaustive sweep :func:`~superbracket.concrete.first_failure`, over the
 sparse vectors and per-check product memo of
-:class:`~superbracket.concrete.SparseOps` on structure algebras.
+:class:`~superbracket.concrete.SparseOps`, so both take structure algebras
+only.  The test suite runs the criteria on the generators of a free engine
+by building that report itself, from ``first_failure``, ``check_entry`` and
+:class:`~superbracket.identities.ElementOps`.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError
 from .concrete import Report, SparseOps, StructureAlgebra, check_entry, first_failure, vzero
-from .engine import FreeAlgebra
 from .identities import (
-    ElementOps,
     double_criterion_residual,
     linear_jordan_residual,
     supercommutativity_residual,
@@ -56,27 +57,18 @@ def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(2 * d, parities, product, {}, unit, "none")
 
 
-def criteria_check(algebra) -> Report:
+def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
-    For a structure algebra the check runs over all basis 4-tuples, which is
-    complete (the criteria are multilinear).  For a free engine it runs over
-    the generators and the unit.
+    The check runs over all basis 4-tuples, which is complete (the criteria
+    are multilinear).
     """
-    if isinstance(algebra, StructureAlgebra):
-        ops = SparseOps(algebra)
-        elements, is_zero, render = ops.basis, ops.is_zero, ops.render
-    elif isinstance(algebra, FreeAlgebra):
-        ops = ElementOps(algebra)
-        elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
-        is_zero, render = (lambda e: e.is_zero()), algebra.element_to_json
-    else:
-        raise AlgebraError(f"cannot run criteria on {algebra!r}")
+    ops = SparseOps(algebra)
     checks = []
     for which in CRITERIA:
-        failure = first_failure(4, elements,
-                                lambda *args: double_criterion_residual(ops, which, *args), is_zero)
-        checks.append(check_entry(f"jorskob{which}", failure, ops.parity, render))
+        failure = first_failure(4, ops.basis,
+                                lambda *args: double_criterion_residual(ops, which, *args), ops.is_zero)
+        checks.append(check_entry(f"jorskob{which}", failure, ops.parity, ops.render))
     return Report(checks)
 
 
@@ -99,7 +91,11 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
 
 
 def double_is_jordan(algebra: StructureAlgebra):
-    """Both verdicts plus their agreement flag: (criteria, direct, agree)."""
-    by_criteria = criteria_check(algebra)
+    """Both verdicts plus their agreement flag: (criteria, direct, agree).
+
+    The direct check runs first, so a double that is not supercommutative
+    is refused before the criteria sweep.
+    """
     direct = super_jordan_check(double_of(algebra))
+    by_criteria = criteria_check(algebra)
     return by_criteria, direct, by_criteria.ok == direct.ok

@@ -1,0 +1,165 @@
+"""The paper's closed forms, kept as test oracles.
+
+None of these is used by the package: the engine computes the same elements
+by straightening and Leibniz expansion.  The acceptance suite (criteria 6
+and 7) and ``tests/test_farkas.py`` compare the engine with them:
+
+- :func:`left_normed` and :func:`leftnormed_product_expansion`, the expansion
+  of a left-normed bracket whose head is a product;
+- :func:`bracket_product_form` with its two macros, the embedding of a
+  customary identity into brackets of products;
+- :func:`jacobi_defect_residual` and :func:`jordan_gp_residual`, the residuals
+  of the generic Poisson characterization, written over the same ``ops``
+  adapters as the builders of :mod:`superbracket.identities`.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from superbracket.core import AlgebraError
+from superbracket.elements import Element, combine
+from superbracket.engine import FreeAlgebra
+from superbracket.farkas import CustomaryPolynomial
+from superbracket.identities import _sgn
+
+
+# -- left-normed brackets of a product --------------------------------------------------
+
+def left_normed(algebra: FreeAlgebra, xs) -> Element:
+    """{{...{x1,x2},...},xn}; a single element comes back unchanged."""
+    xs = list(xs)
+    if not xs:
+        raise AlgebraError("left-normed bracket of nothing")
+    out = xs[0]
+    for x in xs[1:]:
+        out = algebra.bracket(out, x)
+    return out
+
+
+def leftnormed_product_expansion(algebra: FreeAlgebra, y: Element, z: Element, ws) -> Element:
+    """Expansion of {yz, w1, ..., wn} into products of left-normed blocks.
+
+    The sum runs over a block for y, a block for z, and a set partition of
+    the remaining indices into unit-headed blocks; block contents stay in
+    increasing index order.  A configuration with l unit blocks carries the
+    coefficient (-1)^l l!: the j-th unit block is created by the derivation
+    term of the Leibniz rule, whose multiplicity is the number of blocks
+    already present.  This reproduces the engine normal form of
+    ``left_normed([y*z] + ws)`` exactly.
+    """
+    from math import factorial
+
+    ws = list(ws)
+    n = len(ws)
+    one = algebra.one()
+    pieces = []
+    indices = tuple(range(n))
+    for sy in _subsets(indices):
+        rest1 = tuple(i for i in indices if i not in sy)
+        for sz in _subsets(rest1):
+            rest2 = tuple(i for i in rest1 if i not in sz)
+            for blocks in _set_partitions(rest2):
+                term = algebra.mul(
+                    left_normed(algebra, [y] + [ws[i] for i in sy]),
+                    left_normed(algebra, [z] + [ws[i] for i in sz]),
+                )
+                for block in blocks:
+                    term = algebra.mul(term, left_normed(algebra, [one] + [ws[i] for i in block]))
+                coeff = factorial(len(blocks))
+                pieces.append((-coeff if len(blocks) % 2 else coeff, term))
+    return combine(algebra, pieces)
+
+
+def _subsets(indices):
+    for r in range(len(indices) + 1):
+        yield from combinations(indices, r)
+
+
+def _set_partitions(indices):
+    """All partitions of an index tuple into unordered nonempty blocks."""
+    if not indices:
+        yield []
+        return
+    head, rest = indices[0], indices[1:]
+    for sub in _subsets(rest):
+        block = (head,) + sub
+        remaining = tuple(i for i in rest if i not in sub)
+        for parts in _set_partitions(remaining):
+            yield [block] + parts
+
+
+# -- the product-embedded identity form ------------------------------------------------
+
+def bracket_product_form(c: CustomaryPolynomial, algebra: FreeAlgebra, z_names) -> Element:
+    """The identity rewritten with brackets of products and 2m extra letters.
+
+    Each angle-bracket pair consumes two of the z letters through the
+    four-slot macro, each D factor consumes two through the three-slot
+    macro, and the 2i left-over letters trail as bare factors.  The result
+    equals ``customary_to_element(c) * prod(z)`` exactly.
+    """
+    zs = [algebra.gen(n) for n in z_names]
+    if len(zs) != 2 * c.m:
+        raise AlgebraError(f"need exactly {2 * c.m} extra letters, got {len(zs)}")
+    pieces = []
+    for (pairs, singles), coeff in c.terms.items():
+        used = 0
+        term = algebra.one()
+        for p, q in pairs:
+            term = algebra.mul(
+                term,
+                _pair_macro(
+                    algebra,
+                    algebra.gen(c.letters[p - 1]),
+                    algebra.gen(c.letters[q - 1]),
+                    zs[used],
+                    zs[used + 1],
+                ),
+            )
+            used += 2
+        for s in singles:
+            term = algebra.mul(
+                term,
+                _deriv_macro(algebra, algebra.gen(c.letters[s - 1]), zs[used], zs[used + 1]),
+            )
+            used += 2
+        for z in zs[used:]:
+            term = algebra.mul(term, z)
+        pieces.append((coeff, term))
+    return combine(algebra, pieces)
+
+
+def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
+    """w1 w2 <u1,u2> written with brackets of products.
+
+    {u1,u2}w1w2 + {u1,w1w2}u2 + u1{w1w2,u2}
+      - sum_{w order} {u1,w}u2 w' + sum_{w order} {u2,w}u1 w'.
+    """
+    mul, brk = algebra.mul, algebra.bracket
+    w12 = mul(w1, w2)
+    pieces = [(1, mul(brk(u1, u2), w12)), (1, mul(brk(u1, w12), u2)), (1, mul(u1, brk(w12, u2)))]
+    for wa, wb in ((w1, w2), (w2, w1)):
+        pieces += [(-1, mul(mul(brk(u1, wa), u2), wb)), (1, mul(mul(brk(u2, wa), u1), wb))]
+    return combine(algebra, pieces)
+
+
+def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
+    """t2 t3 D(t1) = {t2 t3, t1} - {t2,t1} t3 - {t3,t1} t2."""
+    mul, brk = algebra.mul, algebra.bracket
+    return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
+                             (-1, mul(brk(t3, t1), t2))])
+
+
+# -- the generic Poisson residuals ---------------------------------------------------------
+
+def jacobi_defect_residual(ops, a, b, c):
+    """{{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}"""
+    s = _sgn(ops.parity(b) & ops.parity(c))
+    brk = ops.bracket
+    return ops.combine([(1, brk(brk(a, b), c)), (-s, brk(brk(a, c), b)), (-1, brk(a, brk(b, c)))])
+
+
+def jordan_gp_residual(ops, a, b, c, d):
+    """({{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}) . d"""
+    return ops.mul(jacobi_defect_residual(ops, a, b, c), d)

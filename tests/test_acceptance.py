@@ -32,10 +32,7 @@ from superbracket.farkas import (
     DegenerateReductionError,
     PoissonPolynomial,
     angle_bracket,
-    bracket_product_form,
     customary_to_element,
-    left_normed,
-    leftnormed_product_expansion,
     reduce_to_customary,
 )
 import linalg
@@ -44,6 +41,14 @@ from helpers import (
     free_ops,
     multilinear_lie_dimension,
     random_homogeneous,
+)
+from paper_forms import (
+    _deriv_macro,
+    _pair_macro,
+    bracket_product_form,
+    jacobi_defect_residual,
+    left_normed,
+    leftnormed_product_expansion,
 )
 
 
@@ -184,7 +189,7 @@ def test_criterion_6_generic_poisson_theorem():
         elements = {"f": f, "h": h, "g": g, "w": w}
         patterns = []
         for p, q, r, s in permutations("fhgw"):
-            defect = identities.jacobi_defect_residual(ops, elements[p], elements[q], elements[r])
+            defect = jacobi_defect_residual(ops, elements[p], elements[q], elements[r])
             patterns.append(algebra.mul(defect, elements[s]))
         monomials = sorted(
             {m for e in patterns for m in e.terms} | set(residual.terms)
@@ -203,8 +208,6 @@ def test_criterion_7_farkas_pipeline(rng):
     # (a) the two corollary macros, symbolically
     names = ("u1", "u2", "w1", "w2", "t1", "t2", "t3")
     alg = FreeAlgebra(Alphabet([(n, 0) for n in names]), GENP)
-    from superbracket.farkas import _deriv_macro, _pair_macro
-
     u1, u2, w1, w2, t1, t2, t3 = (alg.gen(n) for n in names)
     macro_pair_ok = _pair_macro(alg, u1, u2, w1, w2) == alg.mul(
         alg.mul(w1, w2), angle_bracket(alg, u1, u2)

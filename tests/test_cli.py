@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from superbracket.core import Alphabet, Bracket, Gen, Prod
 from superbracket.cli import MAX_NESTING, ParseError, main, parse, parse_word, print_element
 from superbracket.engine import GENP, FreeAlgebra, GpAlgebra
-from superbracket.concrete import dump_algebra, euler_wronskian_algebra
+from superbracket.concrete import euler_wronskian_algebra
 from helpers import random_homogeneous
 
 ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)])
@@ -154,6 +154,12 @@ class TestParseWord:
     def test_expression_words_are_words(self, src, word):
         assert parse_word(ALPHABET, src) == word
 
+    @pytest.mark.parametrize("word", ["2/2 x1", "1/1", "{x2,3/3 x1}"])
+    def test_words_with_a_coefficient_are_parse_errors(self, genp, word):
+        data = [{"coeff": "1/1", "monomial": [{"word": word, "exp": 1}]}]
+        with pytest.raises(ParseError, match=f"is not a bracket word at offset {word.index('/')}$"):
+            genp.element_from_json(data)
+
     def test_element_json_reads_derivation_words(self, genp):
         data = [{"coeff": "1/1", "monomial": [{"word": "D(x1)", "exp": 1}]}]
         assert genp.element_from_json(data) == genp.deriv(genp.gen("x1"))
@@ -260,7 +266,7 @@ class TestDispatch:
 
     def test_check_identity_algebra(self, capsys, tmp_path):
         path = tmp_path / "euler.json"
-        dump_algebra(euler_wronskian_algebra(3), path)
+        path.write_text(json.dumps(euler_wronskian_algebra(3).to_json()))
         expr = "{?a,?b*?c} - {?a,?b}*?c - ?b*{?a,?c} + D(?a)*?b*?c"
         code, out, _ = self.run(capsys, "check-identity", "--algebra", str(path), expr)
         assert code == 0 and out.strip() == "true"
@@ -288,6 +294,19 @@ class TestDispatch:
         assert {c["identity"] for c in data} == {"jorskob1", "jorskob2", "jorskob3"}
         failing = [c for c in data if c["status"] == "fail"]
         assert failing and all("witness" in c for c in failing)
+
+    def test_kantor_check_disagreeing_verdicts_are_a_guard_error(self, capsys, monkeypatch):
+        from superbracket import kantor
+        from superbracket.concrete import Report
+
+        passing = Report([{"identity": f"jorskob{k}", "status": "pass"} for k in (1, 2, 3)])
+        monkeypatch.setattr(kantor, "criteria_check", lambda algebra: passing)
+        code, out, err = self.run(capsys, "kantor-check", "--algebra", "builtin:wronskian3")
+        assert code == 3
+        assert out == ("super-jordan-linearized: fail\n"
+                       "jorskob1: pass\njorskob2: pass\njorskob3: pass\n")
+        assert err == ("error: the verdicts disagree: super-jordan-linearized fail, "
+                       "jorskob criteria pass\n")
 
     def test_kantor_check_direct(self, capsys):
         code, out, _ = self.run(
@@ -379,7 +398,7 @@ class TestDispatch:
         path = tmp_path / "w3.json"
         from superbracket.concrete import wronskian_algebra
 
-        dump_algebra(wronskian_algebra(3), path)
+        path.write_text(json.dumps(wronskian_algebra(3).to_json()))
         code, out, _ = self.run(
             capsys, "eval", "--algebra", str(path),
             "--bind", "a=0,1,0", "--bind", "b=0,0,1", "{?a,?b}",
@@ -397,7 +416,8 @@ class TestDispatch:
         data = json.loads(first)
         assert data["terms"] == [{"coeff": "1/1", "pairs": [[1, 2]], "D": []}]
 
-    @pytest.mark.parametrize("expr", ["{x,c} y", "{x,y} {c,1}", "<x,y> D(c)", "x {y,c} - y {x,c}"])
+    @pytest.mark.parametrize("expr", ["{x,c} y", "{x,y} {c,1}", "<x,y> D(c)", "x {y,c} - y {x,c}",
+                                      "{x,y} c c"])
     def test_farkas_non_letter_is_a_usage_error(self, capsys, expr):
         code, out, err = self.run(capsys, "farkas", "--gens", "x,y,c", "--letters", "x,y",
                                   "--input", expr)

@@ -28,7 +28,7 @@ class TestAlphabet:
     def test_unit_is_minimal_and_even(self):
         assert ALPHABET.generators[0].name == "1"
         assert ALPHABET.generators[0].parity == 0
-        assert ALPHABET.generators[0].is_unit
+        assert ALPHABET.generators[0].index == 0 and ALPHABET.unit is ALPHABET.generators[0]
 
     def test_declared_order(self):
         assert [g.name for g in ALPHABET.generators] == ["1", "x1", "x2", "th"]

@@ -252,9 +252,10 @@ class TestSparseVectors:
         with pytest.raises(AlgebraError, match="vector length 2 != dimension 1"):
             concrete.to_sparse((1, 2), 1)
         alg = StructureAlgebra(2, [0, 1], {(0, 0): [(0, 1)]})
+        ops = SparseOps(alg)
         with pytest.raises(AlgebraError, match="vector length 3 != dimension 2"):
-            alg.parity_of((1, 0, 2))
-        assert alg.parity_of((0, 2)) == 1
+            ops.parity(to_sparse((1, 0, 2), alg.dim))
+        assert ops.parity(to_sparse((0, 2), alg.dim)) == 1
 
     def test_wrong_length_binding_rejected(self):
         alg = euler_wronskian_algebra(3)
@@ -267,9 +268,10 @@ class TestSparseVectors:
 
     def test_parity_of_mixed_vector(self):
         alg = StructureAlgebra(2, [0, 1], {})
-        assert alg.parity_of((0, 3)) == 1 and alg.parity_of((0, 0)) == 0
+        ops = SparseOps(alg)
+        assert ops.parity(to_sparse((0, 3), 2)) == 1 and ops.parity(to_sparse((0, 0), 2)) == 0
         with pytest.raises(AlgebraError, match="not parity-homogeneous"):
-            alg.parity_of((1, 1))
+            ops.parity(to_sparse((1, 1), 2))
 
 
 class TestZeroProductAlgebra:
