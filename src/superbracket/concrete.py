@@ -409,6 +409,8 @@ def _json_loads(text):
         return json.loads(text)
     except ValueError as exc:
         raise AlgebraError(f"algebra is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraError("algebra JSON is nested too deeply to read") from None
 
 
 # -- multilinearization -------------------------------------------------------

@@ -4,11 +4,13 @@ Coefficients keep the package invariant (see :mod:`superbracket.core`): an
 ``int``, or a ``Fraction`` whose denominator is greater than 1, and never
 zero.  :func:`~superbracket.core.scalar` sets it on input; :func:`add_terms`,
 the one accumulator of coefficient sums, keeps it for every sum and scaled
-copy.  ``FreeAlgebra._add_products``, the product's merge loop, is its one
-inline twin.
+copy but the negated or unscaled one, which sums nothing.
+``FreeAlgebra._add_products``, the product's merge loop, is its one inline
+twin.
 
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
-key identifies an interned basis word of the owning algebra's word space; the
+key is the int rank of an interned basis word of the owning algebra's word
+space (see :mod:`superbracket.liebasis`), so int order is word order; the
 empty tuple is the unit.  Odd factors never carry an exponent above 1.  The
 same machinery backs all three theories of the free engine (generalized
 Poisson, Jordan brackets, generic Poisson); they differ only in how the
@@ -105,7 +107,17 @@ class Element:
         return self.scale(other)
 
     def scale(self, coeff) -> "Element":
-        return Element(self.algebra, add_terms({}, self.terms.items(), scalar(coeff)))
+        k = scalar(coeff)
+        # k = +-1 sums nothing, so it needs no accumulator; an integral
+        # Fraction, which only an element built past the invariant can hold,
+        # still comes out an int
+        if k == 1:
+            return Element(self.algebra, {m: c if type(c) is int else scalar(c)
+                                          for m, c in self.terms.items()})
+        if k == -1:
+            return Element(self.algebra, {m: -c if type(c) is int else scalar(-c)
+                                          for m, c in self.terms.items()})
+        return Element(self.algebra, add_terms({}, self.terms.items(), k))
 
     def bracket(self, other) -> "Element":
         self._check(other)

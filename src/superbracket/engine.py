@@ -150,12 +150,13 @@ class FreeAlgebra:
         ``int``), and a coefficient of +-1 costs no multiplication.
         """
         guard = self.max_degree
+        by_key = self.space.by_key
         for m1, c1 in left.items():
             for m2, c2 in right:
                 sign, merged = merge_factors(m1, m2)
                 if sign == 0:
                     continue
-                if guard is not None and _word_degree(merged) > guard:
+                if guard is not None and _word_degree(by_key, merged) > guard:
                     raise DegreeGuardError(
                         f"monomial degree exceeds guard ({guard}); "
                         "raise JB_MAX_DEGREE if intended"
@@ -254,7 +255,7 @@ class FreeAlgebra:
             return self.word_element(w)
         if self.theory == GP:
             return self.zero()
-        a, b = space.components(u)
+        a, b = u.left, u.right
         if u.square and a is v:
             # {{a,a},a} for odd a: the deformed Jacobi identity gives
             # 3{{a,a},a} = -3 D(a){a,a}.
@@ -345,16 +346,17 @@ class FreeAlgebra:
         """Every multiset of basis words that covers ``remaining`` exactly.
 
         Each pick fits and covers the lowest letter left.  Picks covering one
-        letter come in decreasing key order, below ``below``, each distinct
-        word once with its exponent (odd words once), so every multiset
-        comes out once, with one level of recursion per distinct factor.
-        Keys order by length first, so ``below`` caps the sub-degrees too.
+        letter come in decreasing key order, below the word ``below``, each
+        distinct word once with its exponent (odd words once), so every
+        multiset comes out once, with one level of recursion per distinct
+        factor.  Keys order by length first, so ``below`` caps the
+        sub-degrees too.
         """
         low = next((i for i, r in enumerate(remaining) if r), None)
         if low is None:
             out.append(tuple(sorted(acc)))
             return
-        cap = sum(remaining) if below is None else min(sum(remaining), below[0])
+        cap = sum(remaining) if below is None else min(sum(remaining), below.length)
         picks = memo.get((remaining, cap))
         if picks is None:
             ranges = [range(min(r, cap) + 1) for r in remaining[low:]]
@@ -365,14 +367,14 @@ class FreeAlgebra:
                  for w in self.space.basis_words((0,) * low + sub) if w is not unit),
                 key=lambda w: w.key, reverse=True)
         for w in picks:
-            if below is not None and w.key >= below:
+            if below is not None and w.key >= below.key:
                 continue
             room = min(r // d for r, d in zip(remaining, w.degrees) if d)
             rem = remaining
             for exp in range(1, 2 if w.parity else room + 1):
                 rem = tuple(r - d for r, d in zip(rem, w.degrees))
                 acc.append((w.key, w.parity, exp))
-                self._fill(rem, w.key if rem[low] else None, acc, out, memo)
+                self._fill(rem, w if rem[low] else None, acc, out, memo)
                 acc.pop()
 
     # -- serialization ----------------------------------------------------------
@@ -444,8 +446,8 @@ def _decrement(m, idx):
     return m[:idx] + ((key, par, exp - 1),) + m[idx + 1:]
 
 
-def _word_degree(m) -> int:
-    return sum(key[0] * exp for key, _, exp in m)
+def _word_degree(by_key, m) -> int:
+    return sum(by_key[key].length * exp for key, _, exp in m)
 
 
 def _word_term(alphabet, word):

@@ -10,12 +10,23 @@ The order is length-first, then lexicographic on the (left, right) components;
 letters compare by their declared order with the unit minimal.  Odd squares
 ``{v,v}`` order as the pair (v, v).
 
+A word's ``key`` is its rank in that order among all binary bracket trees
+over the ``n`` letters, an exact int, so keys compare and hash as cheaply as
+ints while ordering exactly as the nested ``(length, left, right)`` tuples
+would.  With ``T(l) = Catalan(l-1) n^l`` trees of length l, ``off(L) =
+T(1) + ... + T(L-1)`` trees shorter than L and ``S(L, a) = sum_{l<a} T(l)
+T(L-l)`` trees of length L whose left part is shorter than a, letter i has
+key i and ``{u,v}`` with lengths ``a + b = L`` has key
+
+    off(L) + S(L, a) + (u.key - off(a)) T(b) + (v.key - off(b)).
+
 The generic Poisson theory has no Jacobi relation, so its basis words are
 instead the *oriented* trees: arbitrary binary bracket trees over the
 non-unit letters in which every node has left > right or equal odd halves.
 
 Raw words are nested tuples: a leaf is a generator index, a node is a pair of
-words.  Interned :class:`BasisWord` objects carry the derived data.
+words.  Interned :class:`BasisWord` objects carry the derived data, and the
+word space indexes them by key alone.
 :meth:`WordSpace.join` is the one basis-word test, in both kinds of space.
 
 :meth:`WordSpace.bracket_words` is the generalized Poisson word rule.  The
@@ -27,6 +38,8 @@ and in gp only a bracket with the unit is left.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .core import Alphabet, AlgebraError, fold, word_parts
 from .elements import add_terms
@@ -43,14 +56,16 @@ class BasisWord:
     """Interned basis word: a good word or the square of an odd good word
     (an oriented tree in an oriented space)."""
 
-    __slots__ = ("word", "key", "parity", "degrees", "length", "square")
+    __slots__ = ("word", "key", "parity", "degrees", "length", "left", "right", "square")
 
-    def __init__(self, word, key, parity, degrees, square):
+    def __init__(self, word, key, parity, degrees, length, left, right, square):
         self.word = word
         self.key = key
         self.parity = parity
         self.degrees = degrees
-        self.length = key[0]
+        self.length = length
+        self.left = left  # the interned parts of {left,right}; None for a letter
+        self.right = right
         self.square = square
 
     def __lt__(self, other):
@@ -81,8 +96,13 @@ class WordSpace:
     def __init__(self, alphabet: Alphabet, oriented: bool = False):
         self.alphabet = alphabet
         self.oriented = oriented
-        self._words = {}
         self.by_key = {}
+        # the rank formula's tables, extended as longer words appear:
+        # _trees[l] = T(l), _shorter[l] = off(l), and per length pair (a, b)
+        # the constant part of the key of {u,v}
+        self._trees = [0, alphabet.size]
+        self._shorter = [0, 0]
+        self._key_base = {}
         self._bracket_cache = {}
         self._active = set()
         self._good_cache = {}
@@ -108,48 +128,64 @@ class WordSpace:
         return found
 
     def _letter(self, index) -> BasisWord:
-        found = self._words.get(index)
-        if found is not None:
-            return found
         if not 0 <= index < self.alphabet.size:
             raise AlgebraError(f"generator index {index} out of range")
+        found = self.by_key.get(index)  # a letter's key is its index
+        if found is not None:
+            return found
         degrees = [0] * self.alphabet.size
         degrees[index] = 1
-        return self._intern(index, (1, index), self.alphabet.parities[index], tuple(degrees), False)
+        found = self.by_key[index] = BasisWord(index, index, self.alphabet.parities[index],
+                                               tuple(degrees), 1, None, None, False)
+        return found
 
     def join(self, u: BasisWord, v: BasisWord):
         """The one basis-word test: the interned word ``{u,v}``, or None when
         it is no basis word (then neither is any word containing it).  The
-        test runs before the lookup, so a failed join hashes nothing."""
+        test runs before the key is computed, so a failed join costs nothing."""
         if self.oriented:
             # each node has left > right or equal odd halves; no unit letter
             square = False
             ok = not (u.degrees[0] or v.degrees[0]) and (u.key > v.key or u is v and u.parity)
         else:
             # the square of an odd good word, or good: u > v and, when
-            # u = {u1,u2}, u2 <= v (a letter's key has length 1)
+            # u = {u1,u2}, u2 <= v
             square = u is v and u.parity == 1 and not u.square
             ok = square or not (u.square or v.square) and u.key > v.key and (
-                u.length == 1 or u.key[2] <= v.key)
+                u.length == 1 or u.right.key <= v.key)
         if not ok:
             return None
-        word = (u.word, v.word)  # its parts are interned: lookups compare by identity
-        found = self._words.get(word)
+        a, b = u.length, v.length
+        base = self._key_base.get((a, b))
+        if base is None:
+            base = self._base(a, b)
+        key = base + u.key * self._trees[b] + v.key
+        found = self.by_key.get(key)
         if found is not None:
             return found
-        degrees = tuple(a + b for a, b in zip(u.degrees, v.degrees))
-        key = (u.length + v.length, u.key, v.key)
-        return self._intern(word, key, (u.parity + v.parity) & 1, degrees, square)
+        degrees = tuple(x + y for x, y in zip(u.degrees, v.degrees))
+        found = self.by_key[key] = BasisWord((u.word, v.word), key, (u.parity + v.parity) & 1,
+                                             degrees, a + b, u, v, square)
+        return found
 
-    def _intern(self, word, key, parity, degrees, square) -> BasisWord:
-        bw = BasisWord(word, key, parity, degrees, square)
-        self._words[word] = bw
-        self.by_key[key] = bw
-        return bw
-
-    def components(self, w: BasisWord):
-        u, v = w.word
-        return self._words[u], self._words[v]
+    def _base(self, a, b) -> int:
+        """The part of the key of ``{u,v}`` that depends only on the lengths:
+        ``off(L) + S(L, a) - off(a) T(b) - off(b)`` for ``L = a + b``, with
+        ``S(L, a)`` summed over the fewer of its two sides."""
+        length = a + b
+        trees, shorter = self._trees, self._shorter
+        n = self.alphabet.size
+        for l in range(len(trees), length + 1):
+            # T(l) = T(l-1) n 2(2l-3) / l, an exact division
+            trees.append(trees[l - 1] * n * 2 * (2 * l - 3) // l)
+            shorter.append(shorter[l - 1] + trees[l - 1])
+        if a <= b:
+            split = sum(trees[l] * trees[length - l] for l in range(1, a))
+        else:
+            split = trees[length] - sum(trees[l] * trees[length - l] for l in range(a, length))
+        base = self._key_base[(a, b)] = (
+            shorter[length] + split - shorter[a] * trees[b] - shorter[b])
+        return base
 
     # -- straightening ------------------------------------------------------
 
@@ -164,7 +200,7 @@ class WordSpace:
         until only basis words remain; the descent of the left factor's
         degree makes the recursion finite.
         """
-        pair = (u.word, v.word)
+        pair = (u.key, v.key)
         cached = self._bracket_cache.get(pair)
         if cached is not None:
             return cached
@@ -189,7 +225,7 @@ class WordSpace:
         if w is not None:
             return {w: _ONE}
         # the Jacobi rewrite of a left-nested u = {a,b}
-        a, b = self.components(u)
+        a, b = u.left, u.right
         if u.square and a is v:
             # {{a,a},a} for odd a: Jacobi plus anticommutativity force
             # 3{{a,a},a} = 0, so it vanishes over the rationals.
@@ -252,20 +288,13 @@ class WordSpace:
 
 
 def _splits(degrees: tuple):
-    """All componentwise splits d = d1 + d2 with both parts nonzero."""
-    ranges = [range(d + 1) for d in degrees]
+    """All componentwise splits d = d1 + d2 with both parts nonzero, walking
+    only the letters the multidegree holds."""
+    support = [i for i, d in enumerate(degrees) if d]
     total = sum(degrees)
-
-    def rec(i, acc, acc_sum):
-        if i == len(degrees):
-            if 0 < acc_sum < total:
-                d1 = tuple(acc)
-                d2 = tuple(d - a for d, a in zip(degrees, acc))
-                yield d1, d2
-            return
-        for x in ranges[i]:
-            acc.append(x)
-            yield from rec(i + 1, acc, acc_sum + x)
-            acc.pop()
-
-    yield from rec(0, [], 0)
+    for part in product(*(range(degrees[i] + 1) for i in support)):
+        if 0 < sum(part) < total:
+            d1 = [0] * len(degrees)
+            for i, x in zip(support, part):
+                d1[i] = x
+            yield tuple(d1), tuple(d - x for d, x in zip(degrees, d1))

@@ -1,8 +1,8 @@
 """Kernel for the hot inner loop: the monomial merge with its Koszul sign.
 
 A *factor* is a triple ``(key, parity, exp)``: an opaque totally ordered key
-identifying a basis word, the word's parity (0 or 1), and a positive
-exponent.  A monomial is a key-sorted tuple of factors.
+identifying a basis word (the free engine's is an int rank), the word's
+parity (0 or 1), and a positive exponent.  A monomial is a key-sorted tuple of factors.
 
 Two merges need no walk: when every key of one tuple is below every key of
 the other, the product is their concatenation.  With ``fa`` below ``fb`` it

@@ -21,10 +21,27 @@ def sgn(bit):
 
 
 def max_word_degree(element):
+    by_key = element.algebra.space.by_key
     return max(
-        (sum(key[0] * exp for key, _, exp in m) for m in element.terms),
+        (sum(by_key[key].length * exp for key, _, exp in m) for m in element.terms),
         default=0,
     )
+
+
+def tuple_key(word):
+    """The nested ``(length, left key, right key)`` tuple of a raw word, a
+    letter ``i`` being ``(1, i)``: the word order written out as tuples,
+    which an int word key must reproduce."""
+    if isinstance(word, int):
+        return (1, word)
+    left, right = tuple_key(word[0]), tuple_key(word[1])
+    return (left[0] + right[0], left, right)
+
+
+def tuple_key_monomials(algebra, monomials):
+    """Monomials with each factor key replaced by its :func:`tuple_key`."""
+    by_key = algebra.space.by_key
+    return tuple(tuple((tuple_key(by_key[k].word), p, e) for k, p, e in m) for m in monomials)
 
 
 def random_homogeneous(algebra, rng, max_degree=5, max_terms=3):

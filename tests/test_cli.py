@@ -390,6 +390,20 @@ class TestDispatch:
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err
 
+    def test_deeply_nested_algebra_json_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert (code, out) == (2, "") and err == "error: algebra JSON is nested too deeply to read\n"
+
+    def test_basis_over_many_generators(self, capsys):
+        # the splits of a multidegree walk only the letters it holds, so
+        # the alphabet's size adds no recursion
+        gens = ",".join(f"x{i}" for i in range(1, 991))
+        code, out, err = self.run(capsys, "basis", "--gens", gens, "--multidegree", "x1:1,x2:1")
+        assert (code, err) == (0, "")
+        assert out == "1/1 x1 x2\n1/1 {x2,x1}\ncount 2\n"
+
     def test_missing_algebra_file_is_a_usage_error(self, capsys, tmp_path):
         code, out, err = self.run(capsys, "validate", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "") and err.startswith("error: cannot read algebra")

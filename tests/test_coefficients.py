@@ -159,8 +159,8 @@ class TestFreeEngine:
 
 
 class TestNoZeroStored:
-    """Every sum and scaled copy goes through one accumulator: a zero is
-    never stored, and an integral Fraction is stored as an int."""
+    """Every sum and scaled copy keeps the invariant: a zero is never
+    stored, and an integral Fraction is stored as an int."""
 
     def test_the_accumulator(self):
         assert add_terms({}, [("a", 0), ("b", 2)], 0) == {}
@@ -199,6 +199,14 @@ class TestNoZeroStored:
                   algebra.bracket((x + y).scale(half), (x + xy).scale(two)),
                   algebra.element([(half, xy.monomials()[0][0])] * 2)):
             assert e.terms and all(type(c) is int for c in e.terms.values()), e.terms
+
+    def test_unit_scales_keep_int_coefficients(self, algebra):
+        x, y = algebra.gen("x1"), algebra.gen("x2")
+        e = (algebra.mul(x, y) + x.scale(3)) - y
+        for k in (Fraction(1), -1, Fraction(-1), "1/1", "-2/2"):
+            got = e.scale(k)
+            assert got == (e if k in (1, "1/1") else -e)
+            assert got.terms and all(type(c) is int for c in got.terms.values()), got.terms
 
     def test_twists_with_a_zero_derivation(self, genp):
         """Twisted(ops, 1) scales the derivation by 1 - 1 = 0."""

@@ -17,7 +17,7 @@ from superbracket.engine import (
     dim_multilinear,
 )
 from superbracket import identities
-from helpers import free_ops, random_homogeneous, random_term
+from helpers import free_ops, random_homogeneous, random_term, tuple_key_monomials
 
 
 # SHA-256 of the bases of every multidegree <= 6 of (1, x1, x2, th:odd), taken
@@ -223,6 +223,19 @@ class TestNormalForm:
         assert c == 1
         assert [(genp.space.by_key[k].word, exp) for k, _, exp in m] == [(1, 2), (4, 1)]
 
+    def test_deep_chain_is_one_word_in_linear_time(self):
+        # {...{x,y},...,y} of 2400 levels: each level joins the word below it
+        # once, at the cost of an int key, so depth adds no quadratic walk
+        algebra = FreeAlgebra(Alphabet([("x", 0), ("y", 0)]), GENP)
+        t = Gen("x")
+        for _ in range(2400):
+            t = Bracket(t, Gen("y"))
+        t0 = time.perf_counter()
+        e = algebra.normal_form(t)
+        assert time.perf_counter() - t0 < 0.6
+        ((m, c),) = e.terms.items()
+        assert c == -1 and algebra.space.by_key[m[0][0]].length == 2401
+
     def test_grading_preserved_outside_unit(self, genp, rng):
         for _ in range(30):
             t = random_term(genp.alphabet, rng, depth=3, allow_unit=False)
@@ -386,16 +399,19 @@ class TestEnumeration:
         t0 = time.perf_counter()
         monos = algebra.basis((0, 3000, 0, 0))
         assert time.perf_counter() - t0 < 1.0
-        assert monos == ((((1, 1), 0, 3000),),)
+        assert monos == (((algebra.space.leaf("x1").key, 0, 3000),),)
 
     @pytest.mark.parametrize("theory", [GENP, JB])
     def test_golden_bases(self, theory):
         """The bases of every multidegree <= 6 of (1, x1, x2, th), hashed in
-        order: the enumeration and the order of its output are pinned."""
+        order: the enumeration and the order of its output are pinned.  The
+        hash was taken with the factor keys written as nested tuples, so the
+        oracle writes each int key back that way."""
         algebra = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("th", 1)]), theory)
         digest = hashlib.sha256()
         for degs in _multidegrees(4, 6):
-            digest.update(repr(algebra.basis(degs)).encode() + b"\n")
+            basis = tuple_key_monomials(algebra, algebra.basis(degs))
+            digest.update(repr(basis).encode() + b"\n")
         assert digest.hexdigest() == GOLDEN_BASES
 
     @pytest.mark.parametrize("theory", [GENP, JB])
@@ -436,6 +452,28 @@ class TestGuard:
         for _ in range(2):
             with pytest.raises(DegreeGuardError):
                 algebra.bracket(x, y3)
+
+    @pytest.mark.parametrize("theory,src,degree", [
+        (GENP, "{{x,y},{x,th}}*x", 5),
+        (GENP, "{x*y*th, {x,y}*y}", 7),
+        (GENP, "D(x)*D(y)*{x,th}", 6),
+        (JB, "{{x,y},{x,th}}*x", 5),
+        (JB, "{x*y*th, {x,y}*y}", 7),
+        (JB, "{{x,{y,1}},{th,th}}", 7),
+        (GP, "{{x,y},{x,th}}*x", 5),
+        (GP, "{x*y*th, {x,y}*y}", 6),
+    ], ids=["genp-product", "genp-leibniz", "genp-derivations", "jb-product", "jb-leibniz",
+            "jb-odd-square", "gp-product", "gp-leibniz"])
+    def test_guard_trips_at_the_highest_degree_reached(self, theory, src, degree):
+        """The guard bound below which each term fails to normalize: the
+        word degree of the largest monomial its evaluation builds."""
+        from superbracket.cli import parse
+
+        alphabet = Alphabet([("x", 0), ("y", 0), ("th", 1)])
+        term = parse(alphabet, src)
+        FreeAlgebra(alphabet, theory, max_degree=degree).normal_form(term)
+        with pytest.raises(DegreeGuardError):
+            FreeAlgebra(alphabet, theory, max_degree=degree - 1).normal_form(term)
 
 
 class TestSerialization:

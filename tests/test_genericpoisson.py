@@ -7,7 +7,7 @@ from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count, monomial_parity
 from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
-from helpers import free_ops, random_term
+from helpers import free_ops, max_word_degree, random_term
 from paper_forms import jacobi_defect_residual, jordan_gp_residual
 
 
@@ -95,7 +95,7 @@ class TestIdentities:
             a, b = rng.choice(pool), rng.choice(pool)
             e = rng.choice((gp.mul(a, b), gp.bracket(a, b)))
             if len({monomial_parity(m) for m in e.terms}) == 1:
-                if max(sum(k[0] * x for k, _, x in m) for m in e.terms) <= 4:
+                if max_word_degree(e) <= 4:
                     pool.append(e)
         for _ in range(40):
             a, b, c = (rng.choice(pool) for _ in range(3))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from helpers import (
     multilinear_lie_dimension,
     random_matrix,
     sgn,
+    tuple_key,
 )
 
 EVEN3 = Alphabet([("x1", 0), ("x2", 0), ("x3", 0)])
@@ -259,3 +261,68 @@ def test_word_key_orders_by_length_first():
     space = WordSpace(EVEN3)
     assert space.get(1).key < space.get((2, 1)).key
     assert space.get((2, 1)).key < space.get(((2, 1), 1)).key
+
+
+def _letters(space):
+    letters = [space.leaf(n) for n in space.alphabet.names()]
+    return letters if space.oriented else [space.unit_word] + letters
+
+
+def _every_basis_word(space, top):
+    """Every basis word of up to ``top`` leaves, built length by length
+    from every pair of shorter ones: a tree with a part that is no basis
+    word is none either."""
+    by_length = {1: _letters(space)}
+    for length in range(2, top + 1):
+        found = []
+        for a in range(1, length):
+            for u in by_length[a]:
+                for v in by_length[length - a]:
+                    w = space.join(u, v)
+                    if w is not None:
+                        found.append(w)
+        by_length[length] = found
+    return [w for words in by_length.values() for w in words]
+
+
+def _random_basis_words(space, rng, count, top):
+    """``count`` distinct basis words of 2 to ``top`` leaves, each joined
+    from two random words found before it."""
+    pool = _letters(space)
+    found = {}
+    while len(found) < count:
+        u, v = rng.choice(pool), rng.choice(pool)
+        if u.length + v.length > top:
+            continue
+        w = space.join(max(u, v), min(u, v))
+        if w is not None and w.key not in found:
+            found[w.key] = w
+            pool.append(w)
+    return _letters(space) + list(found.values())
+
+
+@pytest.mark.parametrize("oriented", [False, True], ids=["lie", "oriented"])
+class TestIntKeys:
+    """A word key is an int that orders words as the nested tuples
+    ``(length, left key, right key)`` of :func:`helpers.tuple_key` do."""
+
+    def check(self, space, words):
+        assert sorted(words, key=lambda w: w.key) == sorted(words, key=lambda w: tuple_key(w.word))
+        assert len({w.key for w in words}) == len(words)
+        assert all(type(w.key) is int and space.by_key[w.key] is w for w in words)
+
+    def test_every_word_of_up_to_six_leaves(self, oriented):
+        space = WordSpace(MIXED, oriented)
+        words = _every_basis_word(space, 6)
+        assert len(words) > 900
+        self.check(space, words)
+
+    def test_random_words_of_up_to_forty_leaves(self, oriented):
+        space = WordSpace(MIXED, oriented)
+        words = _random_basis_words(space, random.Random(17), 500, 40)
+        assert max(w.length for w in words) == 40
+        self.check(space, words)
+
+    def test_letter_key_is_its_index(self, oriented):
+        space = WordSpace(MIXED, oriented)
+        assert [w.key for w in _letters(space)] == [w.word for w in _letters(space)]
