@@ -4,9 +4,13 @@ superalgebras, with the Kantor double and the reduction of polynomial
 identities to customary form."""
 
 from .core import (
+    GENP,
+    GP,
+    JB,
     AlgebraError,
     Alphabet,
     Bracket,
+    DegreeGuardError,
     Gen,
     Generator,
     Prod,
@@ -16,13 +20,13 @@ from .core import (
     term_parity,
 )
 from .elements import Element
-from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 
 
 def __getattr__(name):
-    """Load the structure-algebra and Farkas modules on first use (PEP 562),
-    so that the free-algebra CLI commands never compile them."""
-    module = {"StructureAlgebra": "concrete", "CustomaryPolynomial": "farkas",
+    """Load the free engine, the structure-algebra and the Farkas modules on
+    first use (PEP 562), so that each CLI command compiles only its own."""
+    module = {"FreeAlgebra": "engine", "GpAlgebra": "engine", "dim_multilinear": "engine",
+              "StructureAlgebra": "concrete", "CustomaryPolynomial": "farkas",
               "PoissonPolynomial": "farkas"}.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,9 +34,13 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    GENP,
+    GP,
+    JB,
     AlgebraError,
     Alphabet,
     Bracket,
+    DegreeGuardError,
     Gen,
     Prod,
     Sum,
@@ -47,7 +51,6 @@ from .core import (
     var_names,
 )
 from .elements import Element
-from .engine import GENP, GP, JB, DegreeGuardError, FreeAlgebra, dim_multilinear
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -321,13 +324,17 @@ def _resolve_algebra(path: str):
 
 
 def _integer(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise AlgebraError(f"{what} must be an integer, not {text!r}") from None
+    """An optional ``-`` and ASCII digits, read as an int; ``int()`` alone
+    would also take other scripts' digits, spaces and underscores."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise AlgebraError(f"{what} must be an integer, not {text!r}")
+    return int(text)
 
 
-def _engine(args) -> FreeAlgebra:
+def _engine(args):
+    from .engine import FreeAlgebra
+
     alphabet = _alphabet_from_option(args.gens)
     guard = _integer(os.environ.get("JB_MAX_DEGREE", "12"), "JB_MAX_DEGREE")
     return FreeAlgebra(alphabet, args.theory, max_degree=guard)
@@ -349,8 +356,11 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    value = dim_multilinear(args.n, args.theory)
-    _emit(args, {"n": args.n, "theory": args.theory, "dim": value}, str(value))
+    from .engine import dim_multilinear
+
+    n = _integer(args.n, "n")
+    value = dim_multilinear(n, args.theory)
+    _emit(args, {"n": n, "theory": args.theory, "dim": value}, str(value))
     return EXIT_OK
 
 
@@ -493,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension of the multilinear component")
     common(p, gens=False)
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     p.set_defaults(fn=_cmd_dim)
 
     p = sub.add_parser("basis", help="basis monomials of one multidegree")

@@ -142,19 +142,45 @@ class SparseOps:
         return vjson(to_dense(a, self.algebra.dim))
 
 
-def first_failure(arity, elements, residual, is_zero):
+def first_failure(arity, elements, residual, is_zero, symmetric=()):
     """The first ``arity``-tuple of elements, in ``itertools.product`` order,
     on which the residual does not vanish (``is_zero`` is false), as
     ``(indices, arguments, residual)``; None when it vanishes on all of them.
 
     Over a basis this decides a multilinear identity completely.
+
+    ``symmetric`` names argument positions, in increasing order, across
+    which the residual is symmetric up to sign: permuting the arguments at
+    those positions only multiplies it by a sign, so whether it vanishes is
+    the same on a whole orbit.  The sweep then visits only the tuples whose
+    indices at those positions are non-decreasing, still in product order.
+    The verdict and the witness are those of the full sweep: every member
+    of the first failing tuple's orbit fails too, and the product-order
+    first member of an orbit is its sorted one, so the first failing tuple
+    is sorted, and no sorted tuple before it fails.
     """
-    for idx in iproduct(range(len(elements)), repeat=arity):
+    n = len(elements)
+    if symmetric:
+        tuples, prev = [()], None
+        for k in range(arity):
+            tuples = _extend(tuples, n, prev if k in symmetric else None)
+            prev = k if k in symmetric else prev
+    else:
+        tuples = iproduct(range(n), repeat=arity)
+    for idx in tuples:
         args = [elements[i] for i in idx]
         res = residual(*args)
         if not is_zero(res):
             return idx, args, res
     return None
+
+
+def _extend(tuples, n, prev):
+    """Each index tuple extended by one index, in product order; from the
+    index at position ``prev`` up when ``prev`` is not None."""
+    if prev is None:
+        return (idx + (i,) for idx in tuples for i in range(n))
+    return (idx + (i,) for idx in tuples for i in range(idx[prev], n))
 
 
 def check_entry(name, failure, parity, render):

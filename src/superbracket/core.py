@@ -23,6 +23,11 @@ ODD = 1
 
 UNIT_NAME = "1"
 
+# the three theories of the free engine
+GENP = "genp"
+JB = "jb"
+GP = "gp"
+
 
 class AlgebraError(Exception):
     """Base class for user-facing errors raised by this package."""
@@ -30,6 +35,10 @@ class AlgebraError(Exception):
 
 class UndefinedParityError(AlgebraError):
     """A parity or multidegree was requested where it is not defined."""
+
+
+class DegreeGuardError(AlgebraError):
+    """An intermediate monomial exceeded the configured degree bound."""
 
 
 Scalar = int | Fraction
@@ -40,11 +49,14 @@ def scalar(value) -> Scalar:
 
     The result is an ``int`` when the value is integral and a ``Fraction``
     with denominator greater than 1 otherwise; ints come back unchanged.
-    Booleans are refused rather than read as 0 or 1.
+    Booleans are refused rather than read as 0 or 1, and strings with a
+    non-ASCII character (``Fraction`` reads any script's digits) too.
     """
     if type(value) is int:
         return value
     if isinstance(value, str):
+        if not value.isascii():
+            raise AlgebraError(f"not an exact scalar: {value!r}")
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):

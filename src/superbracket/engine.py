@@ -31,9 +31,13 @@ from __future__ import annotations
 from itertools import product
 
 from .core import (
+    GENP,
+    GP,
+    JB,
     AlgebraError,
     Alphabet,
     Bracket,
+    DegreeGuardError,
     Gen,
     Prod,
     Sum,
@@ -55,15 +59,7 @@ from .identities import ElementOps, evaluate
 from .liebasis import WordSpace
 from .speedups import merge_factors
 
-GENP = "genp"
-JB = "jb"
-GP = "gp"
-
 _ONE = 1
-
-
-class DegreeGuardError(AlgebraError):
-    """An intermediate monomial exceeded the configured degree bound."""
 
 
 class FreeAlgebra:

@@ -390,6 +390,39 @@ class TestDispatch:
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv,env,message", [
+        (["dim", "\u0663"], {}, "n must be an integer, not '\u0663'"),
+        (["basis", "--gens", "x,y", "--multidegree", "x:\u0661,y:1,1:0"], {},
+         "the multidegree count of 'x' must be an integer, not '\u0661'"),
+        (["kantor-check", "--algebra", "builtin:wronskian\u0663"], {},
+         "the size N of builtin:wronskianN must be an integer, not '\u0663'"),
+        (["validate", "builtin:wronskian 3"], {},
+         "the size N of builtin:wronskianN must be an integer, not ' 3'"),
+        (["nf", "--gens", "x", "x"], {"JB_MAX_DEGREE": "1_2"},
+         "JB_MAX_DEGREE must be an integer, not '1_2'"),
+        (["nf", "--gens", "x", "x"], {"JB_MAX_DEGREE": "\u0661\u0662"},
+         "JB_MAX_DEGREE must be an integer, not '\u0661\u0662'"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=\u0661,0,0", "?a"], {},
+         "not an exact scalar: '\u0661'"),
+    ], ids=["dim", "multidegree-count", "builtin-size", "builtin-space", "guard-underscore",
+            "guard-arabic-indic", "eval-binding"])
+    def test_numbers_are_ascii_digits(self, capsys, monkeypatch, argv, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "") and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,out", [
+        (["dim", "-0"], None), (["dim", "6"], "4320\n"),
+        (["basis", "--gens", "x", "--multidegree", "x:2"], "1/1 x x\ncount 1\n"),
+    ], ids=["dim-minus-zero", "dim", "basis"])
+    def test_ascii_numbers_still_read(self, capsys, argv, out):
+        code, got, err = self.run(capsys, *argv)
+        if out is None:  # read as 0, which dim refuses by value
+            assert (code, got, err) == (2, "", "error: n must be at least 1\n")
+        else:
+            assert (code, got, err) == (0, out, "")
+
     def test_deeply_nested_algebra_json_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -577,10 +610,13 @@ _WATCHED = ["dataclasses", "superbracket.concrete", "superbracket.farkas",
 _CONCRETE, _FARKAS, _KANTOR = _WATCHED[1:4]
 
 
-def _loaded_after(*commands):
+_FREE_ENGINE = ["superbracket.engine", "superbracket.liebasis", "superbracket.speedups"]
+
+
+def _loaded_after(*commands, watched=_WATCHED):
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(_WATCHED), json.dumps(commands)],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(watched), json.dumps(commands)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
         cwd=root)
     assert proc.returncode == 0, proc.stderr
@@ -609,3 +645,16 @@ class TestColdStartImports:
                              ["validate", "builtin:wronskian3"],
                              ["farkas", "--gens", "x,y", "--input", "{x,y}", "--letters", "x,y"])
         assert seen == [[], [], [_CONCRETE], [_CONCRETE, _FARKAS]]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["kantor-check", "--algebra", "builtin:wronskian3"], []),
+        (["kantor-check", "--algebra", "builtin:wronskian3", "--direct", "--json"], []),
+        (["validate", "builtin:wronskian3"], []),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=1,0,0", "?a"], []),
+        (["check-identity", "--algebra", "builtin:wronskian3", "{?a,?b}"], []),
+        (["nf", "--gens", "x,y", "{x,y}"], _FREE_ENGINE),
+        (["dim", "3"], _FREE_ENGINE),
+    ], ids=["kantor-check", "kantor-check-direct", "validate", "eval", "check-identity",
+            "nf", "dim"])
+    def test_only_free_commands_load_the_free_engine(self, argv, loaded):
+        assert _loaded_after(argv, watched=_FREE_ENGINE) == [[], loaded]

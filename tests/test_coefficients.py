@@ -62,7 +62,7 @@ class TestScalar:
     def test_proper_fractions_stay_fractions(self, value):
         assert scalar(value) == Fraction(3, 2) and type(scalar(value)) is Fraction
 
-    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0"])
+    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0", "\u0661", "\u0663/2"])
     def test_rejected(self, value):
         with pytest.raises(AlgebraError):
             scalar(value)

@@ -2,18 +2,23 @@
 
 Differential tests run every check once on the package's sparse adapter and
 once on the dense oracle (:mod:`dense_oracle`) and ask for identical reports,
-first witnesses included.  The property test checks the paper's Kantor-double
-characterization: the bracket criteria on A and the super-Jordan identity on
-K(A) give the same verdict.
+first witnesses included.  The super-Jordan check sweeps only the tuples
+with sorted (x, z, t): its tests check the sign symmetry of the residual
+that makes this exact, and compare its reports with a plain loop over every
+tuple.  The property test checks the paper's Kantor-double characterization:
+the bracket criteria on A and the super-Jordan identity on K(A) give the
+same verdict.
 
 The random algebras are truncated polynomial rings Q[t]/(t^m) and Grassmann
 algebras on one or two odd generators, with the bracket
 {a,b} = D(a)b - aD(b) for a random even derivation D (a Jordan bracket by
-construction), optionally with one table entry perturbed.
+construction), optionally with one table entry perturbed, and random
+supercommutative products, mostly neither associative nor Jordan.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from superbracket import concrete
 from superbracket.concrete import (
     CLAIMS,
+    Report,
     SparseOps,
     StructureAlgebra,
     euler_wronskian_algebra,
@@ -33,8 +39,10 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
+from superbracket.identities import linear_jordan_residual, supercommutativity_residual
 from superbracket.kantor import criteria_check, double_is_jordan, double_of, super_jordan_check
 from dense_oracle import dense_run
+from helpers import bubble_shuffle_sign
 
 COEFFS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -139,6 +147,24 @@ def any_perturbed(draw):
     return StructureAlgebra(dim, parities, table, bracket, unit, claim)
 
 
+def random_supercommutative(rng, dim, density):
+    """A random supercommutative product on ``dim`` basis vectors of random
+    parity, with about ``density`` of the basis products nonzero: as a rule
+    neither associative nor Jordan."""
+    parities = [rng.randrange(2) for _ in range(dim)]
+    table = {}
+    for i, j in product(range(dim), repeat=2):
+        if j < i or (i == j and parities[i]) or rng.random() > density:
+            continue  # an odd square is zero, and (j, i) is set with (i, j)
+        targets = [k for k in range(dim) if parities[k] == parities[i] ^ parities[j]]
+        if targets:
+            row = [(k, rng.choice([1, -1, 2, Fraction(1, 2)]))
+                   for k in rng.sample(targets, min(len(targets), rng.randint(1, 2)))]
+            sign = -1 if parities[i] & parities[j] else 1
+            table[(i, j)], table[(j, i)] = row, [(k, sign * c) for k, c in row]
+    return StructureAlgebra(dim, parities, table)
+
+
 def _outcome(fn, *args):
     try:
         return "report", fn(*args).to_json()
@@ -186,6 +212,120 @@ class TestDenseOracle:
         assert alg.validate().to_json() == dense_run(alg.validate).to_json()
         assert criteria_check(alg).to_json() == dense_run(criteria_check, alg).to_json()
         assert super_jordan_check(dbl).to_json() == dense_run(super_jordan_check, dbl).to_json()
+
+
+# -- the linearized super-Jordan sweep over sorted (x, z, t) ---------------------------------
+
+def full_jordan_sweep(double):
+    """:func:`super_jordan_check` as a plain loop over every basis pair and
+    then every basis 4-tuple in ``itertools.product`` order."""
+    ops, dim = SparseOps(double), double.dim
+    for i, j in product(range(dim), repeat=2):
+        res = supercommutativity_residual(ops, ops.basis[i], ops.basis[j])
+        if res:
+            raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
+    for idx in product(range(dim), repeat=4):
+        res = linear_jordan_residual(ops, *(ops.basis[i] for i in idx))
+        if res:
+            witness = {"indices": list(idx), "parities": [double.parities[i] for i in idx],
+                       "residual": ops.render(res)}
+            return Report([{"identity": "super-jordan-linearized", "status": "fail",
+                            "witness": witness}])
+    return Report([{"identity": "super-jordan-linearized", "status": "pass"}])
+
+
+BUILTIN_DOUBLES = {
+    "wronskian2": lambda: wronskian_algebra(2),
+    "wronskian3": lambda: wronskian_algebra(3),
+    "wronskian4": lambda: wronskian_algebra(4),
+    "wronskian5": lambda: wronskian_algebra(5),
+    "euler-wronskian3": lambda: euler_wronskian_algebra(3),
+    "euler-wronskian5": lambda: euler_wronskian_algebra(5),
+    "untwisted-euler3": lambda: concrete.untwisted_algebra(euler_wronskian_algebra(3)),
+    "nonlie": concrete.nonlie_example_algebra,
+    "unital-nonlie-gp": lambda: concrete.adjoin_unit(concrete.nonlie_example_algebra()),
+    "zero-bracket3": lambda: concrete.zero_bracket_poisson(3),
+}
+
+
+def random_supercommutative_algebras(count, seed=18):
+    """Random supercommutative algebras of dimension 2-5, each followed by its
+    double with the zero bracket."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        alg = random_supercommutative(rng, rng.randint(2, 5), rng.choice([0.2, 0.5, 0.9]))
+        out += [alg, double_of(alg)] if alg.dim <= 3 else [alg]
+    return out
+
+
+class TestReducedJordanSweep:
+    """The sweep visits only the tuples with x <= z <= t, which is exact
+    because the residual is symmetric in x, z and t up to a Koszul sign."""
+
+    @staticmethod
+    def assert_koszul_symmetric(alg):
+        """At every basis 4-tuple the residual is the Koszul sign of sorting
+        the letters in slots 0, 2 and 3 (ties kept in slot order, the letter
+        in slot 1 staying) times the residual at the sorted tuple."""
+        ops = SparseOps(alg)
+        for idx in product(range(alg.dim), repeat=4):
+            slots = sorted((0, 2, 3), key=lambda s: (idx[s], s))
+            order = dict(zip(slots, (0, 2, 3)))  # slot -> its letter's place once sorted
+            letters = (order[0], 1, order[2], order[3])
+            parities = {order.get(s, s): alg.parities[idx[s]] for s in range(4)}
+            sign = bubble_shuffle_sign(parities, letters)
+            x, z, t = (idx[s] for s in slots)
+            at_sorted = linear_jordan_residual(ops, *(ops.basis[i] for i in (x, idx[1], z, t)))
+            got = linear_jordan_residual(ops, *(ops.basis[i] for i in idx))
+            assert got == ops.combine([(sign, at_sorted)]), (idx, got, at_sorted)
+
+    @pytest.mark.parametrize("arity,symmetric", [(4, (0, 2, 3)), (3, (1, 2)), (2, (0, 1)),
+                                                 (3, (0, 1, 2)), (3, ())])
+    def test_sweep_visits_the_sorted_tuples_in_product_order(self, arity, symmetric):
+        seen = []
+        assert concrete.first_failure(arity, "abcd", lambda *args: seen.append(args),
+                                      lambda res: True, symmetric) is None
+        want = [idx for idx in product(range(4), repeat=arity)
+                if all(idx[p] <= idx[q] for p, q in zip(symmetric, symmetric[1:]))]
+        assert seen == [tuple("abcd"[i] for i in idx) for idx in want]
+
+    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
+    def test_symmetry_on_builtin_doubles(self, make):
+        self.assert_koszul_symmetric(double_of(make()))
+
+    def test_symmetry_on_random_supercommutative_algebras(self):
+        for alg in random_supercommutative_algebras(30):
+            self.assert_koszul_symmetric(alg)
+
+    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
+    def test_builtin_doubles_match_the_full_sweep(self, make):
+        dbl = double_of(make())
+        assert super_jordan_check(dbl).to_json() == full_jordan_sweep(dbl).to_json()
+
+    def test_random_supercommutative_algebras_match_the_full_sweep(self):
+        reports = []
+        for alg in random_supercommutative_algebras(200):
+            report = super_jordan_check(alg).to_json()
+            assert report == full_jordan_sweep(alg).to_json()
+            reports.append(report[0])
+        witnesses = [r["witness"] for r in reports if r["status"] == "fail"]
+        # most fail, some late in the sweep and some on odd letters
+        assert len(witnesses) > len(reports) // 2 and len(witnesses) < len(reports)
+        assert any(w["indices"][0] > 0 for w in witnesses)
+        assert any(1 in w["parities"] for w in witnesses)
+
+    @SETTINGS
+    @given(any_perturbed())
+    def test_perturbed_doubles_match_the_full_sweep(self, alg):
+        dbl = double_of(alg)
+        assert _outcome(super_jordan_check, dbl) == _outcome(full_jordan_sweep, dbl)
+
+    @SETTINGS
+    @given(bracket_perturbed())
+    def test_bracket_perturbed_doubles_match_the_full_sweep(self, alg):
+        dbl = double_of(alg)
+        assert super_jordan_check(dbl).to_json() == full_jordan_sweep(dbl).to_json()
 
 
 # -- the paper's Kantor-double characterization ----------------------------------------------
