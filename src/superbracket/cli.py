@@ -46,6 +46,7 @@ from .core import (
     Sum,
     Var,
     fold,
+    is_integer_text,
     scalar,
     scalar_str,
     var_names,
@@ -326,8 +327,7 @@ def _resolve_algebra(path: str):
 def _integer(text: str, what: str) -> int:
     """An optional ``-`` and ASCII digits, read as an int; ``int()`` alone
     would also take other scripts' digits, spaces and underscores."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not is_integer_text(text):
         raise AlgebraError(f"{what} must be an integer, not {text!r}")
     return int(text)
 

@@ -147,7 +147,9 @@ def first_failure(arity, elements, residual, is_zero, symmetric=()):
     on which the residual does not vanish (``is_zero`` is false), as
     ``(indices, arguments, residual)``; None when it vanishes on all of them.
 
-    Over a basis this decides a multilinear identity completely.
+    Over a basis this decides a multilinear identity completely.  An int n
+    for ``elements`` sweeps the indices 0..n-1 themselves: the residual
+    takes indices, and the witness's arguments are its indices.
 
     ``symmetric`` names argument positions, in increasing order, across
     which the residual is symmetric up to sign: permuting the arguments at
@@ -159,7 +161,8 @@ def first_failure(arity, elements, residual, is_zero, symmetric=()):
     first member of an orbit is its sorted one, so the first failing tuple
     is sorted, and no sorted tuple before it fails.
     """
-    n = len(elements)
+    indices = type(elements) is int
+    n = elements if indices else len(elements)
     if symmetric:
         tuples, prev = [()], None
         for k in range(arity):
@@ -168,7 +171,7 @@ def first_failure(arity, elements, residual, is_zero, symmetric=()):
     else:
         tuples = iproduct(range(n), repeat=arity)
     for idx in tuples:
-        args = [elements[i] for i in idx]
+        args = idx if indices else [elements[i] for i in idx]
         res = residual(*args)
         if not is_zero(res):
             return idx, args, res

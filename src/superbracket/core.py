@@ -49,23 +49,33 @@ def scalar(value) -> Scalar:
 
     The result is an ``int`` when the value is integral and a ``Fraction``
     with denominator greater than 1 otherwise; ints come back unchanged.
-    Booleans are refused rather than read as 0 or 1, and strings with a
-    non-ASCII character (``Fraction`` reads any script's digits) too.
+    Booleans are refused rather than read as 0 or 1.  A string must be an
+    integer (see :func:`is_integer_text`), optionally followed by ``/`` and
+    ASCII digits: ``Fraction`` alone would also read other scripts' digits,
+    ``_`` digit groups, padding spaces and decimals.
     """
     if type(value) is int:
         return value
     if isinstance(value, str):
-        if not value.isascii():
+        num, slash, den = value.partition("/")
+        if not (is_integer_text(num) and (not slash or den.isascii() and den.isdigit())):
             raise AlgebraError(f"not an exact scalar: {value!r}")
         try:
             value = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise AlgebraError(f"not an exact scalar: {value!r}") from None
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise AlgebraError(f"not an exact scalar: {value!r}")
+
+
+def is_integer_text(text: str) -> bool:
+    """Whether the string is an optional ``-`` and ASCII digits, the one
+    integer syntax of the package."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def scalar_str(value: Scalar) -> str:

@@ -3,12 +3,17 @@
 These are the identities that a structure algebra's validation, its
 untwisting and the Kantor checks evaluate.  The residuals of the generic
 Poisson characterization, which only the acceptance suite evaluates, are
-test oracles in ``tests/paper_forms.py`` over the same adapters.
+test oracles in ``tests/paper_forms.py`` over the same adapters, and so are
+the unfactored forms of the two Kantor residuals.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
-so the sign conventions live in exactly one place.  The adapter provides
-five methods::
+so the sign conventions live in exactly one place.  The two Kantor
+residuals, :func:`double_criterion_residual` and
+:func:`linear_jordan_residual`, are the exception: they take basis indices
+of a structure algebra's :class:`~superbracket.kantor.BasisTables` and
+write each residual as a signed sum of the trilinear :data:`KERNELS`.  The
+adapter provides five methods::
 
     mul(a, b)       supercommutative associative product
     bracket(a, b)   super-anticommutative bracket (where required)
@@ -121,62 +126,79 @@ def deformed_jacobi_residual(ops, a, b, c):
     ])
 
 
-def double_criterion_residual(ops, which, f, h, g, w):
+# The kernels of the Kantor residuals: trilinear maps K(p, g, c) =
+# (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the "bracket",
+# given as (o1, o2, o3, o4) and evaluated by kantor.BasisTables.
+KERNELS = (
+    ("mul", "mul", "mul", "mul"),          # assoc(p,g,c) = (pg)c - p(gc)
+    ("mul", "bracket", "mul", "bracket"),  # K1(p,g,w) = {pg,w} - p{g,w}
+    ("bracket", "mul", "mul", "bracket"),  # K2(p,g,c) = {p,g}c - p{g,c}
+    ("bracket", "mul", "bracket", "mul"),  # K3(p,g,c) = {p,g}c - {p,gc}
+)
+ASSOC, K1, K2, K3 = range(len(KERNELS))
+
+
+def double_criterion_residual(tables, which, f, h, g, w):
     """The three bracket identities equivalent to the Kantor double being Jordan.
 
-    ``which`` selects 1, 2 or 3.  With the parities (i, k, j, l) of
-    (f, h, g, w) and the prefactors A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i},
-    C = (-1)^{(l+j)k}, exactly as quoted from the source characterization,
-    the residuals are
+    ``which`` selects 1, 2 or 3; f, h, g and w are basis indices of the
+    ``tables`` (:class:`~superbracket.kantor.BasisTables`).  With the
+    parities (i, k, j, l) of (f, h, g, w) and the prefactors
+    A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}, exactly as quoted
+    from the source characterization, the residuals are
 
     1. A{{f,h}g,w} + B{{h,w}g,f} + C{{w,f}g,h}
          - A{f,h}{g,w} - B{h,w}{g,f} - C{w,f}{g,h}
     2. B({hw,g}f - (hw){g,f}) - C({wf,g}h - (wf){g,h})
     3. A({(fh)g,w} - (fh){g,w}) - B({hw,g}f - {hw,gf}) - C({wf,g}h - {wf,gh})
+
+    Term for term, with K1(p,g,w) = {pg,w} - p{g,w}, K2(p,g,c) = {p,g}c - p{g,c}
+    and K3(p,g,c) = {p,g}c - {p,gc}, they are
+
+    1. A K1({f,h},g,w) + B K1({h,w},g,f) + C K1({w,f},g,h)
+    2. B K2(hw,g,f) - C K2(wf,g,h)
+    3. A K1(fh,g,w) - B K3(hw,g,f) - C K3(wf,g,h)
+
+    which is how they are evaluated: each kernel is linear in its first
+    argument, a product or bracket of two basis vectors.
     """
-    i, k, j, l = ops.parity(f), ops.parity(h), ops.parity(g), ops.parity(w)
-    A, B, C = _sgn((i + j) & l), _sgn((k + j) & i), _sgn((l + j) & k)
-    mul, brk = ops.mul, ops.bracket
+    par = tables.parities
+    i, k, j, l = par[f], par[h], par[g], par[w]
+    A = -1 if (i + j) & l else 1
+    B = -1 if (k + j) & i else 1
+    C = -1 if (l + j) & k else 1
+    mul, brk, d = tables.products, tables.brackets, tables.dim
+    fh, hw, wf = f * d + h, h * d + w, w * d + f
     if which == 1:
-        terms = [
-            (A, brk(mul(brk(f, h), g), w)), (B, brk(mul(brk(h, w), g), f)),
-            (C, brk(mul(brk(w, f), g), h)),
-            (-A, mul(brk(f, h), brk(g, w))), (-B, mul(brk(h, w), brk(g, f))),
-            (-C, mul(brk(w, f), brk(g, h))),
-        ]
+        terms = [(A, brk[fh], K1, g, w), (B, brk[hw], K1, g, f), (C, brk[wf], K1, g, h)]
     elif which == 2:
-        terms = [
-            (B, mul(brk(mul(h, w), g), f)), (-B, mul(mul(h, w), brk(g, f))),
-            (-C, mul(brk(mul(w, f), g), h)), (C, mul(mul(w, f), brk(g, h))),
-        ]
+        terms = [(B, mul[hw], K2, g, f), (-C, mul[wf], K2, g, h)]
     elif which == 3:
-        terms = [
-            (A, brk(mul(mul(f, h), g), w)), (-A, mul(mul(f, h), brk(g, w))),
-            (-B, mul(brk(mul(h, w), g), f)), (B, brk(mul(h, w), mul(g, f))),
-            (-C, mul(brk(mul(w, f), g), h)), (C, brk(mul(w, f), mul(g, h))),
-        ]
+        terms = [(A, mul[fh], K1, g, w), (-B, mul[hw], K3, g, f), (-C, mul[wf], K3, g, h)]
     else:
         raise ValueError(f"criterion index must be 1, 2 or 3, got {which}")
-    return ops.combine(terms)
+    return tables.contract(terms)
 
 
-def linear_jordan_residual(ops, x, y, z, t):
-    """Linearized Jordan identity, superized by the Koszul rule.
+def linear_jordan_residual(tables, x, y, z, t):
+    """Linearized Jordan identity, superized by the Koszul rule, at the basis
+    indices x, y, z and t of the ``tables`` (:class:`~superbracket.kantor.BasisTables`).
 
     ((xz)y)t + ((xt)y)z + ((zt)y)x - (xz)(yt) - (xt)(yz) - (zt)(yx), each
     term signed by the parity of the shuffle taking (x,y,z,t) to the term's
     letter sequence, counting odd-odd inversions.  Uses the product only.
+    Term for term it is s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x)
+    with assoc(p,y,c) = (py)c - p(yc), which is how it is evaluated.
     """
-    px, py, pz, pt = ops.parity(x), ops.parity(y), ops.parity(z), ops.parity(t)
-    s1 = _sgn(py & pz)
-    s2 = _sgn(pt & (py + pz))
-    s3 = _sgn((px & (py + pz + pt)) ^ (py & (pz + pt)))
-    mul = ops.mul
-    return ops.combine([
-        (s1, mul(mul(mul(x, z), y), t)), (s2, mul(mul(mul(x, t), y), z)),
-        (s3, mul(mul(mul(z, t), y), x)),
-        (-s1, mul(mul(x, z), mul(y, t))), (-s2, mul(mul(x, t), mul(y, z))),
-        (-s3, mul(mul(z, t), mul(y, x))),
+    par = tables.parities
+    px, py, pz, pt = par[x], par[y], par[z], par[t]
+    s1 = -1 if py & pz else 1
+    s2 = -1 if pt & (py + pz) else 1
+    s3 = -1 if (px & (py + pz + pt)) ^ (py & (pz + pt)) else 1
+    mul, d = tables.products, tables.dim
+    return tables.contract([
+        (s1, mul[x * d + z], ASSOC, y, t), (s2, mul[x * d + t], ASSOC, y, z),
+        (s3, mul[z * d + t], ASSOC, y, x),
     ])
 
 

@@ -10,20 +10,31 @@ graded by K(A)_0 = A_0 + A_1 x and K(A)_1 = A_1 + A_0 x.  :func:`double_of`
 builds it as a structure algebra from these four rules.  Jordan-ness of the
 double is checked two independent ways: through the three bracket criteria
 evaluated on A itself, and through the linearized super-Jordan identity
-evaluated on the double; the two verdicts must agree.  Both run on the
-exhaustive sweep :func:`~superbracket.concrete.first_failure`, over the
-sparse vectors and per-check product memo of
-:class:`~superbracket.concrete.SparseOps`, so both take structure algebras
-only.  The test suite runs the criteria on the generators of a free engine
-by building that report itself, from ``first_failure``, ``check_entry`` and
-:class:`~superbracket.identities.ElementOps`.
+evaluated on the double; the two verdicts must agree.
+
+Each residual is a signed sum of at most three trilinear kernels K(p, g, c),
+linear in p, where p is a product or bracket of two basis vectors (see
+:func:`~superbracket.identities.double_criterion_residual` and
+:func:`~superbracket.identities.linear_jordan_residual`).  So a check builds
+one :class:`BasisTables`, the basis-pair rows and the kernel values at basis
+index triples, and a tuple's residual sums at most three kernel values per
+nonzero coordinate of p, exactly over Q: the same vector as the unfactored
+sum of products, so every zero test and every report is unchanged.  Both
+checks sweep basis indices on :func:`~superbracket.concrete.first_failure`,
+one tuple per orbit of the permutations that only change the residual's
+sign, whose first failure in product order is that of the full sweep.
+:class:`~superbracket.concrete.SparseOps` runs the pair checks that come
+first and renders the witness, so both checks take structure algebras only.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError
 from .concrete import Report, SparseOps, StructureAlgebra, check_entry, first_failure, vzero
+from .elements import add_terms
 from .identities import (
+    KERNELS,
+    anticommutativity_residual,
     double_criterion_residual,
     linear_jordan_residual,
     supercommutativity_residual,
@@ -57,18 +68,84 @@ def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(2 * d, parities, product, {}, unit, "none")
 
 
+class BasisTables:
+    """The tables one Kantor check contracts, for a structure algebra.
+
+    ``products`` and ``brackets`` hold the product and the bracket of the
+    basis vectors i and j at ``i * dim + j``: the algebra's table rows,
+    sparse vectors of ``(index, coefficient)`` pairs.  :meth:`contract`
+    sums kernel values; the value of the kernel ``KERNELS[K]`` at basis
+    indices (k, g, c) is (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c), summed
+    from the rows when first asked for and kept under one int key.
+    """
+
+    def __init__(self, algebra: StructureAlgebra):
+        d = self.dim = algebra.dim
+        self.parities = algebra.parities
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+        rows = {"mul": [algebra.product.get(ij, ()) for ij in pairs],
+                "bracket": [algebra.bracket_table.get(ij, ()) for ij in pairs]}
+        self.products, self.brackets = rows["mul"], rows["bracket"]
+        self._kernels = [tuple(rows[o] for o in ops) for ops in KERNELS]
+        self._values, self._span = {}, len(KERNELS) * d * d
+
+    def contract(self, terms):
+        """The sum of s K(p, g, c) over the terms ``(s, p, K, g, c)``, where p
+        is a sparse vector, K indexes a kernel and g, c are basis indices:
+        the kernel values at (k, g, c) summed with the coefficients s p_k."""
+        d, span, values = self.dim, self._span, self._values
+        acc = {}
+        for s, p, kernel, g, c in terms:
+            base = (kernel * d + g) * d + c
+            for k, pk in p:
+                key = k * span + base
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = self._kernel(kernel, k, g, c)
+                if value:
+                    add_terms(acc, value, s * pk)
+        return tuple(sorted(acc.items())) if acc else ()
+
+    def _kernel(self, kernel, k, g, c):
+        o1, o2, o3, o4 = self._kernels[kernel]
+        d, acc = self.dim, {}
+        for m, a in o1[k * d + g]:
+            add_terms(acc, o2[m * d + c], a)
+        for m, a in o4[g * d + c]:
+            add_terms(acc, o3[k * d + m], -a)
+        return tuple(sorted(acc.items()))
+
+
+def _commutes(ops, residual):
+    """Whether the two-argument residual vanishes on every basis pair."""
+    return first_failure(2, ops.basis, lambda a, b: residual(ops, a, b), ops.is_zero) is None
+
+
 def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
-    The check runs over all basis 4-tuples, which is complete (the criteria
-    are multilinear).
+    The check is complete over basis 4-tuples (the criteria are
+    multilinear), and each criterion sweeps only one tuple per symmetry
+    orbit.  Criterion 1 only changes sign when f, h and w (positions 0, 1
+    and 3) are permuted, if the bracket is super-anticommutative; criteria 2
+    and 3 only change sign when f and h are swapped, if the product is
+    supercommutative.  Where its condition holds on every basis pair, a
+    criterion sweeps the tuples whose indices at those positions are sorted,
+    whose first failure in product order is the full sweep's (see
+    :func:`~superbracket.concrete.first_failure`); elsewhere it sweeps every
+    tuple.  Each residual is a contraction of :class:`BasisTables`.
     """
     ops = SparseOps(algebra)
+    tables = BasisTables(algebra)
+    orbits = {1: (0, 1, 3) if _commutes(ops, anticommutativity_residual) else ()}
+    orbits[2] = orbits[3] = (0, 1) if _commutes(ops, supercommutativity_residual) else ()
     checks = []
     for which in CRITERIA:
-        failure = first_failure(4, ops.basis,
-                                lambda *args: double_criterion_residual(ops, which, *args), ops.is_zero)
-        checks.append(check_entry(f"jorskob{which}", failure, ops.parity, ops.render))
+        failure = first_failure(
+            4, algebra.dim, lambda f, h, g, w: double_criterion_residual(tables, which, f, h, g, w),
+            ops.is_zero, symmetric=orbits[which])
+        checks.append(check_entry(f"jorskob{which}", failure, tables.parities.__getitem__,
+                                  ops.render))
     return Report(checks)
 
 
@@ -84,7 +161,8 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     and t multiplies it by a Koszul sign.  The sweep therefore visits only
     the tuples with x <= z <= t; the first failing tuple in product order is
     sorted (see :func:`~superbracket.concrete.first_failure`), so the
-    verdict and the witness are those of the sweep over all 4-tuples.
+    verdict and the witness are those of the sweep over all 4-tuples.  Each
+    residual is a contraction of :class:`BasisTables`.
     """
     ops = SparseOps(double)
     failure = first_failure(
@@ -92,10 +170,12 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     if failure is not None:
         (i, j), _, res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
+    tables = BasisTables(double)
     failure = first_failure(
-        4, ops.basis, lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t), ops.is_zero,
-        symmetric=(0, 2, 3))
-    return Report([check_entry("super-jordan-linearized", failure, ops.parity, ops.render)])
+        4, double.dim, lambda x, y, z, t: linear_jordan_residual(tables, x, y, z, t),
+        ops.is_zero, symmetric=(0, 2, 3))
+    return Report([check_entry("super-jordan-linearized", failure, tables.parities.__getitem__,
+                               ops.render)])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

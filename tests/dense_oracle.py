@@ -6,19 +6,21 @@
 ``render``) over dense coefficient tuples: a product walks every coordinate
 pair of both vectors through the table, ``combine`` sums every coordinate of
 every operand, nothing is memoized, and zero is the all-zero tuple.
-:func:`dense_run` runs a check with it in place of the sparse adapter, so a
-differential test compares the two vector representations through the same
-sweeps and residual builders.
+:func:`dense_run` runs a check of :mod:`superbracket.concrete` with it in
+place of the sparse adapter, so a differential test compares the two vector
+representations through the same sweeps and residual builders.  The Kantor
+checks contract sparse table rows, not adapter products; the tests compare
+them with sweeps of the unfactored residuals over either adapter instead.
 
-Build algebras and doubles before calling :func:`dense_run`: the table
-builders (``double_of``, ``untwisted_algebra``) store sparse rows.
+Build algebras before calling :func:`dense_run`: the table builder
+``untwisted_algebra`` stores sparse rows.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
-from superbracket import concrete, kantor
+from superbracket import concrete
 from superbracket.core import AlgebraError, scalar, scalar_str
 
 
@@ -79,7 +81,6 @@ class DenseOps:
 
 
 def dense_run(fn, *args):
-    """``fn(*args)`` with every structure-table check on :class:`DenseOps`."""
-    with mock.patch.object(concrete, "SparseOps", DenseOps), \
-            mock.patch.object(kantor, "SparseOps", DenseOps):
+    """``fn(*args)`` with every check of ``concrete`` on :class:`DenseOps`."""
+    with mock.patch.object(concrete, "SparseOps", DenseOps):
         return fn(*args)

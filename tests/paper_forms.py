@@ -10,7 +10,12 @@ and 7) and ``tests/test_farkas.py`` compare the engine with them:
   customary identity into brackets of products;
 - :func:`jacobi_defect_residual` and :func:`jordan_gp_residual`, the residuals
   of the generic Poisson characterization, written over the same ``ops``
-  adapters as the builders of :mod:`superbracket.identities`.
+  adapters as the builders of :mod:`superbracket.identities`;
+- :func:`double_criterion_residual` and :func:`linear_jordan_residual`, the
+  Kantor residuals as flat signed sums of products over an ``ops`` adapter.
+  The package evaluates them factored into kernels over basis tables; these
+  unfactored forms are the oracles that the tests compare it with, and they
+  evaluate the criteria on the generators of the free engines.
 """
 
 from __future__ import annotations
@@ -163,3 +168,64 @@ def jacobi_defect_residual(ops, a, b, c):
 def jordan_gp_residual(ops, a, b, c, d):
     """({{a,b},c} - (-1)^{|b||c|}{{a,c},b} - {a,{b,c}}) . d"""
     return ops.mul(jacobi_defect_residual(ops, a, b, c), d)
+
+
+# -- the Kantor residuals, unfactored ------------------------------------------------------
+
+def double_criterion_residual(ops, which, f, h, g, w):
+    """The three bracket identities equivalent to the Kantor double being Jordan.
+
+    ``which`` selects 1, 2 or 3.  With the parities (i, k, j, l) of
+    (f, h, g, w) and the prefactors A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i},
+    C = (-1)^{(l+j)k}, exactly as quoted from the source characterization,
+    the residuals are
+
+    1. A{{f,h}g,w} + B{{h,w}g,f} + C{{w,f}g,h}
+         - A{f,h}{g,w} - B{h,w}{g,f} - C{w,f}{g,h}
+    2. B({hw,g}f - (hw){g,f}) - C({wf,g}h - (wf){g,h})
+    3. A({(fh)g,w} - (fh){g,w}) - B({hw,g}f - {hw,gf}) - C({wf,g}h - {wf,gh})
+    """
+    i, k, j, l = ops.parity(f), ops.parity(h), ops.parity(g), ops.parity(w)
+    A, B, C = _sgn((i + j) & l), _sgn((k + j) & i), _sgn((l + j) & k)
+    mul, brk = ops.mul, ops.bracket
+    if which == 1:
+        terms = [
+            (A, brk(mul(brk(f, h), g), w)), (B, brk(mul(brk(h, w), g), f)),
+            (C, brk(mul(brk(w, f), g), h)),
+            (-A, mul(brk(f, h), brk(g, w))), (-B, mul(brk(h, w), brk(g, f))),
+            (-C, mul(brk(w, f), brk(g, h))),
+        ]
+    elif which == 2:
+        terms = [
+            (B, mul(brk(mul(h, w), g), f)), (-B, mul(mul(h, w), brk(g, f))),
+            (-C, mul(brk(mul(w, f), g), h)), (C, mul(mul(w, f), brk(g, h))),
+        ]
+    elif which == 3:
+        terms = [
+            (A, brk(mul(mul(f, h), g), w)), (-A, mul(mul(f, h), brk(g, w))),
+            (-B, mul(brk(mul(h, w), g), f)), (B, brk(mul(h, w), mul(g, f))),
+            (-C, mul(brk(mul(w, f), g), h)), (C, brk(mul(w, f), mul(g, h))),
+        ]
+    else:
+        raise ValueError(f"criterion index must be 1, 2 or 3, got {which}")
+    return ops.combine(terms)
+
+
+def linear_jordan_residual(ops, x, y, z, t):
+    """Linearized Jordan identity, superized by the Koszul rule.
+
+    ((xz)y)t + ((xt)y)z + ((zt)y)x - (xz)(yt) - (xt)(yz) - (zt)(yx), each
+    term signed by the parity of the shuffle taking (x,y,z,t) to the term's
+    letter sequence, counting odd-odd inversions.  Uses the product only.
+    """
+    px, py, pz, pt = ops.parity(x), ops.parity(y), ops.parity(z), ops.parity(t)
+    s1 = _sgn(py & pz)
+    s2 = _sgn(pt & (py + pz))
+    s3 = _sgn((px & (py + pz + pt)) ^ (py & (pz + pt)))
+    mul = ops.mul
+    return ops.combine([
+        (s1, mul(mul(mul(x, z), y), t)), (s2, mul(mul(mul(x, t), y), z)),
+        (s3, mul(mul(mul(z, t), y), x)),
+        (-s1, mul(mul(x, z), mul(y, t))), (-s2, mul(mul(x, t), mul(y, z))),
+        (-s3, mul(mul(z, t), mul(y, x))),
+    ])

@@ -46,6 +46,7 @@ from paper_forms import (
     _deriv_macro,
     _pair_macro,
     bracket_product_form,
+    double_criterion_residual,
     jacobi_defect_residual,
     left_normed,
     leftnormed_product_expansion,
@@ -180,11 +181,11 @@ def test_criterion_6_generic_poisson_theorem():
         algebra = GpAlgebra(Alphabet(names))
         f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
         ops = free_ops(algebra)
-        if not identities.double_criterion_residual(ops, 2, f, h, g, w).is_zero():
+        if not double_criterion_residual(ops, 2, f, h, g, w).is_zero():
             ok = False
-        if not identities.double_criterion_residual(ops, 3, f, h, g, w).is_zero():
+        if not double_criterion_residual(ops, 3, f, h, g, w).is_zero():
             ok = False
-        residual = identities.double_criterion_residual(ops, 1, f, h, g, w)
+        residual = double_criterion_residual(ops, 1, f, h, g, w)
         # match the residual against signed jacobi-defect times letter patterns
         elements = {"f": f, "h": h, "g": g, "w": w}
         patterns = []

@@ -404,8 +404,12 @@ class TestDispatch:
          "JB_MAX_DEGREE must be an integer, not '\u0661\u0662'"),
         (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=\u0661,0,0", "?a"], {},
          "not an exact scalar: '\u0661'"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=1_0,0,0", "?a"], {},
+         "not an exact scalar: '1_0'"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a= 1 ,0,0", "?a"], {},
+         "not an exact scalar: ' 1 '"),
     ], ids=["dim", "multidegree-count", "builtin-size", "builtin-space", "guard-underscore",
-            "guard-arabic-indic", "eval-binding"])
+            "guard-arabic-indic", "eval-binding", "eval-binding-underscore", "eval-binding-spaces"])
     def test_numbers_are_ascii_digits(self, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

@@ -62,7 +62,12 @@ class TestScalar:
     def test_proper_fractions_stay_fractions(self, value):
         assert scalar(value) == Fraction(3, 2) and type(scalar(value)) is Fraction
 
-    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0", "\u0661", "\u0663/2"])
+    def test_a_minus_sign_leads(self):
+        assert scalar("-6/4") == Fraction(-3, 2) and scalar("-0") == 0 and scalar("-7") == -7
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0", "\u0661", "\u0663/2",
+                                       "1_0", " 1", "1 ", "1/ 2", "+1", "1/-2", "1/", "-", "",
+                                       "1.5", "1e3"])
     def test_rejected(self, value):
         with pytest.raises(AlgebraError):
             scalar(value)

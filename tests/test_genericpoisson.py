@@ -8,7 +8,7 @@ from superbracket.elements import monomial_factor_count, monomial_parity
 from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
 from helpers import free_ops, max_word_degree, random_term
-from paper_forms import jacobi_defect_residual, jordan_gp_residual
+from paper_forms import double_criterion_residual, jacobi_defect_residual, jordan_gp_residual
 
 
 def normal_forms(algebra, *names):
@@ -142,17 +142,17 @@ class TestCriteria:
         for bits, algebra in parity_alphabets():
             f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
             ops = free_ops(algebra)
-            assert identities.double_criterion_residual(ops, 2, f, h, g, w).is_zero(), bits
-            assert identities.double_criterion_residual(ops, 3, f, h, g, w).is_zero(), bits
+            assert double_criterion_residual(ops, 2, f, h, g, w).is_zero(), bits
+            assert double_criterion_residual(ops, 3, f, h, g, w).is_zero(), bits
 
     def test_criterion_one_survives(self):
         algebra = GpAlgebra(Alphabet([("f", 0), ("h", 0), ("g", 0), ("w", 0)]))
         f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
-        assert not identities.double_criterion_residual(free_ops(algebra), 1, f, h, g, w).is_zero()
+        assert not double_criterion_residual(free_ops(algebra), 1, f, h, g, w).is_zero()
 
     def test_bad_criterion_index(self, gp):
         with pytest.raises(ValueError):
-            identities.double_criterion_residual(free_ops(gp), 4, *normal_forms(gp, "x1", "x2", "x3", "th"))
+            double_criterion_residual(free_ops(gp), 4, *normal_forms(gp, "x1", "x2", "x3", "th"))
 
     def test_jordan_criterion_product_builds(self, gp):
         e = jordan_gp_residual(free_ops(gp), *normal_forms(gp, "x1", "x2", "x3", "th"))

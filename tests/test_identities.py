@@ -9,6 +9,11 @@ formulas below therefore carry only the signs in front of their terms, and
 the test computes each Koszul sign itself from the letter sequence.  The
 criteria carry the prefactors A, B, C as quoted in their docstring.
 
+The two Kantor residuals are compared twice: in their unfactored forms
+over an adapter (the oracles of ``tests/paper_forms.py``), and in the
+package's forms, factored into kernels over the basis tables of
+:class:`~superbracket.kantor.BasisTables`.
+
 The checks run where the identities fail, so that no term is zero and a
 wrong sign on any term, or on a pair of terms, changes the residual: a
 structure algebra with random graded tables (no identity holds there, and
@@ -31,6 +36,7 @@ from superbracket.cli import parse
 from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
 from superbracket.core import Alphabet, Sum
 from superbracket.engine import GENP, GP, FreeAlgebra
+from superbracket.kantor import BasisTables
 import paper_forms
 
 FORMULAS = {
@@ -108,8 +114,9 @@ def criterion_formula(which, alphabet, pattern):
 
 
 def builder(name):
-    """The package's builder, or the test oracle's for the generic Poisson forms."""
-    return getattr(identities, f"{name}_residual", None) or getattr(paper_forms, f"{name}_residual")
+    """The builder over an ``ops`` adapter: the test oracle's for the generic
+    Poisson forms and the unfactored Kantor residuals, else the package's."""
+    return getattr(paper_forms, f"{name}_residual", None) or getattr(identities, f"{name}_residual")
 
 
 def argument_names(fn):
@@ -166,12 +173,39 @@ def test_builder_matches_formula_on_a_random_table(generic, name, pattern):
 
 @pytest.mark.parametrize("which", (1, 2, 3))
 def test_criteria_match_their_formulas_on_a_random_table(generic, which):
-    order = argument_names(identities.double_criterion_residual)
+    order = argument_names(paper_forms.double_criterion_residual)
     for pattern in product((0, 1), repeat=4):
         ops, args, bindings = structure_case(generic, order, pattern)
         want = generic.evaluate(criterion_formula(which, Alphabet([]), pattern), bindings)
-        got = identities.double_criterion_residual(ops, which, *args)
+        got = paper_forms.double_criterion_residual(ops, which, *args)
         assert to_dense(got, 9) == want and any(want), pattern
+
+
+# -- the package's factored Kantor residuals, over basis tables -------------------------------
+
+@pytest.mark.parametrize("which", (1, 2, 3, "jordan"))
+def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
+    """Term for term, so a wrong sign on any kernel term changes a residual:
+    the table has no symmetry that could make two terms cancel."""
+    tables = BasisTables(generic)
+    for pattern in product((0, 1), repeat=4):
+        indices = [(ODD if p else EVEN)[n] for n, p in enumerate(pattern)]
+        bindings = {v: vbasis(9, i) for v, i in zip("fhgw" if which != "jordan" else "xyzt",
+                                                    indices)}
+        if which == "jordan":
+            formula = koszul_formula(FORMULAS["linear_jordan"], Alphabet([]), "xyzt",
+                                     dict(zip("xyzt", pattern)))
+            got = identities.linear_jordan_residual(tables, *indices)
+        else:
+            formula = criterion_formula(which, Alphabet([]), pattern)
+            got = identities.double_criterion_residual(tables, which, *indices)
+        want = generic.evaluate(formula, bindings)
+        assert to_dense(got, 9) == want and any(want), pattern
+
+
+def test_kernel_form_refuses_a_fourth_criterion(generic):
+    with pytest.raises(ValueError, match="criterion index must be 1, 2 or 3"):
+        identities.double_criterion_residual(BasisTables(generic), 4, 1, 2, 3, 4)
 
 
 # -- the free engines, where the identity fails ------------------------------------------------
@@ -203,13 +237,13 @@ def test_builder_matches_formula_in_the_free_engine(theory, name):
 
 def test_first_criterion_matches_its_formula_in_gp():
     # criteria 2 and 3 vanish on the generators of free gp: the random table checks them
-    order = argument_names(identities.double_criterion_residual)
+    order = argument_names(paper_forms.double_criterion_residual)
     alg = free_algebra(GP, 4)
     ops = identities.ElementOps(alg)
     for pattern in product((0, 1), repeat=4):
         args, bindings = free_case(alg, order, pattern)
         want = alg.substitute(criterion_formula(1, alg.alphabet, pattern), bindings)
-        got = identities.double_criterion_residual(ops, 1, *args)
+        got = paper_forms.double_criterion_residual(ops, 1, *args)
         assert got == want and not want.is_zero(), pattern
 
 

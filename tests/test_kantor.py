@@ -20,7 +20,7 @@ from superbracket.concrete import (
     wronskian_algebra,
     zero_bracket_poisson,
 )
-from superbracket.identities import ElementOps, double_criterion_residual
+from superbracket.identities import ElementOps
 from superbracket.kantor import (
     CRITERIA,
     criteria_check,
@@ -28,6 +28,7 @@ from superbracket.kantor import (
     double_of,
     super_jordan_check,
 )
+from paper_forms import double_criterion_residual
 
 ONE = Fraction(1)
 
