@@ -11,10 +11,11 @@ twin.
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key is the int rank of an interned basis word of the owning algebra's word
 space (see :mod:`superbracket.liebasis`), so int order is word order; the
-empty tuple is the unit.  Odd factors never carry an exponent above 1.  The
-same machinery backs all three theories of the free engine (generalized
-Poisson, Jordan brackets, generic Poisson); they differ only in how the
-owning algebra brackets two basis words.
+empty tuple is the unit, and :func:`word_monomial` is a basis word's
+monomial.  Odd factors never carry an exponent above 1.  The same machinery
+backs all three theories of the free engine (generalized Poisson, Jordan
+brackets, generic Poisson); they differ only in what the owning algebra's
+one word rule rewrites when it brackets two basis words.
 
 Elements are immutable, so an operation may return an element that others
 share (a bracket of two one-term elements is the algebra's cached one).
@@ -27,9 +28,10 @@ from .core import AlgebraError, scalar
 UNIT_MONOMIAL = ()
 
 
-def factor_of(word, exp: int = 1):
-    """Factor triple of an interned basis word."""
-    return (word.key, word.parity, exp)
+def word_monomial(word):
+    """The monomial of an interned basis word: the word to the first power,
+    or the unit for the bare unit letter (key 0)."""
+    return ((word.key, word.parity, 1),) if word.key else UNIT_MONOMIAL
 
 
 def monomial_parity(m) -> int:
@@ -146,13 +148,6 @@ class Element:
             raise AlgebraError("element is not parity-homogeneous")
         return parities.pop() if parities else 0
 
-    def degrees(self) -> tuple:
-        """Common multidegree of all monomials; raises if mixed."""
-        degs = {self.algebra.monomial_degrees(m) for m in self.terms}
-        if len(degs) > 1:
-            raise AlgebraError("element is not multidegree-homogeneous")
-        return degs.pop() if degs else self.algebra.space.alphabet.zero_degrees()
-
     def monomials(self):
         """Canonically ordered (monomial, coefficient) pairs."""
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
@@ -162,7 +157,7 @@ class Element:
             raise AlgebraError("elements belong to different algebras/theories")
 
     def __repr__(self):
-        return f"Element({self.algebra.describe()}, {len(self.terms)} terms)"
+        return f"Element({self.algebra.theory}, {len(self.terms)} terms)"
 
 
 def _monomial_sort_key(m):

@@ -2,18 +2,21 @@
 
 Elements live in a shared monomial basis: products of basis words with
 exponents (odd words squarefree, no bare unit factor), plus the unit.  The
-three theories share the product and the Leibniz expansion; they differ only
-in how a bracket of two basis words is rewritten.  Every word rule starts
-alike: an even square vanishes, the pair is oriented by
-super-anticommutativity, and a pair that :meth:`WordSpace.join` accepts is
-one basis word.  Then each theory applies its own rewrite:
+three theories share the product, the Leibniz expansion and one word rule,
+:meth:`FreeAlgebra._bracket_words`; they differ only in how it rewrites what
+is left once the shared start is done.  The start: an even square vanishes,
+the pair is oriented by super-anticommutativity, and a pair that
+:meth:`WordSpace.join` accepts is one basis word.  Then:
 
-* generalized Poisson: plain super-Jacobi rewriting (stays in the Lie span),
-  in :meth:`WordSpace.bracket_words`;
-* Jordan brackets: the Jacobi-like rewriting acquires three derivation terms,
-  so straightening produces genuine products (:meth:`FreeAlgebra._bracket_words`);
+* generalized Poisson: plain super-Jacobi rewriting (stays in the Lie span);
+* Jordan brackets: the same rewriting plus three derivation terms, so
+  straightening produces genuine products;
 * generic Poisson: no rewrite, since every oriented pair of atoms is an atom;
-  only a bracket with the unit is left, and it vanishes (the same method).
+  only a bracket with the unit is left, and it vanishes.
+
+Word-pair brackets share the monomial-bracket cache with every other
+bracket, and one guard there catches a straightening cycle in either
+rewriting theory.
 
 The distinguished derivation is ``D(a) = {a, 1}``.
 
@@ -51,9 +54,9 @@ from .elements import (
     UNIT_MONOMIAL,
     add_terms,
     combine,
-    factor_of,
     monomial_factor_count,
     monomial_parity,
+    word_monomial,
 )
 from .identities import ElementOps, evaluate
 from .liebasis import WordSpace
@@ -73,13 +76,11 @@ class FreeAlgebra:
         self.max_degree = max_degree
         self._mono_bracket_cache = {}
         self._monomials = {}
+        self._active = set()  # word pairs being straightened
 
     @property
     def alphabet(self) -> Alphabet:
         return self.space.alphabet
-
-    def describe(self) -> str:
-        return self.theory
 
     # -- constructors ---------------------------------------------------
 
@@ -94,9 +95,7 @@ class FreeAlgebra:
 
     def word_element(self, w) -> Element:
         """The basis word as an element; the bare unit letter is the unit."""
-        if isinstance(w.word, int) and w.word == 0:
-            return self.one()
-        return Element(self, {(factor_of(w),): _ONE})
+        return Element(self, {word_monomial(w): _ONE})
 
     def element(self, pairs) -> Element:
         """Element from (coefficient, monomial) pairs."""
@@ -182,34 +181,50 @@ class FreeAlgebra:
     # -- monomial-level bracket ---------------------------------------------
 
     def _bracket_mono(self, m1, m2) -> Element:
-        key = (m1, m2)
-        cached = self._mono_bracket_cache.get(key)
+        cached = self._mono_bracket_cache.get((m1, m2))
         if cached is None:
-            # cached results share one tuple per distinct monomial: a free
-            # algebra's memory after a confluence sweep drops by about 14%
-            monos = self._monomials
-            terms = self._bracket_mono_uncached(m1, m2).terms
-            cached = Element(self, {monos.setdefault(m, m): c for m, c in terms.items()})
-            self._mono_bracket_cache[key] = cached
+            cached = self._bracket_mono_uncached(m1, m2)
         return cached
 
     def _bracket_mono_uncached(self, m1, m2) -> Element:
+        """A miss of the monomial-bracket cache, stored here for a product
+        and by :meth:`_word_bracket` for a pair of words."""
         n2 = monomial_factor_count(m2)
         if n2 >= 2:
-            return self._leibniz_expand(m1, m2)
+            return self._store((m1, m2), self._leibniz_expand(m1, m2))
         n1 = monomial_factor_count(m1)
         if n1 >= 2:
             sign = _ONE if (monomial_parity(m1) & monomial_parity(m2)) else -_ONE
-            return self._bracket_mono(m2, m1).scale(sign)
-        if n1 == 0 and n2 == 0:
-            return self.zero()
+            return self._store((m1, m2), self._bracket_mono(m2, m1).scale(sign))
         space = self.space
-        w1 = space.by_key[m1[0][0]] if n1 else space.unit_word
-        w2 = space.by_key[m2[0][0]] if n2 else space.unit_word
-        if self.theory == GENP:
-            combo = space.bracket_words(w1, w2)
-            return self.element((c, (factor_of(w),)) for w, c in combo.items())
-        return self._bracket_words(w1, w2)
+        return self._word_bracket(space.by_key[m1[0][0]] if n1 else space.unit_word,
+                                  space.by_key[m2[0][0]] if n2 else space.unit_word)
+
+    def _word_bracket(self, u, v) -> Element:
+        """``{u,v}`` of two basis words: the pair's entry of the
+        monomial-bracket cache, filled by :meth:`_bracket_words` itself, so
+        that a Jacobi step of the word rule costs two frames.  A pair met
+        again while it is being computed is a straightening cycle."""
+        key = (word_monomial(u), word_monomial(v))
+        cached = self._mono_bracket_cache.get(key)
+        if cached is not None:
+            return cached
+        active = self._active
+        if key in active:
+            raise AlgebraError(f"straightening cycle at {(u.key, v.key)}")
+        active.add(key)
+        try:
+            return self._store(key, self._bracket_words(u, v))
+        finally:
+            active.discard(key)
+
+    def _store(self, key, el: Element) -> Element:
+        # cached results share one tuple per distinct monomial: a free
+        # algebra's memory after a confluence sweep drops by about 14%
+        monos = self._monomials
+        cached = self._mono_bracket_cache[key] = Element(
+            self, {monos.setdefault(m, m): c for m, c in el.terms.items()})
+        return cached
 
     def _leibniz_expand(self, m1, m2) -> Element:
         """Bracket against a product monomial via the deformed Leibniz rule.
@@ -235,46 +250,68 @@ class FreeAlgebra:
         return Element(self, out)
 
     def _bracket_words(self, u, v) -> Element:
-        """The jb and gp word rule.  It starts as genp's straightening in
-        :class:`WordSpace` does; then in gp only a bracket with the unit is
-        left, which plain Leibniz with the unit law forces to vanish, and in
-        jb a left-nested word is rewritten by the deformed Jacobi identity.
+        """The word rule of all three theories: ``{u,v}`` of two basis words.
+
+        An even square vanishes, the pair is oriented by
+        super-anticommutativity, and a pair that :meth:`WordSpace.join`
+        accepts is one basis word.  In gp, only a bracket with the unit is
+        left, which plain Leibniz with the unit law forces to vanish.  genp
+        and jb rewrite a left-nested ``u = {a,b}`` by the Jacobi identity
+        ``{{a,b},v} = {a,{b,v}} + (-1)^{|b||v|} {{a,v},b}``, which in jb
+        acquires three derivation terms, so jb straightening produces
+        products; the descent of the left factor's degree makes the
+        recursion finite.
         """
         if u is v and u.parity == 0:
             return self.zero()
         if u.key < v.key:
             sign = _ONE if (u.parity & v.parity) else -_ONE
-            return self.bracket(self.word_element(v), self.word_element(u)).scale(sign)
+            return self._word_bracket(v, u).scale(sign)
         space = self.space
         w = space.join(u, v)
         if w is not None:
             return self.word_element(w)
-        if self.theory == GP:
+        theory = self.theory
+        if theory == GP:
             return self.zero()
         a, b = u.left, u.right
+        out = {}
         if u.square and a is v:
-            # {{a,a},a} for odd a: the deformed Jacobi identity gives
-            # 3{{a,a},a} = -3 D(a){a,a}.
-            return self.mul(self.deriv(self.word_element(a)), self.word_element(u)).scale(-1)
-        # Solve the Jordan-bracket Jacobi deformation for the left-nested
-        # bracket: {{a,b},v} = {a,{b,v}} + (-1)^{|b||v|}{{a,v},b}
-        #   - D(a){b,v} - (-1)^{|a|(|b|+|v|)} D(b){v,a}
-        #   - (-1)^{|v|(|a|+|b|)} D(v){a,b}.
-        A = self.word_element(a)
-        B = self.word_element(b)
-        V = self.word_element(v)
-        bv = self.bracket(B, V)
+            # {{a,a},a} for odd a: Jacobi plus anticommutativity force
+            # 3{{a,a},a} = 0 in genp, and 3{{a,a},a} = -3 D(a){a,a} in jb
+            if theory == JB:
+                self._add_products(out, self._word_bracket(a, space.unit_word).terms,
+                                   ((word_monomial(u), -_ONE),))
+            return Element(self, out)
+        # {a,{b,v}} + (-1)^{|b||v|} {{a,v},b}.  A bracket with a word goes
+        # straight to _word_bracket, so a Jacobi step costs two frames; one
+        # with a product (only jb straightening makes them) goes by Leibniz.
+        by_key = space.by_key
+        bv = self._word_bracket(b, v)
+        for m, c in bv.terms.items():
+            if len(m) == 1 == m[0][2]:
+                br = self._word_bracket(a, by_key[m[0][0]])
+            else:
+                br = self._bracket_mono(word_monomial(a), m)
+            add_terms(out, br.terms.items(), c)
         s2 = -_ONE if (b.parity & v.parity) else _ONE
-        s4 = -_ONE if (a.parity & ((b.parity + v.parity) & 1)) else _ONE
-        s5 = -_ONE if (v.parity & ((a.parity + b.parity) & 1)) else _ONE
-        pieces = [
-            (_ONE, self.bracket(A, bv)),
-            (s2, self.bracket(self.bracket(A, V), B)),
-            (-_ONE, self.mul(self.deriv(A), bv)),
-            (-s4, self.mul(self.deriv(B), self.bracket(V, A))),
-            (-s5, self.mul(self.deriv(V), self.word_element(u))),
-        ]
-        return combine(self, pieces)
+        for m, c in self._word_bracket(a, v).terms.items():
+            if len(m) == 1 == m[0][2]:
+                br = self._word_bracket(by_key[m[0][0]], b)
+            else:
+                br = self._bracket_mono(m, word_monomial(b))
+            add_terms(out, br.terms.items(), s2 * c)
+        if theory == JB:
+            # - D(a){b,v} - (-1)^{|a|(|b|+|v|)} D(b){v,a}
+            # - (-1)^{|v|(|a|+|b|)} D(v){a,b}
+            s4 = -_ONE if (a.parity & ((b.parity + v.parity) & 1)) else _ONE
+            s5 = -_ONE if (v.parity & ((a.parity + b.parity) & 1)) else _ONE
+            unit = space.unit_word
+            for d, k, el in ((a, -_ONE, bv), (b, -s4, self._word_bracket(v, a)),
+                             (v, -s5, self.word_element(u))):
+                self._add_products(out, self._word_bracket(d, unit).terms,
+                                   [(m, k * c) for m, c in el.terms.items()])
+        return Element(self, out)
 
     # -- evaluation of term trees -------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Good words, their total order, and straightening in the free Lie superalgebra.
+"""Good words and their total order: the word basis of the free engine.
 
 Basis words are binary bracket words over the alphabet (the unit counts as an
 ordinary letter here).  A word is *good* when, recursively, it is a single
@@ -29,12 +29,9 @@ words.  Interned :class:`BasisWord` objects carry the derived data, and the
 word space indexes them by key alone.
 :meth:`WordSpace.join` is the one basis-word test, in both kinds of space.
 
-:meth:`WordSpace.bracket_words` is the generalized Poisson word rule.  The
-engine's rule for Jordan brackets and generic Poisson starts the same way:
-an even square vanishes, the pair is oriented by super-anticommutativity,
-and a pair that joins to a basis word is that word.  Only what is left
-differs: genp and jb rewrite a left-nested word by their Jacobi identity,
-and in gp only a bracket with the unit is left.
+A word space only interns, ranks, joins and enumerates basis words.  How two
+basis words bracket is each theory's rule, and all three rules live in
+:meth:`superbracket.engine.FreeAlgebra._bracket_words`.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ from __future__ import annotations
 from itertools import product
 
 from .core import Alphabet, AlgebraError, fold, word_parts
-from .elements import add_terms
-
-_ONE = 1
 
 
 def _word_repr(word) -> str:
@@ -68,26 +62,14 @@ class BasisWord:
         self.right = right
         self.square = square
 
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
-
-    def __ge__(self, other):
-        return self.key >= other.key
-
-    # identity equality: words are interned per space
+    # identity equality: words are interned per space; ``key`` orders them
 
     def __repr__(self):
         return f"<word {self.word}>"
 
 
 class WordSpace:
-    """Per-alphabet interning of basis words plus the straightening cache.
+    """Per-alphabet interning, ranking and enumeration of basis words.
 
     With ``oriented`` set, the interned words are the generic Poisson atoms
     (oriented trees without the unit letter) instead of the Lie basis.
@@ -103,8 +85,6 @@ class WordSpace:
         self._trees = [0, alphabet.size]
         self._shorter = [0, 0]
         self._key_base = {}
-        self._bracket_cache = {}
-        self._active = set()
         self._good_cache = {}
         self._basis_cache = {}
 
@@ -186,57 +166,6 @@ class WordSpace:
         base = self._key_base[(a, b)] = (
             shorter[length] + split - shorter[a] * trees[b] - shorter[b])
         return base
-
-    # -- straightening ------------------------------------------------------
-
-    def bracket_words(self, u: BasisWord, v: BasisWord) -> dict:
-        """Lie superbracket of two basis words, expanded in the basis.
-
-        Returns a map BasisWord -> int: straightening only ever produces
-        integer coefficients.  Re-orients with
-        super-anticommutativity and rewrites the left-nested bad case with
-        the super-Jacobi relation
-        ``{{a,b},c} = {a,{b,c}} + (-1)^{|b||c|} {{a,c},b}``
-        until only basis words remain; the descent of the left factor's
-        degree makes the recursion finite.
-        """
-        pair = (u.key, v.key)
-        cached = self._bracket_cache.get(pair)
-        if cached is not None:
-            return cached
-        if pair in self._active:
-            raise AlgebraError(f"straightening cycle at {pair}")
-        self._active.add(pair)
-        try:
-            result = self._bracket_uncached(u, v)
-            self._bracket_cache[pair] = result
-            return result
-        finally:
-            self._active.discard(pair)
-
-    def _bracket_uncached(self, u: BasisWord, v: BasisWord) -> dict:
-        # the start shared with the engine's rule for jb and gp
-        if u is v and u.parity == 0:
-            return {}
-        if u.key < v.key:
-            combo = self.bracket_words(v, u)
-            return combo if (u.parity & v.parity) else add_terms({}, combo.items(), -_ONE)
-        w = self.join(u, v)
-        if w is not None:
-            return {w: _ONE}
-        # the Jacobi rewrite of a left-nested u = {a,b}
-        a, b = u.left, u.right
-        if u.square and a is v:
-            # {{a,a},a} for odd a: Jacobi plus anticommutativity force
-            # 3{{a,a},a} = 0, so it vanishes over the rationals.
-            return {}
-        out = {}
-        for w, c in self.bracket_words(b, v).items():
-            add_terms(out, self.bracket_words(a, w).items(), c)
-        sgn = -_ONE if (b.parity & v.parity) else _ONE
-        for w, c in self.bracket_words(a, v).items():
-            add_terms(out, self.bracket_words(w, b).items(), sgn * c)
-        return out
 
     # -- enumeration --------------------------------------------------------
 

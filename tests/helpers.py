@@ -28,6 +28,18 @@ def max_word_degree(element):
     )
 
 
+def word_bracket(algebra, u, v):
+    """``{u,v}`` of two basis words in a genp algebra, read back as
+    ``{BasisWord: coeff}``.  genp straightening stays in the Lie span, so
+    every monomial must be one word to the first power."""
+    got = algebra.bracket(algebra.word_element(u), algebra.word_element(v))
+    out = {}
+    for m, c in got.terms.items():
+        assert len(m) == 1 and m[0][2] == 1, m
+        out[algebra.space.by_key[m[0][0]]] = c
+    return out
+
+
 def tuple_key(word):
     """The nested ``(length, left key, right key)`` tuple of a raw word, a
     letter ``i`` being ``(1, i)``: the word order written out as tuples,

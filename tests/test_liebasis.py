@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from superbracket.core import AlgebraError, Alphabet
+from superbracket.core import GENP, AlgebraError, Alphabet
+from superbracket.engine import FreeAlgebra
 from superbracket.liebasis import WordSpace
 from helpers import (
     eval_combination_in_matrices,
@@ -16,6 +17,7 @@ from helpers import (
     random_matrix,
     sgn,
     tuple_key,
+    word_bracket,
 )
 
 EVEN3 = Alphabet([("x1", 0), ("x2", 0), ("x3", 0)])
@@ -53,18 +55,18 @@ class TestIsGood:
 class TestOrdering:
     def test_unit_below_generators(self):
         space = WordSpace(EVEN3)
-        assert space.get(0) < space.get(1)
+        assert space.get(0).key < space.get(1).key
 
     def test_length_dominates(self):
         space = WordSpace(EVEN3)
         x1, x2 = leaf_ids(EVEN3, "x1", "x2")
-        assert space.get(x1) < space.get((x2, x1))
+        assert space.get(x1).key < space.get((x2, x1)).key
 
     def test_lexicographic_on_components(self):
         space = WordSpace(EVEN3)
         x1, x2, x3 = leaf_ids(EVEN3, "x1", "x2", "x3")
-        assert space.get((x2, x1)) < space.get((x3, x1))
-        assert space.get((x3, x1)) < space.get((x3, x2))
+        assert space.get((x2, x1)).key < space.get((x3, x1)).key
+        assert space.get((x3, x1)).key < space.get((x3, x2)).key
 
     def test_strict_total_order_on_small_basis(self):
         space = WordSpace(MIXED)
@@ -74,7 +76,7 @@ class TestOrdering:
                 words.extend(space.basis_words(degs))
         keys = [w.key for w in words]
         assert len(set(keys)) == len(keys)
-        ordered = sorted(words, key=lambda w: w.key)
+        ordered = sorted(keys)
         for i in range(len(ordered) - 1):
             assert ordered[i] < ordered[i + 1]
             assert not ordered[i + 1] < ordered[i]
@@ -84,22 +86,27 @@ class TestOrdering:
 
 
 class TestStraightening:
+    """genp straightening through the engine's word rule."""
+
     def test_orientation_of_generators(self):
-        space = WordSpace(EVEN3)
+        alg = FreeAlgebra(EVEN3, GENP)
+        space = alg.space
         x1, x2 = (space.leaf(n) for n in ("x1", "x2"))
-        combo = space.bracket_words(x1, x2)
+        combo = word_bracket(alg, x1, x2)
         assert combo == {space.get((2, 1)): Fraction(-1)}
 
     def test_good_word_stays(self):
-        space = WordSpace(EVEN3)
+        alg = FreeAlgebra(EVEN3, GENP)
+        space = alg.space
         w = space.get(((2, 1), 1))
-        combo = space.bracket_words(space.get((2, 1)), space.leaf("x1"))
+        combo = word_bracket(alg, space.get((2, 1)), space.leaf("x1"))
         assert combo == {w: Fraction(1)}
 
     def test_jacobi_rewriting_example(self):
         # {{x3,x2},x1} = {{x3,x1},x2} - {{x2,x1},x3}
-        space = WordSpace(EVEN3)
-        combo = space.bracket_words(space.get((3, 2)), space.leaf("x1"))
+        alg = FreeAlgebra(EVEN3, GENP)
+        space = alg.space
+        combo = word_bracket(alg, space.get((3, 2)), space.leaf("x1"))
         assert combo == {
             space.get(((3, 1), 2)): Fraction(1),
             space.get(((2, 1), 3)): Fraction(-1),
@@ -107,8 +114,9 @@ class TestStraightening:
 
     def test_jacobi_rewriting_against_matrix_oracle(self, rng):
         # evaluate both sides with random matrix Lie algebra assignments
-        space = WordSpace(EVEN3)
-        combo = space.bracket_words(space.get((3, 2)), space.leaf("x1"))
+        alg = FreeAlgebra(EVEN3, GENP)
+        space = alg.space
+        combo = word_bracket(alg, space.get((3, 2)), space.leaf("x1"))
         for _ in range(3):
             assignment = {i: random_matrix(rng, 3) for i in range(EVEN3.size)}
             lhs, _ = eval_word_in_matrices(EVEN3, ((3, 2), 1), assignment)
@@ -116,23 +124,27 @@ class TestStraightening:
             assert mat_is_zero(mat_add(lhs, mat_scale(-1, rhs)))
 
     def test_odd_square_is_kept(self):
-        space = WordSpace(MIXED)
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
         th = space.leaf("th")
-        combo = space.bracket_words(th, th)
+        combo = word_bracket(alg, th, th)
         assert combo == {space.get((3, 3)): Fraction(1)}
 
     def test_even_square_vanishes(self):
-        space = WordSpace(MIXED)
-        assert space.bracket_words(space.leaf("x1"), space.leaf("x1")) == {}
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
+        assert word_bracket(alg, space.leaf("x1"), space.leaf("x1")) == {}
 
     def test_odd_cube_vanishes(self):
         # {{th,th},th} = 0 over the rationals
-        space = WordSpace(MIXED)
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
         sq = space.get((3, 3))
-        assert space.bracket_words(sq, space.leaf("th")) == {}
+        assert word_bracket(alg, sq, space.leaf("th")) == {}
 
     def test_random_straightening_against_super_matrix_oracle(self, rng):
-        space = WordSpace(MIXED)
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
         words = []
         for degs in product(range(3), repeat=4):
             if 1 <= sum(degs) <= 3:
@@ -141,7 +153,7 @@ class TestStraightening:
         for _ in range(40):
             u = rng.choice(words)
             v = rng.choice(words)
-            combo = space.bracket_words(u, v)
+            combo = word_bracket(alg, u, v)
             assignment = {
                 i: random_matrix(rng, n, parity=MIXED.parities[i], block=block)
                 for i in range(MIXED.size)
@@ -160,7 +172,8 @@ class TestStraightening:
         from helpers import super_commutator
 
         al = Alphabet([("x1", 0), ("th", 1)])
-        space = WordSpace(al)
+        alg = FreeAlgebra(al, GENP)
+        space = alg.space
         words = []
         for degs in product(range(6), repeat=3):
             if 1 <= sum(degs) <= 4:
@@ -168,7 +181,7 @@ class TestStraightening:
         n, block = 4, (2, 2)
         for _ in range(60):
             u, v = rng.choice(words), rng.choice(words)
-            combo = space.bracket_words(u, v)
+            combo = word_bracket(alg, u, v)
             assignment = {
                 i: random_matrix(rng, n, parity=al.parities[i], block=block)
                 for i in range(al.size)
@@ -180,15 +193,16 @@ class TestStraightening:
             assert mat_is_zero(mat_add(lhs, mat_scale(-1, rhs))), (u.word, v.word)
 
     def test_anticommutativity_all_small_pairs(self):
-        space = WordSpace(MIXED)
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
         words = []
         for degs in product(range(4), repeat=4):
             if 1 <= sum(degs) <= 3:
                 words.extend(space.basis_words(degs))
         for u in words:
             for v in words:
-                left = space.bracket_words(u, v)
-                right = space.bracket_words(v, u)
+                left = word_bracket(alg, u, v)
+                right = word_bracket(alg, v, u)
                 s = sgn(u.parity & v.parity)
                 total = dict(left)
                 for w, c in right.items():
@@ -196,10 +210,11 @@ class TestStraightening:
                 assert all(c == 0 for c in total.values())
 
     def test_output_grading(self):
-        space = WordSpace(MIXED)
+        alg = FreeAlgebra(MIXED, GENP)
+        space = alg.space
         u = space.get((3, 1))  # {th, x1}
         v = space.get((2, 0))  # {x2, 1}
-        combo = space.bracket_words(u, v)
+        combo = word_bracket(alg, u, v)
         assert combo
         want_deg = tuple(a + b for a, b in zip(u.degrees, v.degrees))
         want_par = (u.parity + v.parity) & 1
@@ -294,7 +309,9 @@ def _random_basis_words(space, rng, count, top):
         u, v = rng.choice(pool), rng.choice(pool)
         if u.length + v.length > top:
             continue
-        w = space.join(max(u, v), min(u, v))
+        if u.key < v.key:
+            u, v = v, u
+        w = space.join(u, v)
         if w is not None and w.key not in found:
             found[w.key] = w
             pool.append(w)

@@ -17,6 +17,7 @@ import pytest
 from superbracket import identities
 from superbracket.core import AlgebraError, Alphabet
 from superbracket.engine import GENP, GP, JB, FreeAlgebra
+from helpers import word_bracket
 
 ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("th", 1)])
 
@@ -72,8 +73,38 @@ def test_jb_single_words_are_genp_straightening():
     for u, v in product(words, repeat=2):
         got = jb.bracket(jb.word_element(u), jb.word_element(v))
         single = {m[0][0]: c for m, c in got.terms.items() if len(m) == 1 and m[0][2] == 1}
-        lie = genp.space.bracket_words(genp.space.get(u.word), genp.space.get(v.word))
+        lie = word_bracket(genp, genp.space.get(u.word), genp.space.get(v.word))
         assert single == {w.key: c for w, c in lie.items()}, (u, v)
+
+
+def test_genp_deep_straightening_fits_the_recursion_limit():
+    """``{c_400, x}`` for the left chain ``c_400 = {...{{z,y},y},...,y}`` with
+    400 ys takes 400 nested Jacobi steps; at two frames a step it stays
+    inside the default recursion limit, which three frames a step exceed."""
+    alg = FreeAlgebra(Alphabet([("x", 0), ("y", 0), ("z", 0)]), GENP)
+    space = alg.space
+    chain = space.leaf("z").word
+    for _ in range(400):
+        chain = (chain, space.leaf("y").word)
+    got = word_bracket(alg, space.get(chain), space.leaf("x"))
+    assert len(got) == 401
+    assert all(w.degrees == (0, 1, 400, 1) for w in got)
+
+
+@pytest.mark.parametrize("theory", [GENP, JB])
+def test_straightening_cycle_is_an_algebra_error(theory, monkeypatch):
+    """A join that refuses the good word ``{{x3,x1},x2}`` sends its Jacobi
+    rewrite round through ``{{x3,x2},x1}`` and back; the word rule reports
+    the cycle instead of recursing, and leaves no stale state behind."""
+    alg = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0)]), theory)
+    space = alg.space
+    u, v = space.get((3, 1)), space.leaf("x2")
+    join = space.join
+    monkeypatch.setattr(space, "join", lambda p, q: None if p is u and q is v else join(p, q))
+    with pytest.raises(AlgebraError, match="straightening cycle"):
+        alg.bracket(alg.word_element(u), alg.word_element(v))
+    monkeypatch.undo()
+    assert word_bracket(alg, u, v) == {space.get(((3, 1), 2)): 1}
 
 
 def test_half_twist_of_genp_satisfies_the_jb_identities():
