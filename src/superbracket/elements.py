@@ -17,8 +17,8 @@ backs all three theories of the free engine (generalized Poisson, Jordan
 brackets, generic Poisson); they differ only in what the owning algebra's
 one word rule rewrites when it brackets two basis words.
 
-Elements are immutable, so an operation may return an element that others
-share (a bracket of two one-term elements is the algebra's cached one).
+Elements are immutable, so an element's term dict may be shared: a bracket
+of two one-term elements may hold the owning algebra's cached one.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ the pair is oriented by super-anticommutativity, and a pair that
 * generic Poisson: no rewrite, since every oriented pair of atoms is an atom;
   only a bracket with the unit is left, and it vanishes.
 
-Word-pair brackets share the monomial-bracket cache with every other
-bracket, and one guard there catches a straightening cycle in either
-rewriting theory.
+The monomial-bracket cache maps a pair of monomials to a plain term dict
+(only the public methods wrap results as elements, so nothing in it points
+back at the algebra), and one guard there catches a straightening cycle in
+either rewriting theory.
 
 The distinguished derivation is ``D(a) = {a, 1}``.
 
@@ -53,7 +54,6 @@ from .elements import (
     Element,
     UNIT_MONOMIAL,
     add_terms,
-    combine,
     monomial_factor_count,
     monomial_parity,
     word_monomial,
@@ -74,8 +74,7 @@ class FreeAlgebra:
         self.space = WordSpace(alphabet, oriented=theory == GP)
         self.theory = theory
         self.max_degree = max_degree
-        self._mono_bracket_cache = {}
-        self._monomials = {}
+        self._mono_bracket_cache = {}  # (m1, m2) -> {monomial: coefficient}
         self._active = set()  # word pairs being straightened
 
     @property
@@ -121,17 +120,19 @@ class FreeAlgebra:
         """The superbracket, bilinear over monomials."""
         self._claim(a, b)
         if len(a.terms) == 1 and len(b.terms) == 1:
-            # one monomial pair: the cached bracket itself (elements are
-            # immutable, so callers may share it) or its multiple
+            # one monomial pair: an element over the cache's own term dict
+            # (elements are immutable, so callers may share it) or its multiple
             (m1, c1), = a.terms.items()
             (m2, c2), = b.terms.items()
             k = c1 * c2
             cached = self._bracket_mono(m1, m2)
-            if k == 1:
-                return cached
-            return -cached if k == -1 else cached.scale(k)
-        return combine(self, ((c1 * c2, self._bracket_mono(m1, m2))
-                              for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()))
+            return Element(self, cached if k == 1 else add_terms({}, cached.items(), scalar(k)))
+        out = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                k = c1 * c2
+                add_terms(out, self._bracket_mono(m1, m2).items(), k if type(k) is int else scalar(k))
+        return Element(self, out)
 
     def _add_products(self, out: dict, left: dict, right):
         """Add every product of a ``left`` term and a ``right`` pair into
@@ -180,27 +181,31 @@ class FreeAlgebra:
 
     # -- monomial-level bracket ---------------------------------------------
 
-    def _bracket_mono(self, m1, m2) -> Element:
+    def _bracket_mono(self, m1, m2) -> dict:
         cached = self._mono_bracket_cache.get((m1, m2))
         if cached is None:
             cached = self._bracket_mono_uncached(m1, m2)
         return cached
 
-    def _bracket_mono_uncached(self, m1, m2) -> Element:
+    def _bracket_mono_uncached(self, m1, m2) -> dict:
         """A miss of the monomial-bracket cache, stored here for a product
         and by :meth:`_word_bracket` for a pair of words."""
         n2 = monomial_factor_count(m2)
         if n2 >= 2:
-            return self._store((m1, m2), self._leibniz_expand(m1, m2))
+            out = self._mono_bracket_cache[(m1, m2)] = self._leibniz_expand(m1, m2)
+            return out
         n1 = monomial_factor_count(m1)
         if n1 >= 2:
-            sign = _ONE if (monomial_parity(m1) & monomial_parity(m2)) else -_ONE
-            return self._store((m1, m2), self._bracket_mono(m2, m1).scale(sign))
+            out = self._bracket_mono(m2, m1)
+            if not monomial_parity(m1) & monomial_parity(m2):
+                out = {m: -c for m, c in out.items()}
+            self._mono_bracket_cache[(m1, m2)] = out
+            return out
         space = self.space
         return self._word_bracket(space.by_key[m1[0][0]] if n1 else space.unit_word,
                                   space.by_key[m2[0][0]] if n2 else space.unit_word)
 
-    def _word_bracket(self, u, v) -> Element:
+    def _word_bracket(self, u, v) -> dict:
         """``{u,v}`` of two basis words: the pair's entry of the
         monomial-bracket cache, filled by :meth:`_bracket_words` itself, so
         that a Jacobi step of the word rule costs two frames.  A pair met
@@ -214,19 +219,12 @@ class FreeAlgebra:
             raise AlgebraError(f"straightening cycle at {(u.key, v.key)}")
         active.add(key)
         try:
-            return self._store(key, self._bracket_words(u, v))
+            out = self._mono_bracket_cache[key] = self._bracket_words(u, v)
+            return out
         finally:
             active.discard(key)
 
-    def _store(self, key, el: Element) -> Element:
-        # cached results share one tuple per distinct monomial: a free
-        # algebra's memory after a confluence sweep drops by about 14%
-        monos = self._monomials
-        cached = self._mono_bracket_cache[key] = Element(
-            self, {monos.setdefault(m, m): c for m, c in el.terms.items()})
-        return cached
-
-    def _leibniz_expand(self, m1, m2) -> Element:
+    def _leibniz_expand(self, m1, m2) -> dict:
         """Bracket against a product monomial via the deformed Leibniz rule.
 
         Closed form of iterating ``{a,bc} = {a,b}c + (-1)^{|a||b|} b{a,c}
@@ -244,12 +242,12 @@ class FreeAlgebra:
             q = par & exp & 1
             sign = -_ONE if (prefix & q) else _ONE
             br = self._bracket_mono(m1, ((key, par, 1),))
-            self._add_products(out, br.terms, ((_decrement(m2, idx), sign * exp),))
+            self._add_products(out, br, ((_decrement(m2, idx), sign * exp),))
             prefix ^= q
-        self._add_products(out, self._bracket_mono(m1, UNIT_MONOMIAL).terms, ((m2, 1 - total),))
-        return Element(self, out)
+        self._add_products(out, self._bracket_mono(m1, UNIT_MONOMIAL), ((m2, 1 - total),))
+        return out
 
-    def _bracket_words(self, u, v) -> Element:
+    def _bracket_words(self, u, v) -> dict:
         """The word rule of all three theories: ``{u,v}`` of two basis words.
 
         An even square vanishes, the pair is oriented by
@@ -263,55 +261,56 @@ class FreeAlgebra:
         recursion finite.
         """
         if u is v and u.parity == 0:
-            return self.zero()
+            return {}
         if u.key < v.key:
-            sign = _ONE if (u.parity & v.parity) else -_ONE
-            return self._word_bracket(v, u).scale(sign)
+            # an odd pair shares its swapped pair's dict
+            out = self._word_bracket(v, u)
+            return out if u.parity & v.parity else {m: -c for m, c in out.items()}
         space = self.space
         w = space.join(u, v)
         if w is not None:
-            return self.word_element(w)
+            return {word_monomial(w): _ONE}
         theory = self.theory
         if theory == GP:
-            return self.zero()
+            return {}
         a, b = u.left, u.right
         out = {}
         if u.square and a is v:
             # {{a,a},a} for odd a: Jacobi plus anticommutativity force
             # 3{{a,a},a} = 0 in genp, and 3{{a,a},a} = -3 D(a){a,a} in jb
             if theory == JB:
-                self._add_products(out, self._word_bracket(a, space.unit_word).terms,
+                self._add_products(out, self._word_bracket(a, space.unit_word),
                                    ((word_monomial(u), -_ONE),))
-            return Element(self, out)
+            return out
         # {a,{b,v}} + (-1)^{|b||v|} {{a,v},b}.  A bracket with a word goes
         # straight to _word_bracket, so a Jacobi step costs two frames; one
         # with a product (only jb straightening makes them) goes by Leibniz.
         by_key = space.by_key
         bv = self._word_bracket(b, v)
-        for m, c in bv.terms.items():
+        for m, c in bv.items():
             if len(m) == 1 == m[0][2]:
                 br = self._word_bracket(a, by_key[m[0][0]])
             else:
                 br = self._bracket_mono(word_monomial(a), m)
-            add_terms(out, br.terms.items(), c)
+            add_terms(out, br.items(), c)
         s2 = -_ONE if (b.parity & v.parity) else _ONE
-        for m, c in self._word_bracket(a, v).terms.items():
+        for m, c in self._word_bracket(a, v).items():
             if len(m) == 1 == m[0][2]:
                 br = self._word_bracket(by_key[m[0][0]], b)
             else:
                 br = self._bracket_mono(m, word_monomial(b))
-            add_terms(out, br.terms.items(), s2 * c)
+            add_terms(out, br.items(), s2 * c)
         if theory == JB:
             # - D(a){b,v} - (-1)^{|a|(|b|+|v|)} D(b){v,a}
             # - (-1)^{|v|(|a|+|b|)} D(v){a,b}
             s4 = -_ONE if (a.parity & ((b.parity + v.parity) & 1)) else _ONE
             s5 = -_ONE if (v.parity & ((a.parity + b.parity) & 1)) else _ONE
             unit = space.unit_word
-            for d, k, el in ((a, -_ONE, bv), (b, -s4, self._word_bracket(v, a)),
-                             (v, -s5, self.word_element(u))):
-                self._add_products(out, self._word_bracket(d, unit).terms,
-                                   [(m, k * c) for m, c in el.terms.items()])
-        return Element(self, out)
+            for d, k, terms in ((a, -_ONE, bv), (b, -s4, self._word_bracket(v, a)),
+                                (v, -s5, {word_monomial(u): _ONE})):
+                self._add_products(out, self._word_bracket(d, unit),
+                                   [(m, k * c) for m, c in terms.items()])
+        return out
 
     # -- evaluation of term trees -------------------------------------------
 

@@ -110,19 +110,22 @@ class TestFreeEngine:
     @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(-2, 5)])
     def test_a_shared_bracket_stays_unchanged(self, algebra, q):
         """Scalars q and 1/q on one-term operands multiply to 1, so the
-        bracket is the unscaled one, with int coefficients, and may be that
-        very element; what callers then build from it leaves it as it was."""
+        bracket is the unscaled one, with int coefficients, and may hold the
+        algebra's cached term dict, which the two orders of an odd pair may
+        share; what callers then build from it leaves both as they were."""
         x, y, th = algebra.gen("x1"), algebra.gen("x2"), algebra.gen("th")
-        a, b = x, algebra.mul(algebra.mul(y, y), th)
-        plain = algebra.bracket(a, b)
-        got = algebra.bracket(a.scale(q), b.scale(1 / q))
-        assert got.terms and got == plain
-        assert all(type(c) is int for c in got.terms.values())
-        before = dict(plain.terms)
-        for derived in (-got, got.scale(q), got + x, got - got, got * x):
-            assert_invariant(derived)
-        assert algebra.bracket(a, b).terms == before
-        assert algebra.bracket(a.scale(q), b.scale(1 / q)).terms == before
+        yyth, thx = algebra.mul(algebra.mul(y, y), th), algebra.mul(th, x)
+        for a, b in ((x, yyth), (yyth, x), (th, thx), (thx, th)):
+            plain = algebra.bracket(a, b)
+            got = algebra.bracket(a.scale(q), b.scale(1 / q))
+            assert got.terms and got == plain
+            assert all(type(c) is int for c in got.terms.values())
+            before = {(a, b): dict(plain.terms), (b, a): dict(algebra.bracket(b, a).terms)}
+            for derived in (-got, got.scale(q), got + x, got - got, got * x):
+                assert_invariant(derived)
+            for (left, right), terms in before.items():
+                assert algebra.bracket(left, right).terms == terms
+                assert algebra.bracket(left.scale(q), right.scale(1 / q)).terms == terms
 
     @SETTINGS
     @given(seed=seeds, q=proper)

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import time
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -146,6 +148,29 @@ class TestBracket:
         res = identities.deformed_jacobi_residual(ops, jb.gen("x3"), jb.gen("x2"), v)
         assert res.is_zero()
         assert not jb.bracket(u, v).is_zero()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_a_discarded_algebra_is_freed_without_the_cycle_collector(self, theory):
+        """The monomial-bracket cache holds term dicts, not elements pointing
+        back at the algebra, so reference counting alone frees an algebra
+        whose cache is full."""
+        gc.disable()
+        try:
+            algebra = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), theory)
+            x1, x2, x3 = (algebra.gen(n) for n in ("x1", "x2", "x3"))
+            # the jb straightening {{x3,x2},x1}, Leibniz against x2 x3 and
+            # brackets with the unit, each a filled cache entry
+            algebra.bracket(algebra.bracket(x3, x2), x1)
+            algebra.bracket(x1, algebra.mul(x2, x3))
+            algebra.bracket(algebra.one(), algebra.mul(algebra.gen("th"), x1))
+            assert len(algebra._mono_bracket_cache) > 5
+            ref = weakref.ref(algebra)
+            del algebra, x1, x2, x3
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestJacobiExhaustive:
