@@ -445,6 +445,8 @@ def _cmd_eval(args) -> int:
         vec = [scalar(x) for x in coords.split(",")]
         if len(vec) != algebra.dim:
             raise AlgebraError(f"binding {name!r} has {len(vec)} coordinates, need {algebra.dim}")
+        if name.strip() in bindings:
+            raise AlgebraError(f"variable {name.strip()!r} is bound twice")
         bindings[name.strip()] = tuple(vec)
     names = sorted(bindings)
     term = parse(Alphabet([(n, 0) for n in names]), args.expr, allow_vars=True)

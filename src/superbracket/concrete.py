@@ -10,8 +10,11 @@ Vectors are dense coefficient tuples at the public edge (``mul``,
 ``bracket``, ``evaluate``, the ``v*`` helpers, report residuals) and sparse
 inside every check: a sparse vector is a tuple of ``(index, coeff)`` pairs,
 sorted by index and free of zeros, so it is hashable and the zero vector is
-``()``.  The checks run over :class:`SparseOps`, whose products are
-memoized for the length of one check.
+``()``.  A table row is a sparse vector too.  :class:`SparseOps` is the
+one evaluator of the tables: each check, the public ``mul``, ``bracket``
+and ``evaluate`` included, makes one, which lays the rows out by basis
+pair, memoizes products and brackets for the length of that check, and
+contracts the kernels of the Kantor residuals (see :mod:`.kantor`).
 """
 
 from __future__ import annotations
@@ -61,58 +64,65 @@ def to_dense(a, dim):
     return tuple(out)
 
 
-def _apply(table, a, b):
-    """The bilinear extension of a table to two sparse vectors."""
-    acc = {}
-    for i, ai in a:
-        for j, bj in b:
-            row = table.get((i, j))
-            if row:
-                add_terms(acc, row, ai * bj)
-    return tuple(sorted(acc.items()))
-
-
-def _parity(parities, a):
-    seen = {parities[i] for i, _ in a}
-    if len(seen) > 1:
-        raise AlgebraError("vector is not parity-homogeneous")
-    return seen.pop() if seen else 0
-
-
 class SparseOps:
-    """identities.py adapter over the sparse vectors of a structure algebra.
+    """The one evaluator of a structure algebra's tables: the identities.py
+    adapter over sparse vectors, made per check.
 
-    Products and brackets are memoized by their arguments for the life of the
-    adapter; every check makes its own, so the memo ends with the check.
-    ``combine`` skips zero operands and hands a lone operand with
-    coefficient 1 back as it is.  Beyond the identities.py methods it gives
-    the sweeps the sparse ``basis`` and ``unit``, the zero test ``is_zero``
-    and ``render``, a residual's dense report form.
+    ``products`` and ``brackets`` hold the table rows of the basis vectors
+    i and j at ``i * dim + j``.  Products and brackets of vectors are summed
+    from the rows and memoized by their arguments for the life of the
+    evaluator, so the memo ends with the check.  ``combine`` skips zero
+    operands and hands a lone operand with coefficient 1 back as it is.
+    The sweeps also get the sparse ``basis`` and ``unit``, ``is_zero``, the
+    edge conversions ``vector`` and ``dense``, and ``render``, a residual's
+    dense report form.  :meth:`contract` sums the Kantor kernels: the value
+    of ``identities.KERNELS[K]`` at basis indices (k, g, c) is
+    (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c), summed from the rows when
+    first asked for and kept under one int key.
     """
 
     is_zero = staticmethod(not_)
 
     def __init__(self, algebra: StructureAlgebra):
-        self.algebra = algebra
-        self.basis = [((i, 1),) for i in range(algebra.dim)]
-        self.unit = None if algebra.unit is None else to_sparse(algebra.unit, algebra.dim)
-        self._products = {}
-        self._brackets = {}
+        d = self.dim = algebra.dim
+        self.parities = algebra.parities
+        self.basis = [((i, 1),) for i in range(d)]
+        self.unit = None if algebra.unit is None else to_sparse(algebra.unit, d)
+        rows = {}
+        for name, table in (("mul", algebra.product), ("bracket", algebra.bracket_table)):
+            rows[name] = flat = [()] * (d * d)
+            for (i, j), row in table.items():
+                flat[i * d + j] = row
+        self.products, self.brackets = rows["mul"], rows["bracket"]
+        self._kernels = [tuple(rows[o] for o in ops) for ops in identities.KERNELS]
+        self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
+        self._span = len(identities.KERNELS) * d * d
+
+    def _apply(self, rows, a, b):
+        """The bilinear extension of the table rows to two sparse vectors."""
+        d, acc = self.dim, {}
+        for i, ai in a:
+            base = i * d
+            for j, bj in b:
+                row = rows[base + j]
+                if row:
+                    add_terms(acc, row, ai * bj)
+        return tuple(sorted(acc.items()))
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        out = self._products.get((a, b))
+        out = self._mul_memo.get((a, b))
         if out is None:
-            out = self._products[(a, b)] = _apply(self.algebra.product, a, b)
+            out = self._mul_memo[(a, b)] = self._apply(self.products, a, b)
         return out
 
     def bracket(self, a, b):
         if not a or not b:
             return ()
-        out = self._brackets.get((a, b))
+        out = self._bracket_memo.get((a, b))
         if out is None:
-            out = self._brackets[(a, b)] = _apply(self.algebra.bracket_table, a, b)
+            out = self._bracket_memo[(a, b)] = self._apply(self.brackets, a, b)
         return out
 
     def deriv(self, a):
@@ -122,8 +132,11 @@ class SparseOps:
 
     def parity(self, a):
         if len(a) == 1:  # every sweep argument is a basis vector
-            return self.algebra.parities[a[0][0]]
-        return _parity(self.algebra.parities, a)
+            return self.parities[a[0][0]]
+        seen = {self.parities[i] for i, _ in a}
+        if len(seen) > 1:
+            raise AlgebraError("vector is not parity-homogeneous")
+        return seen.pop() if seen else 0
 
     def combine(self, pairs):
         acc, live = {}, 0
@@ -138,8 +151,40 @@ class SparseOps:
             return lone[1]
         return tuple(sorted(acc.items()))
 
+    def contract(self, terms):
+        """The sum of s K(p, g, c) over the terms ``(s, p, K, g, c)``, where p
+        is a sparse vector, K indexes a kernel and g, c are basis indices:
+        the kernel values at (k, g, c) summed with the coefficients s p_k."""
+        d, span, values = self.dim, self._span, self._values
+        acc = {}
+        for s, p, kernel, g, c in terms:
+            base = (kernel * d + g) * d + c
+            for k, pk in p:
+                key = k * span + base
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = self._kernel(kernel, k, g, c)
+                if value:
+                    add_terms(acc, value, s * pk)
+        return tuple(sorted(acc.items())) if acc else ()
+
+    def _kernel(self, kernel, k, g, c):
+        o1, o2, o3, o4 = self._kernels[kernel]
+        d, acc = self.dim, {}
+        for m, a in o1[k * d + g]:
+            add_terms(acc, o2[m * d + c], a)
+        for m, a in o4[g * d + c]:
+            add_terms(acc, o3[k * d + m], -a)
+        return tuple(sorted(acc.items()))
+
+    def vector(self, a):
+        return to_sparse(a, self.dim)
+
+    def dense(self, a):
+        return to_dense(a, self.dim)
+
     def render(self, a):
-        return vjson(to_dense(a, self.algebra.dim))
+        return vjson(self.dense(a))
 
 
 def first_failure(arity, elements, residual, is_zero, symmetric=()):
@@ -206,9 +251,10 @@ def check_entry(name, failure, parity, render):
 class StructureAlgebra:
     """Superalgebra from sparse multiplication tables.
 
-    ``product`` and ``bracket`` map index pairs (i, j) to sparse rows
-    [(k, coefficient), ...]; missing pairs are zero.  Tables are stored for
-    every ordered pair as given; bilinearity is by construction.
+    ``product`` and ``bracket`` map index pairs (i, j) to rows
+    [(k, coefficient), ...]; missing pairs are zero.  Each row is stored as
+    the sparse vector it sums to, and a zero row not at all, so equal tables
+    compare and serialize equal; bilinearity is by construction.
     """
 
     def __init__(self, dim, parities, product, bracket=None, unit=None, claim="none"):
@@ -235,20 +281,18 @@ class StructureAlgebra:
     # -- bilinear operations ------------------------------------------------
 
     def mul(self, a, b):
-        return self._dense_op(self.product, a, b)
+        ops = SparseOps(self)
+        return ops.dense(ops.mul(ops.vector(a), ops.vector(b)))
 
     def bracket(self, a, b):
-        return self._dense_op(self.bracket_table, a, b)
+        ops = SparseOps(self)
+        return ops.dense(ops.bracket(ops.vector(a), ops.vector(b)))
 
     def deriv(self, a):
         """Bracket with the unit; only defined on unital algebras."""
         if self.unit is None:
             raise AlgebraError("derivation needs a unit (none declared)")
         return self.bracket(a, self.unit)
-
-    def _dense_op(self, table, a, b):
-        d = self.dim
-        return to_dense(_apply(table, to_sparse(a, d), to_sparse(b, d)), d)
 
     # -- validation -----------------------------------------------------------
 
@@ -293,8 +337,9 @@ class StructureAlgebra:
         The generator name "1" denotes the unit when the algebra has one.
         Every binding must have the algebra's dimension.
         """
-        bindings = {name: to_sparse(v, self.dim) for name, v in (bindings or {}).items()}
-        return to_dense(_evaluate(SparseOps(self), term, bindings), self.dim)
+        ops = SparseOps(self)
+        bindings = {name: ops.vector(v) for name, v in (bindings or {}).items()}
+        return ops.dense(_evaluate(ops, term, bindings))
 
     def is_identity(self, term):
         """Whether the term vanishes under every basis substitution of its Vars.
@@ -391,6 +436,8 @@ def _evaluate(ops, term, bindings):
 
 
 def _check_table(table, dim):
+    """The table with each row a sparse vector: its entries merged, sorted
+    by target index and free of zeros; a row that sums to zero is left out."""
     out = {}
     def is_index(x):
         return type(x) is int and 0 <= x < dim
@@ -398,15 +445,13 @@ def _check_table(table, dim):
     for (i, j), row in table.items():
         if not (is_index(i) and is_index(j)):
             raise AlgebraError(f"table index ({i},{j}) out of range")
-        cleaned = []
+        acc = {}
         for k, coeff in row:
             if not is_index(k):
                 raise AlgebraError(f"table target index {k} out of range")
-            coeff = scalar(coeff)
-            if coeff:
-                cleaned.append((k, coeff))
-        if cleaned:
-            out[(i, j)] = tuple(cleaned)
+            add_terms(acc, ((k, scalar(coeff)),))
+        if acc:
+            out[(i, j)] = tuple(sorted(acc.items()))
     return out
 
 

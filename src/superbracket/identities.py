@@ -10,10 +10,11 @@ Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
 so the sign conventions live in exactly one place.  The two Kantor
 residuals, :func:`double_criterion_residual` and
-:func:`linear_jordan_residual`, are the exception: they take basis indices
-of a structure algebra's :class:`~superbracket.kantor.BasisTables` and
-write each residual as a signed sum of the trilinear :data:`KERNELS`.  The
-adapter provides five methods::
+:func:`linear_jordan_residual`, are the exception: they take a structure
+algebra's evaluator, :class:`~superbracket.concrete.SparseOps`, and basis
+indices, and write each residual as a signed sum of the trilinear
+:data:`KERNELS`, which the evaluator contracts.  The adapter provides five
+methods::
 
     mul(a, b)       supercommutative associative product
     bracket(a, b)   super-anticommutative bracket (where required)
@@ -128,7 +129,7 @@ def deformed_jacobi_residual(ops, a, b, c):
 
 # The kernels of the Kantor residuals: trilinear maps K(p, g, c) =
 # (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the "bracket",
-# given as (o1, o2, o3, o4) and evaluated by kantor.BasisTables.
+# given as (o1, o2, o3, o4) and contracted by concrete.SparseOps.
 KERNELS = (
     ("mul", "mul", "mul", "mul"),          # assoc(p,g,c) = (pg)c - p(gc)
     ("mul", "bracket", "mul", "bracket"),  # K1(p,g,w) = {pg,w} - p{g,w}
@@ -138,11 +139,11 @@ KERNELS = (
 ASSOC, K1, K2, K3 = range(len(KERNELS))
 
 
-def double_criterion_residual(tables, which, f, h, g, w):
+def double_criterion_residual(ops, which, f, h, g, w):
     """The three bracket identities equivalent to the Kantor double being Jordan.
 
     ``which`` selects 1, 2 or 3; f, h, g and w are basis indices of the
-    ``tables`` (:class:`~superbracket.kantor.BasisTables`).  With the
+    evaluator ``ops`` (:class:`~superbracket.concrete.SparseOps`).  With the
     parities (i, k, j, l) of (f, h, g, w) and the prefactors
     A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}, exactly as quoted
     from the source characterization, the residuals are
@@ -162,12 +163,12 @@ def double_criterion_residual(tables, which, f, h, g, w):
     which is how they are evaluated: each kernel is linear in its first
     argument, a product or bracket of two basis vectors.
     """
-    par = tables.parities
+    par = ops.parities
     i, k, j, l = par[f], par[h], par[g], par[w]
     A = -1 if (i + j) & l else 1
     B = -1 if (k + j) & i else 1
     C = -1 if (l + j) & k else 1
-    mul, brk, d = tables.products, tables.brackets, tables.dim
+    mul, brk, d = ops.products, ops.brackets, ops.dim
     fh, hw, wf = f * d + h, h * d + w, w * d + f
     if which == 1:
         terms = [(A, brk[fh], K1, g, w), (B, brk[hw], K1, g, f), (C, brk[wf], K1, g, h)]
@@ -177,12 +178,12 @@ def double_criterion_residual(tables, which, f, h, g, w):
         terms = [(A, mul[fh], K1, g, w), (-B, mul[hw], K3, g, f), (-C, mul[wf], K3, g, h)]
     else:
         raise ValueError(f"criterion index must be 1, 2 or 3, got {which}")
-    return tables.contract(terms)
+    return ops.contract(terms)
 
 
-def linear_jordan_residual(tables, x, y, z, t):
+def linear_jordan_residual(ops, x, y, z, t):
     """Linearized Jordan identity, superized by the Koszul rule, at the basis
-    indices x, y, z and t of the ``tables`` (:class:`~superbracket.kantor.BasisTables`).
+    indices x, y, z and t of the evaluator ``ops`` (:class:`~superbracket.concrete.SparseOps`).
 
     ((xz)y)t + ((xt)y)z + ((zt)y)x - (xz)(yt) - (xt)(yz) - (zt)(yx), each
     term signed by the parity of the shuffle taking (x,y,z,t) to the term's
@@ -190,13 +191,13 @@ def linear_jordan_residual(tables, x, y, z, t):
     Term for term it is s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x)
     with assoc(p,y,c) = (py)c - p(yc), which is how it is evaluated.
     """
-    par = tables.parities
+    par = ops.parities
     px, py, pz, pt = par[x], par[y], par[z], par[t]
     s1 = -1 if py & pz else 1
     s2 = -1 if pt & (py + pz) else 1
     s3 = -1 if (px & (py + pz + pt)) ^ (py & (pz + pt)) else 1
-    mul, d = tables.products, tables.dim
-    return tables.contract([
+    mul, d = ops.products, ops.dim
+    return ops.contract([
         (s1, mul[x * d + z], ASSOC, y, t), (s2, mul[x * d + t], ASSOC, y, z),
         (s3, mul[z * d + t], ASSOC, y, x),
     ])

@@ -16,24 +16,22 @@ Each residual is a signed sum of at most three trilinear kernels K(p, g, c),
 linear in p, where p is a product or bracket of two basis vectors (see
 :func:`~superbracket.identities.double_criterion_residual` and
 :func:`~superbracket.identities.linear_jordan_residual`).  So a check builds
-one :class:`BasisTables`, the basis-pair rows and the kernel values at basis
-index triples, and a tuple's residual sums at most three kernel values per
+one :class:`~superbracket.concrete.SparseOps`, the one evaluator of the
+tables, and a tuple's residual sums at most three of its kernel values per
 nonzero coordinate of p, exactly over Q: the same vector as the unfactored
 sum of products, so every zero test and every report is unchanged.  Both
 checks sweep basis indices on :func:`~superbracket.concrete.first_failure`,
 one tuple per orbit of the permutations that only change the residual's
-sign, whose first failure in product order is that of the full sweep.
-:class:`~superbracket.concrete.SparseOps` runs the pair checks that come
-first and renders the witness, so both checks take structure algebras only.
+sign, whose first failure in product order is that of the full sweep.  The
+same evaluator runs the pair checks that come first and renders the
+witness, so both checks take structure algebras only.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError
 from .concrete import Report, SparseOps, StructureAlgebra, check_entry, first_failure, vzero
-from .elements import add_terms
 from .identities import (
-    KERNELS,
     anticommutativity_residual,
     double_criterion_residual,
     linear_jordan_residual,
@@ -45,75 +43,21 @@ CRITERIA = (1, 2, 3)
 
 def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
     """The double as a structure algebra: indices i (plain) and dim+i (shifted)."""
-    d = algebra.dim
-    ops = SparseOps(algebra)
+    d, par = algebra.dim, algebra.parities
     product = {}
-
-    def put(i, j, vec, shifted):
-        if vec:
-            product[(i, j)] = [(k + (d if shifted else 0), c) for k, c in vec]
-
-    for i, a in enumerate(ops.basis):
-        for j, b in enumerate(ops.basis):
-            ab = ops.mul(a, b)
-            sj = -1 if algebra.parities[j] else 1
-            put(i, j, ab, False)
-            put(i, d + j, ab, True)
-            put(d + i, j, ops.combine([(sj, ab)]), True)
-            put(d + i, d + j, ops.combine([(sj, ops.bracket(a, b))]), False)
-    parities = tuple(algebra.parities) + tuple(p ^ 1 for p in algebra.parities)
+    for (i, j), row in algebra.product.items():
+        s = -1 if par[j] else 1
+        product[(i, j)] = row
+        product[(i, d + j)] = [(k + d, c) for k, c in row]
+        product[(d + i, j)] = [(k + d, s * c) for k, c in row]
+    for (i, j), row in algebra.bracket_table.items():
+        s = -1 if par[j] else 1
+        product[(d + i, d + j)] = [(k, s * c) for k, c in row]
+    parities = par + tuple(p ^ 1 for p in par)
     unit = None
     if algebra.unit is not None:
         unit = tuple(algebra.unit) + vzero(d)
     return StructureAlgebra(2 * d, parities, product, {}, unit, "none")
-
-
-class BasisTables:
-    """The tables one Kantor check contracts, for a structure algebra.
-
-    ``products`` and ``brackets`` hold the product and the bracket of the
-    basis vectors i and j at ``i * dim + j``: the algebra's table rows,
-    sparse vectors of ``(index, coefficient)`` pairs.  :meth:`contract`
-    sums kernel values; the value of the kernel ``KERNELS[K]`` at basis
-    indices (k, g, c) is (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c), summed
-    from the rows when first asked for and kept under one int key.
-    """
-
-    def __init__(self, algebra: StructureAlgebra):
-        d = self.dim = algebra.dim
-        self.parities = algebra.parities
-        pairs = [(i, j) for i in range(d) for j in range(d)]
-        rows = {"mul": [algebra.product.get(ij, ()) for ij in pairs],
-                "bracket": [algebra.bracket_table.get(ij, ()) for ij in pairs]}
-        self.products, self.brackets = rows["mul"], rows["bracket"]
-        self._kernels = [tuple(rows[o] for o in ops) for ops in KERNELS]
-        self._values, self._span = {}, len(KERNELS) * d * d
-
-    def contract(self, terms):
-        """The sum of s K(p, g, c) over the terms ``(s, p, K, g, c)``, where p
-        is a sparse vector, K indexes a kernel and g, c are basis indices:
-        the kernel values at (k, g, c) summed with the coefficients s p_k."""
-        d, span, values = self.dim, self._span, self._values
-        acc = {}
-        for s, p, kernel, g, c in terms:
-            base = (kernel * d + g) * d + c
-            for k, pk in p:
-                key = k * span + base
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = self._kernel(kernel, k, g, c)
-                if value:
-                    add_terms(acc, value, s * pk)
-        return tuple(sorted(acc.items())) if acc else ()
-
-    def _kernel(self, kernel, k, g, c):
-        o1, o2, o3, o4 = self._kernels[kernel]
-        d, acc = self.dim, {}
-        for m, a in o1[k * d + g]:
-            add_terms(acc, o2[m * d + c], a)
-        for m, a in o4[g * d + c]:
-            add_terms(acc, o3[k * d + m], -a)
-        return tuple(sorted(acc.items()))
 
 
 def _commutes(ops, residual):
@@ -133,18 +77,18 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     criterion sweeps the tuples whose indices at those positions are sorted,
     whose first failure in product order is the full sweep's (see
     :func:`~superbracket.concrete.first_failure`); elsewhere it sweeps every
-    tuple.  Each residual is a contraction of :class:`BasisTables`.
+    tuple.  Each residual is a kernel contraction of the check's
+    :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(algebra)
-    tables = BasisTables(algebra)
     orbits = {1: (0, 1, 3) if _commutes(ops, anticommutativity_residual) else ()}
     orbits[2] = orbits[3] = (0, 1) if _commutes(ops, supercommutativity_residual) else ()
     checks = []
     for which in CRITERIA:
         failure = first_failure(
-            4, algebra.dim, lambda f, h, g, w: double_criterion_residual(tables, which, f, h, g, w),
+            4, algebra.dim, lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w),
             ops.is_zero, symmetric=orbits[which])
-        checks.append(check_entry(f"jorskob{which}", failure, tables.parities.__getitem__,
+        checks.append(check_entry(f"jorskob{which}", failure, ops.parities.__getitem__,
                                   ops.render))
     return Report(checks)
 
@@ -162,7 +106,8 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     the tuples with x <= z <= t; the first failing tuple in product order is
     sorted (see :func:`~superbracket.concrete.first_failure`), so the
     verdict and the witness are those of the sweep over all 4-tuples.  Each
-    residual is a contraction of :class:`BasisTables`.
+    residual is a kernel contraction of the check's
+    :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(double)
     failure = first_failure(
@@ -170,11 +115,10 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     if failure is not None:
         (i, j), _, res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
-    tables = BasisTables(double)
     failure = first_failure(
-        4, double.dim, lambda x, y, z, t: linear_jordan_residual(tables, x, y, z, t),
+        4, double.dim, lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t),
         ops.is_zero, symmetric=(0, 2, 3))
-    return Report([check_entry("super-jordan-linearized", failure, tables.parities.__getitem__,
+    return Report([check_entry("super-jordan-linearized", failure, ops.parities.__getitem__,
                                ops.render)])
 
 

@@ -1,15 +1,19 @@
 """Dense-tuple oracle for the structure-table sweeps.
 
-:class:`DenseOps` has the interface of :class:`superbracket.concrete.SparseOps`
-(the five ``identities.py`` adapter methods ``mul``, ``bracket``, ``deriv``,
-``parity`` and ``combine``, plus ``basis``, ``unit``, ``is_zero`` and
-``render``) over dense coefficient tuples: a product walks every coordinate
-pair of both vectors through the table, ``combine`` sums every coordinate of
-every operand, nothing is memoized, and zero is the all-zero tuple.
-:func:`dense_run` runs a check of :mod:`superbracket.concrete` with it in
-place of the sparse adapter, so a differential test compares the two vector
-representations through the same sweeps and residual builders.  The Kantor
-checks contract sparse table rows, not adapter products; the tests compare
+:class:`DenseOps` has the adapter interface of
+:class:`superbracket.concrete.SparseOps` (the five ``identities.py``
+methods ``mul``, ``bracket``, ``deriv``, ``parity`` and ``combine``, plus
+``basis``, ``unit``, ``is_zero``, the edge conversions ``vector`` and
+``dense``, and ``render``) over dense coefficient tuples: a product walks
+every coordinate pair of both vectors through the table dict, ``combine``
+sums every coordinate of every operand, nothing is memoized, and zero is
+the all-zero tuple.  :func:`dense_run` runs a function of
+:mod:`superbracket.concrete` (``validate``, ``is_identity``, ``evaluate``,
+``mul``, ``bracket``) with it in place of the sparse evaluator, so a
+differential test compares the two vector representations through the same
+sweeps and residual builders.  The Kantor checks contract the evaluator's
+table rows, which the oracle does not provide, and ``kantor`` binds
+``SparseOps`` itself, so the patch does not reach them; the tests compare
 them with sweeps of the unfactored residuals over either adapter instead.
 
 Build algebras before calling :func:`dense_run`: the table builder
@@ -70,6 +74,15 @@ class DenseOps:
             for k, x in enumerate(a):
                 out[k] += c * x
         return _exact(out)
+
+    def vector(self, a):
+        if len(a) != self.algebra.dim:
+            raise AlgebraError(f"vector length {len(a)} != dimension {self.algebra.dim}")
+        return _exact(a)
+
+    @staticmethod
+    def dense(a):
+        return a
 
     @staticmethod
     def is_zero(a):

@@ -510,9 +510,12 @@ class TestDispatch:
         (["check-identity", "--gens", "x", "?x"], "needs --algebra FILE or --free"),
         (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=0,1", "?a"],
          "binding 'a' has 2 coordinates, need 3"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", "a=1,0,0", "--bind", "a=0,1,0",
+          "?a"], "variable 'a' is bound twice"),
         (["farkas", "--theory", "jb", "--gens", "x,y", "--letters", "x,y", "--input", "{x,y}"],
          "the reduction runs in the genp theory"),
-    ], ids=["unknown-builtin", "check-identity-no-target", "eval-binding-length", "farkas-jb"])
+    ], ids=["unknown-builtin", "check-identity-no-target", "eval-binding-length",
+            "eval-binding-repeated", "farkas-jb"])
     def test_usage_errors(self, capsys, argv, message):
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err

@@ -19,6 +19,7 @@ from superbracket.concrete import (
     zero_bracket_poisson,
     zero_product_algebra,
 )
+from superbracket.kantor import criteria_check, double_of, super_jordan_check
 
 ONE = Fraction(1)
 
@@ -266,6 +267,38 @@ class TestJson:
         assert back.product == algebra.product
         assert back.bracket_table == algebra.bracket_table
         assert back.unit == algebra.unit
+
+    @pytest.mark.parametrize("make", [
+        lambda: wronskian_algebra(4),
+        lambda: untwisted_algebra(euler_wronskian_algebra(3)),
+        lambda: adjoin_unit(nonlie_example_algebra()),
+    ], ids=["wronskian4", "untwisted-euler3", "unital-nonlie-gp"])
+    def test_rows_are_stored_as_sparse_vectors(self, make):
+        """Rows given out of order, with split and cancelling entries, and
+        all-cancelling rows at the empty pairs, store the canonical twin."""
+        twin = make()
+
+        def noisy(table):
+            out = {ij: [(0, 1), (0, -1)] for ij in product(range(twin.dim), repeat=2)}
+            for ij, row in table.items():
+                split = [entry for k, c in row for entry in ((k, c + 1), (k, -1))]
+                out[ij] = split[::-1] + [(0, 3), (0, -3)]
+            return out
+
+        alg = StructureAlgebra(twin.dim, twin.parities, noisy(twin.product),
+                               noisy(twin.bracket_table), twin.unit, twin.claim)
+        assert (alg.product, alg.bracket_table) == (twin.product, twin.bracket_table)
+        assert json.dumps(alg.to_json()) == json.dumps(twin.to_json())
+
+        def reports(a):
+            out = [a.validate().to_json(), criteria_check(a).to_json()]
+            try:
+                out.append(super_jordan_check(double_of(a)).to_json())
+            except AlgebraError as exc:
+                out.append(str(exc))
+            return json.dumps(out)
+
+        assert reports(alg) == reports(twin)
 
     def test_bad_index_rejected(self):
         with pytest.raises(AlgebraError):

@@ -11,8 +11,8 @@ criteria carry the prefactors A, B, C as quoted in their docstring.
 
 The two Kantor residuals are compared twice: in their unfactored forms
 over an adapter (the oracles of ``tests/paper_forms.py``), and in the
-package's forms, factored into kernels over the basis tables of
-:class:`~superbracket.kantor.BasisTables`.
+package's forms, factored into kernels that the structure-table evaluator
+:class:`~superbracket.concrete.SparseOps` contracts on basis indices.
 
 The checks run where the identities fail, so that no term is zero and a
 wrong sign on any term, or on a pair of terms, changes the residual: a
@@ -36,7 +36,6 @@ from superbracket.cli import parse
 from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
 from superbracket.core import Alphabet, Sum
 from superbracket.engine import GENP, GP, FreeAlgebra
-from superbracket.kantor import BasisTables
 import paper_forms
 
 FORMULAS = {
@@ -181,13 +180,13 @@ def test_criteria_match_their_formulas_on_a_random_table(generic, which):
         assert to_dense(got, 9) == want and any(want), pattern
 
 
-# -- the package's factored Kantor residuals, over basis tables -------------------------------
+# -- the package's factored Kantor residuals, over the table evaluator ----------------------
 
 @pytest.mark.parametrize("which", (1, 2, 3, "jordan"))
 def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
     """Term for term, so a wrong sign on any kernel term changes a residual:
     the table has no symmetry that could make two terms cancel."""
-    tables = BasisTables(generic)
+    ops = SparseOps(generic)
     for pattern in product((0, 1), repeat=4):
         indices = [(ODD if p else EVEN)[n] for n, p in enumerate(pattern)]
         bindings = {v: vbasis(9, i) for v, i in zip("fhgw" if which != "jordan" else "xyzt",
@@ -195,17 +194,17 @@ def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
         if which == "jordan":
             formula = koszul_formula(FORMULAS["linear_jordan"], Alphabet([]), "xyzt",
                                      dict(zip("xyzt", pattern)))
-            got = identities.linear_jordan_residual(tables, *indices)
+            got = identities.linear_jordan_residual(ops, *indices)
         else:
             formula = criterion_formula(which, Alphabet([]), pattern)
-            got = identities.double_criterion_residual(tables, which, *indices)
+            got = identities.double_criterion_residual(ops, which, *indices)
         want = generic.evaluate(formula, bindings)
         assert to_dense(got, 9) == want and any(want), pattern
 
 
 def test_kernel_form_refuses_a_fourth_criterion(generic):
     with pytest.raises(ValueError, match="criterion index must be 1, 2 or 3"):
-        identities.double_criterion_residual(BasisTables(generic), 4, 1, 2, 3, 4)
+        identities.double_criterion_residual(SparseOps(generic), 4, 1, 2, 3, 4)
 
 
 # -- the free engines, where the identity fails ------------------------------------------------

@@ -246,6 +246,18 @@ class TestDenseOracle:
         for term in (jacobi, square):
             assert alg.is_identity(term) == dense_run(alg.is_identity, term)
 
+    @SETTINGS
+    @given(any_perturbed(), st.data())
+    def test_evaluate_mul_and_bracket(self, alg, data):
+        vec = st.lists(st.sampled_from([0] + COEFFS), min_size=alg.dim, max_size=alg.dim)
+        bindings = {name: tuple(data.draw(vec)) for name in "abc"}
+        term = Sum(((1, Bracket(Prod(Var("a"), Var("b")), Var("c"))),
+                    (Fraction(-1, 2), Prod(Var("a"), Bracket(Var("b"), Var("c"))))))
+        assert alg.evaluate(term, bindings) == dense_run(alg.evaluate, term, bindings)
+        a, b = bindings["a"], bindings["b"]
+        for op in (alg.mul, alg.bracket):
+            assert op(a, b) == dense_run(op, a, b)
+
     @pytest.mark.parametrize("make", [
         lambda: wronskian_algebra(4),
         lambda: euler_wronskian_algebra(3),
