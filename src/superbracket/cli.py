@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_SIGPIPE = 141  # what a shell reports for a command ended by SIGPIPE
 
 # Deepest nesting of {..}, (..), D(..) and <..> that parse() and parse_word()
 # accept.  _tokenize checks it, before the parser starts; the parser is the
@@ -556,13 +557,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered stdout fails here, not at exit
+        return code
     except DegreeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): end quietly, as a command
+        # ended by SIGPIPE does; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SIGPIPE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

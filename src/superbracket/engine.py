@@ -32,6 +32,7 @@ theory's algebra.
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 from .core import (
@@ -117,22 +118,28 @@ class FreeAlgebra:
         return Element(self, out)
 
     def bracket(self, a: Element, b: Element) -> Element:
-        """The superbracket, bilinear over monomials."""
+        """The superbracket, bilinear over monomials.  Straightening recurses
+        per Jacobi step, so a word nested past the recursion limit is an
+        :class:`AlgebraError`; the cache keeps only finished pairs."""
         self._claim(a, b)
-        if len(a.terms) == 1 and len(b.terms) == 1:
-            # one monomial pair: an element over the cache's own term dict
-            # (elements are immutable, so callers may share it) or its multiple
-            (m1, c1), = a.terms.items()
-            (m2, c2), = b.terms.items()
-            k = c1 * c2
-            cached = self._bracket_mono(m1, m2)
-            return Element(self, cached if k == 1 else add_terms({}, cached.items(), scalar(k)))
-        out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+        try:
+            if len(a.terms) == 1 and len(b.terms) == 1:
+                # one monomial pair: an element over the cache's own term dict
+                # (elements are immutable, so callers may share it) or its multiple
+                (m1, c1), = a.terms.items()
+                (m2, c2), = b.terms.items()
                 k = c1 * c2
-                add_terms(out, self._bracket_mono(m1, m2).items(), k if type(k) is int else scalar(k))
-        return Element(self, out)
+                cached = self._bracket_mono(m1, m2)
+                return Element(self, cached if k == 1 else add_terms({}, cached.items(), scalar(k)))
+            out = {}
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    k = c1 * c2
+                    add_terms(out, self._bracket_mono(m1, m2).items(), k if type(k) is int else scalar(k))
+            return Element(self, out)
+        except RecursionError:
+            raise AlgebraError(f"bracket nests too deep for the recursion limit "
+                               f"({sys.getrecursionlimit()})") from None
 
     def _add_products(self, out: dict, left: dict, right):
         """Add every product of a ``left`` term and a ``right`` pair into

@@ -27,7 +27,10 @@ non-unit letters in which every node has left > right or equal odd halves.
 Raw words are nested tuples: a leaf is a generator index, a node is a pair of
 words.  Interned :class:`BasisWord` objects carry the derived data, and the
 word space indexes them by key alone.
-:meth:`WordSpace.join` is the one basis-word test, in both kinds of space.
+:meth:`WordSpace.join` is the one basis-word test, in both kinds of space:
+:meth:`WordSpace.basis_words` enumerates a multidegree by offering it every
+pair of basis words over the splits of the degree.  Its one shortcut is the
+Lie space's: a letter alone makes no basis word of degree above two.
 
 A word space only interns, ranks, joins and enumerates basis words.  How two
 basis words bracket is each theory's rule, and all three rules live in
@@ -85,7 +88,6 @@ class WordSpace:
         self._trees = [0, alphabet.size]
         self._shorter = [0, 0]
         self._key_base = {}
-        self._good_cache = {}
         self._basis_cache = {}
 
     def leaf(self, gen_or_name) -> BasisWord:
@@ -169,46 +171,27 @@ class WordSpace:
 
     # -- enumeration --------------------------------------------------------
 
-    def good_words(self, degrees: tuple) -> tuple:
-        """All good words of the exact multidegree, unsorted tuple."""
-        cached = self._good_cache.get(degrees)
-        if cached is not None:
-            return cached
-        total = sum(degrees)
-        if total == 0:
-            result = ()
-        elif total == 1:
-            idx = degrees.index(1)
-            result = (self._letter(idx),)
-        elif max(degrees) == total:
-            result = ()  # {u,v} good needs u > v, so one letter alone makes none
-        else:
-            found = []
-            for d1, d2 in _splits(degrees):
-                for u in self.good_words(d1):
-                    for v in self.good_words(d2):
-                        w = self.join(u, v)
-                        if w is not None and not w.square:
-                            found.append(w)
-            result = tuple(found)
-        self._good_cache[degrees] = result
-        return result
-
     def basis_words(self, degrees: tuple) -> tuple:
-        """All basis words of the exact multidegree, sorted ascending."""
+        """All basis words of the exact multidegree, sorted ascending: the
+        letter, or every pair of basis words over the splits of the degree
+        that :meth:`join` accepts."""
         degrees = tuple(degrees)
         cached = self._basis_cache.get(degrees)
         if cached is not None:
             return cached
-        words = list(self.good_words(degrees))
-        if all(d % 2 == 0 for d in degrees) and sum(degrees) >= 2:
-            half = tuple(d // 2 for d in degrees)
-            for v in self.good_words(half):
-                if v.parity:
-                    words.append(self.join(v, v))
-        words.sort(key=lambda w: w.key)
-        result = tuple(words)
-        self._basis_cache[degrees] = result
+        total = sum(degrees)
+        words = [self._letter(degrees.index(1))] if total == 1 else []
+        # good {u,v} needs u > v, so one letter alone makes only {th,th}; in
+        # an oriented space an odd letter alone makes atoms of every degree
+        if total > 1 and (self.oriented or total == 2 or max(degrees) < total):
+            for d1, d2 in _splits(degrees):
+                for u in self.basis_words(d1):
+                    for v in self.basis_words(d2):
+                        w = self.join(u, v)
+                        if w is not None:
+                            words.append(w)
+            words.sort(key=lambda w: w.key)
+        result = self._basis_cache[degrees] = tuple(words)
         return result
 
     def render(self, word) -> str:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import linalg
-from superbracket.core import Alphabet
+from superbracket.core import AlgebraError, Alphabet
 from superbracket.engine import GP, FreeAlgebra
 
 PRIME = 2_147_483_647
@@ -38,6 +38,22 @@ def word_bracket(algebra, u, v):
         assert len(m) == 1 and m[0][2] == 1, m
         out[algebra.space.by_key[m[0][0]]] = c
     return out
+
+
+def offered_basis_words(space, top):
+    """Every interned basis word (oriented atom in gp) of degree <= top, found
+    by offering each raw bracket tree over the alphabet to ``space.get``."""
+    raw = {1: list(range(space.alphabet.size))}
+    for n in range(2, top + 1):
+        raw[n] = [(u, v) for i in range(1, n) for u in raw[i] for v in raw[n - i]]
+    words = []
+    for n in range(1, top + 1):
+        for word in raw[n]:
+            try:
+                words.append(space.get(word))
+            except AlgebraError:
+                pass
+    return words
 
 
 def tuple_key(word):

@@ -573,6 +573,22 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "18"
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # about 800 kB of basis, far over a pipe's buffer; the reader takes
+        # one line and closes the pipe, as ``| head -n 1`` does
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superbracket", "basis", "--gens", "x1,x2,x3",
+             "--multidegree", "1:3,x1:2,x2:2,x3:3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=root)
+        assert proc.stdout.readline().startswith("1/1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, "")
+
     @pytest.mark.parametrize("theory, terms", [("genp", MAX_NESTING), ("gp", 1)])
     def test_left_chain_bracket_at_the_nesting_limit(self, theory, terms):
         # {c,x} for the left chain c = {...{z,y},...,y} one level below the

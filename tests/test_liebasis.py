@@ -14,6 +14,7 @@ from helpers import (
     mat_is_zero,
     mat_scale,
     multilinear_lie_dimension,
+    offered_basis_words,
     random_matrix,
     sgn,
     tuple_key,
@@ -270,6 +271,33 @@ class TestEnumeration:
         space = WordSpace(MIXED)
         with pytest.raises(AlgebraError):
             space.get((1, 2))  # ascending pair is not good
+
+
+@pytest.mark.parametrize("oriented, count", [(False, 298), (True, 244)], ids=["lie", "oriented"])
+def test_basis_words_are_the_offered_trees(oriented, count):
+    """The enumerator against brute force: on every multidegree of total
+    <= 5 over (1, x1, x2, th), it returns, sorted, the words that offering
+    every raw bracket tree to ``space.get`` finds (in a space of its own)."""
+    found = {}
+    for w in offered_basis_words(WordSpace(MIXED, oriented), 5):
+        found.setdefault(w.degrees, []).append(w.word)
+    space = WordSpace(MIXED, oriented)
+    total = 0
+    for degrees in product(range(6), repeat=4):
+        if 0 < sum(degrees) <= 5:
+            words = [w.word for w in space.basis_words(degrees)]
+            assert words == sorted(found.get(degrees, []), key=tuple_key), degrees
+            total += len(words)
+    assert total == count
+
+
+@pytest.mark.parametrize("oriented, counts", [(False, [1, 1, 0, 0, 0, 0]), (True, [1, 1, 1, 1, 2, 4])],
+                         ids=["lie", "oriented"])
+def test_words_of_one_odd_letter(oriented, counts):
+    """One odd letter th makes th and {th,th} in the Lie space, and oriented
+    atoms of every degree: {{th,th},th}, ..., {{{th,th},th},{{th,th},th}}."""
+    space = WordSpace(MIXED, oriented)
+    assert [len(space.basis_words((0, 0, 0, n))) for n in range(1, 7)] == counts
 
 
 def test_word_key_orders_by_length_first():

@@ -17,7 +17,7 @@ import pytest
 from superbracket import identities
 from superbracket.core import AlgebraError, Alphabet
 from superbracket.engine import GENP, GP, JB, FreeAlgebra
-from helpers import word_bracket
+from helpers import offered_basis_words, word_bracket
 
 ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("th", 1)])
 
@@ -31,26 +31,10 @@ GOLDEN_WORD_BRACKETS = {
 }
 
 
-def basis_words(space, top):
-    """Every interned basis word (oriented atom in gp) of degree <= top, found
-    by offering each raw bracket tree over the alphabet to ``space.get``."""
-    raw = {1: list(range(space.alphabet.size))}
-    for n in range(2, top + 1):
-        raw[n] = [(u, v) for i in range(1, n) for u in raw[i] for v in raw[n - i]]
-    words = []
-    for n in range(1, top + 1):
-        for word in raw[n]:
-            try:
-                words.append(space.get(word))
-            except AlgebraError:
-                pass
-    return words
-
-
 def word_bracket_lines(theory, top=3):
     alg = FreeAlgebra(ALPHABET, theory)
     render = alg.space.render
-    for u, v in product(basis_words(alg.space, top), repeat=2):
+    for u, v in product(offered_basis_words(alg.space, top), repeat=2):
         got = alg.bracket(alg.word_element(u), alg.word_element(v))
         yield f"{render(u.word)} {render(v.word)} {json.dumps(alg.element_to_json(got))}\n"
 
@@ -68,7 +52,7 @@ def test_jb_single_words_are_genp_straightening():
     the part of a jb bracket of two basis words on single words is the Lie
     straightening of the same pair (both theories share the word basis)."""
     genp, jb = FreeAlgebra(ALPHABET, GENP), FreeAlgebra(ALPHABET, JB)
-    words = basis_words(jb.space, 3)
+    words = offered_basis_words(jb.space, 3)
     assert len(words) > 20
     for u, v in product(words, repeat=2):
         got = jb.bracket(jb.word_element(u), jb.word_element(v))
@@ -89,6 +73,29 @@ def test_genp_deep_straightening_fits_the_recursion_limit():
     got = word_bracket(alg, space.get(chain), space.leaf("x"))
     assert len(got) == 401
     assert all(w.degrees == (0, 1, 400, 1) for w in got)
+
+
+def test_genp_straightening_past_the_recursion_limit_is_an_algebra_error():
+    """``{c_800, x}`` takes 800 nested Jacobi steps, past the default
+    recursion limit at two frames a step: the library gives its 801 words or
+    an AlgebraError that names the limit, never a RecursionError, and the
+    algebra answers as a fresh one does afterwards."""
+    def chain_bracket(alg, n):
+        space = alg.space
+        chain = space.leaf("z").word
+        for _ in range(n):
+            chain = (chain, space.leaf("y").word)
+        return word_bracket(alg, space.get(chain), space.leaf("x"))
+
+    alphabet = Alphabet([("x", 0), ("y", 0), ("z", 0)])
+    alg = FreeAlgebra(alphabet, GENP)
+    try:
+        assert len(chain_bracket(alg, 800)) == 801
+    except AlgebraError as exc:
+        assert "recursion limit" in str(exc)
+    fresh = FreeAlgebra(alphabet, GENP)
+    assert ({w.word: c for w, c in chain_bracket(alg, 300).items()}
+            == {w.word: c for w, c in chain_bracket(fresh, 300).items()})
 
 
 @pytest.mark.parametrize("theory", [GENP, JB])
