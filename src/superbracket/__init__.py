@@ -16,8 +16,6 @@ from .core import (
     Prod,
     Sum,
     Var,
-    multidegree,
-    term_parity,
 )
 from .elements import Element
 
@@ -57,6 +55,4 @@ __all__ = [
     "Sum",
     "Var",
     "dim_multilinear",
-    "multidegree",
-    "term_parity",
 ]

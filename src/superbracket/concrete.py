@@ -31,7 +31,19 @@ from .core import (AlgebraError, Gen, Sum, Var, fold, map_leaves, scalar,
 from . import identities
 from .elements import add_terms
 
-CLAIMS = ("none", "poisson", "genp", "jb", "gp")
+# the (name, arity, residual builder) rules of each claim's axioms, which
+# validate checks after the structural identities
+CLAIM_RULES = {
+    "none": [],
+    "poisson": [("leibniz", 3, identities.leibniz_residual),
+                ("jacobi", 3, identities.jacobi_residual)],
+    "genp": [("deformed-leibniz", 3, identities.deformed_leibniz_residual),
+             ("jacobi", 3, identities.jacobi_residual)],
+    "jb": [("deformed-leibniz", 3, identities.deformed_leibniz_residual),
+           ("deformed-jacobi", 3, identities.deformed_jacobi_residual)],
+    "gp": [("leibniz", 3, identities.leibniz_residual)],
+}
+CLAIMS = tuple(CLAIM_RULES)
 
 
 def vzero(dim):
@@ -187,14 +199,15 @@ class SparseOps:
         return vjson(self.dense(a))
 
 
-def first_failure(arity, elements, residual, is_zero, symmetric=()):
-    """The first ``arity``-tuple of elements, in ``itertools.product`` order,
-    on which the residual does not vanish (``is_zero`` is false), as
-    ``(indices, arguments, residual)``; None when it vanishes on all of them.
+def first_failure(arity, n, residual, is_zero, symmetric=()):
+    """The first ``arity``-tuple of the indices 0..n-1, in
+    ``itertools.product`` order, at which the residual (a function of the
+    indices) does not vanish (``is_zero`` is false), as
+    ``(indices, residual)``; None when it vanishes at all of them.
 
-    Over a basis this decides a multilinear identity completely.  An int n
-    for ``elements`` sweeps the indices 0..n-1 themselves: the residual
-    takes indices, and the witness's arguments are its indices.
+    Over the indices of a basis this decides a multilinear identity
+    completely; :func:`on_basis` turns a residual builder of
+    :mod:`.identities` into a function of basis indices.
 
     ``symmetric`` names argument positions, in increasing order, across
     which the residual is symmetric up to sign: permuting the arguments at
@@ -206,8 +219,6 @@ def first_failure(arity, elements, residual, is_zero, symmetric=()):
     first member of an orbit is its sorted one, so the first failing tuple
     is sorted, and no sorted tuple before it fails.
     """
-    indices = type(elements) is int
-    n = elements if indices else len(elements)
     if symmetric:
         tuples, prev = [()], None
         for k in range(arity):
@@ -216,10 +227,9 @@ def first_failure(arity, elements, residual, is_zero, symmetric=()):
     else:
         tuples = iproduct(range(n), repeat=arity)
     for idx in tuples:
-        args = idx if indices else [elements[i] for i in idx]
-        res = residual(*args)
+        res = residual(*idx)
         if not is_zero(res):
-            return idx, args, res
+            return idx, res
     return None
 
 
@@ -231,19 +241,29 @@ def _extend(tuples, n, prev):
     return (idx + (i,) for idx in tuples for i in range(idx[prev], n))
 
 
-def check_entry(name, failure, parity, render):
-    """One :class:`Report` entry: a pass, or a fail whose witness gives the
-    failing indices, the parities of their arguments and the rendered residual."""
+def on_basis(ops, builder):
+    """The residual ``builder(ops, a, b, ...)`` as a function of the basis
+    indices of ``a, b, ...``."""
+    basis = ops.basis
+    return lambda *idx: builder(ops, *map(basis.__getitem__, idx))
+
+
+def report_entry(ops, name, arity, residual, symmetric=()):
+    """One :class:`Report` entry: the sweep of a residual of basis indices
+    (see :func:`first_failure`) as a pass, or a fail whose witness gives the
+    failing indices, the parities of their basis vectors and the rendered
+    residual."""
+    failure = first_failure(arity, len(ops.basis), residual, ops.is_zero, symmetric)
     if failure is None:
         return {"identity": name, "status": "pass"}
-    idx, args, res = failure
+    idx, res = failure
     return {
         "identity": name,
         "status": "fail",
         "witness": {
             "indices": list(idx),
-            "parities": [parity(a) for a in args],
-            "residual": render(res),
+            "parities": [ops.parity(ops.basis[i]) for i in idx],
+            "residual": ops.render(res),
         },
     }
 
@@ -302,32 +322,16 @@ class StructureAlgebra:
         Returns a :class:`Report`; each check carries a witness tuple on
         failure.
         """
-        ops = SparseOps(self)
-        checks = []
-
-        def run(name, arity, fn):
-            failure = first_failure(arity, ops.basis, fn, ops.is_zero)
-            checks.append(check_entry(name, failure, ops.parity, ops.render))
-
-        run("supercommutativity", 2, lambda a, b: identities.supercommutativity_residual(ops, a, b))
-        run("associativity", 3, lambda a, b, c: identities.associativity_residual(ops, a, b, c))
+        if self.claim in ("genp", "jb") and self.unit is None:
+            raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
+        rules = [("supercommutativity", 2, identities.supercommutativity_residual),
+                 ("associativity", 3, identities.associativity_residual)]
         if self.unit is not None:
-            run("unit", 1, lambda a: identities.unit_residual(ops, ops.unit, a))
-        run("anticommutativity", 2, lambda a, b: identities.anticommutativity_residual(ops, a, b))
-        if self.claim in ("genp", "jb"):
-            if self.unit is None:
-                raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
-            run("deformed-leibniz", 3, lambda a, b, c: identities.deformed_leibniz_residual(ops, a, b, c))
-            if self.claim == "genp":
-                run("jacobi", 3, lambda a, b, c: identities.jacobi_residual(ops, a, b, c))
-            else:
-                run("deformed-jacobi", 3, lambda a, b, c: identities.deformed_jacobi_residual(ops, a, b, c))
-        elif self.claim == "gp":
-            run("leibniz", 3, lambda a, b, c: identities.leibniz_residual(ops, a, b, c))
-        elif self.claim == "poisson":
-            run("leibniz", 3, lambda a, b, c: identities.leibniz_residual(ops, a, b, c))
-            run("jacobi", 3, lambda a, b, c: identities.jacobi_residual(ops, a, b, c))
-        return Report(checks)
+            rules.append(("unit", 1, lambda ops, a: identities.unit_residual(ops, ops.unit, a)))
+        rules.append(("anticommutativity", 2, identities.anticommutativity_residual))
+        ops = SparseOps(self)
+        return Report([report_entry(ops, name, arity, on_basis(ops, builder))
+                       for name, arity, builder in rules + CLAIM_RULES[self.claim]])
 
     # -- term evaluation --------------------------------------------------------
 
@@ -351,12 +355,13 @@ class StructureAlgebra:
         term = multilinearize(term)
         names = sorted(var_names(term))
         ops = SparseOps(self)
-        failure = first_failure(len(names), ops.basis,
-                                lambda *vecs: _evaluate(ops, term, dict(zip(names, vecs))),
-                                ops.is_zero)
+        failure = first_failure(
+            len(names), self.dim,
+            on_basis(ops, lambda ops, *vecs: _evaluate(ops, term, dict(zip(names, vecs)))),
+            ops.is_zero)
         if failure is None:
             return True, None
-        idx, _, res = failure
+        idx, res = failure
         return False, {"assignment": dict(zip(names, idx)), "residual": ops.render(res)}
 
     # -- serialization -------------------------------------------------------------
@@ -593,8 +598,8 @@ def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
     ops = SparseOps(alg)
-    failure = first_failure(
-        2, ops.basis, lambda a, b: identities.anticommutativity_residual(ops, a, b), ops.is_zero)
+    failure = first_failure(2, dim, on_basis(ops, identities.anticommutativity_residual),
+                            ops.is_zero)
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg
@@ -663,8 +668,8 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
     ops = SparseOps(algebra)
-    derivation = lambda a, b: identities.derivation_residual(ops, a, b)
-    if first_failure(2, ops.basis, derivation, ops.is_zero) is not None:
+    derivation = on_basis(ops, identities.derivation_residual)
+    if first_failure(2, algebra.dim, derivation, ops.is_zero) is not None:
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     twisted = identities.Twisted(ops, Fraction(1, 2))
     bracket = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import add, attrgetter, xor
+from operator import attrgetter
 
 EVEN = 0
 ODD = 1
@@ -31,10 +31,6 @@ GP = "gp"
 
 class AlgebraError(Exception):
     """Base class for user-facing errors raised by this package."""
-
-
-class UndefinedParityError(AlgebraError):
-    """A parity or multidegree was requested where it is not defined."""
 
 
 class DegreeGuardError(AlgebraError):
@@ -162,9 +158,6 @@ class Alphabet:
     def names(self):
         """Non-unit generator names, in order."""
         return tuple(g.name for g in self.generators[1:])
-
-    def zero_degrees(self):
-        return (0,) * self.size
 
     def degrees_of(self, counts: dict) -> tuple:
         """Multidegree tuple from a ``{name: count}`` mapping."""
@@ -307,40 +300,3 @@ def var_names(term) -> set:
     """Names of the Var leaves of a term."""
     return fold(term, lambda t: {t.name} if isinstance(t, Var) else set(),
                 lambda t, names: set().union(*names))
-
-
-def _additive(alphabet: Alphabet, t, grade, plus, empty, what, plural):
-    """Fold of a grading that both multiplications add: ``grade(generator)``
-    at the leaves, ``plus`` at the nodes, and all branches of a Sum equal."""
-
-    def leaf(g):
-        if isinstance(g, Var):
-            raise UndefinedParityError(f"{what} of variable leaf ?{g.name} is undefined")
-        return grade(alphabet.gen(g.name))
-
-    def node(s, values):
-        if not isinstance(s, Sum):
-            return plus(*values)
-        kinds = set(values)
-        if len(kinds) > 1:
-            raise UndefinedParityError(f"sum of terms with different {plural}")
-        return kinds.pop() if kinds else empty
-
-    return fold(t, leaf, node)
-
-
-def term_parity(alphabet: Alphabet, t) -> int:
-    """Parity of a term: the mod-2 count of odd generator occurrences.
-
-    Both multiplications are parity-additive, so the tree shape is
-    irrelevant.  Sums must be parity-homogeneous.  Var leaves have no
-    parity and raise.
-    """
-    return _additive(alphabet, t, lambda g: g.parity, xor, EVEN, "parity", "parities")
-
-
-def multidegree(alphabet: Alphabet, t) -> tuple:
-    """Occurrence count of every generator, the unit included."""
-    zero = alphabet.zero_degrees()
-    return _additive(alphabet, t, lambda g: zero[:g.index] + (1,) + zero[g.index + 1:],
-                     lambda a, b: tuple(map(add, a, b)), zero, "multidegree", "multidegrees")

@@ -121,10 +121,6 @@ class Element:
                                           for m, c in self.terms.items()})
         return Element(self.algebra, add_terms({}, self.terms.items(), k))
 
-    def bracket(self, other) -> "Element":
-        self._check(other)
-        return self.algebra.bracket(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented

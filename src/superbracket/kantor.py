@@ -20,17 +20,20 @@ one :class:`~superbracket.concrete.SparseOps`, the one evaluator of the
 tables, and a tuple's residual sums at most three of its kernel values per
 nonzero coordinate of p, exactly over Q: the same vector as the unfactored
 sum of products, so every zero test and every report is unchanged.  Both
-checks sweep basis indices on :func:`~superbracket.concrete.first_failure`,
+checks write their entries with :func:`~superbracket.concrete.report_entry`,
+which sweeps basis indices on :func:`~superbracket.concrete.first_failure`,
 one tuple per orbit of the permutations that only change the residual's
 sign, whose first failure in product order is that of the full sweep.  The
-same evaluator runs the pair checks that come first and renders the
-witness, so both checks take structure algebras only.
+pair checks that come first sweep the same evaluator through
+:func:`~superbracket.concrete.on_basis`, and it renders the witness, so
+both checks take structure algebras only.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError
-from .concrete import Report, SparseOps, StructureAlgebra, check_entry, first_failure, vzero
+from .concrete import (Report, SparseOps, StructureAlgebra, first_failure, on_basis, report_entry,
+                       vzero)
 from .identities import (
     anticommutativity_residual,
     double_criterion_residual,
@@ -60,11 +63,6 @@ def double_of(algebra: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(2 * d, parities, product, {}, unit, "none")
 
 
-def _commutes(ops, residual):
-    """Whether the two-argument residual vanishes on every basis pair."""
-    return first_failure(2, ops.basis, lambda a, b: residual(ops, a, b), ops.is_zero) is None
-
-
 def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
@@ -81,16 +79,15 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(algebra)
-    orbits = {1: (0, 1, 3) if _commutes(ops, anticommutativity_residual) else ()}
-    orbits[2] = orbits[3] = (0, 1) if _commutes(ops, supercommutativity_residual) else ()
-    checks = []
-    for which in CRITERIA:
-        failure = first_failure(
-            4, algebra.dim, lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w),
-            ops.is_zero, symmetric=orbits[which])
-        checks.append(check_entry(f"jorskob{which}", failure, ops.parities.__getitem__,
-                                  ops.render))
-    return Report(checks)
+    anti, comm = (first_failure(2, algebra.dim, on_basis(ops, pair), ops.is_zero) is None
+                  for pair in (anticommutativity_residual, supercommutativity_residual))
+    orbits = {1: (0, 1, 3) if anti else ()}
+    orbits[2] = orbits[3] = (0, 1) if comm else ()
+    return Report([
+        report_entry(ops, f"jorskob{which}", 4,
+                     lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w),
+                     orbits[which])
+        for which in CRITERIA])
 
 
 def super_jordan_check(double: StructureAlgebra) -> Report:
@@ -110,16 +107,14 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(double)
-    failure = first_failure(
-        2, ops.basis, lambda a, b: supercommutativity_residual(ops, a, b), ops.is_zero)
+    failure = first_failure(2, double.dim, on_basis(ops, supercommutativity_residual),
+                            ops.is_zero)
     if failure is not None:
-        (i, j), _, res = failure
+        (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
-    failure = first_failure(
-        4, double.dim, lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t),
-        ops.is_zero, symmetric=(0, 2, 3))
-    return Report([check_entry("super-jordan-linearized", failure, ops.parities.__getitem__,
-                               ops.render)])
+    return Report([report_entry(ops, "super-jordan-linearized", 4,
+                                lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t),
+                                symmetric=(0, 2, 3))])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

@@ -90,10 +90,8 @@ class WordSpace:
         self._key_base = {}
         self._basis_cache = {}
 
-    def leaf(self, gen_or_name) -> BasisWord:
-        if isinstance(gen_or_name, str):
-            return self._letter(self.alphabet.gen(gen_or_name).index)
-        return self._letter(gen_or_name.index)
+    def leaf(self, name: str) -> BasisWord:
+        return self._letter(self.alphabet.gen(name).index)
 
     @property
     def unit_word(self) -> BasisWord:

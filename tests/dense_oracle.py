@@ -11,7 +11,10 @@ the all-zero tuple.  :func:`dense_run` runs a function of
 :mod:`superbracket.concrete` (``validate``, ``is_identity``, ``evaluate``,
 ``mul``, ``bracket``) with it in place of the sparse evaluator, so a
 differential test compares the two vector representations through the same
-sweeps and residual builders.  The Kantor checks contract the evaluator's
+sweeps and residual builders.  The sweep helpers of ``concrete``
+(``first_failure``, ``on_basis``, ``report_entry``) are module functions
+that read only ``basis``, ``is_zero``, ``parity`` and ``render`` of an
+evaluator, so the oracle holds no sweep code of its own.  The Kantor checks contract the evaluator's
 table rows, which the oracle does not provide, and ``kantor`` binds
 ``SparseOps`` itself, so the patch does not reach them; the tests compare
 them with sweeps of the unfactored residuals over either adapter instead.

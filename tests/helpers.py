@@ -8,12 +8,54 @@ bracketings inside the free associative superalgebra.
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add, xor
 
 import linalg
-from superbracket.core import AlgebraError, Alphabet
+from superbracket.core import EVEN, AlgebraError, Alphabet, Sum, Var, fold
 from superbracket.engine import GP, FreeAlgebra
 
 PRIME = 2_147_483_647
+
+
+class UndefinedParityError(AlgebraError):
+    """A parity or multidegree was requested where it is not defined."""
+
+
+def _additive(alphabet: Alphabet, t, grade, plus, empty, what, plural):
+    """Fold of a grading that both multiplications add: ``grade(generator)``
+    at the leaves, ``plus`` at the nodes, and all branches of a Sum equal."""
+
+    def leaf(g):
+        if isinstance(g, Var):
+            raise UndefinedParityError(f"{what} of variable leaf ?{g.name} is undefined")
+        return grade(alphabet.gen(g.name))
+
+    def node(s, values):
+        if not isinstance(s, Sum):
+            return plus(*values)
+        kinds = set(values)
+        if len(kinds) > 1:
+            raise UndefinedParityError(f"sum of terms with different {plural}")
+        return kinds.pop() if kinds else empty
+
+    return fold(t, leaf, node)
+
+
+def term_parity(alphabet: Alphabet, t) -> int:
+    """Parity of a term: the mod-2 count of odd generator occurrences.
+
+    Both multiplications are parity-additive, so the tree shape is
+    irrelevant.  Sums must be parity-homogeneous.  Var leaves have no
+    parity and raise.
+    """
+    return _additive(alphabet, t, lambda g: g.parity, xor, EVEN, "parity", "parities")
+
+
+def multidegree(alphabet: Alphabet, t) -> tuple:
+    """Occurrence count of every generator, the unit included."""
+    zero = (0,) * alphabet.size
+    return _additive(alphabet, t, lambda g: zero[:g.index] + (1,) + zero[g.index + 1:],
+                     lambda a, b: tuple(map(add, a, b)), zero, "multidegree", "multidegrees")
 
 
 def sgn(bit):

@@ -496,13 +496,19 @@ class TestDispatch:
         code, out, _ = self.run(capsys, "nf", "--gens", "x,y", "--", "-x+y")
         assert (code, out) == (0, "-1/1 x + 1/1 y\n")
 
-    @pytest.mark.parametrize("json_flag,want", [
-        ([], "degenerate: input polynomial is zero\n"),
-        (["--json"], '{"degenerate": "input polynomial is zero"}\n'),
-    ], ids=["plain", "json"])
-    def test_farkas_degenerate(self, capsys, json_flag, want):
-        code, out, err = self.run(capsys, "farkas", "--gens", "x,y", "--letters", "x,y",
-                                  "--input", "{x,y} + {y,x}", *json_flag)
+    # the second input is an identity of wronskian3 whose defect in y is
+    # zero, so stage 1 of the reduction collapses at y
+    COLLAPSE = ("x,y,z", "x {{z,1},y} - y {{z,1},x} + {y,x} {z,1}")
+
+    @pytest.mark.parametrize("letters,text,json_flag,want", [
+        ("x,y", "{x,y} + {y,x}", [], "degenerate: input polynomial is zero\n"),
+        ("x,y", "{x,y} + {y,x}", ["--json"], '{"degenerate": "input polynomial is zero"}\n'),
+        (*COLLAPSE, [], "degenerate: defect in 'y' vanished\n"),
+        (*COLLAPSE, ["--json"], '{"degenerate": "defect in \'y\' vanished"}\n'),
+    ], ids=["plain", "json", "stage-1-collapse-plain", "stage-1-collapse-json"])
+    def test_farkas_degenerate(self, capsys, letters, text, json_flag, want):
+        code, out, err = self.run(capsys, "farkas", "--gens", letters, "--letters", letters,
+                                  "--input", text, *json_flag)
         assert (code, out, err) == (1, want, "")
 
     @pytest.mark.parametrize("argv,message", [

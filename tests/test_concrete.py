@@ -231,6 +231,13 @@ class TestBuiltins:
     def test_adjoined_unit_keeps_gp(self):
         assert adjoin_unit(nonlie_example_algebra()).validate().ok
 
+    def test_adjoined_unit_copies_the_product(self):
+        # the ideal (t, t^2) of Q[t]/(t^3), with t * t = t^2, plus a unit is Q[t]/(t^3)
+        ideal = StructureAlgebra(2, [0, 0], {(0, 0): [(1, 1)]}, {}, None, "poisson")
+        unital = adjoin_unit(ideal)
+        assert unital.to_json() == zero_bracket_poisson(3).to_json()
+        assert unital.validate().ok
+
     def test_untwisted_euler_wronskian_is_jordan_bracket_algebra(self):
         got = untwisted_algebra(euler_wronskian_algebra(3))
         assert got.claim == "jb"

@@ -13,13 +13,11 @@ from superbracket.core import (
     Generator,
     Prod,
     Sum,
-    UndefinedParityError,
     Var,
-    multidegree,
-    term_parity,
 )
 from superbracket.speedups import merge_factors
-from helpers import bubble_shuffle_sign, random_term
+from helpers import (UndefinedParityError, bubble_shuffle_sign, multidegree, random_term,
+                     term_parity)
 
 ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("th", 1)])
 

@@ -19,7 +19,8 @@ from superbracket.engine import (
     dim_multilinear,
 )
 from superbracket import identities
-from helpers import free_ops, random_homogeneous, random_term, tuple_key_monomials
+from helpers import (free_ops, multidegree, random_homogeneous, random_term, term_parity,
+                     tuple_key_monomials)
 
 
 # SHA-256 of the bases of every multidegree <= 6 of (1, x1, x2, th:odd), taken
@@ -264,8 +265,6 @@ class TestNormalForm:
     def test_grading_preserved_outside_unit(self, genp, rng):
         for _ in range(30):
             t = random_term(genp.alphabet, rng, depth=3, allow_unit=False)
-            from superbracket.core import multidegree, term_parity
-
             e = genp.normal_form(t)
             if e.is_zero():
                 continue

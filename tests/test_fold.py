@@ -20,17 +20,14 @@ from superbracket.core import (
     Gen,
     Prod,
     Sum,
-    UndefinedParityError,
     Var,
     map_leaves,
-    multidegree,
-    term_parity,
     var_names,
 )
 from superbracket.elements import monomial_parity
 from superbracket.engine import GENP, GP, JB, FreeAlgebra
 from superbracket.liebasis import WordSpace
-from helpers import random_sum_term
+from helpers import UndefinedParityError, multidegree, random_sum_term, term_parity
 
 SETTINGS = settings(
     max_examples=25,

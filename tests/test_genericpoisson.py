@@ -7,7 +7,7 @@ from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count, monomial_parity
 from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
-from helpers import free_ops, max_word_degree, random_term
+from helpers import free_ops, max_word_degree, multidegree, random_term, term_parity
 from paper_forms import double_criterion_residual, jacobi_defect_residual, jordan_gp_residual
 
 
@@ -58,8 +58,6 @@ class TestNormalForm:
         assert gp.space.by_key[m[0][0]].word == ((4, 4), 1)
 
     def test_idempotent_and_graded(self, gp, rng):
-        from superbracket.core import multidegree, term_parity
-
         for _ in range(25):
             t = random_term(gp.alphabet, rng, depth=3, allow_unit=False)
             e = gp.normal_form(t)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,10 +11,9 @@ from superbracket.concrete import (
     SparseOps,
     StructureAlgebra,
     adjoin_unit,
-    check_entry,
     euler_wronskian_algebra,
-    first_failure,
     nonlie_example_algebra,
+    report_entry,
     to_sparse,
     untwisted_algebra,
     vbasis,
@@ -38,12 +38,11 @@ def free_criteria_check(algebra: FreeAlgebra) -> Report:
     a free engine, reported as :func:`criteria_check` reports them."""
     ops = ElementOps(algebra)
     elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
+    sweep = SimpleNamespace(basis=elements, is_zero=lambda e: e.is_zero(), parity=ops.parity,
+                            render=algebra.element_to_json)
     return Report([
-        check_entry(f"jorskob{which}",
-                    first_failure(4, elements,
-                                  lambda *args: double_criterion_residual(ops, which, *args),
-                                  lambda e: e.is_zero()),
-                    ops.parity, algebra.element_to_json)
+        report_entry(sweep, f"jorskob{which}", 4, lambda *idx: double_criterion_residual(
+            ops, which, *(elements[i] for i in idx)))
         for which in CRITERIA
     ])
 

@@ -365,11 +365,11 @@ class TestReducedJordanSweep:
                                                  (3, (0, 1, 2)), (3, ())])
     def test_sweep_visits_the_sorted_tuples_in_product_order(self, arity, symmetric):
         seen = []
-        assert concrete.first_failure(arity, "abcd", lambda *args: seen.append(args),
+        assert concrete.first_failure(arity, 4, lambda *idx: seen.append(idx),
                                       lambda res: True, symmetric) is None
         want = [idx for idx in product(range(4), repeat=arity)
                 if all(idx[p] <= idx[q] for p, q in zip(symmetric, symmetric[1:]))]
-        assert seen == [tuple("abcd"[i] for i in idx) for idx in want]
+        assert seen == want
 
     @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
     def test_symmetry_on_builtin_doubles(self, make):
@@ -420,9 +420,8 @@ def _first_failing_tuple(alg, which, symmetric):
     """The first tuple on which criterion ``which`` fails in a sweep with
     the given ``symmetric`` positions, or None."""
     ops = SparseOps(alg)
-    failure = concrete.first_failure(
-        4, ops.basis, lambda *args: double_criterion_residual(ops, which, *args), ops.is_zero,
-        symmetric)
+    residual = concrete.on_basis(ops, lambda ops, *args: double_criterion_residual(ops, which, *args))
+    failure = concrete.first_failure(4, alg.dim, residual, ops.is_zero, symmetric)
     return failure and failure[0]
 
 
