@@ -1,10 +1,10 @@
 """Residual builders for the identities the package checks.
 
 These are the identities that a structure algebra's validation, its
-untwisting and the Kantor checks evaluate.  The residuals of the generic
-Poisson characterization, which only the acceptance suite evaluates, are
-test oracles in ``tests/paper_forms.py`` over the same adapters, and so are
-the unfactored forms of the two Kantor residuals.
+untwisting and the Kantor checks evaluate, but for the pair checks and
+associativity, which are read from the table rows and the ``ASSOC`` kernel.
+Their builders, the residuals of the generic Poisson characterization and
+the unfactored Kantor residuals are test oracles in ``tests/paper_forms.py``.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
@@ -55,27 +55,9 @@ def _sgn(bit) -> int:
     return -1 if (bit & 1) else 1
 
 
-def supercommutativity_residual(ops, a, b):
-    """a.b - (-1)^{|a||b|} b.a"""
-    s = _sgn(ops.parity(a) & ops.parity(b))
-    return ops.combine([(1, ops.mul(a, b)), (-s, ops.mul(b, a))])
-
-
-def associativity_residual(ops, a, b, c):
-    """(a.b).c - a.(b.c)"""
-    mul = ops.mul
-    return ops.combine([(1, mul(mul(a, b), c)), (-1, mul(a, mul(b, c)))])
-
-
 def unit_residual(ops, unit, a):
     """1.a - a"""
     return ops.combine([(1, ops.mul(unit, a)), (-1, a)])
-
-
-def anticommutativity_residual(ops, a, b):
-    """{a,b} + (-1)^{|a||b|} {b,a}"""
-    s = _sgn(ops.parity(a) & ops.parity(b))
-    return ops.combine([(1, ops.bracket(a, b)), (s, ops.bracket(b, a))])
 
 
 def _leibniz_terms(ops, a, b, c):
@@ -127,9 +109,9 @@ def deformed_jacobi_residual(ops, a, b, c):
     ])
 
 
-# The kernels of the Kantor residuals: trilinear maps K(p, g, c) =
-# (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the "bracket",
-# given as (o1, o2, o3, o4) and contracted by concrete.SparseOps.
+# The kernels of associativity and the Kantor residuals: trilinear maps
+# K(p, g, c) = (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the
+# "bracket", given as (o1, o2, o3, o4) and contracted by concrete.SparseOps.
 KERNELS = (
     ("mul", "mul", "mul", "mul"),          # assoc(p,g,c) = (pg)c - p(gc)
     ("mul", "bracket", "mul", "bracket"),  # K1(p,g,w) = {pg,w} - p{g,w}
@@ -189,18 +171,19 @@ def linear_jordan_residual(ops, x, y, z, t):
     term signed by the parity of the shuffle taking (x,y,z,t) to the term's
     letter sequence, counting odd-odd inversions.  Uses the product only.
     Term for term it is s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x)
-    with assoc(p,y,c) = (py)c - p(yc), which is how it is evaluated.
+    with assoc(p,y,c) = (py)c - p(yc), which is how it is evaluated; it is
+    zero, with no contraction, when the products xz, xt and zt all are.
     """
+    mul, d = ops.products, ops.dim
+    xz, xt, zt = mul[x * d + z], mul[x * d + t], mul[z * d + t]
+    if not (xz or xt or zt):
+        return ()
     par = ops.parities
     px, py, pz, pt = par[x], par[y], par[z], par[t]
     s1 = -1 if py & pz else 1
     s2 = -1 if pt & (py + pz) else 1
     s3 = -1 if (px & (py + pz + pt)) ^ (py & (pz + pt)) else 1
-    mul, d = ops.products, ops.dim
-    return ops.contract([
-        (s1, mul[x * d + z], ASSOC, y, t), (s2, mul[x * d + t], ASSOC, y, z),
-        (s3, mul[z * d + t], ASSOC, y, x),
-    ])
+    return ops.contract([(s1, xz, ASSOC, y, t), (s2, xt, ASSOC, y, z), (s3, zt, ASSOC, y, x)])
 
 
 class ElementOps:

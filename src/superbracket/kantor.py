@@ -24,22 +24,20 @@ checks write their entries with :func:`~superbracket.concrete.report_entry`,
 which sweeps basis indices on :func:`~superbracket.concrete.first_failure`,
 one tuple per orbit of the permutations that only change the residual's
 sign, whose first failure in product order is that of the full sweep.  The
-pair checks that come first sweep the same evaluator through
-:func:`~superbracket.concrete.on_basis`, and it renders the witness, so
-both checks take structure algebras only.
+pair checks that come first read the same evaluator's table rows
+(:meth:`~superbracket.concrete.SparseOps.pair_residual`), and it renders
+the witness, so both checks take structure algebras only.  A super-Jordan
+tuple whose three products xz, xt and zt are all zero is zero without a
+contraction.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import AlgebraError
-from .concrete import (Report, SparseOps, StructureAlgebra, first_failure, on_basis, report_entry,
-                       vzero)
-from .identities import (
-    anticommutativity_residual,
-    double_criterion_residual,
-    linear_jordan_residual,
-    supercommutativity_residual,
-)
+from .concrete import Report, SparseOps, StructureAlgebra, first_failure, report_entry, vzero
+from .identities import double_criterion_residual, linear_jordan_residual
 
 CRITERIA = (1, 2, 3)
 
@@ -79,8 +77,8 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(algebra)
-    anti, comm = (first_failure(2, algebra.dim, on_basis(ops, pair), ops.is_zero) is None
-                  for pair in (anticommutativity_residual, supercommutativity_residual))
+    anti, comm = (first_failure(2, algebra.dim, partial(ops.pair_residual, op), ops.is_zero) is None
+                  for op in ("bracket", "mul"))
     orbits = {1: (0, 1, 3) if anti else ()}
     orbits[2] = orbits[3] = (0, 1) if comm else ()
     return Report([
@@ -107,8 +105,7 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(double)
-    failure = first_failure(2, double.dim, on_basis(ops, supercommutativity_residual),
-                            ops.is_zero)
+    failure = first_failure(2, double.dim, partial(ops.pair_residual, "mul"), ops.is_zero)
     if failure is not None:
         (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")

@@ -11,6 +11,11 @@ and 7) and ``tests/test_farkas.py`` compare the engine with them:
 - :func:`jacobi_defect_residual` and :func:`jordan_gp_residual`, the residuals
   of the generic Poisson characterization, written over the same ``ops``
   adapters as the builders of :mod:`superbracket.identities`;
+- :func:`supercommutativity_residual`, :func:`associativity_residual` and
+  :func:`anticommutativity_residual`, the structural identities over an
+  ``ops`` adapter.  The package reads them from a structure algebra's table
+  rows and its associativity kernel; the tests sweep these builders in full
+  and evaluate them on the free engines;
 - :func:`double_criterion_residual` and :func:`linear_jordan_residual`, the
   Kantor residuals as flat signed sums of products over an ``ops`` adapter.
   The package evaluates them factored into kernels over basis tables; these
@@ -154,6 +159,26 @@ def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
     mul, brk = algebra.mul, algebra.bracket
     return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
                              (-1, mul(brk(t3, t1), t2))])
+
+
+# -- the structural identities -------------------------------------------------------------
+
+def supercommutativity_residual(ops, a, b):
+    """a.b - (-1)^{|a||b|} b.a"""
+    s = _sgn(ops.parity(a) & ops.parity(b))
+    return ops.combine([(1, ops.mul(a, b)), (-s, ops.mul(b, a))])
+
+
+def associativity_residual(ops, a, b, c):
+    """(a.b).c - a.(b.c)"""
+    mul = ops.mul
+    return ops.combine([(1, mul(mul(a, b), c)), (-1, mul(a, mul(b, c)))])
+
+
+def anticommutativity_residual(ops, a, b):
+    """{a,b} + (-1)^{|a||b|} {b,a}"""
+    s = _sgn(ops.parity(a) & ops.parity(b))
+    return ops.combine([(1, ops.bracket(a, b)), (s, ops.bracket(b, a))])
 
 
 # -- the generic Poisson residuals ---------------------------------------------------------

@@ -8,7 +8,8 @@ from superbracket.elements import monomial_factor_count, monomial_parity
 from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
 from helpers import free_ops, max_word_degree, multidegree, random_term, term_parity
-from paper_forms import double_criterion_residual, jacobi_defect_residual, jordan_gp_residual
+from paper_forms import (anticommutativity_residual, double_criterion_residual,
+                         jacobi_defect_residual, jordan_gp_residual, supercommutativity_residual)
 
 
 def normal_forms(algebra, *names):
@@ -98,8 +99,8 @@ class TestIdentities:
         for _ in range(40):
             a, b, c = (rng.choice(pool) for _ in range(3))
             assert identities.leibniz_residual(ops, a, b, c).is_zero()
-            assert identities.anticommutativity_residual(ops, a, b).is_zero()
-            assert identities.supercommutativity_residual(ops, a, b).is_zero()
+            assert anticommutativity_residual(ops, a, b).is_zero()
+            assert supercommutativity_residual(ops, a, b).is_zero()
 
 
 class TestJacobiDefect:

@@ -1,12 +1,14 @@
 """The sparse, memoized structure-table sweeps.
 
-Differential tests run every check of ``concrete`` once on the package's
-sparse adapter and once on the dense oracle (:mod:`dense_oracle`), and ask
-for identical reports, first witnesses included.  The Kantor checks
-contract basis tables and sweep one tuple per symmetry orbit: their reports
+Differential tests run the checks of ``concrete`` that use only the five
+adapter methods once on the package's sparse adapter and once on the dense
+oracle (:mod:`dense_oracle`), and ask for identical reports, first
+witnesses included.  ``validate`` and the Kantor checks read table rows,
+contract kernels and sweep one tuple per symmetry orbit: their reports
 must equal those of test-side loops over every tuple of the unfactored
-residuals in ``paper_forms``, over the sparse and the dense adapter, and
-their tests check the sign symmetries that make the orbits exact.  The
+residuals (the builders of ``identities`` and ``paper_forms``), over the
+sparse and the dense adapter, and their tests check the sign symmetries
+that make the orbits exact and the guards that keep them so.  The
 property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,11 +44,14 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
-from superbracket.identities import anticommutativity_residual, supercommutativity_residual
+from superbracket.identities import (deformed_jacobi_residual, deformed_leibniz_residual,
+                                     jacobi_residual, leibniz_residual, unit_residual)
 from superbracket.kantor import (CRITERIA, criteria_check, double_is_jordan, double_of,
                                  super_jordan_check)
 from dense_oracle import DenseOps, dense_run
-from paper_forms import double_criterion_residual, linear_jordan_residual
+from paper_forms import (anticommutativity_residual, associativity_residual,
+                         double_criterion_residual, linear_jordan_residual,
+                         supercommutativity_residual)
 from helpers import bubble_shuffle_sign
 
 COEFFS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
@@ -220,7 +225,9 @@ class TestDenseOracle:
     @SETTINGS
     @given(any_perturbed())
     def test_validate(self, alg):
-        assert _outcome(alg.validate) == dense_run(_outcome, alg.validate)
+        report = _outcome(alg.validate)
+        assert report == _outcome(full_validate_sweep, alg)
+        assert report == _outcome(full_validate_sweep, alg, DenseOps)
 
     @SETTINGS
     @given(any_perturbed())
@@ -267,8 +274,8 @@ class TestDenseOracle:
     def test_builtins(self, make):
         alg = make()
         dbl = double_of(alg)
-        assert alg.validate().to_json() == dense_run(alg.validate).to_json()
         for Ops in (SparseOps, DenseOps):
+            assert alg.validate().to_json() == full_validate_sweep(alg, Ops).to_json()
             assert criteria_check(alg).to_json() == full_criteria_sweep(alg, Ops).to_json()
             assert super_jordan_check(dbl).to_json() == full_jordan_sweep(dbl, Ops).to_json()
 
@@ -295,6 +302,42 @@ def full_jordan_sweep(double, Ops=SparseOps):
         if not ops.is_zero(res):
             return Report([_witness_report("super-jordan-linearized", double, ops, idx, res)])
     return Report([{"identity": "super-jordan-linearized", "status": "pass"}])
+
+
+# the axioms of each claim, as validate names them, with their builders (all of arity 3)
+CLAIM_AXIOMS = {
+    "none": [],
+    "poisson": [("leibniz", leibniz_residual), ("jacobi", jacobi_residual)],
+    "genp": [("deformed-leibniz", deformed_leibniz_residual), ("jacobi", jacobi_residual)],
+    "jb": [("deformed-leibniz", deformed_leibniz_residual),
+           ("deformed-jacobi", deformed_jacobi_residual)],
+    "gp": [("leibniz", leibniz_residual)],
+}
+
+
+def full_validate_sweep(alg, Ops=SparseOps):
+    """:meth:`StructureAlgebra.validate` as a plain loop over every basis
+    tuple in ``itertools.product`` order, of the unfactored builders over
+    the adapter ``Ops``."""
+    if alg.claim in ("genp", "jb") and alg.unit is None:
+        raise AlgebraError(f"claim {alg.claim!r} needs a unit for the derivation")
+    ops = Ops(alg)
+    rules = [("supercommutativity", 2, supercommutativity_residual),
+             ("associativity", 3, associativity_residual)]
+    if alg.unit is not None:
+        rules.append(("unit", 1, lambda ops, a: unit_residual(ops, ops.unit, a)))
+    rules.append(("anticommutativity", 2, anticommutativity_residual))
+    rules += [(name, 3, builder) for name, builder in CLAIM_AXIOMS[alg.claim]]
+    checks = []
+    for name, arity, builder in rules:
+        entry = None
+        for idx in product(range(alg.dim), repeat=arity):
+            res = builder(ops, *(ops.basis[i] for i in idx))
+            if not ops.is_zero(res):
+                entry = _witness_report(name, alg, ops, idx, res)
+                break
+        checks.append(entry or {"identity": name, "status": "pass"})
+    return Report(checks)
 
 
 def full_criteria_sweep(alg, Ops=SparseOps):
@@ -542,6 +585,123 @@ class TestCriteriaOrbits:
     @given(bracket_perturbed())
     def test_bracket_perturbed_algebras_match_the_full_sweep(self, alg):
         assert criteria_check(alg).to_json() == full_criteria_sweep(alg).to_json()
+
+
+# -- validate's claim axioms over their symmetry orbits ----------------------------------------
+
+def _even(alg):
+    """Whether every row of the pair (i, j) of both tables lies in parity p_i + p_j."""
+    return all(alg.parities[k] == alg.parities[i] ^ alg.parities[j]
+               for table in (alg.product, alg.bracket_table)
+               for (i, j), row in table.items() for k, _ in row)
+
+
+def _associative(alg):
+    ops = SparseOps(alg)
+    return all(not associativity_residual(ops, a, b, c) for a, b, c in product(ops.basis, repeat=3))
+
+
+# Tables on which an orbit sweep guarded by the pair check alone (it passes
+# on each) loses the full sweep's witness: (algebra, axiom, the full sweep's
+# witness, the orbit sweep's first failure).  The first three have a row of
+# the wrong parity; the last is even, but not associative.
+UNGUARDED = {
+    "odd-rows-jacobi": (
+        lambda: StructureAlgebra(2, [1, 1], {(0, 1): [(1, 1)], (1, 0): [(1, -1)]},
+                                 {(0, 1): [(0, -1)], (1, 0): [(0, -1)], (1, 1): [(0, 1)]},
+                                 (1, 0), "genp"),
+        "jacobi", (1, 1, 0), (1, 1, 1)),
+    "odd-rows-leibniz": (
+        lambda: StructureAlgebra(2, [1, 1], {(0, 1): [(0, 1)], (1, 0): [(0, -1)]},
+                                 {(0, 0): [(0, 1)], (1, 1): [(1, 2)]}, (1, 0), "gp"),
+        "leibniz", (0, 1, 0), (1, 0, 1)),
+    "odd-bracket-deformed-leibniz": (
+        lambda: seeded(_any_perturbed, 15, seed=7)[14], "deformed-leibniz", (1, 1, 0), None),
+    "nonassociative-deformed-leibniz": (
+        lambda: StructureAlgebra(2, [0, 0], {(0, 0): [(0, 1)], (0, 1): [(1, 2)], (1, 0): [(1, 2)]},
+                                 {(1, 0): [(0, -1)]}, (1, 0), "genp"),
+        "deformed-leibniz", (1, 1, 0), None),
+}
+
+
+class TestValidateOrbits:
+    """validate sweeps Jacobi and deformed Jacobi over the triples with
+    a <= b <= c, and plain and deformed Leibniz over those with b <= c,
+    which is exact because the residuals only change sign under those
+    permutations: Jacobi's once the bracket is super-anticommutative,
+    Leibniz's once the product is supercommutative, deformed Leibniz's once
+    it is associative too, and each only when both tables are even.
+    Elsewhere the sweep visits every triple."""
+
+    @staticmethod
+    def assert_symmetric(alg):
+        """At every basis triple, each claim axiom whose conditions hold is
+        +-itself under every permutation of its orbit's positions; returns
+        the number of nonzero residuals compared."""
+        ops, nonzero = SparseOps(alg), 0
+        if not _even(alg):
+            return 0
+        anti = _commutes(alg, anticommutativity_residual)
+        comm = _commutes(alg, supercommutativity_residual)
+        rules = [(jacobi_residual, (0, 1, 2), anti), (leibniz_residual, (1, 2), comm)]
+        if alg.unit is not None:
+            rules += [(deformed_jacobi_residual, (0, 1, 2), anti),
+                      (deformed_leibniz_residual, (1, 2), comm and _associative(alg))]
+        for builder, orbit, holds in rules:
+            if not holds:
+                continue
+            for idx in product(range(alg.dim), repeat=3):
+                got = builder(ops, *(ops.basis[i] for i in idx))
+                for perm in permutations(orbit):
+                    other = list(idx)
+                    for place, source in zip(orbit, perm):
+                        other[place] = idx[source]
+                    want = builder(ops, *(ops.basis[i] for i in other))
+                    assert want in (got, ops.combine([(-1, got)])), (builder, idx, other)
+                nonzero += bool(got)
+        return nonzero
+
+    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
+    def test_symmetry_on_builtins(self, make):
+        self.assert_symmetric(make())
+
+    def test_symmetry_on_even_seeded_algebras(self):
+        corpus = (seeded(lambda pick: _bracket_perturbed(pick, 4), 60, seed=25)
+                  + seeded(_any_perturbed, 150, seed=25))
+        assert sum(map(self.assert_symmetric, corpus)) > 100
+
+    @pytest.mark.parametrize("key", UNGUARDED)
+    def test_the_guards_keep_the_full_sweeps_witness(self, key):
+        make, name, full, orbit = UNGUARDED[key]
+        alg = make()
+        builder = dict(CLAIM_AXIOMS[alg.claim])[name]
+        report = alg.validate().to_json()
+        assert report == full_validate_sweep(alg).to_json()
+        entry = {c["identity"]: c for c in report}
+        assert entry[name]["witness"]["indices"] == list(full)
+        pair = "anticommutativity" if "jacobi" in name else "supercommutativity"
+        assert entry[pair]["status"] == "pass"
+        ops = SparseOps(alg)
+        failure = concrete.first_failure(3, alg.dim, concrete.on_basis(ops, builder), ops.is_zero,
+                                         concrete.ORBITS[name][0])
+        assert (failure and failure[0]) == orbit
+
+    def test_seeded_corpora_match_the_full_sweep(self):
+        corpus = (seeded(_any_perturbed, 300, seed=25)
+                  + seeded(lambda pick: _bracket_perturbed(pick, 5), 60, seed=25))
+        swept = []
+        for alg in corpus:
+            report = alg.validate().to_json()
+            assert report == full_validate_sweep(alg).to_json()
+            assert report == full_validate_sweep(alg, DenseOps).to_json()
+            passed = {c["identity"] for c in report if c["status"] == "pass"}
+            swept += [c["status"] for c in report if c["identity"] in concrete.ORBITS
+                      and _even(alg) and concrete.ORBITS[c["identity"]][1] <= passed]
+        # the corpus reaches both sweeps: orbit-swept axioms that pass and
+        # fail, and tables that are not even, or not associative
+        assert set(swept) == {"pass", "fail"}
+        assert any(not _even(alg) for alg in corpus)
+        assert any(_even(alg) and not _associative(alg) for alg in corpus)
 
 
 # -- the paper's Kantor-double characterization ----------------------------------------------
