@@ -10,12 +10,15 @@ Vectors are dense coefficient tuples at the public edge (``mul``,
 ``bracket``, ``evaluate``, the ``v*`` helpers, report residuals) and sparse
 inside every check: a sparse vector is a tuple of ``(index, coeff)`` pairs,
 sorted by index and free of zeros, so it is hashable and the zero vector is
-``()``.  A table row is a sparse vector too.  :class:`SparseOps` is the
-one evaluator of the tables: each check, the public ``mul``, ``bracket``
-and ``evaluate`` included, makes one, which lays the rows out by basis
-pair, reads the pair checks from them, contracts the kernels of
-associativity and the Kantor residuals (see :mod:`.kantor`), and memoizes
-products and brackets for the length of that check.
+``()``.  A table row is a sparse vector too, and a table maps a basis
+pair to its nonzero row.  The public ``mul`` and ``bracket`` sum the rows
+of their arguments' coordinate pairs (``_apply``).  :class:`SparseOps` is
+the one evaluator of the tables: each check, and ``evaluate``, makes one,
+which reads the pair checks from the rows, joins the rows into the nonzero
+values of the kernels of associativity and the Kantor residuals (see
+:mod:`.kantor`), and memoizes products and brackets for the length of that
+check.  The kernel-form checks sweep only the basis tuples that those
+values reach (:func:`kernel_tuples`).
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product as iproduct
-from operator import not_
+from itertools import product as iproduct
+from math import comb, prod
+from operator import itemgetter, not_
 
-from .core import (AlgebraError, Gen, Sum, Var, fold, map_leaves, scalar,
-                   scalar_str, var_names)
+from .core import AlgebraError, Gen, Sum, Var, fold, scalar, scalar_str
 from . import identities
 from .elements import add_terms
 
@@ -49,7 +52,7 @@ CLAIMS = tuple(CLAIM_RULES)
 
 # the positions across which each claim axiom is symmetric up to sign, and
 # the checks that must pass, with both tables even, for that to hold: the
-# sweep of first_failure then visits one tuple per orbit
+# sweep then visits one tuple per orbit (see basis_tuples)
 ORBITS = {
     "jacobi": ((0, 1, 2), {"anticommutativity"}),
     "deformed-jacobi": ((0, 1, 2), {"anticommutativity"}),
@@ -72,6 +75,18 @@ def vjson(a):
 
 # -- sparse vectors ------------------------------------------------------------
 
+def _apply(table, a, b):
+    """The bilinear extension of a table, which maps basis pairs to their
+    rows, to two sparse vectors: the rows of their coordinate pairs summed."""
+    acc = {}
+    for i, ai in a:
+        for j, bj in b:
+            row = table.get((i, j))
+            if row:
+                add_terms(acc, row, ai * bj)
+    return tuple(sorted(acc.items()))
+
+
 def to_sparse(a, dim):
     """The sparse form of a dense vector of length ``dim``."""
     a = tuple(a)
@@ -92,18 +107,17 @@ class SparseOps:
     """The one evaluator of a structure algebra's tables: the identities.py
     adapter over sparse vectors, made per check.
 
-    ``products`` and ``brackets`` hold the table rows of the basis vectors
-    i and j at ``i * dim + j``; :meth:`pair_residual` reads the pair checks
-    from two of them.  Products and brackets of vectors are summed
-    from the rows and memoized by their arguments for the life of the
-    evaluator, so the memo ends with the check.  ``combine`` skips zero
-    operands and hands a lone operand with coefficient 1 back as it is.
-    The sweeps also get the sparse ``basis`` and ``unit``, ``is_zero``, the
-    edge conversions ``vector`` and ``dense``, and ``render``, a residual's
-    dense report form.  :meth:`contract` sums the kernels: the value
-    of ``identities.KERNELS[K]`` at basis indices (k, g, c) is
-    (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c), summed from the rows when
-    first asked for and kept under one int key.
+    ``tables["mul"]`` and ``tables["bracket"]`` are the algebra's tables,
+    which map a basis pair (i, j) to its nonzero row, and
+    ``tables["basis"]`` maps (i,) to the basis vector i; :meth:`pair_residual`
+    reads the pair checks from two rows.  Products and brackets of vectors
+    are summed from the rows and memoized by their arguments for the life of
+    the evaluator, so the memo ends with the check.  ``combine`` skips zero
+    operands and hands a lone operand with coefficient 1 back as it is.  The
+    sweeps also get the sparse ``basis`` and ``unit``, ``is_zero``, the edge
+    conversions ``vector`` and ``dense``, and ``render``, a residual's dense
+    report form.  :meth:`join` gives the nonzero values of a kernel of
+    ``identities.KERNELS`` at a first index, and :meth:`contract` sums them.
     """
 
     is_zero = staticmethod(not_)
@@ -113,33 +127,26 @@ class SparseOps:
         self.parities = algebra.parities
         self.basis = [((i, 1),) for i in range(d)]
         self.unit = None if algebra.unit is None else to_sparse(algebra.unit, d)
-        rows = {}
-        for name, table in (("mul", algebra.product), ("bracket", algebra.bracket_table)):
-            rows[name] = flat = [()] * (d * d)
-            for (i, j), row in table.items():
-                flat[i * d + j] = row
-        self.products, self.brackets = rows["mul"], rows["bracket"]
-        self._kernels = [tuple(rows[o] for o in ops) for ops in identities.KERNELS]
+        self.tables = {"mul": algebra.product, "bracket": algebra.bracket_table,
+                       "basis": {(i,): e for i, e in enumerate(self.basis)}}
+        # per table: the (j, row) of the rows (i, j) by i, and the
+        # ((i, j), coefficient) of the rows (i, j) that reach m, by m
+        self._by_first, self._by_target = {}, {}
+        for name in ("mul", "bracket"):
+            first, target = [[] for _ in range(d)], [[] for _ in range(d)]
+            for (i, j), row in self.tables[name].items():
+                first[i].append((j, row))
+                for m, coeff in row:
+                    target[m].append(((i, j), coeff))
+            self._by_first[name], self._by_target[name] = first, target
         self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
-        self._span = len(identities.KERNELS) * d * d
-
-    def _apply(self, rows, a, b):
-        """The bilinear extension of the table rows to two sparse vectors."""
-        d, acc = self.dim, {}
-        for i, ai in a:
-            base = i * d
-            for j, bj in b:
-                row = rows[base + j]
-                if row:
-                    add_terms(acc, row, ai * bj)
-        return tuple(sorted(acc.items()))
 
     def mul(self, a, b):
         if not a or not b:
             return ()
         out = self._mul_memo.get((a, b))
         if out is None:
-            out = self._mul_memo[(a, b)] = self._apply(self.products, a, b)
+            out = self._mul_memo[(a, b)] = _apply(self.tables["mul"], a, b)
         return out
 
     def bracket(self, a, b):
@@ -147,7 +154,7 @@ class SparseOps:
             return ()
         out = self._bracket_memo.get((a, b))
         if out is None:
-            out = self._bracket_memo[(a, b)] = self._apply(self.brackets, a, b)
+            out = self._bracket_memo[(a, b)] = _apply(self.tables["bracket"], a, b)
         return out
 
     def deriv(self, a):
@@ -160,10 +167,9 @@ class SparseOps:
         vectors i and j when ``op`` is "mul", their anticommutativity
         residual {e_i,e_j} + s{e_j,e_i} when it is "bracket", with
         s = (-1)^{|e_i||e_j|}: the rows ij and ji summed."""
-        rows, sign = (self.brackets, 1) if op == "bracket" else (self.products, -1)
-        d = self.dim
-        acc = dict(rows[i * d + j])
-        add_terms(acc, rows[j * d + i], -sign if self.parities[i] & self.parities[j] else sign)
+        table, sign = self.tables[op], 1 if op == "bracket" else -1
+        acc = dict(table.get((i, j), ()))
+        add_terms(acc, table.get((j, i), ()), -sign if self.parities[i] & self.parities[j] else sign)
         return tuple(sorted(acc.items()))
 
     def parity(self, a):
@@ -191,27 +197,46 @@ class SparseOps:
         """The sum of s K(p, g, c) over the terms ``(s, p, K, g, c)``, where p
         is a sparse vector, K indexes a kernel and g, c are basis indices:
         the kernel values at (k, g, c) summed with the coefficients s p_k."""
-        d, span, values = self.dim, self._span, self._values
-        acc = {}
+        d, values, acc = self.dim, self._values, {}
         for s, p, kernel, g, c in terms:
-            base = (kernel * d + g) * d + c
+            gc, base = (g, c), kernel * d
             for k, pk in p:
-                key = k * span + base
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = self._kernel(kernel, k, g, c)
+                join = values.get(base + k)
+                if join is None:
+                    join = self.join(kernel, k)
+                value = join.get(gc)
                 if value:
                     add_terms(acc, value, s * pk)
         return tuple(sorted(acc.items())) if acc else ()
 
-    def _kernel(self, kernel, k, g, c):
-        o1, o2, o3, o4 = self._kernels[kernel]
-        d, acc = self.dim, {}
-        for m, a in o1[k * d + g]:
-            add_terms(acc, o2[m * d + c], a)
-        for m, a in o4[g * d + c]:
-            add_terms(acc, o3[k * d + m], -a)
-        return tuple(sorted(acc.items()))
+    def join(self, kernel, k):
+        """The nonzero values of the kernel K at first index k: a dict from
+        (g, c) to K(e_k, e_g, e_c) = (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c),
+        summed on the first call from the rows that the indexes of the
+        tables reach from k, and kept; every (g, c) it lacks is zero."""
+        key = kernel * self.dim + k
+        out = self._values.get(key)
+        if out is None:
+            out = self._values[key] = self._join(kernel, k)
+        return out
+
+    def _join(self, kernel, k):
+        o1, o2, o3, o4 = identities.KERNELS[kernel]
+        first, acc = self._by_first, {}
+        for g, row in first[o1][k]:  # (e_k o1 e_g) o2 e_c through each m of row (k, g)
+            for m, a in row:
+                for c, tail in first[o2][m]:
+                    sums = acc.get((g, c))
+                    if sums is None:
+                        sums = acc[g, c] = {}
+                    add_terms(sums, tail, a)
+        for m, head in first[o3][k]:  # e_k o3 (e_g o4 e_c) through each (g, c) reaching m
+            for gc, a in self._by_target[o4][m]:
+                sums = acc.get(gc)
+                if sums is None:
+                    sums = acc[gc] = {}
+                add_terms(sums, head, -a)
+        return {gc: tuple(sorted(sums.items())) for gc, sums in acc.items() if sums}
 
     def vector(self, a):
         return to_sparse(a, self.dim)
@@ -223,40 +248,51 @@ class SparseOps:
         return vjson(self.dense(a))
 
 
-def first_failure(arity, n, residual, is_zero, symmetric=()):
-    """The first ``arity``-tuple of the indices 0..n-1, in
-    ``itertools.product`` order, at which the residual (a function of the
-    indices) does not vanish (``is_zero`` is false), as
-    ``(indices, residual)``; None when it vanishes at all of them.
+def first_failure(tuples, residual, is_zero):
+    """The first of the index tuples ``tuples``, in their order, at which
+    the residual (a function of the indices) does not vanish (``is_zero`` is
+    false), as ``(indices, residual)``; None when it vanishes at all of them.
 
-    Over the indices of a basis this decides a multilinear identity
-    completely; :func:`on_basis` turns a residual builder of
-    :mod:`.identities` into a function of basis indices.
-
-    ``symmetric`` names argument positions, in increasing order, across
-    which the residual is symmetric up to sign: permuting the arguments at
-    those positions only multiplies it by a sign, so whether it vanishes is
-    the same on a whole orbit.  The caller proves that symmetry from checks
-    that passed (for validate's axioms, also from both tables being even);
-    it is taken on trust here.  The sweep then visits only the tuples whose
-    indices at those positions are non-decreasing, still in product order.
-    The verdict and the witness are those of the full sweep: every member
-    of the first failing tuple's orbit fails too, and the product-order
-    first member of an orbit is its sorted one, so the first failing tuple
-    is sorted, and no sorted tuple before it fails.
+    The one sweep loop of every check.  Its tuple sources are
+    :func:`basis_tuples`, every basis tuple or one per symmetry orbit, and
+    :func:`kernel_tuples`, the tuples that nonzero table rows reach.  Each
+    lists, in ``itertools.product`` order, a set of tuples that holds the
+    first failing basis tuple if there is one, so the sweep decides a
+    multilinear identity completely, witness included.  :func:`on_basis`
+    turns a residual builder of :mod:`.identities` into a function of basis
+    indices.
     """
-    if symmetric:
-        tuples, prev = [()], None
-        for k in range(arity):
-            tuples = _extend(tuples, n, prev if k in symmetric else None)
-            prev = k if k in symmetric else prev
-    else:
-        tuples = iproduct(range(n), repeat=arity)
     for idx in tuples:
         res = residual(*idx)
         if not is_zero(res):
             return idx, res
     return None
+
+
+def basis_tuples(arity, n, chains=()):
+    """The ``arity``-tuples of the indices 0..n-1, in ``itertools.product``
+    order; with ``chains``, only those whose indices do not decrease along
+    each chain, a tuple of increasing argument positions.
+
+    A chain names positions across which the residual is symmetric up to
+    sign: permuting the arguments at those positions only multiplies it by
+    a sign, so whether it vanishes is the same on a whole orbit.  The
+    caller proves that symmetry; it is taken on trust here.  The verdict
+    and the witness of the sweep are then those of the full sweep: every
+    member of the first failing tuple's orbit fails too, and the
+    product-order first member of an orbit is its sorted one, so the first
+    failing tuple is sorted, and no sorted tuple before it fails.
+    """
+    if not chains:
+        return iproduct(range(n), repeat=arity)
+    prev = [None] * arity
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            prev[b] = a
+    tuples = [()]
+    for p in prev:
+        tuples = _extend(tuples, n, p)
+    return tuples
 
 
 def _extend(tuples, n, prev):
@@ -267,6 +303,26 @@ def _extend(tuples, n, prev):
     return (idx + (i,) for idx in tuples for i in range(idx[prev], n))
 
 
+def kernel_tuples(ops, shapes):
+    """The basis index tuples, sorted into product order, at which some
+    term of the kernel-form residual ``shapes`` (see
+    :func:`~superbracket.identities.kernel_residual`) is nonzero: those
+    whose pair indices name a nonzero row p of the shape's table, with a
+    coordinate k of p at which the kernel is nonzero at (k, g, c) (see
+    :meth:`SparseOps.join`).  At every other tuple each term, so the
+    residual, is literally zero, and a sweep of these tuples has the full
+    sweep's verdict and witness."""
+    found = set()
+    for _, table, pair, kernel, g, c in shapes:
+        order = pair + (g, c)  # the position of each value of pair + (g, c)
+        place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        for key, row in ops.tables[table].items():
+            for k, _ in row:
+                for gc in ops.join(kernel, k):
+                    found.add(place(key + gc))
+    return sorted(found)
+
+
 def on_basis(ops, builder):
     """The residual ``builder(ops, a, b, ...)`` as a function of the basis
     indices of ``a, b, ...``."""
@@ -274,12 +330,12 @@ def on_basis(ops, builder):
     return lambda *idx: builder(ops, *map(basis.__getitem__, idx))
 
 
-def report_entry(ops, name, arity, residual, symmetric=()):
+def report_entry(ops, name, tuples, residual):
     """One :class:`Report` entry: the sweep of a residual of basis indices
-    (see :func:`first_failure`) as a pass, or a fail whose witness gives the
-    failing indices, the parities of their basis vectors and the rendered
-    residual."""
-    failure = first_failure(arity, len(ops.basis), residual, ops.is_zero, symmetric)
+    over ``tuples`` (see :func:`first_failure`) as a pass, or a fail whose
+    witness gives the failing indices, the parities of their basis vectors
+    and the rendered residual."""
+    failure = first_failure(tuples, residual, ops.is_zero)
     if failure is None:
         return {"identity": name, "status": "pass"}
     idx, res = failure
@@ -327,12 +383,12 @@ class StructureAlgebra:
     # -- bilinear operations ------------------------------------------------
 
     def mul(self, a, b):
-        ops = SparseOps(self)
-        return ops.dense(ops.mul(ops.vector(a), ops.vector(b)))
+        d = self.dim
+        return to_dense(_apply(self.product, to_sparse(a, d), to_sparse(b, d)), d)
 
     def bracket(self, a, b):
-        ops = SparseOps(self)
-        return ops.dense(ops.bracket(ops.vector(a), ops.vector(b)))
+        d = self.dim
+        return to_dense(_apply(self.bracket_table, to_sparse(a, d), to_sparse(b, d)), d)
 
     def deriv(self, a):
         """Bracket with the unit; only defined on unital algebras."""
@@ -346,19 +402,24 @@ class StructureAlgebra:
         """Check the structural identities and the claimed theory's axioms.
 
         Returns a :class:`Report`; each check carries a witness tuple on
-        failure.  A claim axiom sweeps one tuple per orbit of :data:`ORBITS`
-        when the checks it names passed and both tables are even (the rows
-        of the pair (i, j) lie in parity p_i + p_j), and every tuple otherwise.
+        failure.  Associativity sweeps only the triples that nonzero table
+        rows reach (:func:`kernel_tuples`).  A claim axiom sweeps one tuple
+        per orbit of :data:`ORBITS` when the checks it names passed and both
+        tables are even (the rows of the pair (i, j) lie in parity
+        p_i + p_j), and every tuple otherwise.
         """
         if self.claim in ("genp", "jb") and self.unit is None:
             raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
         ops = SparseOps(self)
-        rules = [("supercommutativity", 2, partial(ops.pair_residual, "mul")),
-                 ("associativity", 3,
-                  lambda a, b, c: ops.contract([(1, ops.basis[a], identities.ASSOC, b, c)]))]
+        d = self.dim
+        assoc = identities.ASSOCIATIVITY
+        rules = [("supercommutativity", basis_tuples(2, d), partial(ops.pair_residual, "mul")),
+                 ("associativity", kernel_tuples(ops, assoc),
+                  lambda a, b, c: identities.kernel_residual(ops, assoc, (a, b, c)))]
         if self.unit is not None:
-            rules.append(("unit", 1, lambda a: identities.unit_residual(ops, ops.unit, ops.basis[a])))
-        rules.append(("anticommutativity", 2, partial(ops.pair_residual, "bracket")))
+            rules.append(("unit", basis_tuples(1, d),
+                          lambda a: identities.unit_residual(ops, ops.unit, ops.basis[a])))
+        rules.append(("anticommutativity", basis_tuples(2, d), partial(ops.pair_residual, "bracket")))
         checks = [report_entry(ops, *rule) for rule in rules]
         passed = {c["identity"] for c in checks if c["status"] == "pass"}
         par = self.parities
@@ -366,8 +427,9 @@ class StructureAlgebra:
                    for (i, j), row in table.items() for k, _ in row)
         for name, arity, builder in CLAIM_RULES[self.claim]:
             symmetric, needs = ORBITS[name]
-            checks.append(report_entry(ops, name, arity, on_basis(ops, builder),
-                                       symmetric if even and needs <= passed else ()))
+            chains = (symmetric,) if even and needs <= passed else ()
+            checks.append(report_entry(ops, name, basis_tuples(arity, d, chains),
+                                       on_basis(ops, builder)))
         return Report(checks)
 
     # -- term evaluation --------------------------------------------------------
@@ -385,17 +447,40 @@ class StructureAlgebra:
     def is_identity(self, term):
         """Whether the term vanishes under every basis substitution of its Vars.
 
-        The term must be homogeneous in each Var; non-multilinear inputs are
-        multilinearized first (lossless in characteristic zero).  Returns
-        ``(True, None)`` or ``(False, witness_assignment)``.
+        The term must be homogeneous in each Var.  A Var x of degree k > 1
+        is polarized, losslessly in characteristic zero, into the copies
+        ``x#0``, ..., ``x#(k-1)``, without writing out the k! copies: by
+        inclusion-exclusion, the polarized value at (v_1, ..., v_k) is
+        the sum over the subsets S of {1..k} of
+        (-1)^(k-|S|) f(x = the sum of the v_i, i in S), which keeps of the
+        expansion of f exactly the terms that take each v_i once.  It is
+        symmetric in the copies, so the sweep takes their indices sorted
+        (see :func:`basis_tuples`), and f is evaluated once per
+        sub-multiset of the copies' basis vectors.  Returns
+        ``(True, None)`` or ``(False, witness_assignment)``, the
+        assignment keyed by the copies.
         """
-        term = multilinearize(term)
-        names = sorted(var_names(term))
-        ops = SparseOps(self)
-        failure = first_failure(
-            len(names), self.dim,
-            on_basis(ops, lambda ops, *vecs: _evaluate(ops, term, dict(zip(names, vecs)))),
-            ops.is_zero)
+        degrees = _var_degrees(term)
+        variables = sorted(degrees)
+        copies = sorted((f"{x}#{c}" if degrees[x] > 1 else x, x)
+                        for x in variables for c in range(degrees[x]))
+        names = [name for name, _ in copies]
+        blocks = [[p for p, (_, y) in enumerate(copies) if y == x] for x in variables]
+        ops, values = SparseOps(self), {}
+
+        def value(vectors):
+            out = values.get(vectors)
+            if out is None:
+                out = values[vectors] = _evaluate(ops, term, dict(zip(variables, vectors)))
+            return out
+
+        def residual(*idx):
+            parts = [_sub_multisets(ops, [idx[p] for p in block]) for block in blocks]
+            return ops.combine([(prod(w for w, _ in pick), value(tuple(v for _, v in pick)))
+                                for pick in iproduct(*parts)])
+
+        chains = [block for block in blocks if len(block) > 1]
+        failure = first_failure(basis_tuples(len(names), self.dim, chains), residual, ops.is_zero)
         if failure is None:
             return True, None
         idx, res = failure
@@ -529,20 +614,7 @@ def _json_loads(text):
         raise AlgebraError("algebra JSON is nested too deeply to read") from None
 
 
-# -- multilinearization -------------------------------------------------------
-
-def multilinearize(term):
-    """Replace repeated Vars by sums over fresh labeled copies.
-
-    Requires the term to be homogeneous in each Var (an error otherwise);
-    multilinear inputs come back unchanged.
-    """
-    degrees = _var_degrees(term)
-    for name, deg in degrees.items():
-        if deg > 1:
-            term = _polarize(term, name, deg)
-    return term
-
+# -- polarization ----------------------------------------------------------------
 
 def _var_degrees(term):
     def node(t, degrees):
@@ -555,34 +627,23 @@ def _var_degrees(term):
     return fold(term, lambda t: Counter([t.name] if isinstance(t, Var) else ()), node)
 
 
-def _polarize(term, name, deg):
-    labels = [f"{name}#{t}" for t in range(deg)]
-    numbers = _occurrence_numbers(term, name)
-    pieces = []
-    for perm in permutations(labels):
-        copy = iter(perm[k] for k in numbers)
-        pieces.append((1, map_leaves(term, lambda t: Var(next(copy)) if t == Var(name) else t)))
-    return Sum(tuple(pieces))
-
-
-def _occurrence_numbers(term, name):
-    """Copy number of each occurrence of ``?name``, in reading order.
-
-    Occurrences are numbered left to right, except that every branch of a Sum
-    numbers its own from the same start (the branches are alternatives), and
-    numbering after the Sum continues from its last branch.
-    """
-
-    def leaf(t):  # (numbers, count)
-        return ([0], 1) if t == Var(name) else ([], 0)
-
-    def node(t, kids):
-        if isinstance(t, Sum):
-            return [k for nums, _ in kids for k in nums], kids[-1][1] if kids else 0
-        (left, nl), (right, nr) = kids
-        return left + [k + nl for k in right], nl + nr
-
-    return fold(term, leaf, node)[0]
+def _sub_multisets(ops, indices):
+    """The nonempty sub-multisets of the sorted basis indices, as
+    ``(weight, vector)``: the vector sums the adapter's basis vectors of the
+    sub-multiset, and the weight is (-1)^(k - size) times the number of
+    subsets of the k indices that give it.  The empty one is left out: a
+    term of positive degree in a variable vanishes where it is zero."""
+    if len(indices) == 1:  # a variable that occurs once
+        return [(1, ops.basis[indices[0]])]
+    counts = Counter(indices)
+    out = []
+    for taken in iproduct(*(range(m + 1) for m in counts.values())):
+        size = sum(taken)
+        if size:
+            weight = prod(comb(m, j) for m, j in zip(counts.values(), taken))
+            out.append((-weight if (len(indices) - size) & 1 else weight,
+                        ops.combine([(j, ops.basis[i]) for i, j in zip(counts, taken) if j])))
+    return out
 
 
 # -- built-in algebras ---------------------------------------------------------
@@ -635,7 +696,8 @@ def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
     ops = SparseOps(alg)
-    failure = first_failure(2, dim, partial(ops.pair_residual, "bracket"), ops.is_zero)
+    failure = first_failure(basis_tuples(2, dim), partial(ops.pair_residual, "bracket"),
+                            ops.is_zero)
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg
@@ -705,7 +767,7 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
         raise AlgebraError("untwisting needs a unit")
     ops = SparseOps(algebra)
     derivation = on_basis(ops, identities.derivation_residual)
-    if first_failure(2, algebra.dim, derivation, ops.is_zero) is not None:
+    if first_failure(basis_tuples(2, algebra.dim), derivation, ops.is_zero) is not None:
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     twisted = identities.Twisted(ops, Fraction(1, 2))
     bracket = {}

@@ -1,20 +1,25 @@
 """Residual builders for the identities the package checks.
 
 These are the identities that a structure algebra's validation, its
-untwisting and the Kantor checks evaluate, but for the pair checks and
-associativity, which are read from the table rows and the ``ASSOC`` kernel.
+untwisting and the Kantor checks evaluate, but for the pair checks, which
+are read from the table rows.
 Their builders, the residuals of the generic Poisson characterization and
 the unfactored Kantor residuals are test oracles in ``tests/paper_forms.py``.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
-so the sign conventions live in exactly one place.  The two Kantor
-residuals, :func:`double_criterion_residual` and
-:func:`linear_jordan_residual`, are the exception: they take a structure
-algebra's evaluator, :class:`~superbracket.concrete.SparseOps`, and basis
-indices, and write each residual as a signed sum of the trilinear
-:data:`KERNELS`, which the evaluator contracts.  The adapter provides five
-methods::
+so the sign conventions live in exactly one place.  Associativity and
+the two Kantor residuals, :func:`double_criterion_residual` and
+:func:`linear_jordan_residual`, are the exception: each is written once as
+a table of term shapes, signed values of the trilinear :data:`KERNELS` at
+a table row and two basis indices (:data:`ASSOCIATIVITY`,
+:data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`).  :func:`kernel_residual`
+evaluates the shapes at a tuple of basis indices over a structure
+algebra's evaluator, :class:`~superbracket.concrete.SparseOps`, which
+contracts the kernels, and :func:`~superbracket.concrete.kernel_tuples`
+reads the same shapes to list the tuples where a term can be nonzero, so
+the two cannot disagree about which terms exist.  The adapter provides
+five methods::
 
     mul(a, b)       supercommutative associative product
     bracket(a, b)   super-anticommutative bracket (where required)
@@ -121,6 +126,54 @@ KERNELS = (
 ASSOC, K1, K2, K3 = range(len(KERNELS))
 
 
+# The kernel-form residuals, each written once as a table of term shapes
+# (sign, table, pair, kernel, g, c).  At a tuple idx of basis indices a
+# shape is the term s K(p, e_idx[g], e_idx[c]), where p is the row of
+# ``table`` ("mul", "bracket", or "basis" for the basis vector itself) at
+# the indices idx[pair], and the sign rule (s0, swaps) gives s = s0, negated
+# once for each position pair (a, b) in swaps whose basis vectors are both
+# odd.  kernel_residual evaluates the terms, and concrete.kernel_tuples
+# reads the same shapes to find the tuples where some term can be nonzero.
+
+# the criteria prefactors at (f, h, g, w) with parities (i, k, j, l):
+# A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}
+_A, _B, _C = ((0, 3), (2, 3)), ((1, 0), (2, 0)), ((3, 1), (2, 1))
+# assoc(a,b,c) = (ab)c - a(bc) at the basis indices (a, b, c)
+ASSOCIATIVITY = (((1, ()), "basis", (0,), ASSOC, 1, 2),)
+# the three Kantor criteria at (f, h, g, w); see double_criterion_residual
+CRITERION_SHAPES = {
+    1: (((1, _A), "bracket", (0, 1), K1, 2, 3), ((1, _B), "bracket", (1, 3), K1, 2, 0),
+        ((1, _C), "bracket", (3, 0), K1, 2, 1)),
+    2: (((1, _B), "mul", (1, 3), K2, 2, 0), ((-1, _C), "mul", (3, 0), K2, 2, 1)),
+    3: (((1, _A), "mul", (0, 1), K1, 2, 3), ((-1, _B), "mul", (1, 3), K3, 2, 0),
+        ((-1, _C), "mul", (3, 0), K3, 2, 1)),
+}
+# the linearized super-Jordan identity at (x, y, z, t), with the signs
+# (-1)^{|y||z|}, (-1)^{|t|(|y|+|z|)} and (-1)^{|x|(|y|+|z|+|t|) + |y|(|z|+|t|)};
+# see linear_jordan_residual
+JORDAN_SHAPES = (((1, ((1, 2),)), "mul", (0, 2), ASSOC, 1, 3),
+                 ((1, ((3, 1), (3, 2))), "mul", (0, 3), ASSOC, 1, 2),
+                 ((1, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))), "mul", (2, 3), ASSOC, 1, 0))
+
+
+def kernel_residual(ops, shapes, idx):
+    """The sum of the terms that the shapes give at the basis index tuple
+    ``idx``, contracted by the evaluator ``ops``
+    (:class:`~superbracket.concrete.SparseOps`)."""
+    tables, parities = ops.tables, ops.parities
+    par = [parities[i] for i in idx]
+    terms = []
+    for (s, swaps), table, pair, kernel, g, c in shapes:
+        i = idx[pair[0]]
+        p = tables[table].get((i, idx[pair[1]]) if len(pair) == 2 else (i,))
+        if p:
+            for a, b in swaps:
+                if par[a] & par[b]:
+                    s = -s
+            terms.append((s, p, kernel, idx[g], idx[c]))
+    return ops.contract(terms)
+
+
 def double_criterion_residual(ops, which, f, h, g, w):
     """The three bracket identities equivalent to the Kantor double being Jordan.
 
@@ -142,25 +195,14 @@ def double_criterion_residual(ops, which, f, h, g, w):
     2. B K2(hw,g,f) - C K2(wf,g,h)
     3. A K1(fh,g,w) - B K3(hw,g,f) - C K3(wf,g,h)
 
-    which is how they are evaluated: each kernel is linear in its first
-    argument, a product or bracket of two basis vectors.
+    which are the shapes of :data:`CRITERION_SHAPES`, and how they are
+    evaluated: each kernel is linear in its first argument, a product or
+    bracket of two basis vectors.
     """
-    par = ops.parities
-    i, k, j, l = par[f], par[h], par[g], par[w]
-    A = -1 if (i + j) & l else 1
-    B = -1 if (k + j) & i else 1
-    C = -1 if (l + j) & k else 1
-    mul, brk, d = ops.products, ops.brackets, ops.dim
-    fh, hw, wf = f * d + h, h * d + w, w * d + f
-    if which == 1:
-        terms = [(A, brk[fh], K1, g, w), (B, brk[hw], K1, g, f), (C, brk[wf], K1, g, h)]
-    elif which == 2:
-        terms = [(B, mul[hw], K2, g, f), (-C, mul[wf], K2, g, h)]
-    elif which == 3:
-        terms = [(A, mul[fh], K1, g, w), (-B, mul[hw], K3, g, f), (-C, mul[wf], K3, g, h)]
-    else:
+    shapes = CRITERION_SHAPES.get(which)
+    if shapes is None:
         raise ValueError(f"criterion index must be 1, 2 or 3, got {which}")
-    return ops.contract(terms)
+    return kernel_residual(ops, shapes, (f, h, g, w))
 
 
 def linear_jordan_residual(ops, x, y, z, t):
@@ -171,19 +213,10 @@ def linear_jordan_residual(ops, x, y, z, t):
     term signed by the parity of the shuffle taking (x,y,z,t) to the term's
     letter sequence, counting odd-odd inversions.  Uses the product only.
     Term for term it is s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x)
-    with assoc(p,y,c) = (py)c - p(yc), which is how it is evaluated; it is
-    zero, with no contraction, when the products xz, xt and zt all are.
+    with assoc(p,y,c) = (py)c - p(yc): the shapes of :data:`JORDAN_SHAPES`,
+    which is how it is evaluated.
     """
-    mul, d = ops.products, ops.dim
-    xz, xt, zt = mul[x * d + z], mul[x * d + t], mul[z * d + t]
-    if not (xz or xt or zt):
-        return ()
-    par = ops.parities
-    px, py, pz, pt = par[x], par[y], par[z], par[t]
-    s1 = -1 if py & pz else 1
-    s2 = -1 if pt & (py + pz) else 1
-    s3 = -1 if (px & (py + pz + pt)) ^ (py & (pz + pt)) else 1
-    return ops.contract([(s1, xz, ASSOC, y, t), (s2, xt, ASSOC, y, z), (s3, zt, ASSOC, y, x)])
+    return kernel_residual(ops, JORDAN_SHAPES, (x, y, z, t))
 
 
 class ElementOps:

@@ -13,22 +13,22 @@ evaluated on A itself, and through the linearized super-Jordan identity
 evaluated on the double; the two verdicts must agree.
 
 Each residual is a signed sum of at most three trilinear kernels K(p, g, c),
-linear in p, where p is a product or bracket of two basis vectors (see
-:func:`~superbracket.identities.double_criterion_residual` and
-:func:`~superbracket.identities.linear_jordan_residual`).  So a check builds
-one :class:`~superbracket.concrete.SparseOps`, the one evaluator of the
-tables, and a tuple's residual sums at most three of its kernel values per
-nonzero coordinate of p, exactly over Q: the same vector as the unfactored
-sum of products, so every zero test and every report is unchanged.  Both
-checks write their entries with :func:`~superbracket.concrete.report_entry`,
-which sweeps basis indices on :func:`~superbracket.concrete.first_failure`,
-one tuple per orbit of the permutations that only change the residual's
-sign, whose first failure in product order is that of the full sweep.  The
-pair checks that come first read the same evaluator's table rows
-(:meth:`~superbracket.concrete.SparseOps.pair_residual`), and it renders
-the witness, so both checks take structure algebras only.  A super-Jordan
-tuple whose three products xz, xt and zt are all zero is zero without a
-contraction.
+linear in p, where p is a product or bracket of two basis vectors, written
+once as a table of term shapes in :mod:`~superbracket.identities`
+(``CRITERION_SHAPES`` and ``JORDAN_SHAPES``).  A check builds one
+:class:`~superbracket.concrete.SparseOps`, the one evaluator of the tables,
+and :func:`~superbracket.concrete.kernel_tuples` reads the shapes to list
+the basis 4-tuples at which some term is nonzero: those that a nonzero
+table row and a nonzero kernel value reach.  Every other tuple's residual
+is literally zero.  :func:`~superbracket.concrete.report_entry` sweeps the
+listed tuples in product order with
+:func:`~superbracket.concrete.first_failure`, each residual summed exactly
+over Q from its kernel values, so the verdict and the witness are those of
+the sweep over all basis 4-tuples, with no symmetry argument.  The
+evaluator also reads the super-Jordan check's supercommutativity guard
+from its table rows
+(:meth:`~superbracket.concrete.SparseOps.pair_residual`) and renders the
+witness, so both checks take structure algebras only.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from __future__ import annotations
 from functools import partial
 
 from .core import AlgebraError
-from .concrete import Report, SparseOps, StructureAlgebra, first_failure, report_entry, vzero
-from .identities import double_criterion_residual, linear_jordan_residual
+from .concrete import (Report, SparseOps, StructureAlgebra, basis_tuples, first_failure,
+                       kernel_tuples, report_entry, vzero)
+from .identities import (CRITERION_SHAPES, JORDAN_SHAPES, double_criterion_residual,
+                         linear_jordan_residual)
 
 CRITERIA = (1, 2, 3)
 
@@ -65,26 +67,15 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
     The check is complete over basis 4-tuples (the criteria are
-    multilinear), and each criterion sweeps only one tuple per symmetry
-    orbit.  Criterion 1 only changes sign when f, h and w (positions 0, 1
-    and 3) are permuted, if the bracket is super-anticommutative; criteria 2
-    and 3 only change sign when f and h are swapped, if the product is
-    supercommutative.  Where its condition holds on every basis pair, a
-    criterion sweeps the tuples whose indices at those positions are sorted,
-    whose first failure in product order is the full sweep's (see
-    :func:`~superbracket.concrete.first_failure`); elsewhere it sweeps every
-    tuple.  Each residual is a kernel contraction of the check's
-    :class:`~superbracket.concrete.SparseOps`.
+    multilinear); each criterion sweeps the tuples at which one of its terms
+    is nonzero (:func:`~superbracket.concrete.kernel_tuples`), with the full
+    sweep's verdict and witness.  Each residual is a kernel contraction of
+    the check's :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(algebra)
-    anti, comm = (first_failure(2, algebra.dim, partial(ops.pair_residual, op), ops.is_zero) is None
-                  for op in ("bracket", "mul"))
-    orbits = {1: (0, 1, 3) if anti else ()}
-    orbits[2] = orbits[3] = (0, 1) if comm else ()
     return Report([
-        report_entry(ops, f"jorskob{which}", 4,
-                     lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w),
-                     orbits[which])
+        report_entry(ops, f"jorskob{which}", kernel_tuples(ops, CRITERION_SHAPES[which]),
+                     lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w))
         for which in CRITERIA])
 
 
@@ -93,25 +84,20 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
 
     The input must be supercommutative (checked first, on every basis pair;
     an error with a witness otherwise).  This checks the double directly
-    and is the cross-validation partner of :func:`criteria_check`.
-
-    Once the product is supercommutative, the residual at (x, y, z, t) is
-    the full polarization in x of ``(x^2 y)x - x^2(yx)``, so permuting x, z
-    and t multiplies it by a Koszul sign.  The sweep therefore visits only
-    the tuples with x <= z <= t; the first failing tuple in product order is
-    sorted (see :func:`~superbracket.concrete.first_failure`), so the
-    verdict and the witness are those of the sweep over all 4-tuples.  Each
-    residual is a kernel contraction of the check's
-    :class:`~superbracket.concrete.SparseOps`.
+    and is the cross-validation partner of :func:`criteria_check`.  The
+    sweep takes the tuples at which one of the residual's three terms is
+    nonzero (:func:`~superbracket.concrete.kernel_tuples`), with the full
+    sweep's verdict and witness.  Each residual is a kernel contraction of
+    the check's :class:`~superbracket.concrete.SparseOps`.
     """
     ops = SparseOps(double)
-    failure = first_failure(2, double.dim, partial(ops.pair_residual, "mul"), ops.is_zero)
+    failure = first_failure(basis_tuples(2, double.dim), partial(ops.pair_residual, "mul"),
+                            ops.is_zero)
     if failure is not None:
         (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
-    return Report([report_entry(ops, "super-jordan-linearized", 4,
-                                lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t),
-                                symmetric=(0, 2, 3))])
+    return Report([report_entry(ops, "super-jordan-linearized", kernel_tuples(ops, JORDAN_SHAPES),
+                                lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t))])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

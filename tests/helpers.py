@@ -7,11 +7,12 @@ bracketings inside the free associative superalgebra.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from operator import add, xor
 
 import linalg
-from superbracket.core import EVEN, AlgebraError, Alphabet, Sum, Var, fold
+from superbracket.core import (EVEN, AlgebraError, Alphabet, Sum, Var, fold, map_leaves,
+                               scalar_str, var_names)
 from superbracket.engine import GP, FreeAlgebra
 
 PRIME = 2_147_483_647
@@ -416,3 +417,46 @@ def find_multilinear_identities(struct, letters, unit_counts=(0, 1, 2), max_resu
         if len(out) >= max_results:
             break
     return out
+
+
+def _occurrences(term, name):
+    """The copy number of each occurrence of ``?name`` in reading order, and
+    the degree.  Occurrences are numbered left to right, except that every
+    branch of a Sum numbers its own from the same start (the branches are
+    alternatives), and numbering after the Sum continues from its last
+    branch."""
+
+    def leaf(t):
+        return ([0], 1) if t == Var(name) else ([], 0)
+
+    def node(t, kids):
+        if isinstance(t, Sum):
+            return [k for nums, _ in kids for k in nums], kids[-1][1] if kids else 0
+        (left, nl), (right, nr) = kids
+        return left + [k + nl for k in right], nl + nr
+
+    return fold(term, leaf, node)
+
+
+def polarized_is_identity(algebra, term):
+    """``StructureAlgebra.is_identity`` of a term homogeneous in each Var,
+    by writing out its polarization: a Var ?x of degree k > 1 becomes the
+    sum, over the k! ways to give its occurrences the copies ?x#0, ...,
+    ?x#(k-1), of the term with those copies, and the polarized term is
+    evaluated at every tuple of basis vectors in product order."""
+    for name in sorted(var_names(term)):
+        numbers, degree = _occurrences(term, name)
+        if degree > 1:
+            pieces = []
+            for perm in permutations(f"{name}#{c}" for c in range(degree)):
+                copy = iter(perm[k] for k in numbers)
+                pieces.append((1, map_leaves(term, lambda t: Var(next(copy)) if t == Var(name) else t)))
+            term = Sum(tuple(pieces))
+    names, dim = sorted(var_names(term)), algebra.dim
+    for idx in product(range(dim), repeat=len(names)):
+        basis = {n: tuple(int(j == i) for j in range(dim)) for n, i in zip(names, idx)}
+        residual = algebra.evaluate(term, basis)
+        if any(residual):
+            return False, {"assignment": dict(zip(names, idx)),
+                           "residual": [scalar_str(x) for x in residual]}
+    return True, None

@@ -1,11 +1,15 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
+from math import comb
+from unittest import mock
 
 import pytest
 
 from superbracket.cli import parse
 from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod, Sum, Var
+from superbracket import concrete
 from superbracket.engine import GENP, FreeAlgebra
 from superbracket.concrete import (
     StructureAlgebra,
@@ -20,6 +24,7 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.kantor import criteria_check, double_of, super_jordan_check
+from helpers import polarized_is_identity
 
 ONE = Fraction(1)
 
@@ -185,6 +190,69 @@ class TestIsIdentity:
     def test_polarization(self, src, witness):
         term = parse(Alphabet([]), src, allow_vars=True)
         assert euler_wronskian_algebra(3).is_identity(term) == (witness is None, witness)
+
+    @staticmethod
+    def power(name, k):
+        return parse(Alphabet([]), "*".join([f"?{name}"] * k), allow_vars=True)
+
+    def test_a_repeated_variable_is_evaluated_once_per_sub_multiset(self):
+        # x^4 - x^4 passes: the sweep takes the 15 sorted 4-tuples of the 3
+        # basis vectors, and evaluates the term once at each nonempty
+        # multiset of at most 4 of them, not at 3^4 tuples of 4! copies
+        x4 = self.power("x", 4)
+        term = Sum(((ONE, x4), (-ONE, x4)))
+        with mock.patch.object(concrete, "_evaluate", wraps=concrete._evaluate) as evaluate:
+            assert euler_wronskian_algebra(3).is_identity(term) == (True, None)
+        assert evaluate.call_count == comb(3 + 4, 4) - 1
+
+    def test_ten_copies(self):
+        # the unit's 10th power, polarized: 10! e_0
+        holds, witness = euler_wronskian_algebra(3).is_identity(self.power("x", 10))
+        assert not holds
+        assert witness == {"assignment": {f"x#{c}": 0 for c in range(10)},
+                           "residual": ["3628800/1", "0/1", "0/1"]}
+
+    def test_matches_the_polarization_it_replaces(self):
+        rng = random.Random(26)
+        algebras = [euler_wronskian_algebra(2), euler_wronskian_algebra(3), wronskian_algebra(3),
+                    nonlie_example_algebra(), adjoin_unit(nonlie_example_algebra()),
+                    zero_bracket_poisson(3), untwisted_algebra(euler_wronskian_algebra(3)),
+                    StructureAlgebra(2, [0, 1], {(0, 0): [(0, 1)], (0, 1): [(1, 2)], (1, 0): [(1, 1)],
+                                                 (1, 1): [(0, 1)]},
+                                     {(0, 1): [(1, 1)], (1, 1): [(0, -1)], (1, 0): [(0, 1)]},
+                                     (1, 0))]
+
+        def tree(leaves):
+            if len(leaves) == 1:
+                return leaves[0]
+            cut = rng.randint(1, len(leaves) - 1)
+            return rng.choice([Prod, Bracket])(tree(leaves[:cut]), tree(leaves[cut:]))
+
+        outcomes = set()
+        for _ in range(200):
+            degree = rng.choice([2, 3, 4, 4, 5])
+            algebra = rng.choice([a for a in algebras if a.dim <= (2 if degree == 5 else 3)])
+            names = rng.sample("abc", rng.randint(1, min(3, degree)))
+            leaves = [Var(n) for n in names] + [Var(rng.choice(names))
+                                                for _ in range(degree - len(names))]
+            leaves += [Gen("1")] * (rng.random() < 0.2)
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                rng.shuffle(leaves)
+                pieces.append((rng.choice([1, -1, 2, Fraction(1, 2)]), tree(leaves[:])))
+            term = Sum(tuple(pieces))
+            try:
+                got = algebra.is_identity(term)
+            except AlgebraError as exc:
+                assert str(exc) == "term uses the unit but the algebra has none"
+                with pytest.raises(AlgebraError, match=str(exc)):
+                    polarized_is_identity(algebra, term)
+                outcomes.add("error")
+                continue
+            assert got == polarized_is_identity(algebra, term), term
+            outcomes.add("pass" if got[0] else "fail" if "#" in "".join(got[1]["assignment"])
+                         else "fail multilinear")
+        assert outcomes == {"pass", "fail", "fail multilinear", "error"}
 
 
 class TestBuiltins:

@@ -41,8 +41,8 @@ def free_criteria_check(algebra: FreeAlgebra) -> Report:
     sweep = SimpleNamespace(basis=elements, is_zero=lambda e: e.is_zero(), parity=ops.parity,
                             render=algebra.element_to_json)
     return Report([
-        report_entry(sweep, f"jorskob{which}", 4, lambda *idx: double_criterion_residual(
-            ops, which, *(elements[i] for i in idx)))
+        report_entry(sweep, f"jorskob{which}", product(range(len(elements)), repeat=4),
+                     lambda *idx: double_criterion_residual(ops, which, *(elements[i] for i in idx)))
         for which in CRITERIA
     ])
 

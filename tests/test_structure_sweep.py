@@ -3,34 +3,39 @@
 Differential tests run the checks of ``concrete`` that use only the five
 adapter methods once on the package's sparse adapter and once on the dense
 oracle (:mod:`dense_oracle`), and ask for identical reports, first
-witnesses included.  ``validate`` and the Kantor checks read table rows,
-contract kernels and sweep one tuple per symmetry orbit: their reports
-must equal those of test-side loops over every tuple of the unfactored
-residuals (the builders of ``identities`` and ``paper_forms``), over the
-sparse and the dense adapter, and their tests check the sign symmetries
-that make the orbits exact and the guards that keep them so.  The
-property test checks the paper's Kantor-double characterization: the
+witnesses included.  ``validate`` and the Kantor checks read table rows
+and contract kernels; associativity and the Kantor checks sweep only the
+tuples that nonzero rows reach, and validate's claim axioms one tuple per
+symmetry orbit.  Their reports must equal those of test-side loops over
+every tuple of the unfactored residuals (the builders of ``identities``
+and ``paper_forms``), over the sparse and the dense adapter; the tests
+count the residuals that the Kantor checks evaluate, and check the sign
+symmetries that make the orbits exact and the guards that keep them so.
+The property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
 
 The random algebras are truncated polynomial rings Q[t]/(t^m) and Grassmann
 algebras on one or two odd generators, with the bracket
 {a,b} = D(a)b - aD(b) for a random even derivation D (a Jordan bracket by
-construction), optionally with one table entry perturbed, and random
-supercommutative products, mostly neither associative nor Jordan.  They are
-drawn by Hypothesis or, for the fixed corpora, from a seeded generator.
+construction), optionally with one table entry perturbed; random
+supercommutative products, mostly neither associative nor Jordan; and
+random tables of either parity, with or without the pair symmetries.  They
+are drawn by Hypothesis or, for the fixed corpora, from a seeded generator.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superbracket import concrete
+from superbracket import concrete, identities, kantor
 from superbracket.concrete import (
     CLAIMS,
     Report,
@@ -44,7 +49,8 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
-from superbracket.identities import (deformed_jacobi_residual, deformed_leibniz_residual,
+from superbracket.identities import (CRITERION_SHAPES, JORDAN_SHAPES, KERNELS,
+                                     deformed_jacobi_residual, deformed_leibniz_residual,
                                      jacobi_residual, leibniz_residual, unit_residual)
 from superbracket.kantor import (CRITERIA, criteria_check, double_is_jordan, double_of,
                                  super_jordan_check)
@@ -212,6 +218,40 @@ def random_supercommutative(rng, dim, density):
     return StructureAlgebra(dim, parities, table)
 
 
+def _random_table(pick, dim, parities, density, symmetry):
+    """A random table of one-term rows that may land in either parity: with
+    ``symmetry`` 1 super-symmetric, with -1 super-antisymmetric (an even
+    square zero), with 0 neither."""
+    table = {}
+    for i, j in product(range(dim), repeat=2):
+        if (symmetry and j < i) or pick.rng.random() >= density:
+            continue
+        row = [(pick.integer(0, dim - 1), pick.choice(COEFFS))]
+        if symmetry == -1 and i == j and not parities[i]:
+            continue
+        table[(i, j)] = row
+        if symmetry and i != j:
+            sign = symmetry * (-1 if parities[i] & parities[j] else 1)
+            table[(j, i)] = [(k, sign * c) for k, c in row]
+    return table
+
+
+def _random_algebra(pick):
+    """Any tables on one to three basis vectors of random parity, not even
+    as a rule, with a product that is supercommutative or not and a bracket
+    that is anticommutative or not, under a random claim, with or without a
+    unit."""
+    dim = pick.integer(1, 3)
+    parities = [pick.integer(0, 1) for _ in range(dim)]
+    product_table = _random_table(pick, dim, parities, pick.choice([0.3, 0.6]),
+                                  pick.choice([0, 1, 1]))
+    bracket = _random_table(pick, dim, parities, pick.choice([0, 0.3, 0.6]),
+                            pick.choice([0, -1, -1]))
+    claim = pick.choice(CLAIMS)
+    unit = vbasis(dim, 0) if claim in ("genp", "jb") or pick.boolean() else None
+    return StructureAlgebra(dim, parities, product_table, bracket, unit, claim)
+
+
 def _outcome(fn, *args):
     try:
         return "report", fn(*args).to_json()
@@ -261,9 +301,10 @@ class TestDenseOracle:
         term = Sum(((1, Bracket(Prod(Var("a"), Var("b")), Var("c"))),
                     (Fraction(-1, 2), Prod(Var("a"), Bracket(Var("b"), Var("c"))))))
         assert alg.evaluate(term, bindings) == dense_run(alg.evaluate, term, bindings)
+        dense = DenseOps(alg)
         a, b = bindings["a"], bindings["b"]
-        for op in (alg.mul, alg.bracket):
-            assert op(a, b) == dense_run(op, a, b)
+        assert alg.mul(a, b) == dense.mul(dense.vector(a), dense.vector(b))
+        assert alg.bracket(a, b) == dense.bracket(dense.vector(a), dense.vector(b))
 
     @pytest.mark.parametrize("make", [
         lambda: wronskian_algebra(4),
@@ -356,7 +397,115 @@ def full_criteria_sweep(alg, Ops=SparseOps):
     return Report(checks)
 
 
-# -- the linearized super-Jordan sweep over sorted (x, z, t) ---------------------------------
+# -- a seeded differential on random tables ---------------------------------------------
+
+class TestSeededDifferential:
+    """A thousand seeded random tables, most of them not even, and many not
+    supercommutative, not anticommutative or not associative: every report,
+    and every refusal of the super-Jordan check, equals that of the full
+    sweep over the sparse and over the dense adapter."""
+
+    CORPUS = seeded(_random_algebra, 1000, seed=26)
+    CHECKS = {
+        "validate": (StructureAlgebra.validate, lambda alg: alg, full_validate_sweep),
+        "criteria": (criteria_check, lambda alg: alg, full_criteria_sweep),
+        "super-jordan": (super_jordan_check, double_of, full_jordan_sweep),
+    }
+
+    def test_the_corpus_lacks_each_symmetry(self):
+        corpus = self.CORPUS
+        assert sum(not _even(alg) for alg in corpus) > 300
+        assert sum(not _commutes(alg, supercommutativity_residual) for alg in corpus) > 300
+        assert sum(not _commutes(alg, anticommutativity_residual) for alg in corpus) > 100
+        assert sum(not _associative(alg) for alg in corpus) > 300
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_reports_match_the_full_sweeps(self, name):
+        check, subject, oracle = self.CHECKS[name]
+        seen = Counter()
+        for alg in self.CORPUS:
+            alg = subject(alg)
+            outcome = _outcome(check, alg)
+            assert outcome == _outcome(oracle, alg), alg.to_json()
+            assert outcome == _outcome(oracle, alg, DenseOps), alg.to_json()
+            seen.update([outcome[0]] if outcome[0] == "error"
+                        else [entry["status"] for entry in outcome[1]])
+        # each check passes and fails, and only the super-Jordan check refuses
+        assert seen["pass"] > 100 and seen["fail"] > 100
+        assert (seen["error"] > 100) is (name == "super-jordan")
+
+
+# -- the Kantor checks cost the tuples that nonzero rows reach --------------------------------
+
+def reached_tuples(alg, shapes):
+    """The basis index tuples at which some kernel term s p_k K(e_k, e_g, e_c)
+    of the shapes is nonzero, found by trying every tuple, with each kernel
+    value taken from the adapter's products and brackets."""
+    ops = SparseOps(alg)
+    e = ops.basis
+    rows = {"mul": lambda a, b: ops.mul(e[a], e[b]), "bracket": lambda a, b: ops.bracket(e[a], e[b]),
+            "basis": lambda a: e[a]}
+    values = {}
+
+    def kernel(which, k, g, c):
+        if (which, k, g, c) not in values:
+            o1, o2, o3, o4 = (getattr(ops, name) for name in KERNELS[which])
+            values[which, k, g, c] = ops.combine([(1, o2(o1(e[k], e[g]), e[c])),
+                                                  (-1, o3(e[k], o4(e[g], e[c])))])
+        return values[which, k, g, c]
+
+    arity = len(shapes[0][2]) + 2
+    return [idx for idx in product(range(alg.dim), repeat=arity)
+            if any(kernel(which, k, idx[g], idx[c])
+                   for _, table, pair, which, g, c in shapes
+                   for k, _ in rows[table](*(idx[q] for q in pair)))]
+
+
+def residual_calls(check, alg):
+    """The check's report and the number of Kantor residuals it evaluated."""
+    with mock.patch.object(kantor, "double_criterion_residual",
+                           wraps=identities.double_criterion_residual) as criteria, \
+            mock.patch.object(kantor, "linear_jordan_residual",
+                              wraps=identities.linear_jordan_residual) as jordan:
+        report = check(alg)
+    return report, criteria.call_count + jordan.call_count
+
+
+class TestOutputSensitivity:
+    """The Kantor checks evaluate their residual at the tuples where a
+    kernel term is nonzero, and nowhere else."""
+
+    @pytest.mark.parametrize("check", [criteria_check, super_jordan_check])
+    @pytest.mark.parametrize("double", [False, True], ids=["nonlie", "double-of-nonlie"])
+    def test_a_zero_product_costs_no_residual(self, check, double):
+        alg = concrete.nonlie_example_algebra()
+        report, calls = residual_calls(check, double_of(alg) if double else alg)
+        assert report.ok and calls == 0
+
+    def test_the_double_of_euler_wronskian5(self):
+        dbl = double_of(euler_wronskian_algebra(5))
+        report, calls = residual_calls(super_jordan_check, dbl)
+        reached = reached_tuples(dbl, JORDAN_SHAPES)
+        assert report.ok and calls == len(reached) < dbl.dim ** 4 // 10
+
+    def test_the_criteria_on_euler_wronskian5(self):
+        alg = euler_wronskian_algebra(5)
+        report, calls = residual_calls(criteria_check, alg)
+        reached = [reached_tuples(alg, CRITERION_SHAPES[which]) for which in CRITERIA]
+        assert report.ok and calls == sum(map(len, reached)) < 3 * alg.dim ** 4 // 4
+
+    def test_a_failing_check_stops_at_its_witness(self):
+        alg = wronskian_algebra(4)
+        report, calls = residual_calls(criteria_check, alg)
+        want = 0
+        for which, entry in zip(CRITERIA, report.to_json()):
+            tuples = reached_tuples(alg, CRITERION_SHAPES[which])
+            want += (tuples.index(tuple(entry["witness"]["indices"])) + 1 if "witness" in entry
+                     else len(tuples))
+        assert not report.ok and calls == want
+
+
+# -- the linearized super-Jordan residual under permutations of (x, z, t) -------------------
 
 BUILTIN_DOUBLES = {
     "wronskian2": lambda: wronskian_algebra(2),
@@ -384,8 +533,10 @@ def random_supercommutative_algebras(count, seed=18):
 
 
 class TestReducedJordanSweep:
-    """The sweep visits only the tuples with x <= z <= t, which is exact
-    because the residual is symmetric in x, z and t up to a Koszul sign."""
+    """The residual is symmetric in x, z and t up to a Koszul sign, so a
+    sweep of the sorted tuples (:func:`~superbracket.concrete.basis_tuples`)
+    would be exact; the check sweeps the tuples that nonzero rows reach and
+    relies on no symmetry, and its reports equal those of the full sweep."""
 
     @staticmethod
     def assert_koszul_symmetric(alg):
@@ -408,8 +559,8 @@ class TestReducedJordanSweep:
                                                  (3, (0, 1, 2)), (3, ())])
     def test_sweep_visits_the_sorted_tuples_in_product_order(self, arity, symmetric):
         seen = []
-        assert concrete.first_failure(arity, 4, lambda *idx: seen.append(idx),
-                                      lambda res: True, symmetric) is None
+        assert concrete.first_failure(concrete.basis_tuples(arity, 4, [symmetric]),
+                                      lambda *idx: seen.append(idx), lambda res: True) is None
         want = [idx for idx in product(range(4), repeat=arity)
                 if all(idx[p] <= idx[q] for p, q in zip(symmetric, symmetric[1:]))]
         assert seen == want
@@ -452,7 +603,7 @@ class TestReducedJordanSweep:
         assert super_jordan_check(dbl).to_json() == full_jordan_sweep(dbl).to_json()
 
 
-# -- the bracket criteria over their symmetry orbits ------------------------------------------
+# -- the bracket criteria under permutations of their arguments ------------------------------
 
 def _commutes(alg, residual):
     ops = SparseOps(alg)
@@ -464,7 +615,8 @@ def _first_failing_tuple(alg, which, symmetric):
     the given ``symmetric`` positions, or None."""
     ops = SparseOps(alg)
     residual = concrete.on_basis(ops, lambda ops, *args: double_criterion_residual(ops, which, *args))
-    failure = concrete.first_failure(4, alg.dim, residual, ops.is_zero, symmetric)
+    failure = concrete.first_failure(concrete.basis_tuples(4, alg.dim, [symmetric]), residual,
+                                     ops.is_zero)
     return failure and failure[0]
 
 
@@ -481,12 +633,13 @@ UNSYMMETRIC = {
 
 
 class TestCriteriaOrbits:
-    """Criterion 1 sweeps only the tuples with f <= h <= w (positions 0, 1
-    and 3), and criteria 2 and 3 only those with f <= h, which is exact
-    because the residuals only change sign under those permutations: for
-    criterion 1 if the bracket is super-anticommutative, for criteria 2 and
-    3 if the product is supercommutative.  Elsewhere the sweep visits every
-    tuple."""
+    """Criterion 1 only changes sign when f, h and w (positions 0, 1 and 3)
+    are permuted, if the bracket is super-anticommutative, and criteria 2
+    and 3 when f and h are swapped, if the product is supercommutative; an
+    orbit sweep without those conditions would lose the full sweep's
+    witness.  The criteria sweep the tuples that nonzero rows reach and rely
+    on no symmetry, and their reports equal those of the full sweep on
+    tables with and without it."""
 
     @staticmethod
     def assert_symmetric(alg):
@@ -682,8 +835,8 @@ class TestValidateOrbits:
         pair = "anticommutativity" if "jacobi" in name else "supercommutativity"
         assert entry[pair]["status"] == "pass"
         ops = SparseOps(alg)
-        failure = concrete.first_failure(3, alg.dim, concrete.on_basis(ops, builder), ops.is_zero,
-                                         concrete.ORBITS[name][0])
+        tuples = concrete.basis_tuples(3, alg.dim, [concrete.ORBITS[name][0]])
+        failure = concrete.first_failure(tuples, concrete.on_basis(ops, builder), ops.is_zero)
         assert (failure and failure[0]) == orbit
 
     def test_seeded_corpora_match_the_full_sweep(self):
