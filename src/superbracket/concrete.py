@@ -17,17 +17,18 @@ the one evaluator of the tables: each check, and ``evaluate``, makes one,
 which reads the pair checks from the rows, joins the rows into the nonzero
 values of the kernels of associativity and the Kantor residuals (see
 :mod:`.kantor`), and memoizes products and brackets for the length of that
-check.  The kernel-form checks sweep only the basis tuples that those
-values reach (:func:`kernel_tuples`).
+check.  The pair checks sweep only the pairs that have a row
+(:func:`pair_tuples`), and the kernel-form checks sum every term that the
+kernel values reach into its basis tuple in one pass (:func:`kernel_sums`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product as iproduct
 from math import comb, prod
 from operator import itemgetter, not_
@@ -117,7 +118,7 @@ class SparseOps:
     sweeps also get the sparse ``basis`` and ``unit``, ``is_zero``, the edge
     conversions ``vector`` and ``dense``, and ``render``, a residual's dense
     report form.  :meth:`join` gives the nonzero values of a kernel of
-    ``identities.KERNELS`` at a first index, and :meth:`contract` sums them.
+    ``identities.KERNELS`` at a first index, which :func:`kernel_sums` sums.
     """
 
     is_zero = staticmethod(not_)
@@ -193,22 +194,6 @@ class SparseOps:
             return lone[1]
         return tuple(sorted(acc.items()))
 
-    def contract(self, terms):
-        """The sum of s K(p, g, c) over the terms ``(s, p, K, g, c)``, where p
-        is a sparse vector, K indexes a kernel and g, c are basis indices:
-        the kernel values at (k, g, c) summed with the coefficients s p_k."""
-        d, values, acc = self.dim, self._values, {}
-        for s, p, kernel, g, c in terms:
-            gc, base = (g, c), kernel * d
-            for k, pk in p:
-                join = values.get(base + k)
-                if join is None:
-                    join = self.join(kernel, k)
-                value = join.get(gc)
-                if value:
-                    add_terms(acc, value, s * pk)
-        return tuple(sorted(acc.items())) if acc else ()
-
     def join(self, kernel, k):
         """The nonzero values of the kernel K at first index k: a dict from
         (g, c) to K(e_k, e_g, e_c) = (e_k o1 e_g) o2 e_c - e_k o3 (e_g o4 e_c),
@@ -254,13 +239,14 @@ def first_failure(tuples, residual, is_zero):
     false), as ``(indices, residual)``; None when it vanishes at all of them.
 
     The one sweep loop of every check.  Its tuple sources are
-    :func:`basis_tuples`, every basis tuple or one per symmetry orbit, and
-    :func:`kernel_tuples`, the tuples that nonzero table rows reach.  Each
-    lists, in ``itertools.product`` order, a set of tuples that holds the
-    first failing basis tuple if there is one, so the sweep decides a
-    multilinear identity completely, witness included.  :func:`on_basis`
-    turns a residual builder of :mod:`.identities` into a function of basis
-    indices.
+    :func:`basis_tuples`, every basis tuple or one per symmetry orbit,
+    :func:`pair_tuples`, the pairs that have a table row, and
+    :func:`kernel_sweep`, the first tuple at which a kernel-form sum is not
+    zero.  Each lists, in ``itertools.product`` order, a set of tuples that
+    holds the first failing basis tuple if there is one, so the sweep
+    decides a multilinear identity completely, witness included.
+    :func:`on_basis` turns a residual builder of :mod:`.identities` into a
+    function of basis indices.
     """
     for idx in tuples:
         res = residual(*idx)
@@ -303,24 +289,58 @@ def _extend(tuples, n, prev):
     return (idx + (i,) for idx in tuples for i in range(idx[prev], n))
 
 
-def kernel_tuples(ops, shapes):
-    """The basis index tuples, sorted into product order, at which some
-    term of the kernel-form residual ``shapes`` (see
-    :func:`~superbracket.identities.kernel_residual`) is nonzero: those
-    whose pair indices name a nonzero row p of the shape's table, with a
-    coordinate k of p at which the kernel is nonzero at (k, g, c) (see
-    :meth:`SparseOps.join`).  At every other tuple each term, so the
-    residual, is literally zero, and a sweep of these tuples has the full
-    sweep's verdict and witness."""
-    found = set()
-    for _, table, pair, kernel, g, c in shapes:
+def pair_tuples(table):
+    """The basis pairs (i, j), in product order, such that (i, j) or (j, i)
+    has a row in ``table``: at every other pair the pair check
+    (:meth:`SparseOps.pair_residual`) is literally zero."""
+    return sorted({*table, *((j, i) for i, j in table)})
+
+
+def kernel_sums(ops, shapes):
+    """The kernel-form residual ``shapes`` (see
+    :data:`~superbracket.identities.CRITERION_SHAPES`) at every basis tuple
+    that one of its terms reaches, in one pass: a dict from the tuple to its
+    sum, a dict from basis index to coefficient.
+
+    Each shape's term s p_k K(e_k, e_g, e_c) is added for every row p of
+    the shape's table, every coordinate k of p and every nonzero kernel
+    value at (k, g, c) (see :meth:`SparseOps.join`), into the tuple that
+    places the row's indices and g, c at the shape's positions, with the
+    sign that the shape's rule gives at that tuple's parities.  A tuple
+    whose terms cancel keeps an empty sum; at every tuple that is not a key
+    each term, so the residual, is literally zero."""
+    par, sums = ops.parities, defaultdict(dict)
+    for rule, table, pair, kernel, g, c in shapes:
         order = pair + (g, c)  # the position of each value of pair + (g, c)
         place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        signs = _signs(rule, len(order))
         for key, row in ops.tables[table].items():
-            for k, _ in row:
-                for gc in ops.join(kernel, k):
-                    found.add(place(key + gc))
-    return sorted(found)
+            # the parity bits of the row's indices (one bit twice for a basis row)
+            mask = par[key[0]] << pair[0] | par[key[-1]] << pair[-1]
+            for k, pk in row:
+                for gc, value in ops.join(kernel, k).items():
+                    add_terms(sums[place(key + gc)], value,
+                              signs[mask | par[gc[0]] << g | par[gc[1]] << c] * pk)
+    return sums
+
+
+@cache
+def _signs(rule, arity):
+    """The sign of a shape's sign rule (s, swaps) at each parity mask of a
+    placed tuple, bit q for the basis vector at position q."""
+    s, swaps = rule
+    return tuple(-s if sum(m >> a & m >> b & 1 for a, b in swaps) & 1 else s
+                 for m in range(1 << arity))
+
+
+def kernel_sweep(ops, shapes):
+    """The ``(tuples, residual)`` of a kernel-form check for
+    :func:`report_entry`: the first tuple in product order whose sum in
+    :func:`kernel_sums` is not zero (none if the check passes), and the
+    residual that reads the sums."""
+    sums = kernel_sums(ops, shapes)
+    first = min((idx for idx, acc in sums.items() if acc), default=None)
+    return (() if first is None else (first,)), lambda *idx: tuple(sorted(sums[idx].items()))
 
 
 def on_basis(ops, builder):
@@ -402,24 +422,24 @@ class StructureAlgebra:
         """Check the structural identities and the claimed theory's axioms.
 
         Returns a :class:`Report`; each check carries a witness tuple on
-        failure.  Associativity sweeps only the triples that nonzero table
-        rows reach (:func:`kernel_tuples`).  A claim axiom sweeps one tuple
-        per orbit of :data:`ORBITS` when the checks it names passed and both
-        tables are even (the rows of the pair (i, j) lie in parity
-        p_i + p_j), and every tuple otherwise.
+        failure.  The pair checks sweep the pairs that have a row
+        (:func:`pair_tuples`), and associativity is summed over the triples
+        that nonzero table rows reach (:func:`kernel_sweep`).  A claim
+        axiom sweeps one tuple per orbit of :data:`ORBITS` when the checks
+        it names passed and both tables are even (the rows of the pair
+        (i, j) lie in parity p_i + p_j), and every tuple otherwise.
         """
         if self.claim in ("genp", "jb") and self.unit is None:
             raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
         ops = SparseOps(self)
         d = self.dim
-        assoc = identities.ASSOCIATIVITY
-        rules = [("supercommutativity", basis_tuples(2, d), partial(ops.pair_residual, "mul")),
-                 ("associativity", kernel_tuples(ops, assoc),
-                  lambda a, b, c: identities.kernel_residual(ops, assoc, (a, b, c)))]
+        rules = [("supercommutativity", pair_tuples(self.product), partial(ops.pair_residual, "mul")),
+                 ("associativity", *kernel_sweep(ops, identities.ASSOCIATIVITY))]
         if self.unit is not None:
             rules.append(("unit", basis_tuples(1, d),
                           lambda a: identities.unit_residual(ops, ops.unit, ops.basis[a])))
-        rules.append(("anticommutativity", basis_tuples(2, d), partial(ops.pair_residual, "bracket")))
+        rules.append(("anticommutativity", pair_tuples(self.bracket_table),
+                      partial(ops.pair_residual, "bracket")))
         checks = [report_entry(ops, *rule) for rule in rules]
         passed = {c["identity"] for c in checks if c["status"] == "pass"}
         par = self.parities
@@ -696,7 +716,7 @@ def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
     ops = SparseOps(alg)
-    failure = first_failure(basis_tuples(2, dim), partial(ops.pair_residual, "bracket"),
+    failure = first_failure(pair_tuples(alg.bracket_table), partial(ops.pair_residual, "bracket"),
                             ops.is_zero)
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])

@@ -8,17 +8,14 @@ the unfactored Kantor residuals are test oracles in ``tests/paper_forms.py``.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
-so the sign conventions live in exactly one place.  Associativity and
-the two Kantor residuals, :func:`double_criterion_residual` and
-:func:`linear_jordan_residual`, are the exception: each is written once as
-a table of term shapes, signed values of the trilinear :data:`KERNELS` at
-a table row and two basis indices (:data:`ASSOCIATIVITY`,
-:data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`).  :func:`kernel_residual`
-evaluates the shapes at a tuple of basis indices over a structure
-algebra's evaluator, :class:`~superbracket.concrete.SparseOps`, which
-contracts the kernels, and :func:`~superbracket.concrete.kernel_tuples`
-reads the same shapes to list the tuples where a term can be nonzero, so
-the two cannot disagree about which terms exist.  The adapter provides
+so the sign conventions live in exactly one place.  Associativity and the
+two Kantor residuals (the double-Jordan criteria and the linearized
+super-Jordan identity) are written instead as tables of term shapes,
+signed values of the trilinear :data:`KERNELS` at a table row and two
+basis indices (:data:`ASSOCIATIVITY`, :data:`CRITERION_SHAPES`,
+:data:`JORDAN_SHAPES`, whose comments give the formulas), which
+:func:`~superbracket.concrete.kernel_sums` sums over a structure
+algebra's tables at every basis tuple they reach.  The adapter provides
 five methods::
 
     mul(a, b)       supercommutative associative product
@@ -116,7 +113,7 @@ def deformed_jacobi_residual(ops, a, b, c):
 
 # The kernels of associativity and the Kantor residuals: trilinear maps
 # K(p, g, c) = (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the
-# "bracket", given as (o1, o2, o3, o4) and contracted by concrete.SparseOps.
+# "bracket", given as (o1, o2, o3, o4) and joined by concrete.SparseOps.
 KERNELS = (
     ("mul", "mul", "mul", "mul"),          # assoc(p,g,c) = (pg)c - p(gc)
     ("mul", "bracket", "mul", "bracket"),  # K1(p,g,w) = {pg,w} - p{g,w}
@@ -132,15 +129,24 @@ ASSOC, K1, K2, K3 = range(len(KERNELS))
 # ``table`` ("mul", "bracket", or "basis" for the basis vector itself) at
 # the indices idx[pair], and the sign rule (s0, swaps) gives s = s0, negated
 # once for each position pair (a, b) in swaps whose basis vectors are both
-# odd.  kernel_residual evaluates the terms, and concrete.kernel_tuples
-# reads the same shapes to find the tuples where some term can be nonzero.
+# odd.  concrete.kernel_sums adds the terms of every tuple that a nonzero
+# row and kernel value reach, each kernel linear in its first argument.
 
-# the criteria prefactors at (f, h, g, w) with parities (i, k, j, l):
-# A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}
-_A, _B, _C = ((0, 3), (2, 3)), ((1, 0), (2, 0)), ((3, 1), (2, 1))
 # assoc(a,b,c) = (ab)c - a(bc) at the basis indices (a, b, c)
 ASSOCIATIVITY = (((1, ()), "basis", (0,), ASSOC, 1, 2),)
-# the three Kantor criteria at (f, h, g, w); see double_criterion_residual
+# The three bracket identities equivalent to the Kantor double being
+# Jordan, at (f, h, g, w) with parities (i, k, j, l) and the prefactors
+# A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}, exactly as quoted
+# from the source characterization:
+#   1. A{{f,h}g,w} + B{{h,w}g,f} + C{{w,f}g,h}
+#        - A{f,h}{g,w} - B{h,w}{g,f} - C{w,f}{g,h}
+#   2. B({hw,g}f - (hw){g,f}) - C({wf,g}h - (wf){g,h})
+#   3. A({(fh)g,w} - (fh){g,w}) - B({hw,g}f - {hw,gf}) - C({wf,g}h - {wf,gh})
+# Term for term they are
+#   1. A K1({f,h},g,w) + B K1({h,w},g,f) + C K1({w,f},g,h)
+#   2. B K2(hw,g,f) - C K2(wf,g,h)
+#   3. A K1(fh,g,w) - B K3(hw,g,f) - C K3(wf,g,h)
+_A, _B, _C = ((0, 3), (2, 3)), ((1, 0), (2, 0)), ((3, 1), (2, 1))
 CRITERION_SHAPES = {
     1: (((1, _A), "bracket", (0, 1), K1, 2, 3), ((1, _B), "bracket", (1, 3), K1, 2, 0),
         ((1, _C), "bracket", (3, 0), K1, 2, 1)),
@@ -148,75 +154,15 @@ CRITERION_SHAPES = {
     3: (((1, _A), "mul", (0, 1), K1, 2, 3), ((-1, _B), "mul", (1, 3), K3, 2, 0),
         ((-1, _C), "mul", (3, 0), K3, 2, 1)),
 }
-# the linearized super-Jordan identity at (x, y, z, t), with the signs
-# (-1)^{|y||z|}, (-1)^{|t|(|y|+|z|)} and (-1)^{|x|(|y|+|z|+|t|) + |y|(|z|+|t|)};
-# see linear_jordan_residual
+# The linearized Jordan identity, superized by the Koszul rule, at (x, y, z, t):
+#   ((xz)y)t + ((xt)y)z + ((zt)y)x - (xz)(yt) - (xt)(yz) - (zt)(yx),
+# each term signed by the parity of the shuffle taking (x,y,z,t) to its
+# letter sequence, counting odd-odd inversions.  Term for term it is
+# s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x) with the signs
+# (-1)^{|y||z|}, (-1)^{|t|(|y|+|z|)} and (-1)^{|x|(|y|+|z|+|t|) + |y|(|z|+|t|)}.
 JORDAN_SHAPES = (((1, ((1, 2),)), "mul", (0, 2), ASSOC, 1, 3),
                  ((1, ((3, 1), (3, 2))), "mul", (0, 3), ASSOC, 1, 2),
                  ((1, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))), "mul", (2, 3), ASSOC, 1, 0))
-
-
-def kernel_residual(ops, shapes, idx):
-    """The sum of the terms that the shapes give at the basis index tuple
-    ``idx``, contracted by the evaluator ``ops``
-    (:class:`~superbracket.concrete.SparseOps`)."""
-    tables, parities = ops.tables, ops.parities
-    par = [parities[i] for i in idx]
-    terms = []
-    for (s, swaps), table, pair, kernel, g, c in shapes:
-        i = idx[pair[0]]
-        p = tables[table].get((i, idx[pair[1]]) if len(pair) == 2 else (i,))
-        if p:
-            for a, b in swaps:
-                if par[a] & par[b]:
-                    s = -s
-            terms.append((s, p, kernel, idx[g], idx[c]))
-    return ops.contract(terms)
-
-
-def double_criterion_residual(ops, which, f, h, g, w):
-    """The three bracket identities equivalent to the Kantor double being Jordan.
-
-    ``which`` selects 1, 2 or 3; f, h, g and w are basis indices of the
-    evaluator ``ops`` (:class:`~superbracket.concrete.SparseOps`).  With the
-    parities (i, k, j, l) of (f, h, g, w) and the prefactors
-    A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}, exactly as quoted
-    from the source characterization, the residuals are
-
-    1. A{{f,h}g,w} + B{{h,w}g,f} + C{{w,f}g,h}
-         - A{f,h}{g,w} - B{h,w}{g,f} - C{w,f}{g,h}
-    2. B({hw,g}f - (hw){g,f}) - C({wf,g}h - (wf){g,h})
-    3. A({(fh)g,w} - (fh){g,w}) - B({hw,g}f - {hw,gf}) - C({wf,g}h - {wf,gh})
-
-    Term for term, with K1(p,g,w) = {pg,w} - p{g,w}, K2(p,g,c) = {p,g}c - p{g,c}
-    and K3(p,g,c) = {p,g}c - {p,gc}, they are
-
-    1. A K1({f,h},g,w) + B K1({h,w},g,f) + C K1({w,f},g,h)
-    2. B K2(hw,g,f) - C K2(wf,g,h)
-    3. A K1(fh,g,w) - B K3(hw,g,f) - C K3(wf,g,h)
-
-    which are the shapes of :data:`CRITERION_SHAPES`, and how they are
-    evaluated: each kernel is linear in its first argument, a product or
-    bracket of two basis vectors.
-    """
-    shapes = CRITERION_SHAPES.get(which)
-    if shapes is None:
-        raise ValueError(f"criterion index must be 1, 2 or 3, got {which}")
-    return kernel_residual(ops, shapes, (f, h, g, w))
-
-
-def linear_jordan_residual(ops, x, y, z, t):
-    """Linearized Jordan identity, superized by the Koszul rule, at the basis
-    indices x, y, z and t of the evaluator ``ops`` (:class:`~superbracket.concrete.SparseOps`).
-
-    ((xz)y)t + ((xt)y)z + ((zt)y)x - (xz)(yt) - (xt)(yz) - (zt)(yx), each
-    term signed by the parity of the shuffle taking (x,y,z,t) to the term's
-    letter sequence, counting odd-odd inversions.  Uses the product only.
-    Term for term it is s1 assoc(xz,y,t) + s2 assoc(xt,y,z) + s3 assoc(zt,y,x)
-    with assoc(p,y,c) = (py)c - p(yc): the shapes of :data:`JORDAN_SHAPES`,
-    which is how it is evaluated.
-    """
-    return kernel_residual(ops, JORDAN_SHAPES, (x, y, z, t))
 
 
 class ElementOps:

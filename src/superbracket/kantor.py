@@ -15,19 +15,19 @@ evaluated on the double; the two verdicts must agree.
 Each residual is a signed sum of at most three trilinear kernels K(p, g, c),
 linear in p, where p is a product or bracket of two basis vectors, written
 once as a table of term shapes in :mod:`~superbracket.identities`
-(``CRITERION_SHAPES`` and ``JORDAN_SHAPES``).  A check builds one
-:class:`~superbracket.concrete.SparseOps`, the one evaluator of the tables,
-and :func:`~superbracket.concrete.kernel_tuples` reads the shapes to list
-the basis 4-tuples at which some term is nonzero: those that a nonzero
-table row and a nonzero kernel value reach.  Every other tuple's residual
-is literally zero.  :func:`~superbracket.concrete.report_entry` sweeps the
-listed tuples in product order with
-:func:`~superbracket.concrete.first_failure`, each residual summed exactly
-over Q from its kernel values, so the verdict and the witness are those of
-the sweep over all basis 4-tuples, with no symmetry argument.  The
-evaluator also reads the super-Jordan check's supercommutativity guard
-from its table rows
-(:meth:`~superbracket.concrete.SparseOps.pair_residual`) and renders the
+(``CRITERION_SHAPES`` and ``JORDAN_SHAPES``, whose comments give the
+formulas).  A check builds one :class:`~superbracket.concrete.SparseOps`,
+the one evaluator of the tables, and
+:func:`~superbracket.concrete.kernel_sums` walks each shape's table rows
+and the nonzero kernel values they reach once, adding every term exactly
+over Q into the basis 4-tuple it belongs to.  Every other tuple's residual
+is literally zero.  The witness is the first tuple in product order whose
+sum is not zero (:func:`~superbracket.concrete.kernel_sweep`), and
+:func:`~superbracket.concrete.report_entry` writes it, so the verdict and
+the witness are those of the sweep over all basis 4-tuples, with no
+symmetry argument.  The evaluator also reads the super-Jordan check's
+supercommutativity guard from its table rows, at the pairs that have one
+(:meth:`~superbracket.concrete.SparseOps.pair_residual`), and renders the
 witness, so both checks take structure algebras only.
 """
 
@@ -36,10 +36,9 @@ from __future__ import annotations
 from functools import partial
 
 from .core import AlgebraError
-from .concrete import (Report, SparseOps, StructureAlgebra, basis_tuples, first_failure,
-                       kernel_tuples, report_entry, vzero)
-from .identities import (CRITERION_SHAPES, JORDAN_SHAPES, double_criterion_residual,
-                         linear_jordan_residual)
+from .concrete import (Report, SparseOps, StructureAlgebra, first_failure, kernel_sweep,
+                       pair_tuples, report_entry, vzero)
+from .identities import CRITERION_SHAPES, JORDAN_SHAPES
 
 CRITERIA = (1, 2, 3)
 
@@ -67,37 +66,33 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
     The check is complete over basis 4-tuples (the criteria are
-    multilinear); each criterion sweeps the tuples at which one of its terms
-    is nonzero (:func:`~superbracket.concrete.kernel_tuples`), with the full
-    sweep's verdict and witness.  Each residual is a kernel contraction of
-    the check's :class:`~superbracket.concrete.SparseOps`.
+    multilinear); each criterion is summed, in one pass, at the tuples
+    where one of its terms is nonzero
+    (:func:`~superbracket.concrete.kernel_sweep`), with the full sweep's
+    verdict and witness.
     """
     ops = SparseOps(algebra)
-    return Report([
-        report_entry(ops, f"jorskob{which}", kernel_tuples(ops, CRITERION_SHAPES[which]),
-                     lambda f, h, g, w: double_criterion_residual(ops, which, f, h, g, w))
-        for which in CRITERIA])
+    return Report([report_entry(ops, f"jorskob{which}", *kernel_sweep(ops, CRITERION_SHAPES[which]))
+                   for which in CRITERIA])
 
 
 def super_jordan_check(double: StructureAlgebra) -> Report:
     """Linearized super-Jordan identity, exhaustively over basis 4-tuples.
 
-    The input must be supercommutative (checked first, on every basis pair;
-    an error with a witness otherwise).  This checks the double directly
-    and is the cross-validation partner of :func:`criteria_check`.  The
-    sweep takes the tuples at which one of the residual's three terms is
-    nonzero (:func:`~superbracket.concrete.kernel_tuples`), with the full
-    sweep's verdict and witness.  Each residual is a kernel contraction of
-    the check's :class:`~superbracket.concrete.SparseOps`.
+    The input must be supercommutative (checked first, on every basis pair
+    with a row; an error with a witness otherwise).  This checks the double
+    directly and is the cross-validation partner of :func:`criteria_check`.
+    The residual is summed, in one pass, at the tuples where one of its
+    three terms is nonzero (:func:`~superbracket.concrete.kernel_sweep`),
+    with the full sweep's verdict and witness.
     """
     ops = SparseOps(double)
-    failure = first_failure(basis_tuples(2, double.dim), partial(ops.pair_residual, "mul"),
+    failure = first_failure(pair_tuples(double.product), partial(ops.pair_residual, "mul"),
                             ops.is_zero)
     if failure is not None:
         (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
-    return Report([report_entry(ops, "super-jordan-linearized", kernel_tuples(ops, JORDAN_SHAPES),
-                                lambda x, y, z, t: linear_jordan_residual(ops, x, y, z, t))])
+    return Report([report_entry(ops, "super-jordan-linearized", *kernel_sweep(ops, JORDAN_SHAPES))])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

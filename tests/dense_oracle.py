@@ -17,7 +17,7 @@ sweep helpers of ``concrete`` (``first_failure``, ``on_basis``,
 no sweep code of its own.  The public ``mul`` and ``bracket`` read the
 table rows they need without an evaluator, so the tests compare them with
 the oracle's own ``mul`` and ``bracket``.  ``validate`` and the Kantor
-checks read the evaluator's table rows (``pair_residual``, ``contract``,
+checks read the evaluator's table rows (``pair_residual``, ``tables``,
 ``join``), which the oracle does not provide, and ``kantor`` binds
 ``SparseOps`` itself, so the tests compare them with sweeps of the
 unfactored residuals over either adapter instead.

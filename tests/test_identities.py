@@ -11,8 +11,9 @@ criteria carry the prefactors A, B, C as quoted in their docstring.
 
 The two Kantor residuals are compared twice: in their unfactored forms
 over an adapter (the oracles of ``tests/paper_forms.py``), and in the
-package's forms, factored into kernels that the structure-table evaluator
-:class:`~superbracket.concrete.SparseOps` contracts on basis indices.
+package's forms, tables of kernel terms that
+:func:`~superbracket.concrete.kernel_sums` sums over the structure tables
+at every basis 4-tuple in one pass.
 
 The checks run where the identities fail, so that no term is zero and a
 wrong sign on any term, or on a pair of terms, changes the residual: a
@@ -33,7 +34,7 @@ import pytest
 
 from superbracket import identities
 from superbracket.cli import parse
-from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
+from superbracket.concrete import SparseOps, StructureAlgebra, kernel_sums, to_dense, vbasis
 from superbracket.core import Alphabet, Sum
 from superbracket.engine import GENP, GP, FreeAlgebra
 import paper_forms
@@ -180,31 +181,31 @@ def test_criteria_match_their_formulas_on_a_random_table(generic, which):
         assert to_dense(got, 9) == want and any(want), pattern
 
 
-# -- the package's factored Kantor residuals, over the table evaluator ----------------------
+# -- the package's factored Kantor residuals, summed over the table evaluator ---------------
 
 @pytest.mark.parametrize("which", (1, 2, 3, "jordan"))
 def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
-    """Term for term, so a wrong sign on any kernel term changes a residual:
-    the table has no symmetry that could make two terms cancel."""
+    """The bulk sum of the kernel terms at every basis 4-tuple, a tuple that
+    it lacks being the zero vector, is the formula term for term, so a
+    wrong sign on any kernel term changes a residual: the table has no
+    symmetry that could make two terms cancel."""
+    shapes = identities.JORDAN_SHAPES if which == "jordan" else identities.CRITERION_SHAPES[which]
+    names = "xyzt" if which == "jordan" else "fhgw"
     ops = SparseOps(generic)
-    for pattern in product((0, 1), repeat=4):
-        indices = [(ODD if p else EVEN)[n] for n, p in enumerate(pattern)]
-        bindings = {v: vbasis(9, i) for v, i in zip("fhgw" if which != "jordan" else "xyzt",
-                                                    indices)}
-        if which == "jordan":
-            formula = koszul_formula(FORMULAS["linear_jordan"], Alphabet([]), "xyzt",
-                                     dict(zip("xyzt", pattern)))
-            got = identities.linear_jordan_residual(ops, *indices)
-        else:
-            formula = criterion_formula(which, Alphabet([]), pattern)
-            got = identities.double_criterion_residual(ops, which, *indices)
-        want = generic.evaluate(formula, bindings)
-        assert to_dense(got, 9) == want and any(want), pattern
-
-
-def test_kernel_form_refuses_a_fourth_criterion(generic):
-    with pytest.raises(ValueError, match="criterion index must be 1, 2 or 3"):
-        identities.double_criterion_residual(SparseOps(generic), 4, 1, 2, 3, 4)
+    sums = kernel_sums(ops, shapes)
+    formulas, nonzero = {}, 0
+    for idx in product(range(9), repeat=4):
+        pattern = tuple(PARITIES[i] for i in idx)
+        if pattern not in formulas:
+            formulas[pattern] = (
+                koszul_formula(FORMULAS["linear_jordan"], Alphabet([]), names,
+                               dict(zip(names, pattern))) if which == "jordan"
+                else criterion_formula(which, Alphabet([]), pattern))
+        at = dict(zip(names, idx))
+        want = identities.evaluate(ops, formulas[pattern], lambda leaf: ops.basis[at[leaf.name]])
+        assert tuple(sorted(sums.get(idx, {}).items())) == want, idx
+        nonzero += bool(want)
+    assert nonzero > 9 ** 4 // 2
 
 
 # -- the free engines, where the identity fails ------------------------------------------------

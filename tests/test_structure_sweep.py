@@ -4,13 +4,15 @@ Differential tests run the checks of ``concrete`` that use only the five
 adapter methods once on the package's sparse adapter and once on the dense
 oracle (:mod:`dense_oracle`), and ask for identical reports, first
 witnesses included.  ``validate`` and the Kantor checks read table rows
-and contract kernels; associativity and the Kantor checks sweep only the
-tuples that nonzero rows reach, and validate's claim axioms one tuple per
+and join kernels; associativity and the Kantor checks sum their residual
+in one pass over the tuples that nonzero rows reach, the pair checks
+sweep the pairs that have a row, and validate's claim axioms one tuple per
 symmetry orbit.  Their reports must equal those of test-side loops over
 every tuple of the unfactored residuals (the builders of ``identities``
 and ``paper_forms``), over the sparse and the dense adapter; the tests
-count the residuals that the Kantor checks evaluate, and check the sign
-symmetries that make the orbits exact and the guards that keep them so.
+compare the tuples that the Kantor checks sum with those a brute-force
+search reaches, and check the sign symmetries that make the orbits exact
+and the guards that keep them so.
 The property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
@@ -35,7 +37,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superbracket import concrete, identities, kantor
+from superbracket import concrete
 from superbracket.concrete import (
     CLAIMS,
     Report,
@@ -461,48 +463,62 @@ def reached_tuples(alg, shapes):
                    for k, _ in rows[table](*(idx[q] for q in pair)))]
 
 
-def residual_calls(check, alg):
-    """The check's report and the number of Kantor residuals it evaluated."""
-    with mock.patch.object(kantor, "double_criterion_residual",
-                           wraps=identities.double_criterion_residual) as criteria, \
-            mock.patch.object(kantor, "linear_jordan_residual",
-                              wraps=identities.linear_jordan_residual) as jordan:
+def bulk_sums(check, alg):
+    """The check's report and the key set of each kernel sum it takes, in
+    the order it takes them (:func:`~superbracket.concrete.kernel_sums`)."""
+    keys, kernel_sums = [], concrete.kernel_sums
+
+    def record(ops, shapes):
+        sums = kernel_sums(ops, shapes)
+        keys.append(set(sums))
+        return sums
+
+    with mock.patch.object(concrete, "kernel_sums", record):
         report = check(alg)
-    return report, criteria.call_count + jordan.call_count
+    return report, keys
 
 
 class TestOutputSensitivity:
-    """The Kantor checks evaluate their residual at the tuples where a
-    kernel term is nonzero, and nowhere else."""
+    """The Kantor checks sum their residual, in one pass, at the tuples
+    where a kernel term is nonzero, and nowhere else, and report the first
+    of them whose sum is not zero."""
 
     @pytest.mark.parametrize("check", [criteria_check, super_jordan_check])
     @pytest.mark.parametrize("double", [False, True], ids=["nonlie", "double-of-nonlie"])
     def test_a_zero_product_costs_no_residual(self, check, double):
         alg = concrete.nonlie_example_algebra()
-        report, calls = residual_calls(check, double_of(alg) if double else alg)
-        assert report.ok and calls == 0
+        report, keys = bulk_sums(check, double_of(alg) if double else alg)
+        assert report.ok and keys == ([set()] * 3 if check is criteria_check else [set()])
 
     def test_the_double_of_euler_wronskian5(self):
         dbl = double_of(euler_wronskian_algebra(5))
-        report, calls = residual_calls(super_jordan_check, dbl)
+        report, keys = bulk_sums(super_jordan_check, dbl)
         reached = reached_tuples(dbl, JORDAN_SHAPES)
-        assert report.ok and calls == len(reached) < dbl.dim ** 4 // 10
+        assert report.ok and keys == [set(reached)]
+        assert len(reached) == 522 < dbl.dim ** 4 // 10
 
     def test_the_criteria_on_euler_wronskian5(self):
         alg = euler_wronskian_algebra(5)
-        report, calls = residual_calls(criteria_check, alg)
+        report, keys = bulk_sums(criteria_check, alg)
         reached = [reached_tuples(alg, CRITERION_SHAPES[which]) for which in CRITERIA]
-        assert report.ok and calls == sum(map(len, reached)) < 3 * alg.dim ** 4 // 4
+        assert report.ok and keys == [set(tuples) for tuples in reached]
+        assert sum(map(len, reached)) < 3 * alg.dim ** 4 // 4
 
-    def test_a_failing_check_stops_at_its_witness(self):
-        alg = wronskian_algebra(4)
-        report, calls = residual_calls(criteria_check, alg)
-        want = 0
-        for which, entry in zip(CRITERIA, report.to_json()):
-            tuples = reached_tuples(alg, CRITERION_SHAPES[which])
-            want += (tuples.index(tuple(entry["witness"]["indices"])) + 1 if "witness" in entry
-                     else len(tuples))
-        assert not report.ok and calls == want
+    @pytest.mark.parametrize("make,jordan", [(lambda: wronskian_algebra(4), False),
+                                             (lambda: euler_wronskian_algebra(4), True)],
+                             ids=["wronskian4", "euler-wronskian4"])
+    def test_witness_of_the_bulk_sum(self, make, jordan):
+        # the same bulk pass whether the check fails (wronskian4) or passes
+        alg = make()
+        report, keys = bulk_sums(criteria_check, alg)
+        assert report.ok is jordan
+        assert report.to_json() == full_criteria_sweep(alg).to_json()
+        assert keys == [set(reached_tuples(alg, CRITERION_SHAPES[which])) for which in CRITERIA]
+        dbl = double_of(alg)
+        report, keys = bulk_sums(super_jordan_check, dbl)
+        assert report.ok is jordan
+        assert report.to_json() == full_jordan_sweep(dbl).to_json()
+        assert keys == [set(reached_tuples(dbl, JORDAN_SHAPES))]
 
 
 # -- the linearized super-Jordan residual under permutations of (x, z, t) -------------------
