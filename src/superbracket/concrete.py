@@ -15,11 +15,12 @@ pair to its nonzero row.  The public ``mul`` and ``bracket`` sum the rows
 of their arguments' coordinate pairs (``_apply``).  :class:`SparseOps` is
 the one evaluator of the tables: each check, and ``evaluate``, makes one,
 which reads the pair checks from the rows, joins the rows into the nonzero
-values of the kernels of associativity and the Kantor residuals (see
-:mod:`.kantor`), and memoizes products and brackets for the length of that
-check.  The pair checks sweep only the pairs that have a row
-(:func:`pair_tuples`), and the kernel-form checks sum every term that the
-kernel values reach into its basis tuple in one pass (:func:`kernel_sums`).
+values of the kernels of associativity, the claim axioms and the Kantor
+residuals (see :mod:`.kantor`), and memoizes products and brackets for the
+length of that check.  The pair checks sweep only the pairs that have a
+row (:func:`pair_tuples`), and the kernel-form checks sum every term that
+the kernel values reach into its basis tuple in one pass
+(:func:`kernel_sums`); no check relies on a symmetry of its residual.
 """
 
 from __future__ import annotations
@@ -37,29 +38,17 @@ from .core import AlgebraError, Gen, Sum, Var, fold, scalar, scalar_str
 from . import identities
 from .elements import add_terms
 
-# the (name, arity, residual builder) rules of each claim's axioms, which
-# validate checks after the structural identities
+# the (name, term shapes) of each claim's axioms, which validate checks
+# after the structural identities
 CLAIM_RULES = {
     "none": [],
-    "poisson": [("leibniz", 3, identities.leibniz_residual),
-                ("jacobi", 3, identities.jacobi_residual)],
-    "genp": [("deformed-leibniz", 3, identities.deformed_leibniz_residual),
-             ("jacobi", 3, identities.jacobi_residual)],
-    "jb": [("deformed-leibniz", 3, identities.deformed_leibniz_residual),
-           ("deformed-jacobi", 3, identities.deformed_jacobi_residual)],
-    "gp": [("leibniz", 3, identities.leibniz_residual)],
+    "poisson": [("leibniz", identities.LEIBNIZ), ("jacobi", identities.JACOBI)],
+    "genp": [("deformed-leibniz", identities.DEFORMED_LEIBNIZ), ("jacobi", identities.JACOBI)],
+    "jb": [("deformed-leibniz", identities.DEFORMED_LEIBNIZ),
+           ("deformed-jacobi", identities.DEFORMED_JACOBI)],
+    "gp": [("leibniz", identities.LEIBNIZ)],
 }
 CLAIMS = tuple(CLAIM_RULES)
-
-# the positions across which each claim axiom is symmetric up to sign, and
-# the checks that must pass, with both tables even, for that to hold: the
-# sweep then visits one tuple per orbit (see basis_tuples)
-ORBITS = {
-    "jacobi": ((0, 1, 2), {"anticommutativity"}),
-    "deformed-jacobi": ((0, 1, 2), {"anticommutativity"}),
-    "leibniz": ((1, 2), {"supercommutativity"}),
-    "deformed-leibniz": ((1, 2), {"supercommutativity", "associativity"}),
-}
 
 
 def vzero(dim):
@@ -109,16 +98,19 @@ class SparseOps:
     adapter over sparse vectors, made per check.
 
     ``tables["mul"]`` and ``tables["bracket"]`` are the algebra's tables,
-    which map a basis pair (i, j) to its nonzero row, and
-    ``tables["basis"]`` maps (i,) to the basis vector i; :meth:`pair_residual`
-    reads the pair checks from two rows.  Products and brackets of vectors
-    are summed from the rows and memoized by their arguments for the life of
-    the evaluator, so the memo ends with the check.  ``combine`` skips zero
-    operands and hands a lone operand with coefficient 1 back as it is.  The
-    sweeps also get the sparse ``basis`` and ``unit``, ``is_zero``, the edge
-    conversions ``vector`` and ``dense``, and ``render``, a residual's dense
-    report form.  :meth:`join` gives the nonzero values of a kernel of
-    ``identities.KERNELS`` at a first index, which :func:`kernel_sums` sums.
+    which map a basis pair (i, j) to its nonzero row; ``tables["basis"]``
+    maps (i,) to the basis vector i and, when the algebra has a unit,
+    ``tables["deriv"]`` maps (i,) to the nonzero row D(e_i) = {e_i, 1}.
+    :meth:`pair_residual` reads the pair checks from two rows.  Products and
+    brackets of vectors (the unit check, ``evaluate``, ``is_identity``,
+    ``untwisted_algebra``) are summed from the rows and memoized by their
+    arguments for the life of the evaluator, so the memo ends with the
+    check.  ``combine`` skips zero operands and hands a lone operand with
+    coefficient 1 back as it is.  The sweeps also get the sparse ``basis``
+    and ``unit``, ``is_zero``, the edge conversions ``vector`` and
+    ``dense``, and ``render``, a residual's dense report form.  :meth:`join`
+    gives the nonzero values of a kernel of ``identities.KERNELS`` at a
+    first index, which :func:`kernel_sums` sums.
     """
 
     is_zero = staticmethod(not_)
@@ -131,8 +123,9 @@ class SparseOps:
         self.tables = {"mul": algebra.product, "bracket": algebra.bracket_table,
                        "basis": {(i,): e for i, e in enumerate(self.basis)}}
         # per table: the (j, row) of the rows (i, j) by i, and the
-        # ((i, j), coefficient) of the rows (i, j) that reach m, by m
-        self._by_first, self._by_target = {}, {}
+        # ((i, j), coefficient) of the rows (i, j) that reach m, by m; None,
+        # the absent side of a one-sided kernel, has no rows
+        self._by_first, self._by_target = {None: [()] * d}, {}
         for name in ("mul", "bracket"):
             first, target = [[] for _ in range(d)], [[] for _ in range(d)]
             for (i, j), row in self.tables[name].items():
@@ -141,6 +134,9 @@ class SparseOps:
                     target[m].append(((i, j), coeff))
             self._by_first[name], self._by_target[name] = first, target
         self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
+        if self.unit is not None:
+            self.tables["deriv"] = {(i,): row for i, e in enumerate(self.basis)
+                                    if (row := self.deriv(e))}
 
     def mul(self, a, b):
         if not a or not b:
@@ -239,14 +235,12 @@ def first_failure(tuples, residual, is_zero):
     false), as ``(indices, residual)``; None when it vanishes at all of them.
 
     The one sweep loop of every check.  Its tuple sources are
-    :func:`basis_tuples`, every basis tuple or one per symmetry orbit,
-    :func:`pair_tuples`, the pairs that have a table row, and
-    :func:`kernel_sweep`, the first tuple at which a kernel-form sum is not
-    zero.  Each lists, in ``itertools.product`` order, a set of tuples that
-    holds the first failing basis tuple if there is one, so the sweep
-    decides a multilinear identity completely, witness included.
-    :func:`on_basis` turns a residual builder of :mod:`.identities` into a
-    function of basis indices.
+    :func:`basis_tuples`, every basis tuple, or one per symmetry orbit of
+    ``is_identity``'s polarized copies; :func:`pair_tuples`, the pairs that
+    have a table row; and :func:`kernel_sweep`, the first tuple at which a
+    kernel-form sum is not zero.  Each lists, in ``itertools.product``
+    order, a set of tuples that holds the first failing basis tuple if there
+    is one, so the sweep decides a multilinear identity completely.
     """
     for idx in tuples:
         res = residual(*idx)
@@ -263,8 +257,9 @@ def basis_tuples(arity, n, chains=()):
     A chain names positions across which the residual is symmetric up to
     sign: permuting the arguments at those positions only multiplies it by
     a sign, so whether it vanishes is the same on a whole orbit.  The
-    caller proves that symmetry; it is taken on trust here.  The verdict
-    and the witness of the sweep are then those of the full sweep: every
+    caller (``is_identity``, for the copies of a variable) proves that
+    symmetry; it is taken on trust here.  The verdict and the witness of
+    the sweep are then those of the full sweep: every
     member of the first failing tuple's orbit fails too, and the
     product-order first member of an orbit is its sorted one, so the first
     failing tuple is sorted, and no sorted tuple before it fails.
@@ -343,13 +338,6 @@ def kernel_sweep(ops, shapes):
     return (() if first is None else (first,)), lambda *idx: tuple(sorted(sums[idx].items()))
 
 
-def on_basis(ops, builder):
-    """The residual ``builder(ops, a, b, ...)`` as a function of the basis
-    indices of ``a, b, ...``."""
-    basis = ops.basis
-    return lambda *idx: builder(ops, *map(basis.__getitem__, idx))
-
-
 def report_entry(ops, name, tuples, residual):
     """One :class:`Report` entry: the sweep of a residual of basis indices
     over ``tuples`` (see :func:`first_failure`) as a pass, or a fail whose
@@ -423,34 +411,24 @@ class StructureAlgebra:
 
         Returns a :class:`Report`; each check carries a witness tuple on
         failure.  The pair checks sweep the pairs that have a row
-        (:func:`pair_tuples`), and associativity is summed over the triples
-        that nonzero table rows reach (:func:`kernel_sweep`).  A claim
-        axiom sweeps one tuple per orbit of :data:`ORBITS` when the checks
-        it names passed and both tables are even (the rows of the pair
-        (i, j) lie in parity p_i + p_j), and every tuple otherwise.
+        (:func:`pair_tuples`), the unit check every basis vector, and
+        associativity and the claim axioms (:data:`CLAIM_RULES`) are summed
+        over the triples that nonzero table rows reach
+        (:func:`kernel_sweep`).  Each check is decided on its own, with the
+        full sweep's witness, whatever the verdicts of the others.
         """
         if self.claim in ("genp", "jb") and self.unit is None:
             raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
         ops = SparseOps(self)
-        d = self.dim
         rules = [("supercommutativity", pair_tuples(self.product), partial(ops.pair_residual, "mul")),
                  ("associativity", *kernel_sweep(ops, identities.ASSOCIATIVITY))]
         if self.unit is not None:
-            rules.append(("unit", basis_tuples(1, d),
+            rules.append(("unit", basis_tuples(1, self.dim),
                           lambda a: identities.unit_residual(ops, ops.unit, ops.basis[a])))
         rules.append(("anticommutativity", pair_tuples(self.bracket_table),
                       partial(ops.pair_residual, "bracket")))
-        checks = [report_entry(ops, *rule) for rule in rules]
-        passed = {c["identity"] for c in checks if c["status"] == "pass"}
-        par = self.parities
-        even = all(par[k] == par[i] ^ par[j] for table in (self.product, self.bracket_table)
-                   for (i, j), row in table.items() for k, _ in row)
-        for name, arity, builder in CLAIM_RULES[self.claim]:
-            symmetric, needs = ORBITS[name]
-            chains = (symmetric,) if even and needs <= passed else ()
-            checks.append(report_entry(ops, name, basis_tuples(arity, d, chains),
-                                       on_basis(ops, builder)))
-        return Report(checks)
+        rules += [(name, *kernel_sweep(ops, shapes)) for name, shapes in CLAIM_RULES[self.claim]]
+        return Report([report_entry(ops, *rule) for rule in rules])
 
     # -- term evaluation --------------------------------------------------------
 
@@ -786,8 +764,9 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
     ops = SparseOps(algebra)
-    derivation = on_basis(ops, identities.derivation_residual)
-    if first_failure(basis_tuples(2, algebra.dim), derivation, ops.is_zero) is not None:
+    e = ops.basis
+    if first_failure(basis_tuples(2, algebra.dim),
+                     lambda a, b: identities.derivation_residual(ops, e[a], e[b]), ops.is_zero):
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     twisted = identities.Twisted(ops, Fraction(1, 2))
     bracket = {}

@@ -8,15 +8,16 @@ the unfactored Kantor residuals are test oracles in ``tests/paper_forms.py``.
 
 Each function evaluates left-minus-right of one defining identity over an
 ``ops`` adapter as one flat signed sum, term for term as in its docstring,
-so the sign conventions live in exactly one place.  Associativity and the
-two Kantor residuals (the double-Jordan criteria and the linearized
-super-Jordan identity) are written instead as tables of term shapes,
-signed values of the trilinear :data:`KERNELS` at a table row and two
-basis indices (:data:`ASSOCIATIVITY`, :data:`CRITERION_SHAPES`,
-:data:`JORDAN_SHAPES`, whose comments give the formulas), which
-:func:`~superbracket.concrete.kernel_sums` sums over a structure
-algebra's tables at every basis tuple they reach.  The adapter provides
-five methods::
+so the sign conventions live in exactly one place.  Associativity, the
+four claim axioms and the two Kantor residuals (the double-Jordan criteria
+and the linearized super-Jordan identity) are also written as tables of
+term shapes, signed values of the trilinear :data:`KERNELS` (some of them
+one-sided) at a table row, a D row among them, and two basis indices
+(:data:`ASSOCIATIVITY`, :data:`LEIBNIZ`, :data:`JACOBI`, their deformed
+forms, :data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`; the comments give
+the formulas), which :func:`~superbracket.concrete.kernel_sums` sums over
+a structure algebra's tables at every basis tuple they reach.  The adapter
+provides five methods::
 
     mul(a, b)       supercommutative associative product
     bracket(a, b)   super-anticommutative bracket (where required)
@@ -111,29 +112,49 @@ def deformed_jacobi_residual(ops, a, b, c):
     ])
 
 
-# The kernels of associativity and the Kantor residuals: trilinear maps
+# The kernels of the kernel-form residuals: trilinear maps
 # K(p, g, c) = (p o1 g) o2 c - p o3 (g o4 c), each o the product "mul" or the
-# "bracket", given as (o1, o2, o3, o4) and joined by concrete.SparseOps.
+# "bracket", given as (o1, o2, o3, o4) and joined by concrete.SparseOps; a
+# kernel with o1, o2 (or o3, o4) None is its other side alone.
 KERNELS = (
-    ("mul", "mul", "mul", "mul"),          # assoc(p,g,c) = (pg)c - p(gc)
-    ("mul", "bracket", "mul", "bracket"),  # K1(p,g,w) = {pg,w} - p{g,w}
-    ("bracket", "mul", "mul", "bracket"),  # K2(p,g,c) = {p,g}c - p{g,c}
-    ("bracket", "mul", "bracket", "mul"),  # K3(p,g,c) = {p,g}c - {p,gc}
+    ("mul", "mul", "mul", "mul"),                  # assoc(p,g,c) = (pg)c - p(gc)
+    ("mul", "bracket", "mul", "bracket"),          # K1(p,g,w) = {pg,w} - p{g,w}
+    ("bracket", "mul", "mul", "bracket"),          # K2(p,g,c) = {p,g}c - p{g,c}
+    ("bracket", "mul", "bracket", "mul"),          # K3(p,g,c) = {p,g}c - {p,gc}
+    ("bracket", "bracket", "bracket", "bracket"),  # jac(p,g,c) = {{p,g},c} - {p,{g,c}}
+    ("mul", "mul", None, None),                    # left(p,g,c) = (pg)c
+    (None, None, "mul", "bracket"),                # mb(p,g,c) = -p{g,c}
+    (None, None, "bracket", "bracket"),            # bb(p,g,c) = -{p,{g,c}}
 )
-ASSOC, K1, K2, K3 = range(len(KERNELS))
+ASSOC, K1, K2, K3, JAC, LEFT, MB, BB = range(len(KERNELS))
 
 
 # The kernel-form residuals, each written once as a table of term shapes
 # (sign, table, pair, kernel, g, c).  At a tuple idx of basis indices a
 # shape is the term s K(p, e_idx[g], e_idx[c]), where p is the row of
-# ``table`` ("mul", "bracket", or "basis" for the basis vector itself) at
-# the indices idx[pair], and the sign rule (s0, swaps) gives s = s0, negated
-# once for each position pair (a, b) in swaps whose basis vectors are both
-# odd.  concrete.kernel_sums adds the terms of every tuple that a nonzero
-# row and kernel value reach, each kernel linear in its first argument.
+# ``table`` at the indices idx[pair]: "mul" or "bracket", or one of the
+# 1-ary tables "basis", the basis vector itself, and "deriv", the row
+# D(e_a) = {e_a, 1} of an algebra with a unit.  The sign rule (s0, swaps)
+# gives s = s0, negated once for each position pair (a, b) in swaps whose
+# basis vectors are both odd.  concrete.kernel_sums adds the terms of every
+# tuple that a nonzero row and kernel value reach, each kernel linear in its
+# first argument.
 
 # assoc(a,b,c) = (ab)c - a(bc) at the basis indices (a, b, c)
 ASSOCIATIVITY = (((1, ()), "basis", (0,), ASSOC, 1, 2),)
+# The claim axioms at (a, b, c), term for term as in their builders' docstrings:
+#   Leibniz           -K3(a,b,c) + (-1)^{|a||b|} mb(b,a,c)
+#   deformed Leibniz  Leibniz + left(D(a),b,c)
+#   Jacobi            -jac(a,b,c) + (-1)^{|a||b|} bb(b,a,c)
+#   deformed Jacobi   Jacobi + mb(D(a),b,c) + (-1)^{|a|(|b|+|c|)} mb(D(b),c,a)
+#                       + (-1)^{|c|(|a|+|b|)} mb(D(c),a,b)
+LEIBNIZ = (((-1, ()), "basis", (0,), K3, 1, 2), ((1, ((0, 1),)), "basis", (1,), MB, 0, 2))
+DEFORMED_LEIBNIZ = LEIBNIZ + (((1, ()), "deriv", (0,), LEFT, 1, 2),)
+JACOBI = (((-1, ()), "basis", (0,), JAC, 1, 2), ((1, ((0, 1),)), "basis", (1,), BB, 0, 2))
+DEFORMED_JACOBI = JACOBI + (((1, ()), "deriv", (0,), MB, 1, 2),
+                            ((1, ((0, 1), (0, 2))), "deriv", (1,), MB, 2, 0),
+                            ((1, ((2, 0), (2, 1))), "deriv", (2,), MB, 0, 1))
+
 # The three bracket identities equivalent to the Kantor double being
 # Jordan, at (f, h, g, w) with parities (i, k, j, l) and the prefactors
 # A = (-1)^{(i+j)l}, B = (-1)^{(k+j)i}, C = (-1)^{(l+j)k}, exactly as quoted

@@ -11,10 +11,9 @@ the all-zero tuple.  :func:`dense_run` runs a function of
 :mod:`superbracket.concrete` (``is_identity``, ``evaluate``) with it in
 place of the sparse evaluator, so a differential test compares the two
 vector representations through the same sweeps and residual builders.  The
-sweep helpers of ``concrete`` (``first_failure``, ``on_basis``,
-``report_entry``) are module functions that read only ``basis``,
-``is_zero``, ``parity`` and ``render`` of an evaluator, so the oracle holds
-no sweep code of its own.  The public ``mul`` and ``bracket`` read the
+sweep helpers of ``concrete`` (``first_failure``, ``report_entry``) are
+module functions that read only ``basis``, ``is_zero``, ``parity`` and
+``render`` of an evaluator, so the oracle holds no sweep code of its own.  The public ``mul`` and ``bracket`` read the
 table rows they need without an evaluator, so the tests compare them with
 the oracle's own ``mul`` and ``bracket``.  ``validate`` and the Kantor
 checks read the evaluator's table rows (``pair_residual``, ``tables``,

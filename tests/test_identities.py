@@ -13,7 +13,9 @@ The two Kantor residuals are compared twice: in their unfactored forms
 over an adapter (the oracles of ``tests/paper_forms.py``), and in the
 package's forms, tables of kernel terms that
 :func:`~superbracket.concrete.kernel_sums` sums over the structure tables
-at every basis 4-tuple in one pass.
+at every basis 4-tuple in one pass.  The four claim axioms that
+``validate`` checks are compared in the same two ways: their builders and
+their tables of kernel terms, summed at every basis triple.
 
 The checks run where the identities fail, so that no term is zero and a
 wrong sign on any term, or on a pair of terms, changes the residual: a
@@ -181,31 +183,43 @@ def test_criteria_match_their_formulas_on_a_random_table(generic, which):
         assert to_dense(got, 9) == want and any(want), pattern
 
 
-# -- the package's factored Kantor residuals, summed over the table evaluator ---------------
+# -- the package's kernel forms, summed over the table evaluator -------------------------------
 
-@pytest.mark.parametrize("which", (1, 2, 3, "jordan"))
+# the tables of kernel terms beside the FORMULAS entry and the arguments of each
+KERNEL_FORMS = {
+    "jordan": (identities.JORDAN_SHAPES, "linear_jordan", "xyzt"),
+    "leibniz": (identities.LEIBNIZ, "leibniz", "abc"),
+    "deformed_leibniz": (identities.DEFORMED_LEIBNIZ, "deformed_leibniz", "abc"),
+    "jacobi": (identities.JACOBI, "jacobi", "abc"),
+    "deformed_jacobi": (identities.DEFORMED_JACOBI, "deformed_jacobi", "abc"),
+}
+
+
+@pytest.mark.parametrize("which", (1, 2, 3, *KERNEL_FORMS))
 def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
-    """The bulk sum of the kernel terms at every basis 4-tuple, a tuple that
+    """The bulk sum of the kernel terms at every basis tuple, a tuple that
     it lacks being the zero vector, is the formula term for term, so a
     wrong sign on any kernel term changes a residual: the table has no
-    symmetry that could make two terms cancel."""
-    shapes = identities.JORDAN_SHAPES if which == "jordan" else identities.CRITERION_SHAPES[which]
-    names = "xyzt" if which == "jordan" else "fhgw"
+    symmetry that could make two terms cancel.  A D term reads the unit."""
+    if which in KERNEL_FORMS:
+        shapes, name, names = KERNEL_FORMS[which]
+    else:
+        shapes, name, names = identities.CRITERION_SHAPES[which], None, "fhgw"
     ops = SparseOps(generic)
     sums = kernel_sums(ops, shapes)
     formulas, nonzero = {}, 0
-    for idx in product(range(9), repeat=4):
+    for idx in product(range(9), repeat=len(names)):
         pattern = tuple(PARITIES[i] for i in idx)
         if pattern not in formulas:
             formulas[pattern] = (
-                koszul_formula(FORMULAS["linear_jordan"], Alphabet([]), names,
-                               dict(zip(names, pattern))) if which == "jordan"
-                else criterion_formula(which, Alphabet([]), pattern))
+                koszul_formula(FORMULAS[name], Alphabet([]), names, dict(zip(names, pattern)))
+                if name else criterion_formula(which, Alphabet([]), pattern))
         at = dict(zip(names, idx))
-        want = identities.evaluate(ops, formulas[pattern], lambda leaf: ops.basis[at[leaf.name]])
+        want = identities.evaluate(ops, formulas[pattern], lambda leaf: (
+            ops.unit if leaf.name == "1" else ops.basis[at[leaf.name]]))
         assert tuple(sorted(sums.get(idx, {}).items())) == want, idx
         nonzero += bool(want)
-    assert nonzero > 9 ** 4 // 2
+    assert nonzero > 9 ** len(names) // 2
 
 
 # -- the free engines, where the identity fails ------------------------------------------------

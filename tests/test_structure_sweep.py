@@ -4,15 +4,15 @@ Differential tests run the checks of ``concrete`` that use only the five
 adapter methods once on the package's sparse adapter and once on the dense
 oracle (:mod:`dense_oracle`), and ask for identical reports, first
 witnesses included.  ``validate`` and the Kantor checks read table rows
-and join kernels; associativity and the Kantor checks sum their residual
-in one pass over the tuples that nonzero rows reach, the pair checks
-sweep the pairs that have a row, and validate's claim axioms one tuple per
-symmetry orbit.  Their reports must equal those of test-side loops over
-every tuple of the unfactored residuals (the builders of ``identities``
-and ``paper_forms``), over the sparse and the dense adapter; the tests
-compare the tuples that the Kantor checks sum with those a brute-force
-search reaches, and check the sign symmetries that make the orbits exact
-and the guards that keep them so.
+and join kernels: associativity, the claim axioms and the Kantor checks
+sum their residual in one pass over the tuples that nonzero rows reach,
+and the pair checks sweep the pairs that have a row; none relies on a
+symmetry of its residual.  Their reports must equal those of test-side
+loops over every tuple of the unfactored residuals (the builders of
+``identities`` and ``paper_forms``), over the sparse and the dense
+adapter, also on tables that lack the symmetries an orbit sweep would
+need; the tests compare the tuples that the checks sum with those a
+brute-force search reaches.
 The property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -51,7 +51,7 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
-from superbracket.identities import (CRITERION_SHAPES, JORDAN_SHAPES, KERNELS,
+from superbracket.identities import (ASSOCIATIVITY, CRITERION_SHAPES, JORDAN_SHAPES, KERNELS,
                                      deformed_jacobi_residual, deformed_leibniz_residual,
                                      jacobi_residual, leibniz_residual, unit_residual)
 from superbracket.kantor import (CRITERIA, criteria_check, double_is_jordan, double_of,
@@ -60,7 +60,6 @@ from dense_oracle import DenseOps, dense_run
 from paper_forms import (anticommutativity_residual, associativity_residual,
                          double_criterion_residual, linear_jordan_residual,
                          supercommutativity_residual)
-from helpers import bubble_shuffle_sign
 
 COEFFS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -446,14 +445,15 @@ def reached_tuples(alg, shapes):
     ops = SparseOps(alg)
     e = ops.basis
     rows = {"mul": lambda a, b: ops.mul(e[a], e[b]), "bracket": lambda a, b: ops.bracket(e[a], e[b]),
-            "basis": lambda a: e[a]}
+            "basis": lambda a: e[a], "deriv": lambda a: ops.deriv(e[a])}
     values = {}
 
     def kernel(which, k, g, c):
         if (which, k, g, c) not in values:
-            o1, o2, o3, o4 = (getattr(ops, name) for name in KERNELS[which])
-            values[which, k, g, c] = ops.combine([(1, o2(o1(e[k], e[g]), e[c])),
-                                                  (-1, o3(e[k], o4(e[g], e[c])))])
+            o1, o2, o3, o4 = (name and getattr(ops, name) for name in KERNELS[which])
+            values[which, k, g, c] = ops.combine(  # a kernel without o1 (o3) lacks that side
+                ([(1, o2(o1(e[k], e[g]), e[c]))] if o1 else [])
+                + ([(-1, o3(e[k], o4(e[g], e[c])))] if o3 else []))
         return values[which, k, g, c]
 
     arity = len(shapes[0][2]) + 2
@@ -479,9 +479,27 @@ def bulk_sums(check, alg):
 
 
 class TestOutputSensitivity:
-    """The Kantor checks sum their residual, in one pass, at the tuples
-    where a kernel term is nonzero, and nowhere else, and report the first
-    of them whose sum is not zero."""
+    """validate's associativity and claim axioms and the Kantor checks sum
+    their residual, in one pass, at the tuples where a kernel term is
+    nonzero, and nowhere else, and report the first of them whose sum is not
+    zero."""
+
+    def test_a_zero_product_sums_nothing_for_leibniz(self):
+        # nonlie claims gp: every Leibniz term has a product in it
+        report, keys = bulk_sums(StructureAlgebra.validate, concrete.nonlie_example_algebra())
+        assert report.ok and keys == [set(), set()]
+
+    @pytest.mark.parametrize("make", [lambda: euler_wronskian_algebra(5),
+                                      lambda: concrete.untwisted_algebra(euler_wronskian_algebra(3))],
+                             ids=["euler-wronskian5", "untwisted-euler3"])
+    def test_validate_sums_the_reached_triples(self, make):
+        alg = make()
+        report, keys = bulk_sums(StructureAlgebra.validate, alg)
+        shapes = [ASSOCIATIVITY] + [shape for _, shape in concrete.CLAIM_RULES[alg.claim]]
+        reached = [reached_tuples(alg, shape) for shape in shapes]
+        assert report.ok and keys == [set(tuples) for tuples in reached]
+        # the product is associative, so no associativity kernel value is nonzero
+        assert not reached[0] and all(0 < len(tuples) < alg.dim ** 3 // 2 for tuples in reached[1:])
 
     @pytest.mark.parametrize("check", [criteria_check, super_jordan_check])
     @pytest.mark.parametrize("double", [False, True], ids=["nonlie", "double-of-nonlie"])
@@ -521,7 +539,7 @@ class TestOutputSensitivity:
         assert keys == [set(reached_tuples(dbl, JORDAN_SHAPES))]
 
 
-# -- the linearized super-Jordan residual under permutations of (x, z, t) -------------------
+# -- the linearized super-Jordan identity against its full sweep ---------------------------
 
 BUILTIN_DOUBLES = {
     "wronskian2": lambda: wronskian_algebra(2),
@@ -549,27 +567,10 @@ def random_supercommutative_algebras(count, seed=18):
 
 
 class TestReducedJordanSweep:
-    """The residual is symmetric in x, z and t up to a Koszul sign, so a
-    sweep of the sorted tuples (:func:`~superbracket.concrete.basis_tuples`)
-    would be exact; the check sweeps the tuples that nonzero rows reach and
-    relies on no symmetry, and its reports equal those of the full sweep."""
-
-    @staticmethod
-    def assert_koszul_symmetric(alg):
-        """At every basis 4-tuple the residual is the Koszul sign of sorting
-        the letters in slots 0, 2 and 3 (ties kept in slot order, the letter
-        in slot 1 staying) times the residual at the sorted tuple."""
-        ops = SparseOps(alg)
-        for idx in product(range(alg.dim), repeat=4):
-            slots = sorted((0, 2, 3), key=lambda s: (idx[s], s))
-            order = dict(zip(slots, (0, 2, 3)))  # slot -> its letter's place once sorted
-            letters = (order[0], 1, order[2], order[3])
-            parities = {order.get(s, s): alg.parities[idx[s]] for s in range(4)}
-            sign = bubble_shuffle_sign(parities, letters)
-            x, z, t = (idx[s] for s in slots)
-            at_sorted = linear_jordan_residual(ops, *(ops.basis[i] for i in (x, idx[1], z, t)))
-            got = linear_jordan_residual(ops, *(ops.basis[i] for i in idx))
-            assert got == ops.combine([(sign, at_sorted)]), (idx, got, at_sorted)
+    """The check sweeps the tuples that nonzero rows reach and relies on no
+    symmetry of the residual, and its reports equal those of the full sweep;
+    the sorted-tuple sweep (:func:`~superbracket.concrete.basis_tuples` with
+    chains) serves ``is_identity``'s polarized copies."""
 
     @pytest.mark.parametrize("arity,symmetric", [(4, (0, 2, 3)), (3, (1, 2)), (2, (0, 1)),
                                                  (3, (0, 1, 2)), (3, ())])
@@ -580,14 +581,6 @@ class TestReducedJordanSweep:
         want = [idx for idx in product(range(4), repeat=arity)
                 if all(idx[p] <= idx[q] for p, q in zip(symmetric, symmetric[1:]))]
         assert seen == want
-
-    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
-    def test_symmetry_on_builtin_doubles(self, make):
-        self.assert_koszul_symmetric(double_of(make()))
-
-    def test_symmetry_on_random_supercommutative_algebras(self):
-        for alg in random_supercommutative_algebras(30):
-            self.assert_koszul_symmetric(alg)
 
     @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
     def test_builtin_doubles_match_the_full_sweep(self, make):
@@ -619,21 +612,11 @@ class TestReducedJordanSweep:
         assert super_jordan_check(dbl).to_json() == full_jordan_sweep(dbl).to_json()
 
 
-# -- the bracket criteria under permutations of their arguments ------------------------------
+# -- the bracket criteria against their full sweep ------------------------------------------
 
 def _commutes(alg, residual):
     ops = SparseOps(alg)
     return all(not residual(ops, a, b) for a, b in product(ops.basis, repeat=2))
-
-
-def _first_failing_tuple(alg, which, symmetric):
-    """The first tuple on which criterion ``which`` fails in a sweep with
-    the given ``symmetric`` positions, or None."""
-    ops = SparseOps(alg)
-    residual = concrete.on_basis(ops, lambda ops, *args: double_criterion_residual(ops, which, *args))
-    failure = concrete.first_failure(concrete.basis_tuples(4, alg.dim, [symmetric]), residual,
-                                     ops.is_zero)
-    return failure and failure[0]
 
 
 # Even algebras whose tables lack the symmetry that an orbit of the criterion
@@ -657,74 +640,12 @@ class TestCriteriaOrbits:
     on no symmetry, and their reports equal those of the full sweep on
     tables with and without it."""
 
-    @staticmethod
-    def assert_symmetric(alg):
-        """At every basis 4-tuple, R1 is +-R1 at the tuple with (f, h, w)
-        sorted and R2, R3 are +-themselves at the tuple with f and h swapped,
-        each where its condition holds; returns the number of nonzero
-        residuals compared."""
-        ops, nonzero = SparseOps(alg), 0
-        bracket_ok = _commutes(alg, anticommutativity_residual)
-        product_ok = _commutes(alg, supercommutativity_residual)
-
-        def residual(which, idx):
-            return double_criterion_residual(ops, which, *(ops.basis[i] for i in idx))
-
-        for idx in product(range(alg.dim), repeat=4):
-            f, h, g, w = idx
-            pairs = []
-            if bracket_ok:
-                low, mid, high = sorted((f, h, w))
-                pairs.append((1, (low, mid, g, high)))
-            if product_ok:
-                pairs += [(2, (h, f, g, w)), (3, (h, f, g, w))]
-            for which, other in pairs:
-                got, want = residual(which, idx), residual(which, other)
-                assert got in (want, ops.combine([(-1, want)])), (which, idx, got, want)
-                nonzero += bool(got)
-        return nonzero
-
-    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
-    def test_symmetry_on_builtins(self, make):
-        self.assert_symmetric(make())
-
-    def test_symmetry_on_random_bracket_perturbed_algebras(self):
-        nonzero = sum(self.assert_symmetric(alg)
-                      for alg in seeded(lambda pick: _bracket_perturbed(pick, 4), 60, seed=19))
-        assert nonzero > 100
-
-    @SETTINGS
-    @given(st.one_of(bracket_perturbed(), any_perturbed()))
-    def test_symmetry_on_perturbed_algebras(self, alg):
-        self.assert_symmetric(alg)
-
-    def test_criteria_two_and_three_are_not_symmetric_in_f_and_w(self):
-        # a negative control: the sweep of criteria 2 and 3 must not sort w
-        ops = SparseOps(wronskian_algebra(3))
-        for which in (2, 3):
-            at = {idx: double_criterion_residual(ops, which, *(ops.basis[i] for i in idx))
-                  for idx in product(range(3), repeat=4)}
-            assert any(res and at[(w, h, g, f)] not in (res, ops.combine([(-1, res)]))
-                       for (f, h, g, w), res in at.items()), which
-
-    def test_a_sweep_sorting_w_too_changes_the_report(self):
-        # so the reports that the tests compare tell a wrong orbit for criterion 2 or 3
-        first = _first_failing_tuple
-        alg = wronskian_algebra(3)
-        assert first(alg, 3, ()) == first(alg, 3, (0, 1)) == (1, 1, 1, 0)
-        assert first(alg, 3, (0, 1, 3)) is None
-        corpus = [alg for alg in seeded(_any_perturbed, 150, seed=19)
-                  if _commutes(alg, supercommutativity_residual)]
-        assert any(first(alg, 2, (0, 1)) != first(alg, 2, (0, 1, 3)) for alg in corpus)
-
-    @pytest.mark.parametrize("which,orbit,witness", [(1, (0, 1, 3), (0, 2, 0, 1)),
-                                                     (2, (0, 1), (1, 0, 0, 1))])
-    def test_tables_without_the_symmetry_are_swept_in_full(self, which, orbit, witness):
+    @pytest.mark.parametrize("which,witness", [(1, (0, 2, 0, 1)), (2, (1, 0, 0, 1))])
+    def test_tables_without_the_symmetry_are_swept_in_full(self, which, witness):
         alg = UNSYMMETRIC[which]
         report = criteria_check(alg).to_json()
         assert report == full_criteria_sweep(alg).to_json()
         assert report[which - 1]["witness"]["indices"] == list(witness)
-        assert _first_failing_tuple(alg, which, orbit) != witness
 
     @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
     def test_builtins_match_the_full_sweep(self, make):
@@ -756,7 +677,7 @@ class TestCriteriaOrbits:
         assert criteria_check(alg).to_json() == full_criteria_sweep(alg).to_json()
 
 
-# -- validate's claim axioms over their symmetry orbits ----------------------------------------
+# -- validate's claim axioms against their full sweep ------------------------------------------
 
 def _even(alg):
     """Whether every row of the pair (i, j) of both tables lies in parity p_i + p_j."""
@@ -770,105 +691,62 @@ def _associative(alg):
     return all(not associativity_residual(ops, a, b, c) for a, b, c in product(ops.basis, repeat=3))
 
 
-# Tables on which an orbit sweep guarded by the pair check alone (it passes
-# on each) loses the full sweep's witness: (algebra, axiom, the full sweep's
-# witness, the orbit sweep's first failure).  The first three have a row of
-# the wrong parity; the last is even, but not associative.
+# Tables on which a sweep over the symmetry orbits of a claim axiom, guarded
+# by the pair check alone (it passes on each), would lose the full sweep's
+# witness: (algebra, axiom, the full sweep's witness).  The first three have
+# a row of the wrong parity; the last is even, but not associative.
 UNGUARDED = {
     "odd-rows-jacobi": (
         lambda: StructureAlgebra(2, [1, 1], {(0, 1): [(1, 1)], (1, 0): [(1, -1)]},
                                  {(0, 1): [(0, -1)], (1, 0): [(0, -1)], (1, 1): [(0, 1)]},
                                  (1, 0), "genp"),
-        "jacobi", (1, 1, 0), (1, 1, 1)),
+        "jacobi", (1, 1, 0)),
     "odd-rows-leibniz": (
         lambda: StructureAlgebra(2, [1, 1], {(0, 1): [(0, 1)], (1, 0): [(0, -1)]},
                                  {(0, 0): [(0, 1)], (1, 1): [(1, 2)]}, (1, 0), "gp"),
-        "leibniz", (0, 1, 0), (1, 0, 1)),
+        "leibniz", (0, 1, 0)),
     "odd-bracket-deformed-leibniz": (
-        lambda: seeded(_any_perturbed, 15, seed=7)[14], "deformed-leibniz", (1, 1, 0), None),
+        lambda: seeded(_any_perturbed, 15, seed=7)[14], "deformed-leibniz", (1, 1, 0)),
     "nonassociative-deformed-leibniz": (
         lambda: StructureAlgebra(2, [0, 0], {(0, 0): [(0, 1)], (0, 1): [(1, 2)], (1, 0): [(1, 2)]},
                                  {(1, 0): [(0, -1)]}, (1, 0), "genp"),
-        "deformed-leibniz", (1, 1, 0), None),
+        "deformed-leibniz", (1, 1, 0)),
 }
 
 
 class TestValidateOrbits:
-    """validate sweeps Jacobi and deformed Jacobi over the triples with
-    a <= b <= c, and plain and deformed Leibniz over those with b <= c,
-    which is exact because the residuals only change sign under those
-    permutations: Jacobi's once the bracket is super-anticommutative,
-    Leibniz's once the product is supercommutative, deformed Leibniz's once
-    it is associative too, and each only when both tables are even.
-    Elsewhere the sweep visits every triple."""
-
-    @staticmethod
-    def assert_symmetric(alg):
-        """At every basis triple, each claim axiom whose conditions hold is
-        +-itself under every permutation of its orbit's positions; returns
-        the number of nonzero residuals compared."""
-        ops, nonzero = SparseOps(alg), 0
-        if not _even(alg):
-            return 0
-        anti = _commutes(alg, anticommutativity_residual)
-        comm = _commutes(alg, supercommutativity_residual)
-        rules = [(jacobi_residual, (0, 1, 2), anti), (leibniz_residual, (1, 2), comm)]
-        if alg.unit is not None:
-            rules += [(deformed_jacobi_residual, (0, 1, 2), anti),
-                      (deformed_leibniz_residual, (1, 2), comm and _associative(alg))]
-        for builder, orbit, holds in rules:
-            if not holds:
-                continue
-            for idx in product(range(alg.dim), repeat=3):
-                got = builder(ops, *(ops.basis[i] for i in idx))
-                for perm in permutations(orbit):
-                    other = list(idx)
-                    for place, source in zip(orbit, perm):
-                        other[place] = idx[source]
-                    want = builder(ops, *(ops.basis[i] for i in other))
-                    assert want in (got, ops.combine([(-1, got)])), (builder, idx, other)
-                nonzero += bool(got)
-        return nonzero
-
-    @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
-    def test_symmetry_on_builtins(self, make):
-        self.assert_symmetric(make())
-
-    def test_symmetry_on_even_seeded_algebras(self):
-        corpus = (seeded(lambda pick: _bracket_perturbed(pick, 4), 60, seed=25)
-                  + seeded(_any_perturbed, 150, seed=25))
-        assert sum(map(self.assert_symmetric, corpus)) > 100
+    """Jacobi and deformed Jacobi only change sign under permutations of
+    (a, b, c), and plain and deformed Leibniz under swapping b and c, where
+    the pair checks, associativity and the evenness of both tables allow;
+    a sweep over those orbits would lose the full sweep's witness elsewhere.
+    validate sums the claim axioms at the triples that nonzero rows reach
+    and relies on no symmetry, and its reports equal those of the full
+    sweep on tables with and without it."""
 
     @pytest.mark.parametrize("key", UNGUARDED)
     def test_the_guards_keep_the_full_sweeps_witness(self, key):
-        make, name, full, orbit = UNGUARDED[key]
+        make, name, full = UNGUARDED[key]
         alg = make()
-        builder = dict(CLAIM_AXIOMS[alg.claim])[name]
         report = alg.validate().to_json()
         assert report == full_validate_sweep(alg).to_json()
         entry = {c["identity"]: c for c in report}
         assert entry[name]["witness"]["indices"] == list(full)
         pair = "anticommutativity" if "jacobi" in name else "supercommutativity"
         assert entry[pair]["status"] == "pass"
-        ops = SparseOps(alg)
-        tuples = concrete.basis_tuples(3, alg.dim, [concrete.ORBITS[name][0]])
-        failure = concrete.first_failure(tuples, concrete.on_basis(ops, builder), ops.is_zero)
-        assert (failure and failure[0]) == orbit
 
     def test_seeded_corpora_match_the_full_sweep(self):
         corpus = (seeded(_any_perturbed, 300, seed=25)
                   + seeded(lambda pick: _bracket_perturbed(pick, 5), 60, seed=25))
-        swept = []
+        axioms = {name for rules in CLAIM_AXIOMS.values() for name, _ in rules}
+        statuses = []
         for alg in corpus:
             report = alg.validate().to_json()
             assert report == full_validate_sweep(alg).to_json()
             assert report == full_validate_sweep(alg, DenseOps).to_json()
-            passed = {c["identity"] for c in report if c["status"] == "pass"}
-            swept += [c["status"] for c in report if c["identity"] in concrete.ORBITS
-                      and _even(alg) and concrete.ORBITS[c["identity"]][1] <= passed]
-        # the corpus reaches both sweeps: orbit-swept axioms that pass and
-        # fail, and tables that are not even, or not associative
-        assert set(swept) == {"pass", "fail"}
+            statuses += [c["status"] for c in report if c["identity"] in axioms]
+        # the claim axioms pass and fail, on tables that are not even, or
+        # even but not associative, among others
+        assert set(statuses) == {"pass", "fail"}
         assert any(not _even(alg) for alg in corpus)
         assert any(_even(alg) and not _associative(alg) for alg in corpus)
 
