@@ -14,13 +14,15 @@ sorted by index and free of zeros, so it is hashable and the zero vector is
 pair to its nonzero row.  The public ``mul`` and ``bracket`` sum the rows
 of their arguments' coordinate pairs (``_apply``).  :class:`SparseOps` is
 the one evaluator of the tables: each check, and ``evaluate``, makes one,
-which reads the pair checks from the rows, joins the rows into the nonzero
-values of the kernels of associativity, the claim axioms and the Kantor
-residuals (see :mod:`.kantor`), and memoizes products and brackets for the
-length of that check.  The pair checks sweep only the pairs that have a
-row (:func:`pair_tuples`), and the kernel-form checks sum every term that
-the kernel values reach into its basis tuple in one pass
-(:func:`kernel_sums`); no check relies on a symmetry of its residual.
+which joins the rows into the nonzero values of the kernels of
+associativity, the claim axioms and the Kantor residuals (see
+:mod:`.kantor`), and memoizes products and brackets for the length of that
+check.  Every table check is a dict from basis tuple to residual sum: the
+pair checks sum the rows ij and ji at the pairs that have a row
+(:func:`pair_sums`), and the kernel-form checks sum every term that the
+kernel values reach into its basis tuple in one pass (:func:`kernel_sums`).
+Its witness is the least key whose sum is not zero
+(:func:`first_nonzero`), so no check relies on a symmetry of its residual.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import json
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, partial
-from itertools import product as iproduct
+from functools import cache
+from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from operator import itemgetter, not_
 
@@ -99,14 +101,14 @@ class SparseOps:
 
     ``tables["mul"]`` and ``tables["bracket"]`` are the algebra's tables,
     which map a basis pair (i, j) to its nonzero row; ``tables["basis"]``
-    maps (i,) to the basis vector i and, when the algebra has a unit,
-    ``tables["deriv"]`` maps (i,) to the nonzero row D(e_i) = {e_i, 1}.
-    :meth:`pair_residual` reads the pair checks from two rows.  Products and
+    maps (i,) to the basis vector i, and ``validate`` adds
+    ``tables["deriv"]``, which maps (i,) to the nonzero row
+    D(e_i) = {e_i, 1}, for the deformed axioms.  Products and
     brackets of vectors (the unit check, ``evaluate``, ``is_identity``,
     ``untwisted_algebra``) are summed from the rows and memoized by their
     arguments for the life of the evaluator, so the memo ends with the
     check.  ``combine`` skips zero operands and hands a lone operand with
-    coefficient 1 back as it is.  The sweeps also get the sparse ``basis``
+    coefficient 1 back as it is.  The checks also get the sparse ``basis``
     and ``unit``, ``is_zero``, the edge conversions ``vector`` and
     ``dense``, and ``render``, a residual's dense report form.  :meth:`join`
     gives the nonzero values of a kernel of ``identities.KERNELS`` at a
@@ -134,9 +136,6 @@ class SparseOps:
                     target[m].append(((i, j), coeff))
             self._by_first[name], self._by_target[name] = first, target
         self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
-        if self.unit is not None:
-            self.tables["deriv"] = {(i,): row for i, e in enumerate(self.basis)
-                                    if (row := self.deriv(e))}
 
     def mul(self, a, b):
         if not a or not b:
@@ -158,16 +157,6 @@ class SparseOps:
         if self.unit is None:
             raise AlgebraError("derivation needs a unit (none declared)")
         return self.bracket(a, self.unit)
-
-    def pair_residual(self, op, i, j):
-        """The supercommutativity residual e_i e_j - s e_j e_i of the basis
-        vectors i and j when ``op`` is "mul", their anticommutativity
-        residual {e_i,e_j} + s{e_j,e_i} when it is "bracket", with
-        s = (-1)^{|e_i||e_j|}: the rows ij and ji summed."""
-        table, sign = self.tables[op], 1 if op == "bracket" else -1
-        acc = dict(table.get((i, j), ()))
-        add_terms(acc, table.get((j, i), ()), -sign if self.parities[i] & self.parities[j] else sign)
-        return tuple(sorted(acc.items()))
 
     def parity(self, a):
         if len(a) == 1:  # every sweep argument is a basis vector
@@ -229,66 +218,20 @@ class SparseOps:
         return vjson(self.dense(a))
 
 
-def first_failure(tuples, residual, is_zero):
-    """The first of the index tuples ``tuples``, in their order, at which
-    the residual (a function of the indices) does not vanish (``is_zero`` is
-    false), as ``(indices, residual)``; None when it vanishes at all of them.
-
-    The one sweep loop of every check.  Its tuple sources are
-    :func:`basis_tuples`, every basis tuple, or one per symmetry orbit of
-    ``is_identity``'s polarized copies; :func:`pair_tuples`, the pairs that
-    have a table row; and :func:`kernel_sweep`, the first tuple at which a
-    kernel-form sum is not zero.  Each lists, in ``itertools.product``
-    order, a set of tuples that holds the first failing basis tuple if there
-    is one, so the sweep decides a multilinear identity completely.
-    """
-    for idx in tuples:
-        res = residual(*idx)
-        if not is_zero(res):
-            return idx, res
-    return None
-
-
-def basis_tuples(arity, n, chains=()):
-    """The ``arity``-tuples of the indices 0..n-1, in ``itertools.product``
-    order; with ``chains``, only those whose indices do not decrease along
-    each chain, a tuple of increasing argument positions.
-
-    A chain names positions across which the residual is symmetric up to
-    sign: permuting the arguments at those positions only multiplies it by
-    a sign, so whether it vanishes is the same on a whole orbit.  The
-    caller (``is_identity``, for the copies of a variable) proves that
-    symmetry; it is taken on trust here.  The verdict and the witness of
-    the sweep are then those of the full sweep: every
-    member of the first failing tuple's orbit fails too, and the
-    product-order first member of an orbit is its sorted one, so the first
-    failing tuple is sorted, and no sorted tuple before it fails.
-    """
-    if not chains:
-        return iproduct(range(n), repeat=arity)
-    prev = [None] * arity
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            prev[b] = a
-    tuples = [()]
-    for p in prev:
-        tuples = _extend(tuples, n, p)
-    return tuples
-
-
-def _extend(tuples, n, prev):
-    """Each index tuple extended by one index, in product order; from the
-    index at position ``prev`` up when ``prev`` is not None."""
-    if prev is None:
-        return (idx + (i,) for idx in tuples for i in range(n))
-    return (idx + (i,) for idx in tuples for i in range(idx[prev], n))
-
-
-def pair_tuples(table):
-    """The basis pairs (i, j), in product order, such that (i, j) or (j, i)
-    has a row in ``table``: at every other pair the pair check
-    (:meth:`SparseOps.pair_residual`) is literally zero."""
-    return sorted({*table, *((j, i) for i, j in table)})
+def pair_sums(ops, op):
+    """The pair check of ``op`` at every basis pair (i, j) such that (i, j)
+    or (j, i) has a row in its table: a dict from the pair to its
+    residual, a dict from basis index to coefficient.  For "mul" it is the
+    supercommutativity residual e_i e_j - s e_j e_i, for "bracket" the
+    anticommutativity residual {e_i,e_j} + s{e_j,e_i}, with
+    s = (-1)^{|e_i||e_j|}: the rows ij and ji summed.  At every pair that is
+    not a key the residual is literally zero."""
+    par, sums = ops.parities, defaultdict(dict)
+    sign = 1 if op == "bracket" else -1
+    for (i, j), row in ops.tables[op].items():
+        add_terms(sums[i, j], row)
+        add_terms(sums[j, i], row, -sign if par[i] & par[j] else sign)
+    return sums
 
 
 def kernel_sums(ops, shapes):
@@ -328,22 +271,22 @@ def _signs(rule, arity):
                  for m in range(1 << arity))
 
 
-def kernel_sweep(ops, shapes):
-    """The ``(tuples, residual)`` of a kernel-form check for
-    :func:`report_entry`: the first tuple in product order whose sum in
-    :func:`kernel_sums` is not zero (none if the check passes), and the
-    residual that reads the sums."""
-    sums = kernel_sums(ops, shapes)
+def first_nonzero(sums):
+    """The least key, in ``itertools.product`` order, of a dict from basis
+    tuple to residual sum whose sum is not zero, with that sum as a sparse
+    vector; None when every sum is zero.  It is the first failing tuple of
+    the sweep over every basis tuple when every tuple that is not a key has
+    a zero residual."""
     first = min((idx for idx, acc in sums.items() if acc), default=None)
-    return (() if first is None else (first,)), lambda *idx: tuple(sorted(sums[idx].items()))
+    return None if first is None else (first, tuple(sorted(sums[first].items())))
 
 
-def report_entry(ops, name, tuples, residual):
-    """One :class:`Report` entry: the sweep of a residual of basis indices
-    over ``tuples`` (see :func:`first_failure`) as a pass, or a fail whose
-    witness gives the failing indices, the parities of their basis vectors
-    and the rendered residual."""
-    failure = first_failure(tuples, residual, ops.is_zero)
+def report_entry(ops, name, sums):
+    """One :class:`Report` entry from a dict of residual sums (see
+    :func:`first_nonzero`): a pass, or a fail whose witness gives the
+    failing indices, the parities of their basis vectors and the rendered
+    residual."""
+    failure = first_nonzero(sums)
     if failure is None:
         return {"identity": name, "status": "pass"}
     idx, res = failure
@@ -410,25 +353,27 @@ class StructureAlgebra:
         """Check the structural identities and the claimed theory's axioms.
 
         Returns a :class:`Report`; each check carries a witness tuple on
-        failure.  The pair checks sweep the pairs that have a row
-        (:func:`pair_tuples`), the unit check every basis vector, and
-        associativity and the claim axioms (:data:`CLAIM_RULES`) are summed
-        over the triples that nonzero table rows reach
-        (:func:`kernel_sweep`).  Each check is decided on its own, with the
-        full sweep's witness, whatever the verdicts of the others.
+        failure.  Each check is a dict of residual sums by basis tuple: the
+        pair checks at the pairs that have a row (:func:`pair_sums`), the
+        unit check at every basis vector, and associativity and the claim
+        axioms (:data:`CLAIM_RULES`) at the triples that nonzero table rows
+        reach (:func:`kernel_sums`).  Each check is decided on its own, with
+        the full sweep's witness, whatever the verdicts of the others.
         """
-        if self.claim in ("genp", "jb") and self.unit is None:
-            raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
         ops = SparseOps(self)
-        rules = [("supercommutativity", pair_tuples(self.product), partial(ops.pair_residual, "mul")),
-                 ("associativity", *kernel_sweep(ops, identities.ASSOCIATIVITY))]
-        if self.unit is not None:
-            rules.append(("unit", basis_tuples(1, self.dim),
-                          lambda a: identities.unit_residual(ops, ops.unit, ops.basis[a])))
-        rules.append(("anticommutativity", pair_tuples(self.bracket_table),
-                      partial(ops.pair_residual, "bracket")))
-        rules += [(name, *kernel_sweep(ops, shapes)) for name, shapes in CLAIM_RULES[self.claim]]
-        return Report([report_entry(ops, *rule) for rule in rules])
+        if self.claim in ("genp", "jb"):  # the deformed axioms read the rows D(e_a) = {e_a, 1}
+            if ops.unit is None:
+                raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
+            ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis)
+                                   if (row := ops.deriv(e))}
+        checks = [("supercommutativity", pair_sums(ops, "mul")),
+                  ("associativity", kernel_sums(ops, identities.ASSOCIATIVITY))]
+        if ops.unit is not None:
+            checks.append(("unit", {(a,): dict(identities.unit_residual(ops, ops.unit, e))
+                                    for a, e in enumerate(ops.basis)}))
+        checks.append(("anticommutativity", pair_sums(ops, "bracket")))
+        checks += [(name, kernel_sums(ops, shapes)) for name, shapes in CLAIM_RULES[self.claim]]
+        return Report([report_entry(ops, name, sums) for name, sums in checks])
 
     # -- term evaluation --------------------------------------------------------
 
@@ -453,17 +398,22 @@ class StructureAlgebra:
         (-1)^(k-|S|) f(x = the sum of the v_i, i in S), which keeps of the
         expansion of f exactly the terms that take each v_i once.  It is
         symmetric in the copies, so the sweep takes their indices sorted
-        (see :func:`basis_tuples`), and f is evaluated once per
-        sub-multiset of the copies' basis vectors.  Returns
-        ``(True, None)`` or ``(False, witness_assignment)``, the
+        (see :func:`_sorted_blocks`), and f is evaluated once per
+        sub-multiset of the copies' basis vectors.  The sweep stops at the
+        first failing tuple: the tuples are exponential in the copies.
+        Returns ``(True, None)`` or ``(False, witness_assignment)``, the
         assignment keyed by the copies.
+
+        The copies of the sorted variables are listed in their sorted name
+        order, variable by variable; a parsed name has no ``#``, which sorts
+        below every identifier character, so this is the sorted order of
+        all the copies, and the sweep's order is ``itertools.product`` order
+        over them.
         """
         degrees = _var_degrees(term)
         variables = sorted(degrees)
-        copies = sorted((f"{x}#{c}" if degrees[x] > 1 else x, x)
-                        for x in variables for c in range(degrees[x]))
-        names = [name for name, _ in copies]
-        blocks = [[p for p, (_, y) in enumerate(copies) if y == x] for x in variables]
+        names = [name for x in variables for name in
+                 (sorted(f"{x}#{c}" for c in range(degrees[x])) if degrees[x] > 1 else [x])]
         ops, values = SparseOps(self), {}
 
         def value(vectors):
@@ -472,17 +422,14 @@ class StructureAlgebra:
                 out = values[vectors] = _evaluate(ops, term, dict(zip(variables, vectors)))
             return out
 
-        def residual(*idx):
-            parts = [_sub_multisets(ops, [idx[p] for p in block]) for block in blocks]
-            return ops.combine([(prod(w for w, _ in pick), value(tuple(v for _, v in pick)))
-                                for pick in iproduct(*parts)])
-
-        chains = [block for block in blocks if len(block) > 1]
-        failure = first_failure(basis_tuples(len(names), self.dim, chains), residual, ops.is_zero)
-        if failure is None:
-            return True, None
-        idx, res = failure
-        return False, {"assignment": dict(zip(names, idx)), "residual": ops.render(res)}
+        for blocks in _sorted_blocks(self.dim, [degrees[x] for x in variables]):
+            parts = [_sub_multisets(ops, block) for block in blocks]
+            res = ops.combine([(prod(w for w, _ in pick), value(tuple(v for _, v in pick)))
+                               for pick in iproduct(*parts)])
+            if not ops.is_zero(res):
+                idx = [i for block in blocks for i in block]
+                return False, {"assignment": dict(zip(names, idx)), "residual": ops.render(res)}
+        return True, None
 
     # -- serialization -------------------------------------------------------------
 
@@ -625,6 +572,19 @@ def _var_degrees(term):
     return fold(term, lambda t: Counter([t.name] if isinstance(t, Var) else ()), node)
 
 
+def _sorted_blocks(n, sizes):
+    """One sorted tuple of the indices 0..n-1 per size, for each way to pick
+    them, in ``itertools.product`` order, made one at a time:
+    ``itertools.product`` would first list every size's C(n+k-1, k) sorted
+    tuples, however early the sweep stops."""
+    if not sizes:
+        yield ()
+        return
+    for head in combinations_with_replacement(range(n), sizes[0]):
+        for rest in _sorted_blocks(n, sizes[1:]):
+            yield (head,) + rest
+
+
 def _sub_multisets(ops, indices):
     """The nonempty sub-multisets of the sorted basis indices, as
     ``(weight, vector)``: the vector sums the adapter's basis vectors of the
@@ -693,9 +653,7 @@ def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
             raise AlgebraError("an empty bracket table needs dim")
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
-    ops = SparseOps(alg)
-    failure = first_failure(pair_tuples(alg.bracket_table), partial(ops.pair_residual, "bracket"),
-                            ops.is_zero)
+    failure = first_nonzero(pair_sums(SparseOps(alg), "bracket"))
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg
@@ -764,9 +722,7 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     if algebra.unit is None:
         raise AlgebraError("untwisting needs a unit")
     ops = SparseOps(algebra)
-    e = ops.basis
-    if first_failure(basis_tuples(2, algebra.dim),
-                     lambda a, b: identities.derivation_residual(ops, e[a], e[b]), ops.is_zero):
+    if any(identities.derivation_residual(ops, a, b) for a, b in iproduct(ops.basis, repeat=2)):
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     twisted = identities.Twisted(ops, Fraction(1, 2))
     bracket = {}

@@ -21,23 +21,20 @@ the one evaluator of the tables, and
 :func:`~superbracket.concrete.kernel_sums` walks each shape's table rows
 and the nonzero kernel values they reach once, adding every term exactly
 over Q into the basis 4-tuple it belongs to.  Every other tuple's residual
-is literally zero.  The witness is the first tuple in product order whose
-sum is not zero (:func:`~superbracket.concrete.kernel_sweep`), and
-:func:`~superbracket.concrete.report_entry` writes it, so the verdict and
-the witness are those of the sweep over all basis 4-tuples, with no
-symmetry argument.  The evaluator also reads the super-Jordan check's
-supercommutativity guard from its table rows, at the pairs that have one
-(:meth:`~superbracket.concrete.SparseOps.pair_residual`), and renders the
+is literally zero.  :func:`~superbracket.concrete.report_entry` takes the
+first tuple in product order whose sum is not zero as the witness, so the
+verdict and the witness are those of the sweep over all basis 4-tuples,
+with no symmetry argument.  The super-Jordan check's supercommutativity
+guard is summed from the table rows at the pairs that have one
+(:func:`~superbracket.concrete.pair_sums`), and the evaluator renders the
 witness, so both checks take structure algebras only.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .core import AlgebraError
-from .concrete import (Report, SparseOps, StructureAlgebra, first_failure, kernel_sweep,
-                       pair_tuples, report_entry, vzero)
+from .concrete import (Report, SparseOps, StructureAlgebra, first_nonzero, kernel_sums,
+                       pair_sums, report_entry, vzero)
 from .identities import CRITERION_SHAPES, JORDAN_SHAPES
 
 CRITERIA = (1, 2, 3)
@@ -68,11 +65,11 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     The check is complete over basis 4-tuples (the criteria are
     multilinear); each criterion is summed, in one pass, at the tuples
     where one of its terms is nonzero
-    (:func:`~superbracket.concrete.kernel_sweep`), with the full sweep's
+    (:func:`~superbracket.concrete.kernel_sums`), with the full sweep's
     verdict and witness.
     """
     ops = SparseOps(algebra)
-    return Report([report_entry(ops, f"jorskob{which}", *kernel_sweep(ops, CRITERION_SHAPES[which]))
+    return Report([report_entry(ops, f"jorskob{which}", kernel_sums(ops, CRITERION_SHAPES[which]))
                    for which in CRITERIA])
 
 
@@ -83,16 +80,15 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     with a row; an error with a witness otherwise).  This checks the double
     directly and is the cross-validation partner of :func:`criteria_check`.
     The residual is summed, in one pass, at the tuples where one of its
-    three terms is nonzero (:func:`~superbracket.concrete.kernel_sweep`),
+    three terms is nonzero (:func:`~superbracket.concrete.kernel_sums`),
     with the full sweep's verdict and witness.
     """
     ops = SparseOps(double)
-    failure = first_failure(pair_tuples(double.product), partial(ops.pair_residual, "mul"),
-                            ops.is_zero)
+    failure = first_nonzero(pair_sums(ops, "mul"))
     if failure is not None:
         (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")
-    return Report([report_entry(ops, "super-jordan-linearized", *kernel_sweep(ops, JORDAN_SHAPES))])
+    return Report([report_entry(ops, "super-jordan-linearized", kernel_sums(ops, JORDAN_SHAPES))])
 
 
 def double_is_jordan(algebra: StructureAlgebra):

@@ -10,16 +10,15 @@ sums every coordinate of every operand, nothing is memoized, and zero is
 the all-zero tuple.  :func:`dense_run` runs a function of
 :mod:`superbracket.concrete` (``is_identity``, ``evaluate``) with it in
 place of the sparse evaluator, so a differential test compares the two
-vector representations through the same sweeps and residual builders.  The
-sweep helpers of ``concrete`` (``first_failure``, ``report_entry``) are
-module functions that read only ``basis``, ``is_zero``, ``parity`` and
-``render`` of an evaluator, so the oracle holds no sweep code of its own.  The public ``mul`` and ``bracket`` read the
-table rows they need without an evaluator, so the tests compare them with
-the oracle's own ``mul`` and ``bracket``.  ``validate`` and the Kantor
-checks read the evaluator's table rows (``pair_residual``, ``tables``,
-``join``), which the oracle does not provide, and ``kantor`` binds
-``SparseOps`` itself, so the tests compare them with sweeps of the
-unfactored residuals over either adapter instead.
+vector representations through the same sweep and residual builders; the
+oracle holds no sweep code of its own.  The public ``mul`` and ``bracket``
+read the table rows they need without an evaluator, so the tests compare
+them with the oracle's own ``mul`` and ``bracket``.  ``validate`` and the
+Kantor checks sum dicts of residuals from the evaluator's table rows
+(``tables``, ``join``; see ``concrete.pair_sums`` and
+``concrete.kernel_sums``), which the oracle does not provide, and
+``kantor`` binds ``SparseOps`` itself, so the tests compare them with
+sweeps of the unfactored residuals over either adapter instead.
 
 Build algebras before calling :func:`dense_run`: the table builder
 ``untwisted_algebra`` stores sparse rows.

@@ -212,6 +212,29 @@ class TestIsIdentity:
         assert witness == {"assignment": {f"x#{c}": 0 for c in range(10)},
                            "residual": ["3628800/1", "0/1", "0/1"]}
 
+    @pytest.mark.parametrize("src", [
+        "?x*?x*?x1*?x1 - ?x1*?x1*?x*?x + {?x,?x1}*{?x,?x1}",
+        "{?x*?x,?x_}*?x1 - ?x*{?x,?x_*?x1}",
+        "?x'*{?x,?x'}*?x - {?x',?x}*?x*?x'",
+        "{?x,?x*?x}*?x1*?x1 + ?x1*{?x1,?x}*?x*?x",
+        "{?x1,?x_}*?x*?x*?x_ - ?x_*?x*{?x1,?x}*?x_",
+        "{?x,?x1*?x1*?x1} - 3*{?x,?x1}*?x1*?x1 + 2*D(?x)*?x1*?x1*?x1",
+        "{?x_*?x_,?x} - 2*{?x_,?x}*?x_ + D(?x_)*?x_*?x",
+    ])
+    def test_prefix_named_copies_match_the_polarization(self, src):
+        # the copies of variables whose names are prefixes of each other:
+        # "#" sorts below every identifier character, so each variable's
+        # copies are one block of the sorted names, and the sweep over one
+        # sorted index tuple per block finds the polarization's first witness
+        term = parse(Alphabet([]), src, allow_vars=True)
+        for algebra in (euler_wronskian_algebra(4), wronskian_algebra(3),
+                        untwisted_algebra(euler_wronskian_algebra(3)),
+                        adjoin_unit(nonlie_example_algebra())):
+            got = algebra.is_identity(term)
+            assert got == polarized_is_identity(algebra, term), algebra.to_json()
+            if got[1]:
+                assert list(got[1]["assignment"]) == sorted(got[1]["assignment"])
+
     def test_matches_the_polarization_it_replaces(self):
         rng = random.Random(26)
         algebras = [euler_wronskian_algebra(2), euler_wronskian_algebra(3), wronskian_algebra(3),
@@ -312,7 +335,7 @@ class TestBuiltins:
         assert got.validate().ok
 
     def test_untwist_needs_a_derivation(self):
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="bracket-with-unit is not a derivation of the product"):
             untwisted_algebra(wronskian_algebra(3))  # d/dt does not descend
 
     def test_untwist_halves_derivation_type_brackets(self):

@@ -200,12 +200,14 @@ def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
     """The bulk sum of the kernel terms at every basis tuple, a tuple that
     it lacks being the zero vector, is the formula term for term, so a
     wrong sign on any kernel term changes a residual: the table has no
-    symmetry that could make two terms cancel.  A D term reads the unit."""
+    symmetry that could make two terms cancel.  A D term reads the unit,
+    through the rows D(e_a) that ``validate`` adds to the evaluator."""
     if which in KERNEL_FORMS:
         shapes, name, names = KERNEL_FORMS[which]
     else:
         shapes, name, names = identities.CRITERION_SHAPES[which], None, "fhgw"
     ops = SparseOps(generic)
+    ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis) if (row := ops.deriv(e))}
     sums = kernel_sums(ops, shapes)
     formulas, nonzero = {}, 0
     for idx in product(range(9), repeat=len(names)):

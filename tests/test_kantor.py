@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from superbracket.core import AlgebraError, Alphabet
+from superbracket.elements import Element
 from superbracket.engine import GENP, JB, FreeAlgebra
 from superbracket.concrete import (
     Report,
@@ -34,15 +35,18 @@ ONE = Fraction(1)
 
 
 def free_criteria_check(algebra: FreeAlgebra) -> Report:
-    """The three bracket criteria swept over the generators and the unit of
-    a free engine, reported as :func:`criteria_check` reports them."""
+    """The three bracket criteria at every 4-tuple of the generators and the
+    unit of a free engine, each residual's terms summed by tuple, reported
+    as :func:`criteria_check` reports them."""
     ops = ElementOps(algebra)
     elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
-    sweep = SimpleNamespace(basis=elements, is_zero=lambda e: e.is_zero(), parity=ops.parity,
-                            render=algebra.element_to_json)
+    sweep = SimpleNamespace(
+        basis=elements, parity=ops.parity,
+        render=lambda terms: algebra.element_to_json(Element(algebra, dict(terms))))
     return Report([
-        report_entry(sweep, f"jorskob{which}", product(range(len(elements)), repeat=4),
-                     lambda *idx: double_criterion_residual(ops, which, *(elements[i] for i in idx)))
+        report_entry(sweep, f"jorskob{which}",
+                     {idx: double_criterion_residual(ops, which, *(elements[i] for i in idx)).terms
+                      for idx in product(range(len(elements)), repeat=4)})
         for which in CRITERIA
     ])
 

@@ -6,7 +6,7 @@ oracle (:mod:`dense_oracle`), and ask for identical reports, first
 witnesses included.  ``validate`` and the Kantor checks read table rows
 and join kernels: associativity, the claim axioms and the Kantor checks
 sum their residual in one pass over the tuples that nonzero rows reach,
-and the pair checks sweep the pairs that have a row; none relies on a
+and the pair checks sum two rows at the pairs that have a row; none relies on a
 symmetry of its residual.  Their reports must equal those of test-side
 loops over every tuple of the unfactored residuals (the builders of
 ``identities`` and ``paper_forms``), over the sparse and the dense
@@ -37,7 +37,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superbracket import concrete
+from superbracket import concrete, kantor
 from superbracket.concrete import (
     CLAIMS,
     Report,
@@ -465,7 +465,8 @@ def reached_tuples(alg, shapes):
 
 def bulk_sums(check, alg):
     """The check's report and the key set of each kernel sum it takes, in
-    the order it takes them (:func:`~superbracket.concrete.kernel_sums`)."""
+    the order it takes them (:func:`~superbracket.concrete.kernel_sums`,
+    which ``kantor`` imports)."""
     keys, kernel_sums = [], concrete.kernel_sums
 
     def record(ops, shapes):
@@ -473,7 +474,8 @@ def bulk_sums(check, alg):
         keys.append(set(sums))
         return sums
 
-    with mock.patch.object(concrete, "kernel_sums", record):
+    with mock.patch.object(concrete, "kernel_sums", record), \
+            mock.patch.object(kantor, "kernel_sums", record):
         report = check(alg)
     return report, keys
 
@@ -567,20 +569,9 @@ def random_supercommutative_algebras(count, seed=18):
 
 
 class TestReducedJordanSweep:
-    """The check sweeps the tuples that nonzero rows reach and relies on no
-    symmetry of the residual, and its reports equal those of the full sweep;
-    the sorted-tuple sweep (:func:`~superbracket.concrete.basis_tuples` with
-    chains) serves ``is_identity``'s polarized copies."""
-
-    @pytest.mark.parametrize("arity,symmetric", [(4, (0, 2, 3)), (3, (1, 2)), (2, (0, 1)),
-                                                 (3, (0, 1, 2)), (3, ())])
-    def test_sweep_visits_the_sorted_tuples_in_product_order(self, arity, symmetric):
-        seen = []
-        assert concrete.first_failure(concrete.basis_tuples(arity, 4, [symmetric]),
-                                      lambda *idx: seen.append(idx), lambda res: True) is None
-        want = [idx for idx in product(range(4), repeat=arity)
-                if all(idx[p] <= idx[q] for p, q in zip(symmetric, symmetric[1:]))]
-        assert seen == want
+    """The super-Jordan check's reports, and its refusals, equal those of
+    the full sweep over every basis 4-tuple: it sums the tuples that nonzero
+    rows reach and relies on no symmetry of the residual."""
 
     @pytest.mark.parametrize("make", BUILTIN_DOUBLES.values(), ids=BUILTIN_DOUBLES.keys())
     def test_builtin_doubles_match_the_full_sweep(self, make):
@@ -632,13 +623,13 @@ UNSYMMETRIC = {
 
 
 class TestCriteriaOrbits:
-    """Criterion 1 only changes sign when f, h and w (positions 0, 1 and 3)
-    are permuted, if the bracket is super-anticommutative, and criteria 2
-    and 3 when f and h are swapped, if the product is supercommutative; an
-    orbit sweep without those conditions would lose the full sweep's
-    witness.  The criteria sweep the tuples that nonzero rows reach and rely
-    on no symmetry, and their reports equal those of the full sweep on
-    tables with and without it."""
+    """The criteria's reports equal those of the full sweep over every basis
+    4-tuple, on tables with and without the symmetries that a sweep over
+    orbits would need: criterion 1 only changes sign when f, h and w
+    (positions 0, 1 and 3) are permuted if the bracket is
+    super-anticommutative, and criteria 2 and 3 when f and h are swapped if
+    the product is supercommutative.  The criteria sum the tuples that
+    nonzero rows reach and rely on no symmetry."""
 
     @pytest.mark.parametrize("which,witness", [(1, (0, 2, 0, 1)), (2, (1, 0, 0, 1))])
     def test_tables_without_the_symmetry_are_swept_in_full(self, which, witness):
@@ -715,16 +706,16 @@ UNGUARDED = {
 
 
 class TestValidateOrbits:
-    """Jacobi and deformed Jacobi only change sign under permutations of
-    (a, b, c), and plain and deformed Leibniz under swapping b and c, where
-    the pair checks, associativity and the evenness of both tables allow;
-    a sweep over those orbits would lose the full sweep's witness elsewhere.
-    validate sums the claim axioms at the triples that nonzero rows reach
-    and relies on no symmetry, and its reports equal those of the full
-    sweep on tables with and without it."""
+    """validate's reports equal those of the full sweep over every basis
+    tuple, on tables with and without the symmetries that a sweep over
+    orbits would need: Jacobi and deformed Jacobi only change sign under
+    permutations of (a, b, c), and plain and deformed Leibniz under swapping
+    b and c, where the pair checks, associativity and the evenness of both
+    tables allow.  validate sums the claim axioms at the triples that
+    nonzero rows reach and relies on no symmetry."""
 
     @pytest.mark.parametrize("key", UNGUARDED)
-    def test_the_guards_keep_the_full_sweeps_witness(self, key):
+    def test_unguarded_tables_match_the_full_sweep(self, key):
         make, name, full = UNGUARDED[key]
         alg = make()
         report = alg.validate().to_json()
@@ -841,6 +832,11 @@ class TestZeroProductAlgebra:
     def test_empty_table_needs_dim(self):
         with pytest.raises(AlgebraError, match="dim"):
             zero_product_algebra({})
+
+    def test_a_bracket_that_is_not_anticommutative_is_refused(self):
+        # (1, 0) has no row, so its pair check reads the row (0, 1) alone
+        with pytest.raises(AlgebraError, match=r"^bracket table not anticommutative at \(0,1\)$"):
+            zero_product_algebra({(0, 1): [(0, 1)]})
 
     @pytest.mark.parametrize("dim", [0, 1])
     def test_empty_table_with_dim(self, dim):
