@@ -124,17 +124,7 @@ class SparseOps:
         self.unit = None if algebra.unit is None else to_sparse(algebra.unit, d)
         self.tables = {"mul": algebra.product, "bracket": algebra.bracket_table,
                        "basis": {(i,): e for i, e in enumerate(self.basis)}}
-        # per table: the (j, row) of the rows (i, j) by i, and the
-        # ((i, j), coefficient) of the rows (i, j) that reach m, by m; None,
-        # the absent side of a one-sided kernel, has no rows
-        self._by_first, self._by_target = {None: [()] * d}, {}
-        for name in ("mul", "bracket"):
-            first, target = [[] for _ in range(d)], [[] for _ in range(d)]
-            for (i, j), row in self.tables[name].items():
-                first[i].append((j, row))
-                for m, coeff in row:
-                    target[m].append(((i, j), coeff))
-            self._by_first[name], self._by_target[name] = first, target
+        self._indexes = None  # only :meth:`join` reads them: built on its first call
         self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
 
     def mul(self, a, b):
@@ -192,7 +182,9 @@ class SparseOps:
 
     def _join(self, kernel, k):
         o1, o2, o3, o4 = identities.KERNELS[kernel]
-        first, acc = self._by_first, {}
+        if self._indexes is None:
+            self._indexes = self._index()
+        (first, by_target), acc = self._indexes, {}
         for g, row in first[o1][k]:  # (e_k o1 e_g) o2 e_c through each m of row (k, g)
             for m, a in row:
                 for c, tail in first[o2][m]:
@@ -201,12 +193,28 @@ class SparseOps:
                         sums = acc[g, c] = {}
                     add_terms(sums, tail, a)
         for m, head in first[o3][k]:  # e_k o3 (e_g o4 e_c) through each (g, c) reaching m
-            for gc, a in self._by_target[o4][m]:
+            for gc, a in by_target[o4][m]:
                 sums = acc.get(gc)
                 if sums is None:
                     sums = acc[gc] = {}
                 add_terms(sums, head, -a)
         return {gc: tuple(sorted(sums.items())) for gc, sums in acc.items() if sums}
+
+    def _index(self):
+        """The join indexes of the product and bracket tables: per table, the
+        (j, row) of the rows (i, j) by i, and the ((i, j), coefficient) of
+        the rows (i, j) that reach m, by m.  None, the absent side of a
+        one-sided kernel, has no rows."""
+        d = self.dim
+        by_first, by_target = {None: [()] * d}, {}
+        for name in ("mul", "bracket"):
+            first, target = [[] for _ in range(d)], [[] for _ in range(d)]
+            for (i, j), row in self.tables[name].items():
+                first[i].append((j, row))
+                for m, coeff in row:
+                    target[m].append(((i, j), coeff))
+            by_first[name], by_target[name] = first, target
+        return by_first, by_target
 
     def vector(self, a):
         return to_sparse(a, self.dim)

@@ -11,14 +11,18 @@ twin.
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key is the int rank of an interned basis word of the owning algebra's word
 space (see :mod:`superbracket.liebasis`), so int order is word order; the
-empty tuple is the unit, and :func:`word_monomial` is a basis word's
-monomial.  Odd factors never carry an exponent above 1.  The same machinery
-backs all three theories of the free engine (generalized Poisson, Jordan
-brackets, generic Poisson); they differ only in what the owning algebra's
-one word rule rewrites when it brackets two basis words.
+empty tuple is the unit.  Odd factors never carry an exponent above 1.  A
+basis word's own monomial, the word to the first power (the unit for the
+bare unit letter), is made once when the word is interned and kept as
+``BasisWord.monomial``, so every element and cache key of the word shares
+that one tuple.  The same machinery backs all three theories of the free
+engine (generalized Poisson, Jordan brackets, generic Poisson); they differ
+only in what the owning algebra's one word rule rewrites when it brackets
+two basis words.
 
 Elements are immutable, so an element's term dict may be shared: a bracket
-of two one-term elements may hold the owning algebra's cached one.
+of two one-term elements may hold the owning algebra's cached one, or a
+fresh one that the cache does not keep.
 """
 
 from __future__ import annotations
@@ -26,12 +30,6 @@ from __future__ import annotations
 from .core import AlgebraError, scalar
 
 UNIT_MONOMIAL = ()
-
-
-def word_monomial(word):
-    """The monomial of an interned basis word: the word to the first power,
-    or the unit for the bare unit letter (key 0)."""
-    return ((word.key, word.parity, 1),) if word.key else UNIT_MONOMIAL
 
 
 def monomial_parity(m) -> int:

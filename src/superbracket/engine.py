@@ -17,7 +17,13 @@ the pair is oriented by super-anticommutativity, and a pair that
 The monomial-bracket cache maps a pair of monomials to a plain term dict
 (only the public methods wrap results as elements, so nothing in it points
 back at the algebra), and one guard there catches a straightening cycle in
-either rewriting theory.
+either rewriting theory.  It keeps what is asked for again: every pair of
+basis words and every product-on-the-left pair at once, and a Leibniz
+expansion (a product on the right) from its second request on.  Few
+Leibniz expansions are ever asked for twice, yet together they hold about
+half the terms a full cache would, so keeping each on its first request
+mostly holds memory.  Each basis word's monomial is one tuple, made when the word
+is interned (``BasisWord.monomial``), shared by every term and key of it.
 
 The distinguished derivation is ``D(a) = {a, 1}``.
 
@@ -57,7 +63,6 @@ from .elements import (
     add_terms,
     monomial_factor_count,
     monomial_parity,
-    word_monomial,
 )
 from .identities import ElementOps, evaluate
 from .liebasis import WordSpace
@@ -76,6 +81,7 @@ class FreeAlgebra:
         self.theory = theory
         self.max_degree = max_degree
         self._mono_bracket_cache = {}  # (m1, m2) -> {monomial: coefficient}
+        self._leibniz_missed = set()  # Leibniz keys missed once, not yet kept
         self._active = set()  # word pairs being straightened
 
     @property
@@ -95,7 +101,7 @@ class FreeAlgebra:
 
     def word_element(self, w) -> Element:
         """The basis word as an element; the bare unit letter is the unit."""
-        return Element(self, {word_monomial(w): _ONE})
+        return Element(self, {w.monomial: _ONE})
 
     def element(self, pairs) -> Element:
         """Element from (coefficient, monomial) pairs."""
@@ -124,8 +130,9 @@ class FreeAlgebra:
         self._claim(a, b)
         try:
             if len(a.terms) == 1 and len(b.terms) == 1:
-                # one monomial pair: an element over the cache's own term dict
-                # (elements are immutable, so callers may share it) or its multiple
+                # one monomial pair: an element over _bracket_mono's term dict
+                # (the cache's own or a fresh one; elements are immutable, so
+                # sharing is safe) or its multiple
                 (m1, c1), = a.terms.items()
                 (m2, c2), = b.terms.items()
                 k = c1 * c2
@@ -195,11 +202,26 @@ class FreeAlgebra:
         return cached
 
     def _bracket_mono_uncached(self, m1, m2) -> dict:
-        """A miss of the monomial-bracket cache, stored here for a product
-        and by :meth:`_word_bracket` for a pair of words."""
+        """A miss of the monomial-bracket cache.
+
+        A pair of words is stored at once, by :meth:`_word_bracket`, since
+        the word rule meets its pairs again and again; so is a product on the
+        left, the sign-flipped twin of the swapped pair, which every
+        ``deriv`` of a product asks for.  A product on the right, a Leibniz
+        expansion, is stored only on its second miss: most of them are asked
+        for once, and keeping them all would hold about half the cache's
+        terms for a few percent of its hits.  The first miss only notes the
+        key, and its fresh dict goes to the caller's element alone."""
         n2 = monomial_factor_count(m2)
         if n2 >= 2:
-            out = self._mono_bracket_cache[(m1, m2)] = self._leibniz_expand(m1, m2)
+            out = self._leibniz_expand(m1, m2)
+            key = (m1, m2)
+            missed = self._leibniz_missed
+            if key in missed:
+                missed.discard(key)
+                self._mono_bracket_cache[key] = out
+            else:
+                missed.add(key)
             return out
         n1 = monomial_factor_count(m1)
         if n1 >= 2:
@@ -217,7 +239,7 @@ class FreeAlgebra:
         monomial-bracket cache, filled by :meth:`_bracket_words` itself, so
         that a Jacobi step of the word rule costs two frames.  A pair met
         again while it is being computed is a straightening cycle."""
-        key = (word_monomial(u), word_monomial(v))
+        key = (u.monomial, v.monomial)
         cached = self._mono_bracket_cache.get(key)
         if cached is not None:
             return cached
@@ -276,7 +298,7 @@ class FreeAlgebra:
         space = self.space
         w = space.join(u, v)
         if w is not None:
-            return {word_monomial(w): _ONE}
+            return {w.monomial: _ONE}
         theory = self.theory
         if theory == GP:
             return {}
@@ -287,7 +309,7 @@ class FreeAlgebra:
             # 3{{a,a},a} = 0 in genp, and 3{{a,a},a} = -3 D(a){a,a} in jb
             if theory == JB:
                 self._add_products(out, self._word_bracket(a, space.unit_word),
-                                   ((word_monomial(u), -_ONE),))
+                                   ((u.monomial, -_ONE),))
             return out
         # {a,{b,v}} + (-1)^{|b||v|} {{a,v},b}.  A bracket with a word goes
         # straight to _word_bracket, so a Jacobi step costs two frames; one
@@ -298,14 +320,14 @@ class FreeAlgebra:
             if len(m) == 1 == m[0][2]:
                 br = self._word_bracket(a, by_key[m[0][0]])
             else:
-                br = self._bracket_mono(word_monomial(a), m)
+                br = self._bracket_mono(a.monomial, m)
             add_terms(out, br.items(), c)
         s2 = -_ONE if (b.parity & v.parity) else _ONE
         for m, c in self._word_bracket(a, v).items():
             if len(m) == 1 == m[0][2]:
                 br = self._word_bracket(by_key[m[0][0]], b)
             else:
-                br = self._bracket_mono(m, word_monomial(b))
+                br = self._bracket_mono(m, b.monomial)
             add_terms(out, br.items(), s2 * c)
         if theory == JB:
             # - D(a){b,v} - (-1)^{|a|(|b|+|v|)} D(b){v,a}
@@ -314,7 +336,7 @@ class FreeAlgebra:
             s5 = -_ONE if (v.parity & ((a.parity + b.parity) & 1)) else _ONE
             unit = space.unit_word
             for d, k, terms in ((a, -_ONE, bv), (b, -s4, self._word_bracket(v, a)),
-                                (v, -s5, {word_monomial(u): _ONE})):
+                                (v, -s5, {u.monomial: _ONE})):
                 self._add_products(out, self._word_bracket(d, unit),
                                    [(m, k * c) for m, c in terms.items()])
         return out

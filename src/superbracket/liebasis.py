@@ -25,8 +25,9 @@ instead the *oriented* trees: arbitrary binary bracket trees over the
 non-unit letters in which every node has left > right or equal odd halves.
 
 Raw words are nested tuples: a leaf is a generator index, a node is a pair of
-words.  Interned :class:`BasisWord` objects carry the derived data, and the
-word space indexes them by key alone.
+words.  Interned :class:`BasisWord` objects carry the derived data, among it
+the word's one free-engine monomial, and the word space indexes them by key
+alone.
 :meth:`WordSpace.join` is the one basis-word test, in both kinds of space:
 :meth:`WordSpace.basis_words` enumerates a multidegree by offering it every
 pair of basis words over the splits of the degree.  Its one shortcut is the
@@ -53,7 +54,8 @@ class BasisWord:
     """Interned basis word: a good word or the square of an odd good word
     (an oriented tree in an oriented space)."""
 
-    __slots__ = ("word", "key", "parity", "degrees", "length", "left", "right", "square")
+    __slots__ = ("word", "key", "parity", "degrees", "length", "left", "right", "square",
+                 "monomial")
 
     def __init__(self, word, key, parity, degrees, length, left, right, square):
         self.word = word
@@ -64,6 +66,10 @@ class BasisWord:
         self.left = left  # the interned parts of {left,right}; None for a letter
         self.right = right
         self.square = square
+        # the word to the first power as a free-engine monomial, made once so
+        # that every term and cache key of the word shares it; the bare unit
+        # letter (key 0) is the unit monomial
+        self.monomial = ((key, parity, 1),) if key else ()
 
     # identity equality: words are interned per space; ``key`` orders them
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import random
 import time
 import weakref
 from fractions import Fraction
@@ -162,8 +163,8 @@ class TestMemory:
         try:
             algebra = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), theory)
             x1, x2, x3 = (algebra.gen(n) for n in ("x1", "x2", "x3"))
-            # the jb straightening {{x3,x2},x1}, Leibniz against x2 x3 and
-            # brackets with the unit, each a filled cache entry
+            # the jb straightening {{x3,x2},x1}, the word pairs of Leibniz
+            # against x2 x3 and brackets with the unit fill cache entries
             algebra.bracket(algebra.bracket(x3, x2), x1)
             algebra.bracket(x1, algebra.mul(x2, x3))
             algebra.bracket(algebra.one(), algebra.mul(algebra.gen("th"), x1))
@@ -173,6 +174,98 @@ class TestMemory:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestCachePolicy:
+    """The monomial-bracket cache keeps every pair of basis words and every
+    product-on-the-left pair on its first request, and a Leibniz expansion
+    (a product on the right) from its second request on."""
+
+    ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)])
+
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_a_leibniz_expansion_is_kept_from_its_second_request(self, theory):
+        algebra = FreeAlgebra(self.ALPHABET, theory)
+        x1, x2th = algebra.gen("x1"), algebra.mul(algebra.gen("x2"), algebra.gen("th"))
+        key = (*x1.terms, *x2th.terms)
+        first = algebra.bracket(x1, x2th)
+        assert key not in algebra._mono_bracket_cache
+        second = algebra.bracket(x1, x2th)
+        assert second.terms is algebra._mono_bracket_cache[key]
+        assert first == second and not first.is_zero()
+        assert algebra.bracket(x1, x2th).terms is second.terms
+
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_word_pairs_and_swapped_pairs_are_kept_on_their_first_request(self, theory):
+        algebra = FreeAlgebra(self.ALPHABET, theory)
+        x1, x2, th = (algebra.gen(n) for n in ("x1", "x2", "th"))
+        (m1,), (m2,), (m4,) = x1.terms, x2.terms, th.terms
+        algebra.bracket(x2, th)
+        assert (m2, m4) in algebra._mono_bracket_cache
+        x2th = algebra.mul(x2, th)
+        (mp,) = x2th.terms
+        swapped = algebra.bracket(x2th, x1)
+        assert (mp, m1) in algebra._mono_bracket_cache
+        # the Leibniz expansion that the swapped pair flips is seen once
+        assert (m1, mp) not in algebra._mono_bracket_cache
+        assert swapped == -algebra.bracket(x1, x2th)
+
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_a_word_element_holds_its_words_one_monomial(self, theory):
+        algebra = FreeAlgebra(self.ALPHABET, theory)
+        space = algebra.space
+        (m,) = algebra.gen("x1").terms
+        assert m is space.leaf("x1").monomial
+        word = space.join(space.leaf("th"), space.leaf("x1"))
+        (m,) = algebra.word_element(word).terms
+        assert m is word.monomial == ((word.key, 1, 1),)
+        assert algebra.word_element(space.unit_word) == algebra.one()
+
+
+class FreshOps(identities.ElementOps):
+    """Every product and bracket computed on a fresh algebra of the same
+    theory and alphabet; operands and result cross as element JSON."""
+
+    def _fresh(self, op, a, b):
+        algebra = self.algebra
+        fresh = FreeAlgebra(algebra.alphabet, algebra.theory)
+        a, b = (fresh.element_from_json(algebra.element_to_json(e)) for e in (a, b))
+        return algebra.element_from_json(fresh.element_to_json(getattr(fresh, op)(a, b)))
+
+    def mul(self, a, b):
+        return self._fresh("mul", a, b)
+
+    def bracket(self, a, b):
+        return self._fresh("bracket", a, b)
+
+    def deriv(self, a):
+        return self.bracket(a, self.algebra.one())
+
+
+class TestWarmCacheDifferential:
+    RESIDUALS = (identities.leibniz_residual, identities.deformed_leibniz_residual,
+                 identities.jacobi_residual, identities.deformed_jacobi_residual)
+
+    @pytest.mark.parametrize("theory", [GENP, JB, GP])
+    def test_residuals_on_one_warm_algebra_match_fresh_algebras(self, theory):
+        """Seeded triples: each residual, summed on one algebra whose cache
+        fills and is read as the triples go, equals the same products and
+        brackets each computed on a fresh algebra.  The warm side runs twice,
+        so the second pass reads the Leibniz expansions that it kept."""
+        rng = random.Random(f"warm-cache-{theory}")
+        warm = FreeAlgebra(TWO_ODD, theory)
+        triples = [tuple(random_homogeneous(warm, rng, max_degree=3, max_terms=2) for _ in range(3))
+                   for _ in range(8)]
+        fresh_ops = FreshOps(warm)
+        want = [residual(fresh_ops, *triple) for triple in triples for residual in self.RESIDUALS]
+        assert any(want)
+        ops = free_ops(warm)
+        for _ in range(2):
+            assert [residual(ops, *triple)
+                    for triple in triples for residual in self.RESIDUALS] == want
+        cache = warm._mono_bracket_cache
+        assert any(monomial_factor_count(m2) >= 2 for _, m2 in cache)
+        assert warm._leibniz_missed
 
 
 class TestJacobiExhaustive:

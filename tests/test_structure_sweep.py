@@ -705,7 +705,7 @@ UNGUARDED = {
 }
 
 
-class TestValidateOrbits:
+class TestValidateVsFull:
     """validate's reports equal those of the full sweep over every basis
     tuple, on tables with and without the symmetries that a sweep over
     orbits would need: Jacobi and deformed Jacobi only change sign under
