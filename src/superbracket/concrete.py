@@ -16,8 +16,8 @@ of their arguments' coordinate pairs (``_apply``).  :class:`SparseOps` is
 the one evaluator of the tables: each check, and ``evaluate``, makes one,
 which joins the rows into the nonzero values of the kernels of
 associativity, the claim axioms and the Kantor residuals (see
-:mod:`.kantor`), and memoizes products and brackets for the length of that
-check.  Every table check is a dict from basis tuple to residual sum: the
+``identities.KERNELS``), and memoizes products and brackets for the length
+of that check.  Every table check is a dict from basis tuple to residual sum: the
 pair checks sum the rows ij and ji at the pairs that have a row
 (:func:`pair_sums`), and the kernel-form checks sum every term that the
 kernel values reach into its basis tuple in one pass (:func:`kernel_sums`).
@@ -31,7 +31,6 @@ import json
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from operator import itemgetter, not_
@@ -259,7 +258,7 @@ def kernel_sums(ops, shapes):
     for rule, table, pair, kernel, g, c in shapes:
         order = pair + (g, c)  # the position of each value of pair + (g, c)
         place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
-        signs = _signs(rule, len(order))
+        signs = identities.signs(rule, len(order))
         for key, row in ops.tables[table].items():
             # the parity bits of the row's indices (one bit twice for a basis row)
             mask = par[key[0]] << pair[0] | par[key[-1]] << pair[-1]
@@ -268,15 +267,6 @@ def kernel_sums(ops, shapes):
                     add_terms(sums[place(key + gc)], value,
                               signs[mask | par[gc[0]] << g | par[gc[1]] << c] * pk)
     return sums
-
-
-@cache
-def _signs(rule, arity):
-    """The sign of a shape's sign rule (s, swaps) at each parity mask of a
-    placed tuple, bit q for the basis vector at position q."""
-    s, swaps = rule
-    return tuple(-s if sum(m >> a & m >> b & 1 for a, b in swaps) & 1 else s
-                 for m in range(1 << arity))
 
 
 def first_nonzero(sums):

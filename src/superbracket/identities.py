@@ -1,22 +1,19 @@
-"""Residual builders for the identities the package checks.
+"""The identities the package checks, each written once, and their evaluators.
 
-These are the identities that a structure algebra's validation, its
-untwisting and the Kantor checks evaluate, but for the pair checks, which
-are read from the table rows.
-Their builders, the residuals of the generic Poisson characterization and
-the unfactored Kantor residuals are test oracles in ``tests/paper_forms.py``.
-
-Each function evaluates left-minus-right of one defining identity over an
-``ops`` adapter as one flat signed sum, term for term as in its docstring,
-so the sign conventions live in exactly one place.  Associativity, the
-four claim axioms and the two Kantor residuals (the double-Jordan criteria
-and the linearized super-Jordan identity) are also written as tables of
-term shapes, signed values of the trilinear :data:`KERNELS` (some of them
-one-sided) at a table row, a D row among them, and two basis indices
+Associativity, the four claim axioms and the two Kantor residuals (the
+double-Jordan criteria and the linearized super-Jordan identity) are tables
+of term shapes: signed values of the trilinear :data:`KERNELS` (some of
+them one-sided) at a table row, a D row among them, and two basis indices
 (:data:`ASSOCIATIVITY`, :data:`LEIBNIZ`, :data:`JACOBI`, their deformed
 forms, :data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`; the comments give
-the formulas), which :func:`~superbracket.concrete.kernel_sums` sums over
-a structure algebra's tables at every basis tuple they reach.  The adapter
+the formulas).  Two evaluators read a table, and both take a term's sign
+from :func:`signs`: :func:`~superbracket.concrete.kernel_sums` sums it over
+a structure algebra's tables at every basis tuple they reach, and
+:func:`residual` evaluates it at given elements over any ``ops`` adapter,
+the free engine's :class:`ElementOps`, a :class:`Twisted` adapter or the
+structure tables' ``SparseOps``.  The unit and derivation residuals have
+one and two arguments, so no trilinear shape: :func:`unit_residual` and
+:func:`derivation_residual` write them as flat signed sums.  The adapter
 provides five methods::
 
     mul(a, b)       supercommutative associative product
@@ -37,6 +34,8 @@ derivation twist, itself an adapter over any other.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 from .core import Prod, Sum, fold, scalar
 from .elements import combine
 
@@ -54,62 +53,15 @@ def evaluate(ops, term, leaf):
     return fold(term, leaf, node)
 
 
-def _sgn(bit) -> int:
-    return -1 if (bit & 1) else 1
-
-
 def unit_residual(ops, unit, a):
     """1.a - a"""
     return ops.combine([(1, ops.mul(unit, a)), (-1, a)])
-
-
-def _leibniz_terms(ops, a, b, c):
-    s = _sgn(ops.parity(a) & ops.parity(b))
-    mul, brk = ops.mul, ops.bracket
-    return [(1, brk(a, mul(b, c))), (-1, mul(brk(a, b), c)), (-s, mul(b, brk(a, c)))]
-
-
-def leibniz_residual(ops, a, b, c):
-    """Plain Leibniz: {a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c}"""
-    return ops.combine(_leibniz_terms(ops, a, b, c))
-
-
-def deformed_leibniz_residual(ops, a, b, c):
-    """{a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c} + D(a)bc"""
-    mul = ops.mul
-    return ops.combine(_leibniz_terms(ops, a, b, c) + [(1, mul(mul(ops.deriv(a), b), c))])
 
 
 def derivation_residual(ops, a, b):
     """D(ab) - D(a)b - aD(b), for the even derivation D"""
     mul, D = ops.mul, ops.deriv
     return ops.combine([(1, D(mul(a, b))), (-1, mul(D(a), b)), (-1, mul(a, D(b)))])
-
-
-def _jacobi_terms(ops, a, b, c):
-    s = _sgn(ops.parity(a) & ops.parity(b))
-    brk = ops.bracket
-    return [(1, brk(a, brk(b, c))), (-1, brk(brk(a, b), c)), (-s, brk(b, brk(a, c)))]
-
-
-def jacobi_residual(ops, a, b, c):
-    """{a,{b,c}} - {{a,b},c} - (-1)^{|a||b|} {b,{a,c}}"""
-    return ops.combine(_jacobi_terms(ops, a, b, c))
-
-
-def deformed_jacobi_residual(ops, a, b, c):
-    """Jacobi deformed by the three derivation terms.
-
-    {a,{b,c}} - {{a,b},c} - (-1)^{|a||b|}{b,{a,c}}
-      - D(a){b,c} - (-1)^{|a|(|b|+|c|)} D(b){c,a} - (-1)^{|c|(|a|+|b|)} D(c){a,b}
-    """
-    pa, pb, pc = ops.parity(a), ops.parity(b), ops.parity(c)
-    mul, brk, D = ops.mul, ops.bracket, ops.deriv
-    return ops.combine(_jacobi_terms(ops, a, b, c) + [
-        (-1, mul(D(a), brk(b, c))),
-        (-_sgn(pa & (pb + pc)), mul(D(b), brk(c, a))),
-        (-_sgn(pc & (pa + pb)), mul(D(c), brk(a, b))),
-    ])
 
 
 # The kernels of the kernel-form residuals: trilinear maps
@@ -136,13 +88,20 @@ ASSOC, K1, K2, K3, JAC, LEFT, MB, BB = range(len(KERNELS))
 # 1-ary tables "basis", the basis vector itself, and "deriv", the row
 # D(e_a) = {e_a, 1} of an algebra with a unit.  The sign rule (s0, swaps)
 # gives s = s0, negated once for each position pair (a, b) in swaps whose
-# basis vectors are both odd.  concrete.kernel_sums adds the terms of every
-# tuple that a nonzero row and kernel value reach, each kernel linear in its
-# first argument.
+# basis vectors are both odd (signs).  concrete.kernel_sums adds the terms of
+# every tuple that a nonzero row and kernel value reach, each kernel linear in
+# its first argument; residual evaluates the terms at given elements, with p
+# their product or bracket, the derivation of one, or the element itself.
 
 # assoc(a,b,c) = (ab)c - a(bc) at the basis indices (a, b, c)
 ASSOCIATIVITY = (((1, ()), "basis", (0,), ASSOC, 1, 2),)
-# The claim axioms at (a, b, c), term for term as in their builders' docstrings:
+# The claim axioms at (a, b, c):
+#   Leibniz           {a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c}
+#   deformed Leibniz  Leibniz + D(a)bc
+#   Jacobi            {a,{b,c}} - {{a,b},c} - (-1)^{|a||b|} {b,{a,c}}
+#   deformed Jacobi   Jacobi - D(a){b,c} - (-1)^{|a|(|b|+|c|)} D(b){c,a}
+#                       - (-1)^{|c|(|a|+|b|)} D(c){a,b}
+# Term for term they are
 #   Leibniz           -K3(a,b,c) + (-1)^{|a||b|} mb(b,a,c)
 #   deformed Leibniz  Leibniz + left(D(a),b,c)
 #   Jacobi            -jac(a,b,c) + (-1)^{|a||b|} bb(b,a,c)
@@ -184,6 +143,45 @@ CRITERION_SHAPES = {
 JORDAN_SHAPES = (((1, ((1, 2),)), "mul", (0, 2), ASSOC, 1, 3),
                  ((1, ((3, 1), (3, 2))), "mul", (0, 3), ASSOC, 1, 2),
                  ((1, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))), "mul", (2, 3), ASSOC, 1, 0))
+
+
+@cache
+def signs(rule, arity):
+    """The sign of a shape's sign rule (s, swaps) at each parity mask of a
+    placed tuple, bit q for the argument at position q."""
+    s, swaps = rule
+    return tuple(-s if sum(m >> a & m >> b & 1 for a, b in swaps) & 1 else s
+                 for m in range(1 << arity))
+
+
+def residual(shapes, ops, *args):
+    """The residual of a table of term shapes at the elements ``args`` over
+    the adapter: per shape, p from its table at the args of its pair (the
+    arg itself for "basis", its ``deriv`` for "deriv", else their product
+    or bracket), then s((p o1 g) o2 c) - s(p o3 (g o4 c)) with g and c the
+    args at the shape's positions, a one-sided kernel's absent side left
+    out, all the terms summed in one ``combine``."""
+    mask = sum(ops.parity(x) << q for q, x in enumerate(args))
+    terms = []
+    for rule, table, pair, kernel, g, c in shapes:
+        s = signs(rule, len(args))[mask]
+        a = args[pair[0]]
+        p = (a if table == "basis" else ops.deriv(a) if table == "deriv"
+             else getattr(ops, table)(a, args[pair[1]]))
+        o1, o2, o3, o4 = KERNELS[kernel]
+        g, c = args[g], args[c]
+        if o1:
+            terms.append((s, getattr(ops, o2)(getattr(ops, o1)(p, g), c)))
+        if o3:
+            terms.append((-s, getattr(ops, o3)(p, getattr(ops, o4)(g, c))))
+    return ops.combine(terms)
+
+
+# the claim axioms' residuals under the names that perfbench's rules import
+leibniz_residual = partial(residual, LEIBNIZ)
+deformed_leibniz_residual = partial(residual, DEFORMED_LEIBNIZ)
+jacobi_residual = partial(residual, JACOBI)
+deformed_jacobi_residual = partial(residual, DEFORMED_JACOBI)
 
 
 class ElementOps:

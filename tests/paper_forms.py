@@ -8,9 +8,16 @@ and 7) and ``tests/test_farkas.py`` compare the engine with them:
   of a left-normed bracket whose head is a product;
 - :func:`bracket_product_form` with its two macros, the embedding of a
   customary identity into brackets of products;
+- :func:`leibniz_residual`, :func:`deformed_leibniz_residual`,
+  :func:`jacobi_residual` and :func:`deformed_jacobi_residual`, the claim
+  axioms as flat signed sums over an ``ops`` adapter (the five methods of
+  :mod:`superbracket.identities`).  The package writes each of them once,
+  as a table of kernel terms that ``identities.residual`` and
+  ``concrete.kernel_sums`` evaluate; these builders are the independent
+  oracles that the tests compare the tables with, and ``full_validate_sweep``
+  sweeps them in full;
 - :func:`jacobi_defect_residual` and :func:`jordan_gp_residual`, the residuals
-  of the generic Poisson characterization, written over the same ``ops``
-  adapters as the builders of :mod:`superbracket.identities`;
+  of the generic Poisson characterization, over the same adapters;
 - :func:`supercommutativity_residual`, :func:`associativity_residual` and
   :func:`anticommutativity_residual`, the structural identities over an
   ``ops`` adapter.  The package reads them from a structure algebra's table
@@ -31,7 +38,6 @@ from superbracket.core import AlgebraError
 from superbracket.elements import Element, combine
 from superbracket.engine import FreeAlgebra
 from superbracket.farkas import CustomaryPolynomial
-from superbracket.identities import _sgn
 
 
 # -- left-normed brackets of a product --------------------------------------------------
@@ -159,6 +165,55 @@ def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
     mul, brk = algebra.mul, algebra.bracket
     return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
                              (-1, mul(brk(t3, t1), t2))])
+
+
+def _sgn(bit) -> int:
+    return -1 if (bit & 1) else 1
+
+
+# -- the claim axioms ----------------------------------------------------------------------
+
+def _leibniz_terms(ops, a, b, c):
+    s = _sgn(ops.parity(a) & ops.parity(b))
+    mul, brk = ops.mul, ops.bracket
+    return [(1, brk(a, mul(b, c))), (-1, mul(brk(a, b), c)), (-s, mul(b, brk(a, c)))]
+
+
+def leibniz_residual(ops, a, b, c):
+    """Plain Leibniz: {a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c}"""
+    return ops.combine(_leibniz_terms(ops, a, b, c))
+
+
+def deformed_leibniz_residual(ops, a, b, c):
+    """{a,bc} - {a,b}c - (-1)^{|a||b|} b{a,c} + D(a)bc"""
+    mul = ops.mul
+    return ops.combine(_leibniz_terms(ops, a, b, c) + [(1, mul(mul(ops.deriv(a), b), c))])
+
+
+def _jacobi_terms(ops, a, b, c):
+    s = _sgn(ops.parity(a) & ops.parity(b))
+    brk = ops.bracket
+    return [(1, brk(a, brk(b, c))), (-1, brk(brk(a, b), c)), (-s, brk(b, brk(a, c)))]
+
+
+def jacobi_residual(ops, a, b, c):
+    """{a,{b,c}} - {{a,b},c} - (-1)^{|a||b|} {b,{a,c}}"""
+    return ops.combine(_jacobi_terms(ops, a, b, c))
+
+
+def deformed_jacobi_residual(ops, a, b, c):
+    """Jacobi deformed by the three derivation terms.
+
+    {a,{b,c}} - {{a,b},c} - (-1)^{|a||b|}{b,{a,c}}
+      - D(a){b,c} - (-1)^{|a|(|b|+|c|)} D(b){c,a} - (-1)^{|c|(|a|+|b|)} D(c){a,b}
+    """
+    pa, pb, pc = ops.parity(a), ops.parity(b), ops.parity(c)
+    mul, brk, D = ops.mul, ops.bracket, ops.deriv
+    return ops.combine(_jacobi_terms(ops, a, b, c) + [
+        (-1, mul(D(a), brk(b, c))),
+        (-_sgn(pa & (pb + pc)), mul(D(b), brk(c, a))),
+        (-_sgn(pc & (pa + pb)), mul(D(c), brk(a, b))),
+    ])
 
 
 # -- the structural identities -------------------------------------------------------------

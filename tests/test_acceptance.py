@@ -10,15 +10,17 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from pathlib import Path
 
 from superbracket.core import Alphabet
 from superbracket.elements import Element, monomial_factor_count
-from superbracket.engine import GENP, JB, FreeAlgebra, GpAlgebra, dim_multilinear
+from superbracket.engine import GENP, GP, JB, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket.liebasis import WordSpace
 from superbracket import identities
 from superbracket.concrete import (
+    CLAIM_RULES,
     adjoin_unit,
     euler_wronskian_algebra,
     nonlie_example_algebra,
@@ -98,35 +100,13 @@ def _triple_suite(algebra, residual_fns, rng, count):
 
 
 def test_criterion_3_defining_identity_suites(rng):
-    genp = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), GENP)
-    jb = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), JB)
-    gp = GpAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]))
-    go, jo, po = free_ops(genp), free_ops(jb), free_ops(gp)
+    alphabet = Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)])
     failures = 0
-    failures += _triple_suite(
-        genp,
-        [
-            lambda a, b, c: identities.deformed_leibniz_residual(go, a, b, c),
-            lambda a, b, c: identities.jacobi_residual(go, a, b, c),
-        ],
-        rng,
-        200,
-    )
-    failures += _triple_suite(
-        jb,
-        [
-            lambda a, b, c: identities.deformed_leibniz_residual(jo, a, b, c),
-            lambda a, b, c: identities.deformed_jacobi_residual(jo, a, b, c),
-        ],
-        rng,
-        200,
-    )
-    failures += _triple_suite(
-        gp,
-        [lambda a, b, c: identities.leibniz_residual(po, a, b, c)],
-        rng,
-        200,
-    )
+    for theory in (GENP, JB, GP):
+        algebra = GpAlgebra(alphabet) if theory == GP else FreeAlgebra(alphabet, theory)
+        ops = free_ops(algebra)
+        rules = [partial(identities.residual, shapes, ops) for _, shapes in CLAIM_RULES[theory]]
+        failures += _triple_suite(algebra, rules, rng, 200)
     report(3, failures == 0, f"600 random triples across the three theories, {failures} residual failures")
 
 
@@ -137,8 +117,8 @@ def test_criterion_4_twist_theorem(rng):
     twisted = identities.Twisted(identities.ElementOps(jb), -1)
 
     def holds(a, b, c):
-        return (identities.deformed_leibniz_residual(twisted, a, b, c).is_zero()
-                and identities.jacobi_residual(twisted, a, b, c).is_zero())
+        return (identities.residual(identities.DEFORMED_LEIBNIZ, twisted, a, b, c).is_zero()
+                and identities.residual(identities.JACOBI, twisted, a, b, c).is_zero())
 
     failures = 0
     gens = [jb.gen(n) for n in jb.alphabet.names()] + [jb.one()]

@@ -148,7 +148,7 @@ class TestBracket:
         u = jb.word_element(jb.space.get((3, 2)))
         v = jb.gen("x1")
         # the defining identity holds exactly on the pieces involved
-        res = identities.deformed_jacobi_residual(ops, jb.gen("x3"), jb.gen("x2"), v)
+        res = identities.residual(identities.DEFORMED_JACOBI, ops, jb.gen("x3"), jb.gen("x2"), v)
         assert res.is_zero()
         assert not jb.bracket(u, v).is_zero()
 
@@ -243,8 +243,8 @@ class FreshOps(identities.ElementOps):
 
 
 class TestWarmCacheDifferential:
-    RESIDUALS = (identities.leibniz_residual, identities.deformed_leibniz_residual,
-                 identities.jacobi_residual, identities.deformed_jacobi_residual)
+    SHAPES = (identities.LEIBNIZ, identities.DEFORMED_LEIBNIZ,
+              identities.JACOBI, identities.DEFORMED_JACOBI)
 
     @pytest.mark.parametrize("theory", [GENP, JB, GP])
     def test_residuals_on_one_warm_algebra_match_fresh_algebras(self, theory):
@@ -257,12 +257,13 @@ class TestWarmCacheDifferential:
         triples = [tuple(random_homogeneous(warm, rng, max_degree=3, max_terms=2) for _ in range(3))
                    for _ in range(8)]
         fresh_ops = FreshOps(warm)
-        want = [residual(fresh_ops, *triple) for triple in triples for residual in self.RESIDUALS]
+        residual = identities.residual
+        want = [residual(shapes, fresh_ops, *triple) for triple in triples for shapes in self.SHAPES]
         assert any(want)
         ops = free_ops(warm)
         for _ in range(2):
-            assert [residual(ops, *triple)
-                    for triple in triples for residual in self.RESIDUALS] == want
+            assert [residual(shapes, ops, *triple)
+                    for triple in triples for shapes in self.SHAPES] == want
         cache = warm._mono_bracket_cache
         assert any(monomial_factor_count(m2) >= 2 for _, m2 in cache)
         assert warm._leibniz_missed
@@ -279,7 +280,7 @@ class TestJacobiExhaustive:
                 elems.extend(genp.word_element(w) for w in genp.space.basis_words(degs))
         assert len(elems) > 10
         for a, b, c in product(elems, repeat=3):
-            assert identities.jacobi_residual(ops, a, b, c).is_zero()
+            assert identities.residual(identities.JACOBI, ops, a, b, c).is_zero()
 
     def test_jb_identities_on_basis_words(self, rng):
         """Both Jordan-bracket axioms on random triples of basis words up to
@@ -292,8 +293,8 @@ class TestJacobiExhaustive:
                 elems.extend(jb.word_element(w) for w in jb.space.basis_words(degs))
         for _ in range(120):
             a, b, c = (rng.choice(elems) for _ in range(3))
-            assert identities.deformed_leibniz_residual(ops, a, b, c).is_zero()
-            assert identities.deformed_jacobi_residual(ops, a, b, c).is_zero()
+            assert identities.residual(identities.DEFORMED_LEIBNIZ, ops, a, b, c).is_zero()
+            assert identities.residual(identities.DEFORMED_JACOBI, ops, a, b, c).is_zero()
 
 
 class TestDeriv:
@@ -333,8 +334,8 @@ class TestNormalForm:
         for m in e.terms:
             assert monomial_factor_count(m) == 1  # no product monomials
         ops = free_ops(genp)
-        res = identities.jacobi_residual(ops, genp.gen("x1"), genp.gen("x2"), genp.gen("x3"))
-        assert res.is_zero()
+        a, b, c = (genp.gen(n) for n in ("x1", "x2", "x3"))
+        assert identities.residual(identities.JACOBI, ops, a, b, c).is_zero()
 
     def test_product_with_square(self, genp):
         t = Prod(Prod(Gen("x1"), Gen("x1")), Gen("th"))
@@ -378,13 +379,13 @@ class TestSubstitute:
         ops = free_ops(genp)
         gens = [genp.gen(n) for n in genp.alphabet.names()]
         for a, b, c in product(gens[:2], gens[1:3], gens[2:]):
-            assert identities.deformed_leibniz_residual(ops, a, b, c).is_zero()
+            assert identities.residual(identities.DEFORMED_LEIBNIZ, ops, a, b, c).is_zero()
 
     def test_deformed_jacobi_zero_under_jb_nonzero_under_genp(self, genp, jb):
         for algebra, expect_zero in ((jb, True), (genp, False)):
             ops = free_ops(algebra)
             a, b, c = (algebra.gen(n) for n in ("x1", "x2", "x3"))
-            res = identities.deformed_jacobi_residual(ops, a, b, c)
+            res = identities.residual(identities.DEFORMED_JACOBI, ops, a, b, c)
             assert res.is_zero() == expect_zero
 
     def test_var_binding(self, genp):
@@ -435,8 +436,8 @@ class TestTwist:
         twist = identities.Twisted(identities.ElementOps(jb), -1)
         gens = [jb.gen(n) for n in jb.alphabet.names()] + [jb.one()]
         for a, b, c in product(gens, repeat=3):
-            assert identities.deformed_leibniz_residual(twist, a, b, c).is_zero()
-            assert identities.jacobi_residual(twist, a, b, c).is_zero()
+            assert identities.residual(identities.DEFORMED_LEIBNIZ, twist, a, b, c).is_zero()
+            assert identities.residual(identities.JACOBI, twist, a, b, c).is_zero()
 
     def test_untwist_round_trip(self, jb):
         untwist = identities.Twisted(identities.Twisted(identities.ElementOps(jb), -1),

@@ -98,7 +98,7 @@ class TestIdentities:
                     pool.append(e)
         for _ in range(40):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            assert identities.leibniz_residual(ops, a, b, c).is_zero()
+            assert identities.residual(identities.LEIBNIZ, ops, a, b, c).is_zero()
             assert anticommutativity_residual(ops, a, b).is_zero()
             assert supercommutativity_residual(ops, a, b).is_zero()
 

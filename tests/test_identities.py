@@ -1,4 +1,4 @@
-"""The residual builders against their docstring formulas, sign for sign.
+"""The residual builders and shape tables against their formulas, sign for sign.
 
 Each builder is compared, for every even/odd pattern of its arguments, with
 its docstring formula parsed from ``?var`` text and evaluated by the
@@ -14,8 +14,9 @@ over an adapter (the oracles of ``tests/paper_forms.py``), and in the
 package's forms, tables of kernel terms that
 :func:`~superbracket.concrete.kernel_sums` sums over the structure tables
 at every basis 4-tuple in one pass.  The four claim axioms that
-``validate`` checks are compared in the same two ways: their builders and
-their tables of kernel terms, summed at every basis triple.
+``validate`` checks are compared in the same two ways: their builders (the
+oracles of ``tests/paper_forms.py``) and the package's tables of kernel
+terms, summed at every basis triple.
 
 The checks run where the identities fail, so that no term is zero and a
 wrong sign on any term, or on a pair of terms, changes the residual: a
@@ -38,7 +39,8 @@ from superbracket import identities
 from superbracket.cli import parse
 from superbracket.concrete import SparseOps, StructureAlgebra, kernel_sums, to_dense, vbasis
 from superbracket.core import Alphabet, Sum
-from superbracket.engine import GENP, GP, FreeAlgebra
+from superbracket.engine import GENP, GP, JB, FreeAlgebra
+from helpers import random_homogeneous
 import paper_forms
 
 FORMULAS = {
@@ -116,8 +118,8 @@ def criterion_formula(which, alphabet, pattern):
 
 
 def builder(name):
-    """The builder over an ``ops`` adapter: the test oracle's for the generic
-    Poisson forms and the unfactored Kantor residuals, else the package's."""
+    """The builder over an ``ops`` adapter: the test oracle's, else the
+    package's (the unit residual)."""
     return getattr(paper_forms, f"{name}_residual", None) or getattr(identities, f"{name}_residual")
 
 
@@ -261,6 +263,62 @@ def test_first_criterion_matches_its_formula_in_gp():
         want = alg.substitute(criterion_formula(1, alg.alphabet, pattern), bindings)
         got = paper_forms.double_criterion_residual(ops, 1, *args)
         assert got == want and not want.is_zero(), pattern
+
+
+# -- the shape tables under identities.residual against the oracle builders ---------------------
+
+CLAIM_TABLES = {
+    "leibniz": identities.LEIBNIZ,
+    "deformed_leibniz": identities.DEFORMED_LEIBNIZ,
+    "jacobi": identities.JACOBI,
+    "deformed_jacobi": identities.DEFORMED_JACOBI,
+}
+
+
+def claim_differential(theory, tables, count=60):
+    """(cases, nonzero, mismatches) of each claim table (name -> shapes)
+    under :func:`identities.residual` against the oracle builder of that
+    name, on ``count`` seeded triples over (x1, x2, x3, th:odd) in the
+    theory, so the tables of the other theories give nonzero residuals."""
+    alg = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), theory)
+    ops, rng = identities.ElementOps(alg), random.Random(f"shape-differential-{theory}")
+    cases = nonzero = mismatches = 0
+    for _ in range(count):
+        triple = [random_homogeneous(alg, rng, max_degree=3, max_terms=2) for _ in range(3)]
+        for name, shapes in tables.items():
+            want = getattr(paper_forms, f"{name}_residual")(ops, *triple)
+            cases, nonzero = cases + 1, nonzero + (not want.is_zero())
+            mismatches += identities.residual(shapes, ops, *triple) != want
+    return cases, nonzero, mismatches
+
+
+def test_claim_tables_match_their_oracles_in_every_theory():
+    counts = [claim_differential(theory, CLAIM_TABLES) for theory in (GENP, JB, GP)]
+    cases, nonzero, mismatches = map(sum, zip(*counts))
+    assert (cases, mismatches) == (720, 0)
+    # each theory's own axioms vanish there, the others' do not
+    assert 200 < nonzero < cases
+
+
+def test_a_flipped_sign_in_a_claim_table_fails_the_differential():
+    (s, swaps), *rest = identities.DEFORMED_JACOBI[-1]
+    mutant = identities.DEFORMED_JACOBI[:-1] + (((-s, swaps), *rest),)
+    assert claim_differential(GENP, {"deformed_jacobi": mutant}, count=20)[2] > 0
+
+
+@pytest.mark.parametrize("theory", [GENP, JB, GP])
+def test_criterion_tables_match_their_oracle_on_free_generators(theory):
+    order = argument_names(paper_forms.double_criterion_residual)
+    alg = free_algebra(theory, 4)
+    ops, nonzero = identities.ElementOps(alg), 0
+    for pattern in product((0, 1), repeat=4):
+        args, _ = free_case(alg, order, pattern)
+        for which in (1, 2, 3):
+            got = identities.residual(identities.CRITERION_SHAPES[which], ops, *args)
+            assert got == paper_forms.double_criterion_residual(ops, which, *args), (which, pattern)
+            nonzero += not got.is_zero()
+    # free jb passes every criterion; genp and gp fail 16 of the 48 cases
+    assert nonzero == (0 if theory == JB else 16)
 
 
 def test_koszul_sign_reads_the_docstring_factors():

@@ -9,10 +9,11 @@ sum their residual in one pass over the tuples that nonzero rows reach,
 and the pair checks sum two rows at the pairs that have a row; none relies on a
 symmetry of its residual.  Their reports must equal those of test-side
 loops over every tuple of the unfactored residuals (the builders of
-``identities`` and ``paper_forms``), over the sparse and the dense
-adapter, also on tables that lack the symmetries an orbit sweep would
+``paper_forms`` and ``identities.unit_residual``), over the sparse and the
+dense adapter, also on tables that lack the symmetries an orbit sweep would
 need; the tests compare the tuples that the checks sum with those a
-brute-force search reaches.
+brute-force search reaches, and the sums with ``identities.residual`` of
+the same tables at every tuple.
 The property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
@@ -51,15 +52,16 @@ from superbracket.concrete import (
     zero_product_algebra,
 )
 from superbracket.core import AlgebraError, Bracket, Prod, Sum, Var
-from superbracket.identities import (ASSOCIATIVITY, CRITERION_SHAPES, JORDAN_SHAPES, KERNELS,
-                                     deformed_jacobi_residual, deformed_leibniz_residual,
-                                     jacobi_residual, leibniz_residual, unit_residual)
+from superbracket.identities import (ASSOCIATIVITY, CRITERION_SHAPES, DEFORMED_JACOBI,
+                                     DEFORMED_LEIBNIZ, JACOBI, JORDAN_SHAPES, KERNELS, LEIBNIZ,
+                                     residual, unit_residual)
 from superbracket.kantor import (CRITERIA, criteria_check, double_is_jordan, double_of,
                                  super_jordan_check)
 from dense_oracle import DenseOps, dense_run
 from paper_forms import (anticommutativity_residual, associativity_residual,
-                         double_criterion_residual, linear_jordan_residual,
-                         supercommutativity_residual)
+                         deformed_jacobi_residual, deformed_leibniz_residual,
+                         double_criterion_residual, jacobi_residual, leibniz_residual,
+                         linear_jordan_residual, supercommutativity_residual)
 
 COEFFS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -539,6 +541,57 @@ class TestOutputSensitivity:
         assert report.ok is jordan
         assert report.to_json() == full_jordan_sweep(dbl).to_json()
         assert keys == [set(reached_tuples(dbl, JORDAN_SHAPES))]
+
+
+# -- the bulk sums against the residual at each basis tuple -----------------------------------
+
+# every shape table that kernel_sums sums over an algebra's own tables
+TABLES = {"associativity": ASSOCIATIVITY, "leibniz": LEIBNIZ, "deformed-leibniz": DEFORMED_LEIBNIZ,
+          "jacobi": JACOBI, "deformed-jacobi": DEFORMED_JACOBI,
+          **{f"jorskob{which}": CRITERION_SHAPES[which] for which in CRITERIA}}
+
+
+def assert_bulk_equals_tuples(alg, shapes):
+    """kernel_sums over the algebra's tables equals identities.residual of
+    the same shapes at every basis tuple's vectors, and is zero at every
+    tuple that is not a key.  A deformed table reads the rows D(e_a) as
+    ``validate`` adds them.  Returns the number of nonzero residuals."""
+    ops = SparseOps(alg)
+    if ops.unit is not None:
+        ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis) if (row := ops.deriv(e))}
+    sums, nonzero = concrete.kernel_sums(ops, shapes), 0
+    for idx in product(range(alg.dim), repeat=len(shapes[0][2]) + 2):
+        want = residual(shapes, ops, *(ops.basis[i] for i in idx))
+        assert tuple(sorted(sums.get(idx, {}).items())) == want, idx
+        nonzero += bool(want)
+    return nonzero
+
+
+def assert_every_table(alg):
+    """:func:`assert_bulk_equals_tuples` for every table of the algebra (the
+    deformed ones with a unit only) and for JORDAN_SHAPES on its double."""
+    nonzero = sum(assert_bulk_equals_tuples(alg, shapes) for name, shapes in TABLES.items()
+                  if alg.unit is not None or "deformed" not in name)
+    return nonzero + assert_bulk_equals_tuples(double_of(alg), JORDAN_SHAPES)
+
+
+class TestBulkSumsVsTuples:
+    """The two evaluators of a shape table agree: the one-pass sums of the
+    checks and the residual of the same table at each tuple's basis
+    vectors, on tables with and without the symmetries and the parity
+    grading."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: wronskian_algebra(4),
+        lambda: euler_wronskian_algebra(4),
+        lambda: concrete.untwisted_algebra(euler_wronskian_algebra(3)),
+        lambda: concrete.adjoin_unit(concrete.nonlie_example_algebra()),
+    ], ids=["wronskian4", "euler-wronskian4", "untwisted-euler3", "unital-nonlie-gp"])
+    def test_builtins(self, make):
+        assert assert_every_table(make()) > 0
+
+    def test_seeded_random_tables(self):
+        assert sum(map(assert_every_table, TestSeededDifferential.CORPUS[:300])) > 0
 
 
 # -- the linearized super-Jordan identity against its full sweep ---------------------------

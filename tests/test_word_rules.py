@@ -122,9 +122,9 @@ def test_half_twist_of_genp_satisfies_the_jb_identities():
     ops = identities.Twisted(identities.ElementOps(genp), Fraction(1, 2))
     gens = [genp.gen(n) for n in genp.alphabet.names()] + [genp.one()]
     for a, b, c in product(gens, repeat=3):
-        assert identities.deformed_leibniz_residual(ops, a, b, c).is_zero()
-        assert identities.deformed_jacobi_residual(ops, a, b, c).is_zero()
+        assert identities.residual(identities.DEFORMED_LEIBNIZ, ops, a, b, c).is_zero()
+        assert identities.residual(identities.DEFORMED_JACOBI, ops, a, b, c).is_zero()
     # while the untwisted genp bracket is not a Jordan bracket
     plain = identities.ElementOps(genp)
-    assert any(not identities.deformed_jacobi_residual(plain, a, b, c).is_zero()
+    assert any(not identities.residual(identities.DEFORMED_JACOBI, plain, a, b, c).is_zero()
                for a, b, c in product(gens, repeat=3))
