@@ -461,8 +461,6 @@ def _cmd_farkas(args) -> int:
     from . import farkas
 
     algebra = _engine(args)
-    if algebra.theory != GENP:
-        raise AlgebraError("the reduction runs in the genp theory")
     term = parse(algebra.alphabet, args.expr)
     letters = [p.strip() for p in args.letters.split(",") if p.strip()]
     poly = farkas.PoissonPolynomial(algebra, algebra.normal_form(term), letters)

@@ -148,7 +148,7 @@ class SparseOps:
         return self.bracket(a, self.unit)
 
     def parity(self, a):
-        if len(a) == 1:  # every sweep argument is a basis vector
+        if len(a) == 1:  # one term, as each basis vector has: no set to build
             return self.parities[a[0][0]]
         seen = {self.parities[i] for i, _ in a}
         if len(seen) > 1:
@@ -338,12 +338,6 @@ class StructureAlgebra:
     def bracket(self, a, b):
         d = self.dim
         return to_dense(_apply(self.bracket_table, to_sparse(a, d), to_sparse(b, d)), d)
-
-    def deriv(self, a):
-        """Bracket with the unit; only defined on unital algebras."""
-        if self.unit is None:
-            raise AlgebraError("derivation needs a unit (none declared)")
-        return self.bracket(a, self.unit)
 
     # -- validation -----------------------------------------------------------
 

@@ -87,19 +87,20 @@ class Element:
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        return combine(self.algebra, ((1, self), (1, other)))
+        algebra = self.algebra
+        algebra._claim(self, other)
+        return algebra.combine(((1, self), (1, other)))
 
     def __sub__(self, other):
-        self._check(other)
-        return combine(self.algebra, ((1, self), (-1, other)))
+        algebra = self.algebra
+        algebra._claim(self, other)
+        return algebra.combine(((1, self), (-1, other)))
 
     def __neg__(self):
         return Element(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check(other)
             return self.algebra.mul(self, other)
         return self.scale(other)
 
@@ -146,10 +147,6 @@ class Element:
         """Canonically ordered (monomial, coefficient) pairs."""
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
 
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise AlgebraError("elements belong to different algebras/theories")
-
     def __repr__(self):
         return f"Element({self.algebra.theory}, {len(self.terms)} terms)"
 
@@ -157,10 +154,3 @@ class Element:
 def _monomial_sort_key(m):
     return (monomial_factor_count(m), tuple((k, e) for k, _, e in m))
 
-
-def combine(algebra, pieces) -> Element:
-    """Sum of (coefficient, Element) pairs."""
-    out = {}
-    for coeff, el in pieces:
-        add_terms(out, el.terms.items(), coeff if type(coeff) is int else scalar(coeff))
-    return Element(algebra, out)

@@ -64,7 +64,7 @@ from .elements import (
     monomial_factor_count,
     monomial_parity,
 )
-from .identities import ElementOps, evaluate
+from .identities import evaluate
 from .liebasis import WordSpace
 from .speedups import merge_factors
 
@@ -192,6 +192,16 @@ class FreeAlgebra:
     def deriv(self, a: Element) -> Element:
         """The distinguished even derivation: bracketing with the unit."""
         return self.bracket(a, self.one())
+
+    def parity(self, a: Element) -> int:
+        return a.parity()
+
+    def combine(self, pairs) -> Element:
+        """The sum of the (coefficient, element) pairs."""
+        out = {}
+        for coeff, el in pairs:
+            add_terms(out, el.terms.items(), coeff if type(coeff) is int else scalar(coeff))
+        return Element(self, out)
 
     # -- monomial-level bracket ---------------------------------------------
 
@@ -369,7 +379,7 @@ class FreeAlgebra:
                 raise AlgebraError(f"unbound variable ?{g.name}")
             return bindings[g.name]
 
-        return evaluate(ElementOps(self), t, leaf)
+        return evaluate(self, t, leaf)
 
     def element_to_term(self, e: Element):
         """Rebuild a raw term tree that normalizes back to the element."""

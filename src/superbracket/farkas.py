@@ -14,9 +14,9 @@ was an identity of; the test suite exercises this on concrete witnesses.
 from __future__ import annotations
 
 from .core import AlgebraError, Alphabet, Gen, Var, map_leaves, scalar, scalar_str
-from .elements import Element, add_terms, combine
+from .elements import Element, add_terms
 from .engine import GENP, FreeAlgebra
-from .identities import ElementOps, Twisted
+from .identities import Twisted
 
 # stage 1 guard: the height multiset strictly decreases, so this is never
 # reached by a correct reduction
@@ -37,6 +37,8 @@ class PoissonPolynomial:
 
     def __init__(self, algebra: FreeAlgebra, element: Element, letters):
         letters = tuple(letters)
+        if algebra.theory != GENP:
+            raise AlgebraError("the reduction runs in the genp theory")
         if any(p for p in algebra.alphabet.parities):
             raise AlgebraError("identity reduction is defined for even generators only")
         for i, name in enumerate(letters):
@@ -59,7 +61,7 @@ def angle_bracket(algebra: FreeAlgebra, a: Element, b: Element) -> Element:
     """{a,b} - (D(a)b - aD(b)); anticommutative, a derivation in each slot."""
     if algebra.theory != GENP:
         raise AlgebraError("angle bracket lives in the generalized Poisson theory")
-    return Twisted(ElementOps(algebra), 1).bracket(a, b)
+    return Twisted(algebra, 1).bracket(a, b)
 
 
 # -- derivation defect ----------------------------------------------------------
@@ -84,7 +86,7 @@ def derivation_defect(poly: PoissonPolynomial, x: str) -> PoissonPolynomial:
     f_yz = ext.substitute(term, {x: ext.mul(ye, ze)})
     f_z = ext.substitute(term, {x: ze})
     f_y = ext.substitute(term, {x: ye})
-    res = combine(ext, [(1, f_yz), (-1, ext.mul(ye, f_z)), (-1, ext.mul(ze, f_y))])
+    res = ext.combine([(1, f_yz), (-1, ext.mul(ye, f_z)), (-1, ext.mul(ze, f_y))])
     letters = tuple(n for n in poly.letters if n != x) + (y, z)
     return PoissonPolynomial(ext, res, letters)
 
@@ -257,7 +259,7 @@ def customary_to_element(c: CustomaryPolynomial, algebra: FreeAlgebra) -> Elemen
         for s in singles:
             term = algebra.mul(term, algebra.deriv(gens[s - 1]))
         pieces.append((coeff, term))
-    return combine(algebra, pieces)
+    return algebra.combine(pieces)
 
 
 # -- the reduction pipeline -----------------------------------------------------------
@@ -330,8 +332,8 @@ def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
         for x in list(g.letters):
             T, T0, Ti = letter_decompose(g, x)
             alg = g.algebra
-            fstar = combine(alg, [(-1, T)] + [(1, alg.mul(alg.deriv(alg.gen(name)), cof))
-                                              for name, cof in Ti.items()])
+            fstar = alg.combine([(-1, T)] + [(1, alg.mul(alg.deriv(alg.gen(name)), cof))
+                                             for name, cof in Ti.items()])
             if fstar.is_zero():
                 continue
             g = PoissonPolynomial(alg, fstar, tuple(n for n in g.letters if n != x))

@@ -9,12 +9,12 @@ forms, :data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`; the comments give
 the formulas).  Two evaluators read a table, and both take a term's sign
 from :func:`signs`: :func:`~superbracket.concrete.kernel_sums` sums it over
 a structure algebra's tables at every basis tuple they reach, and
-:func:`residual` evaluates it at given elements over any ``ops`` adapter,
-the free engine's :class:`ElementOps`, a :class:`Twisted` adapter or the
-structure tables' ``SparseOps``.  The unit and derivation residuals have
-one and two arguments, so no trilinear shape: :func:`unit_residual` and
-:func:`derivation_residual` write them as flat signed sums.  The adapter
-provides five methods::
+:func:`residual` evaluates it at given elements over any ``ops`` adapter:
+a :class:`~superbracket.engine.FreeAlgebra` itself, a :class:`Twisted`
+adapter or the structure tables' ``SparseOps``.  The unit and derivation
+residuals have one and two arguments, so no trilinear shape:
+:func:`unit_residual` and :func:`derivation_residual` write them as flat
+signed sums.  The adapter provides five methods::
 
     mul(a, b)       supercommutative associative product
     bracket(a, b)   super-anticommutative bracket (where required)
@@ -37,7 +37,6 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .core import Prod, Sum, fold, scalar
-from .elements import combine
 
 
 def evaluate(ops, term, leaf):
@@ -184,26 +183,9 @@ jacobi_residual = partial(residual, JACOBI)
 deformed_jacobi_residual = partial(residual, DEFORMED_JACOBI)
 
 
-class ElementOps:
-    """Adapter over a free algebra's elements."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def mul(self, a, b):
-        return self.algebra.mul(a, b)
-
-    def bracket(self, a, b):
-        return self.algebra.bracket(a, b)
-
-    def deriv(self, a):
-        return self.algebra.deriv(a)
-
-    def parity(self, a):
-        return a.parity()
-
-    def combine(self, pairs):
-        return combine(self.algebra, pairs)
+# a free algebra is its own adapter, under the name perfbench's free-identities workload calls
+def ElementOps(algebra):
+    return algebra
 
 
 class Twisted:

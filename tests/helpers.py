@@ -366,14 +366,6 @@ def multilinear_lie_dimension(n, parities=None):
     return rank_mod_p(rows, len(columns), PRIME)
 
 
-# -- identity residual shortcuts over a free algebra ----------------------------------
-
-def free_ops(algebra):
-    from superbracket.identities import ElementOps
-
-    return ElementOps(algebra)
-
-
 def standard_algebra(theory, names=("x1", "x2", "x3"), odd=("th",), max_degree=None):
     gens = [(n, 0) for n in names] + [(n, 1) for n in odd]
     return FreeAlgebra(Alphabet(gens), theory, max_degree=max_degree)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from superbracket.core import AlgebraError
-from superbracket.elements import Element, combine
+from superbracket.elements import Element
 from superbracket.engine import FreeAlgebra
 from superbracket.farkas import CustomaryPolynomial
 
@@ -84,7 +84,7 @@ def leftnormed_product_expansion(algebra: FreeAlgebra, y: Element, z: Element, w
                     term = algebra.mul(term, left_normed(algebra, [one] + [ws[i] for i in block]))
                 coeff = factorial(len(blocks))
                 pieces.append((-coeff if len(blocks) % 2 else coeff, term))
-    return combine(algebra, pieces)
+    return algebra.combine(pieces)
 
 
 def _subsets(indices):
@@ -143,7 +143,7 @@ def bracket_product_form(c: CustomaryPolynomial, algebra: FreeAlgebra, z_names) 
         for z in zs[used:]:
             term = algebra.mul(term, z)
         pieces.append((coeff, term))
-    return combine(algebra, pieces)
+    return algebra.combine(pieces)
 
 
 def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
@@ -157,14 +157,14 @@ def _pair_macro(algebra: FreeAlgebra, u1, u2, w1, w2) -> Element:
     pieces = [(1, mul(brk(u1, u2), w12)), (1, mul(brk(u1, w12), u2)), (1, mul(u1, brk(w12, u2)))]
     for wa, wb in ((w1, w2), (w2, w1)):
         pieces += [(-1, mul(mul(brk(u1, wa), u2), wb)), (1, mul(mul(brk(u2, wa), u1), wb))]
-    return combine(algebra, pieces)
+    return algebra.combine(pieces)
 
 
 def _deriv_macro(algebra: FreeAlgebra, t1, t2, t3) -> Element:
     """t2 t3 D(t1) = {t2 t3, t1} - {t2,t1} t3 - {t3,t1} t2."""
     mul, brk = algebra.mul, algebra.bracket
-    return combine(algebra, [(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
-                             (-1, mul(brk(t3, t1), t2))])
+    return algebra.combine([(1, brk(mul(t2, t3), t1)), (-1, mul(brk(t2, t1), t3)),
+                            (-1, mul(brk(t3, t1), t2))])
 
 
 def _sgn(bit) -> int:

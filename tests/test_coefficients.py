@@ -154,7 +154,7 @@ class TestFreeEngine:
             assert_invariant(back)
 
     def test_twist_and_untwist(self, jb, rng):
-        twist = identities.Twisted(identities.ElementOps(jb), -1)
+        twist = identities.Twisted(jb, -1)
         untwist = identities.Twisted(twist, Fraction(1, 2))
         for _ in range(10):
             a = random_homogeneous(jb, rng, max_degree=2, max_terms=2)
@@ -219,7 +219,7 @@ class TestNoZeroStored:
     def test_twists_with_a_zero_derivation(self, genp):
         """Twisted(ops, 1) scales the derivation by 1 - 1 = 0."""
         x = genp.gen("x1")
-        assert identities.Twisted(identities.ElementOps(genp), 1).deriv(x).terms == {}
+        assert identities.Twisted(genp, 1).deriv(x).terms == {}
         ops = concrete.SparseOps(concrete.euler_wronskian_algebra(3))
         twisted = identities.Twisted(ops, 1)
         assert [twisted.deriv(v) for v in ops.basis] == [(), (), ()]

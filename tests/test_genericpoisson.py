@@ -7,7 +7,7 @@ from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod
 from superbracket.elements import monomial_factor_count, monomial_parity
 from superbracket.engine import GP, DegreeGuardError, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket import identities
-from helpers import free_ops, max_word_degree, multidegree, random_term, term_parity
+from helpers import max_word_degree, multidegree, random_term, term_parity
 from paper_forms import (anticommutativity_residual, double_criterion_residual,
                          jacobi_defect_residual, jordan_gp_residual, supercommutativity_residual)
 
@@ -87,7 +87,6 @@ class TestNormalForm:
 
 class TestIdentities:
     def test_leibniz_and_anticommutativity_random(self, gp, rng):
-        ops = free_ops(gp)
         gens = [gp.gen(n) for n in gp.alphabet.names()]
         pool = list(gens)
         for _ in range(30):
@@ -98,14 +97,14 @@ class TestIdentities:
                     pool.append(e)
         for _ in range(40):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            assert identities.residual(identities.LEIBNIZ, ops, a, b, c).is_zero()
-            assert anticommutativity_residual(ops, a, b).is_zero()
-            assert supercommutativity_residual(ops, a, b).is_zero()
+            assert identities.residual(identities.LEIBNIZ, gp, a, b, c).is_zero()
+            assert anticommutativity_residual(gp, a, b).is_zero()
+            assert supercommutativity_residual(gp, a, b).is_zero()
 
 
 class TestJacobiDefect:
     def test_nonzero_on_even_generators(self, gp):
-        d = jacobi_defect_residual(free_ops(gp), *normal_forms(gp, "x1", "x2", "x3"))
+        d = jacobi_defect_residual(gp, *normal_forms(gp, "x1", "x2", "x3"))
         assert not d.is_zero()
         assert len(d.terms) == 3
         for m in d.terms:
@@ -133,28 +132,27 @@ class TestJacobiDefect:
 
     def test_repeated_even_argument_vanishes(self, gp):
         x1, x1_again, x3 = normal_forms(gp, "x1", "x1", "x3")
-        assert jacobi_defect_residual(free_ops(gp), x1, x1_again, x3).is_zero()
+        assert jacobi_defect_residual(gp, x1, x1_again, x3).is_zero()
 
 
 class TestCriteria:
     def test_criteria_two_and_three_vanish_all_parities(self):
         for bits, algebra in parity_alphabets():
             f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
-            ops = free_ops(algebra)
-            assert double_criterion_residual(ops, 2, f, h, g, w).is_zero(), bits
-            assert double_criterion_residual(ops, 3, f, h, g, w).is_zero(), bits
+            assert double_criterion_residual(algebra, 2, f, h, g, w).is_zero(), bits
+            assert double_criterion_residual(algebra, 3, f, h, g, w).is_zero(), bits
 
     def test_criterion_one_survives(self):
         algebra = GpAlgebra(Alphabet([("f", 0), ("h", 0), ("g", 0), ("w", 0)]))
         f, h, g, w = (algebra.gen(n) for n in ("f", "h", "g", "w"))
-        assert not double_criterion_residual(free_ops(algebra), 1, f, h, g, w).is_zero()
+        assert not double_criterion_residual(algebra, 1, f, h, g, w).is_zero()
 
     def test_bad_criterion_index(self, gp):
         with pytest.raises(ValueError):
-            double_criterion_residual(free_ops(gp), 4, *normal_forms(gp, "x1", "x2", "x3", "th"))
+            double_criterion_residual(gp, 4, *normal_forms(gp, "x1", "x2", "x3", "th"))
 
     def test_jordan_criterion_product_builds(self, gp):
-        e = jordan_gp_residual(free_ops(gp), *normal_forms(gp, "x1", "x2", "x3", "th"))
+        e = jordan_gp_residual(gp, *normal_forms(gp, "x1", "x2", "x3", "th"))
         assert not e.is_zero()
 
 

@@ -245,23 +245,21 @@ def free_case(alg, order, pattern):
 def test_builder_matches_formula_in_the_free_engine(theory, name):
     order = argument_names(builder(name))
     alg = free_algebra(theory, len(order))
-    ops = identities.ElementOps(alg)
     for pattern in product((0, 1), repeat=len(order)):
         args, bindings = free_case(alg, order, pattern)
         want = alg.substitute(koszul_formula(FORMULAS[name], alg.alphabet, order,
                                              dict(zip(order, pattern))), bindings)
-        assert builder(name)(ops, *args) == want and not want.is_zero(), pattern
+        assert builder(name)(alg, *args) == want and not want.is_zero(), pattern
 
 
 def test_first_criterion_matches_its_formula_in_gp():
     # criteria 2 and 3 vanish on the generators of free gp: the random table checks them
     order = argument_names(paper_forms.double_criterion_residual)
     alg = free_algebra(GP, 4)
-    ops = identities.ElementOps(alg)
     for pattern in product((0, 1), repeat=4):
         args, bindings = free_case(alg, order, pattern)
         want = alg.substitute(criterion_formula(1, alg.alphabet, pattern), bindings)
-        got = paper_forms.double_criterion_residual(ops, 1, *args)
+        got = paper_forms.double_criterion_residual(alg, 1, *args)
         assert got == want and not want.is_zero(), pattern
 
 
@@ -281,14 +279,14 @@ def claim_differential(theory, tables, count=60):
     name, on ``count`` seeded triples over (x1, x2, x3, th:odd) in the
     theory, so the tables of the other theories give nonzero residuals."""
     alg = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), theory)
-    ops, rng = identities.ElementOps(alg), random.Random(f"shape-differential-{theory}")
+    rng = random.Random(f"shape-differential-{theory}")
     cases = nonzero = mismatches = 0
     for _ in range(count):
         triple = [random_homogeneous(alg, rng, max_degree=3, max_terms=2) for _ in range(3)]
         for name, shapes in tables.items():
-            want = getattr(paper_forms, f"{name}_residual")(ops, *triple)
+            want = getattr(paper_forms, f"{name}_residual")(alg, *triple)
             cases, nonzero = cases + 1, nonzero + (not want.is_zero())
-            mismatches += identities.residual(shapes, ops, *triple) != want
+            mismatches += identities.residual(shapes, alg, *triple) != want
     return cases, nonzero, mismatches
 
 
@@ -310,12 +308,12 @@ def test_a_flipped_sign_in_a_claim_table_fails_the_differential():
 def test_criterion_tables_match_their_oracle_on_free_generators(theory):
     order = argument_names(paper_forms.double_criterion_residual)
     alg = free_algebra(theory, 4)
-    ops, nonzero = identities.ElementOps(alg), 0
+    nonzero = 0
     for pattern in product((0, 1), repeat=4):
         args, _ = free_case(alg, order, pattern)
         for which in (1, 2, 3):
-            got = identities.residual(identities.CRITERION_SHAPES[which], ops, *args)
-            assert got == paper_forms.double_criterion_residual(ops, which, *args), (which, pattern)
+            got = identities.residual(identities.CRITERION_SHAPES[which], alg, *args)
+            assert got == paper_forms.double_criterion_residual(alg, which, *args), (which, pattern)
             nonzero += not got.is_zero()
     # free jb passes every criterion; genp and gp fail 16 of the 48 cases
     assert nonzero == (0 if theory == JB else 16)

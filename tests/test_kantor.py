@@ -21,7 +21,6 @@ from superbracket.concrete import (
     wronskian_algebra,
     zero_bracket_poisson,
 )
-from superbracket.identities import ElementOps
 from superbracket.kantor import (
     CRITERIA,
     criteria_check,
@@ -38,14 +37,13 @@ def free_criteria_check(algebra: FreeAlgebra) -> Report:
     """The three bracket criteria at every 4-tuple of the generators and the
     unit of a free engine, each residual's terms summed by tuple, reported
     as :func:`criteria_check` reports them."""
-    ops = ElementOps(algebra)
     elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
     sweep = SimpleNamespace(
-        basis=elements, parity=ops.parity,
+        basis=elements, parity=algebra.parity,
         render=lambda terms: algebra.element_to_json(Element(algebra, dict(terms))))
     return Report([
         report_entry(sweep, f"jorskob{which}",
-                     {idx: double_criterion_residual(ops, which, *(elements[i] for i in idx)).terms
+                     {idx: double_criterion_residual(algebra, which, *(elements[i] for i in idx)).terms
                       for idx in product(range(len(elements)), repeat=4)})
         for which in CRITERIA
     ])

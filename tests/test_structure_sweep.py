@@ -10,8 +10,8 @@ and the pair checks sum two rows at the pairs that have a row; none relies on a
 symmetry of its residual.  Their reports must equal those of test-side
 loops over every tuple of the unfactored residuals (the builders of
 ``paper_forms`` and ``identities.unit_residual``), over the sparse and the
-dense adapter, also on tables that lack the symmetries an orbit sweep would
-need; the tests compare the tuples that the checks sum with those a
+dense adapter, also on tables that lack the symmetries of a residual, where
+a check that relied on one would lose a witness; the tests compare the tuples that the checks sum with those a
 brute-force search reaches, and the sums with ``identities.residual`` of
 the same tables at every tuple.
 The property test checks the paper's Kantor-double characterization: the
@@ -621,7 +621,7 @@ def random_supercommutative_algebras(count, seed=18):
     return out
 
 
-class TestReducedJordanSweep:
+class TestJordanVsFull:
     """The super-Jordan check's reports, and its refusals, equal those of
     the full sweep over every basis 4-tuple: it sums the tuples that nonzero
     rows reach and relies on no symmetry of the residual."""
@@ -663,9 +663,10 @@ def _commutes(alg, residual):
     return all(not residual(ops, a, b) for a, b in product(ops.basis, repeat=2))
 
 
-# Even algebras whose tables lack the symmetry that an orbit of the criterion
-# needs (the bracket of the first is not anticommutative, the product of the
-# second not commutative): a sweep over the orbits would miss the first failure.
+# Even algebras whose tables lack a symmetry of the criterion's residual (the
+# bracket of the first is not anticommutative, the product of the second not
+# commutative): a check that read one tuple's value for its permuted tuples
+# would miss the first failure.
 UNSYMMETRIC = {
     1: StructureAlgebra(3, [0, 0, 0],
                         {(0, 1): [(0, 1)], (1, 0): [(0, 1)], (1, 2): [(0, 2)], (2, 1): [(0, 2)]},
@@ -675,14 +676,14 @@ UNSYMMETRIC = {
 }
 
 
-class TestCriteriaOrbits:
+class TestCriteriaVsFull:
     """The criteria's reports equal those of the full sweep over every basis
-    4-tuple, on tables with and without the symmetries that a sweep over
-    orbits would need: criterion 1 only changes sign when f, h and w
-    (positions 0, 1 and 3) are permuted if the bracket is
-    super-anticommutative, and criteria 2 and 3 when f and h are swapped if
-    the product is supercommutative.  The criteria sum the tuples that
-    nonzero rows reach and rely on no symmetry."""
+    4-tuple, on tables with and without the symmetries of their residuals:
+    criterion 1 only changes sign when f, h and w (positions 0, 1 and 3) are
+    permuted if the bracket is super-anticommutative, and criteria 2 and 3
+    when f and h are swapped if the product is supercommutative.  The
+    criteria sum the tuples that nonzero rows reach and rely on no
+    symmetry."""
 
     @pytest.mark.parametrize("which,witness", [(1, (0, 2, 0, 1)), (2, (1, 0, 0, 1))])
     def test_tables_without_the_symmetry_are_swept_in_full(self, which, witness):
@@ -735,9 +736,9 @@ def _associative(alg):
     return all(not associativity_residual(ops, a, b, c) for a, b, c in product(ops.basis, repeat=3))
 
 
-# Tables on which a sweep over the symmetry orbits of a claim axiom, guarded
-# by the pair check alone (it passes on each), would lose the full sweep's
-# witness: (algebra, axiom, the full sweep's witness).  The first three have
+# Tables that pass the pair check but lack a symmetry of a claim axiom, so a
+# check that relied on it would lose the full sweep's witness: (algebra,
+# axiom, the full sweep's witness).  The first three have
 # a row of the wrong parity; the last is even, but not associative.
 UNGUARDED = {
     "odd-rows-jacobi": (
@@ -760,12 +761,12 @@ UNGUARDED = {
 
 class TestValidateVsFull:
     """validate's reports equal those of the full sweep over every basis
-    tuple, on tables with and without the symmetries that a sweep over
-    orbits would need: Jacobi and deformed Jacobi only change sign under
-    permutations of (a, b, c), and plain and deformed Leibniz under swapping
-    b and c, where the pair checks, associativity and the evenness of both
-    tables allow.  validate sums the claim axioms at the triples that
-    nonzero rows reach and relies on no symmetry."""
+    tuple, on tables with and without the symmetries of the claim axioms:
+    Jacobi and deformed Jacobi only change sign under permutations of
+    (a, b, c), and plain and deformed Leibniz under swapping b and c, where
+    the pair checks, associativity and the evenness of both tables allow.
+    validate sums the claim axioms at the triples that nonzero rows reach
+    and relies on no symmetry."""
 
     @pytest.mark.parametrize("key", UNGUARDED)
     def test_unguarded_tables_match_the_full_sweep(self, key):

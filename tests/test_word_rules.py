@@ -119,12 +119,12 @@ def test_half_twist_of_genp_satisfies_the_jb_identities():
     the deformed Leibniz and Jacobi identities hold on every triple of free
     generators and the unit."""
     genp = FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)]), GENP)
-    ops = identities.Twisted(identities.ElementOps(genp), Fraction(1, 2))
+    ops = identities.Twisted(genp, Fraction(1, 2))
     gens = [genp.gen(n) for n in genp.alphabet.names()] + [genp.one()]
     for a, b, c in product(gens, repeat=3):
         assert identities.residual(identities.DEFORMED_LEIBNIZ, ops, a, b, c).is_zero()
         assert identities.residual(identities.DEFORMED_JACOBI, ops, a, b, c).is_zero()
     # while the untwisted genp bracket is not a Jordan bracket
-    plain = identities.ElementOps(genp)
+    plain = genp
     assert any(not identities.residual(identities.DEFORMED_JACOBI, plain, a, b, c).is_zero()
                for a, b, c in product(gens, repeat=3))
