@@ -17,12 +17,15 @@ the one evaluator of the tables: each check, and ``evaluate``, makes one,
 which joins the rows into the nonzero values of the kernels of
 associativity, the claim axioms and the Kantor residuals (see
 ``identities.KERNELS``), and memoizes products and brackets for the length
-of that check.  Every table check is a dict from basis tuple to residual sum: the
-pair checks sum the rows ij and ji at the pairs that have a row
-(:func:`pair_sums`), and the kernel-form checks sum every term that the
-kernel values reach into its basis tuple in one pass (:func:`kernel_sums`).
-Its witness is the least key whose sum is not zero
-(:func:`first_nonzero`), so no check relies on a symmetry of its residual.
+of that check.  Every table check sums its residual by basis tuple, in
+slices of tuples: the pair checks sum the rows ij and ji at the pairs that
+have a row, in one slice (:func:`pair_sums`), and the kernel-form checks
+sum every term that the kernel values reach into its basis tuple one first
+index at a time, each slice holding the tuples whose first index is i
+(:func:`kernel_sums`).  The witness is the least tuple whose sum is not
+zero, read from the first slice that has one (:func:`first_nonzero`), so a
+failing check makes no later slice and no check relies on a symmetry of
+its residual.
 """
 
 from __future__ import annotations
@@ -94,6 +97,28 @@ def to_dense(a, dim):
     return tuple(out)
 
 
+class _RowIndex(dict):
+    """The rows of an evaluator's tables indexed for the joins, each table's
+    built on its first lookup and kept: ``rows[name]`` is the (key, row) of
+    the rows by the first index of their key, the same by its last index,
+    and the (key, coefficient) of the rows that reach m, by m."""
+
+    def __init__(self, tables, dim):
+        super().__init__()
+        self.tables, self.dim = tables, dim
+
+    def __missing__(self, name):
+        d = self.dim
+        first, last, reach = [[] for _ in range(d)], [[] for _ in range(d)], [[] for _ in range(d)]
+        for key, row in self.tables[name].items():
+            first[key[0]].append((key, row))
+            last[key[-1]].append((key, row))
+            for m, coeff in row:
+                reach[m].append((key, coeff))
+        out = self[name] = first, last, reach
+        return out
+
+
 class SparseOps:
     """The one evaluator of a structure algebra's tables: the identities.py
     adapter over sparse vectors, made per check.
@@ -111,7 +136,8 @@ class SparseOps:
     and ``unit``, ``is_zero``, the edge conversions ``vector`` and
     ``dense``, and ``render``, a residual's dense report form.  :meth:`join`
     gives the nonzero values of a kernel of ``identities.KERNELS`` at a
-    first index, which :func:`kernel_sums` sums.
+    first index, from the table rows indexed in ``rows``, and
+    :func:`kernel_sums` sums them.
     """
 
     is_zero = staticmethod(not_)
@@ -123,7 +149,7 @@ class SparseOps:
         self.unit = None if algebra.unit is None else to_sparse(algebra.unit, d)
         self.tables = {"mul": algebra.product, "bracket": algebra.bracket_table,
                        "basis": {(i,): e for i, e in enumerate(self.basis)}}
-        self._indexes = None  # only :meth:`join` reads them: built on its first call
+        self.rows = _RowIndex(self.tables, d)
         self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
 
     def mul(self, a, b):
@@ -181,39 +207,25 @@ class SparseOps:
 
     def _join(self, kernel, k):
         o1, o2, o3, o4 = identities.KERNELS[kernel]
-        if self._indexes is None:
-            self._indexes = self._index()
-        (first, by_target), acc = self._indexes, {}
-        for g, row in first[o1][k]:  # (e_k o1 e_g) o2 e_c through each m of row (k, g)
-            for m, a in row:
-                for c, tail in first[o2][m]:
-                    sums = acc.get((g, c))
+        acc = {}
+        if o1:  # (e_k o1 e_g) o2 e_c through each m of row (k, g)
+            first, second = self.rows[o1][0], self.rows[o2][0]
+            for (_, g), row in first[k]:
+                for m, a in row:
+                    for (_, c), tail in second[m]:
+                        sums = acc.get((g, c))
+                        if sums is None:
+                            sums = acc[g, c] = {}
+                        add_terms(sums, tail, a)
+        if o3:  # e_k o3 (e_g o4 e_c) through each (g, c) reaching m
+            first, reach = self.rows[o3][0], self.rows[o4][2]
+            for (_, m), head in first[k]:
+                for gc, a in reach[m]:
+                    sums = acc.get(gc)
                     if sums is None:
-                        sums = acc[g, c] = {}
-                    add_terms(sums, tail, a)
-        for m, head in first[o3][k]:  # e_k o3 (e_g o4 e_c) through each (g, c) reaching m
-            for gc, a in by_target[o4][m]:
-                sums = acc.get(gc)
-                if sums is None:
-                    sums = acc[gc] = {}
-                add_terms(sums, head, -a)
+                        sums = acc[gc] = {}
+                    add_terms(sums, head, -a)
         return {gc: tuple(sorted(sums.items())) for gc, sums in acc.items() if sums}
-
-    def _index(self):
-        """The join indexes of the product and bracket tables: per table, the
-        (j, row) of the rows (i, j) by i, and the ((i, j), coefficient) of
-        the rows (i, j) that reach m, by m.  None, the absent side of a
-        one-sided kernel, has no rows."""
-        d = self.dim
-        by_first, by_target = {None: [()] * d}, {}
-        for name in ("mul", "bracket"):
-            first, target = [[] for _ in range(d)], [[] for _ in range(d)]
-            for (i, j), row in self.tables[name].items():
-                first[i].append((j, row))
-                for m, coeff in row:
-                    target[m].append(((i, j), coeff))
-            by_first[name], by_target[name] = first, target
-        return by_first, by_target
 
     def vector(self, a):
         return to_sparse(a, self.dim)
@@ -244,47 +256,101 @@ def pair_sums(ops, op):
 def kernel_sums(ops, shapes):
     """The kernel-form residual ``shapes`` (see
     :data:`~superbracket.identities.CRITERION_SHAPES`) at every basis tuple
-    that one of its terms reaches, in one pass: a dict from the tuple to its
-    sum, a dict from basis index to coefficient.
+    that one of its terms reaches, one first index at a time: a generator of
+    the slices i = 0, 1, ..., each a dict from the reached tuples whose
+    position 0 holds i to their sums, a dict from basis index to
+    coefficient that may hold zeros and integral Fractions.  A reader that
+    stops at a slice makes no later one.
 
     Each shape's term s p_k K(e_k, e_g, e_c) is added for every row p of
     the shape's table, every coordinate k of p and every nonzero kernel
     value at (k, g, c) (see :meth:`SparseOps.join`), into the tuple that
     places the row's indices and g, c at the shape's positions, with the
-    sign that the shape's rule gives at that tuple's parities.  A tuple
-    whose terms cancel keeps an empty sum; at every tuple that is not a key
-    each term, so the residual, is literally zero."""
-    par, sums = ops.parities, defaultdict(dict)
+    sign that the shape's rule gives at that tuple's parities.  Where a
+    row index sits at position 0, slice i reads the rows that hold i
+    there; where g or c does, the kernel values at the k that the shape's
+    rows reach are grouped by it when the first slice is made, and slice i
+    reads those with g = i (or c = i) and the rows that reach their k.  A
+    tuple whose terms cancel keeps a zero sum; at every tuple that no slice
+    holds each term, so the residual, is literally zero."""
+    d, par, join, plans = ops.dim, ops.parities, ops.join, []
     for rule, table, pair, kernel, g, c in shapes:
         order = pair + (g, c)  # the position of each value of pair + (g, c)
-        place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
-        signs = identities.signs(rule, len(order))
-        for key, row in ops.tables[table].items():
-            # the parity bits of the row's indices (one bit twice for a basis row)
-            mask = par[key[0]] << pair[0] | par[key[-1]] << pair[-1]
-            for k, pk in row:
-                for gc, value in ops.join(kernel, k).items():
-                    add_terms(sums[place(key + gc)], value,
-                              signs[mask | par[gc[0]] << g | par[gc[1]] << c] * pk)
-    return sums
+        lead = order.index(0)  # the value at position 0: a row index, g or c
+        *at, reach = ops.rows[table]
+        if lead < len(pair):  # the rows by it
+            source = at[lead]
+        else:  # g or c: every kernel value that a row reaches, by it
+            source = [[] for _ in range(d)]
+            for k in range(d):
+                if reach[k]:
+                    for gc, value in join(kernel, k).items():
+                        source[gc[lead - len(pair)]].append((k, gc, value))
+        plans.append((identities.signs(rule, len(order)), pair[0], pair[-1], kernel, g, c,
+                      itemgetter(*sorted(range(len(order)), key=order.__getitem__)),
+                      lead < len(pair), source, reach))
+    for i in range(d):
+        sums = {}
+        get = sums.get
+        for signs, p0, p1, kernel, g, c, place, by_row, source, reach in plans:
+            if by_row:  # each row with i at position 0, and its coordinates' joins
+                for key, row in source[i]:
+                    # the parity bits of the row's indices (one bit twice for a basis row)
+                    mask = par[key[0]] << p0 | par[key[-1]] << p1
+                    for k, pk in row:
+                        for gc, value in join(kernel, k).items():
+                            s = signs[mask | par[gc[0]] << g | par[gc[1]] << c] * pk
+                            idx = place(key + gc)
+                            acc = get(idx)
+                            if acc is None:
+                                if s == 1:
+                                    sums[idx] = dict(value)
+                                    continue
+                                acc = sums[idx] = {}
+                            for m, v in value:
+                                acc[m] = acc.get(m, 0) + s * v
+                continue
+            for k, gc, value in source[i]:  # each kernel value with i at g or c, and its rows
+                mask = par[gc[0]] << g | par[gc[1]] << c
+                for key, pk in reach[k]:
+                    s = signs[mask | par[key[0]] << p0 | par[key[-1]] << p1] * pk
+                    idx = place(key + gc)
+                    acc = get(idx)
+                    if acc is None:
+                        if s == 1:
+                            sums[idx] = dict(value)
+                            continue
+                        acc = sums[idx] = {}
+                    for m, v in value:
+                        acc[m] = acc.get(m, 0) + s * v
+        yield sums
 
 
-def first_nonzero(sums):
-    """The least key, in ``itertools.product`` order, of a dict from basis
-    tuple to residual sum whose sum is not zero, with that sum as a sparse
-    vector; None when every sum is zero.  It is the first failing tuple of
-    the sweep over every basis tuple when every tuple that is not a key has
-    a zero residual."""
-    first = min((idx for idx, acc in sums.items() if acc), default=None)
-    return None if first is None else (first, tuple(sorted(sums[first].items())))
+def first_nonzero(slices):
+    """The least key, in ``itertools.product`` order, whose sum is not zero,
+    over dicts from basis tuple to residual sum (a dict from basis index to
+    coefficient): that key with its sum as a sparse vector, or None when
+    every sum is zero.  Each slice's keys lie below every later slice's,
+    as :func:`kernel_sums` makes them (a pair check passes its one dict,
+    :func:`pair_sums`), so only the slices up to the first with a nonzero
+    sum are read.  It is the first failing tuple of the sweep over every
+    basis tuple when every tuple that is not a key has a zero residual."""
+    for sums in slices:
+        failing = [idx for idx, acc in sums.items() if any(acc.values())]
+        if failing:  # the least one's sum without zeros, each integral Fraction an int
+            first = min(failing)
+            return first, tuple(sorted((m, c if type(c) is int or c.denominator != 1 else c.numerator)
+                                       for m, c in sums[first].items() if c))
+        del sums  # so that the next slice is not made while this one is held
+    return None
 
 
-def report_entry(ops, name, sums):
-    """One :class:`Report` entry from a dict of residual sums (see
-    :func:`first_nonzero`): a pass, or a fail whose witness gives the
+def report_entry(ops, name, slices):
+    """One :class:`Report` entry from the slices of residual sums of a check
+    (see :func:`first_nonzero`): a pass, or a fail whose witness gives the
     failing indices, the parities of their basis vectors and the rendered
     residual."""
-    failure = first_nonzero(sums)
+    failure = first_nonzero(slices)
     if failure is None:
         return {"identity": name, "status": "pass"}
     idx, res = failure
@@ -345,12 +411,13 @@ class StructureAlgebra:
         """Check the structural identities and the claimed theory's axioms.
 
         Returns a :class:`Report`; each check carries a witness tuple on
-        failure.  Each check is a dict of residual sums by basis tuple: the
-        pair checks at the pairs that have a row (:func:`pair_sums`), the
-        unit check at every basis vector, and associativity and the claim
-        axioms (:data:`CLAIM_RULES`) at the triples that nonzero table rows
-        reach (:func:`kernel_sums`).  Each check is decided on its own, with
-        the full sweep's witness, whatever the verdicts of the others.
+        failure.  Each check sums its residual by basis tuple: the pair
+        checks at the pairs that have a row (:func:`pair_sums`) and the unit
+        check at every basis vector, each in one slice, and associativity
+        and the claim axioms (:data:`CLAIM_RULES`) at the triples that
+        nonzero table rows reach, one first index at a time up to the
+        witness's (:func:`kernel_sums`).  Each check is decided on its own,
+        with the full sweep's witness, whatever the verdicts of the others.
         """
         ops = SparseOps(self)
         if self.claim in ("genp", "jb"):  # the deformed axioms read the rows D(e_a) = {e_a, 1}
@@ -358,12 +425,12 @@ class StructureAlgebra:
                 raise AlgebraError(f"claim {self.claim!r} needs a unit for the derivation")
             ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis)
                                    if (row := ops.deriv(e))}
-        checks = [("supercommutativity", pair_sums(ops, "mul")),
+        checks = [("supercommutativity", [pair_sums(ops, "mul")]),
                   ("associativity", kernel_sums(ops, identities.ASSOCIATIVITY))]
         if ops.unit is not None:
-            checks.append(("unit", {(a,): dict(identities.unit_residual(ops, ops.unit, e))
-                                    for a, e in enumerate(ops.basis)}))
-        checks.append(("anticommutativity", pair_sums(ops, "bracket")))
+            checks.append(("unit", [{(a,): dict(identities.unit_residual(ops, ops.unit, e))
+                                     for a, e in enumerate(ops.basis)}]))
+        checks.append(("anticommutativity", [pair_sums(ops, "bracket")]))
         checks += [(name, kernel_sums(ops, shapes)) for name, shapes in CLAIM_RULES[self.claim]]
         return Report([report_entry(ops, name, sums) for name, sums in checks])
 
@@ -645,7 +712,7 @@ def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
             raise AlgebraError("an empty bracket table needs dim")
         dim = 1 + max(max(i, j, *(k for k, _ in row)) for (i, j), row in bracket.items())
     alg = StructureAlgebra(dim, [0] * dim, {}, bracket, None, "gp")
-    failure = first_nonzero(pair_sums(SparseOps(alg), "bracket"))
+    failure = first_nonzero([pair_sums(SparseOps(alg), "bracket")])
     if failure is not None:
         raise AlgebraError("bracket table not anticommutative at (%d,%d)" % failure[0])
     return alg

@@ -8,7 +8,8 @@ them one-sided) at a table row, a D row among them, and two basis indices
 forms, :data:`CRITERION_SHAPES`, :data:`JORDAN_SHAPES`; the comments give
 the formulas).  Two evaluators read a table, and both take a term's sign
 from :func:`signs`: :func:`~superbracket.concrete.kernel_sums` sums it over
-a structure algebra's tables at every basis tuple they reach, and
+a structure algebra's tables at every basis tuple they reach, one first
+index at a time, and
 :func:`residual` evaluates it at given elements over any ``ops`` adapter:
 a :class:`~superbracket.engine.FreeAlgebra` itself, a :class:`Twisted`
 adapter or the structure tables' ``SparseOps``.  The unit and derivation
@@ -89,7 +90,8 @@ ASSOC, K1, K2, K3, JAC, LEFT, MB, BB = range(len(KERNELS))
 # gives s = s0, negated once for each position pair (a, b) in swaps whose
 # basis vectors are both odd (signs).  concrete.kernel_sums adds the terms of
 # every tuple that a nonzero row and kernel value reach, each kernel linear in
-# its first argument; residual evaluates the terms at given elements, with p
+# its first argument, in slices by the tuple's first index; residual
+# evaluates the terms at given elements, with p
 # their product or bracket, the derivation of one, or the element itself.
 
 # assoc(a,b,c) = (ab)c - a(bc) at the basis indices (a, b, c)

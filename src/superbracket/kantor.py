@@ -19,15 +19,17 @@ once as a table of term shapes in :mod:`~superbracket.identities`
 formulas).  A check builds one :class:`~superbracket.concrete.SparseOps`,
 the one evaluator of the tables, and
 :func:`~superbracket.concrete.kernel_sums` walks each shape's table rows
-and the nonzero kernel values they reach once, adding every term exactly
-over Q into the basis 4-tuple it belongs to.  Every other tuple's residual
-is literally zero.  :func:`~superbracket.concrete.report_entry` takes the
-first tuple in product order whose sum is not zero as the witness, so the
-verdict and the witness are those of the sweep over all basis 4-tuples,
-with no symmetry argument.  The super-Jordan check's supercommutativity
-guard is summed from the table rows at the pairs that have one
-(:func:`~superbracket.concrete.pair_sums`), and the evaluator renders the
-witness, so both checks take structure algebras only.
+and the nonzero kernel values they reach, adding every term exactly over Q
+into the basis 4-tuple it belongs to, one first index at a time.  Every
+other tuple's residual is literally zero.
+:func:`~superbracket.concrete.report_entry` takes the first tuple in
+product order whose sum is not zero as the witness, from the first slice
+that has one, and makes no later slice, so the verdict and the witness are
+those of the sweep over all basis 4-tuples, with no symmetry argument, and
+a check holds one slice of sums at a time.  The super-Jordan check's
+supercommutativity guard is summed from the table rows at the pairs that
+have one (:func:`~superbracket.concrete.pair_sums`), and the evaluator
+renders the witness, so both checks take structure algebras only.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def criteria_check(algebra: StructureAlgebra) -> Report:
     """Evaluate the three double-Jordan bracket criteria on the algebra.
 
     The check is complete over basis 4-tuples (the criteria are
-    multilinear); each criterion is summed, in one pass, at the tuples
-    where one of its terms is nonzero
+    multilinear); each criterion is summed at the tuples where one of its
+    terms is nonzero, one first index at a time up to its witness's
     (:func:`~superbracket.concrete.kernel_sums`), with the full sweep's
     verdict and witness.
     """
@@ -79,12 +81,13 @@ def super_jordan_check(double: StructureAlgebra) -> Report:
     The input must be supercommutative (checked first, on every basis pair
     with a row; an error with a witness otherwise).  This checks the double
     directly and is the cross-validation partner of :func:`criteria_check`.
-    The residual is summed, in one pass, at the tuples where one of its
-    three terms is nonzero (:func:`~superbracket.concrete.kernel_sums`),
-    with the full sweep's verdict and witness.
+    The residual is summed at the tuples where one of its three terms is
+    nonzero, one first index at a time up to its witness's
+    (:func:`~superbracket.concrete.kernel_sums`), with the full sweep's
+    verdict and witness.
     """
     ops = SparseOps(double)
-    failure = first_nonzero(pair_sums(ops, "mul"))
+    failure = first_nonzero([pair_sums(ops, "mul")])
     if failure is not None:
         (i, j), res = failure
         raise AlgebraError(f"input is not supercommutative at ({i},{j}): {ops.render(res)}")

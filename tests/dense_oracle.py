@@ -14,9 +14,10 @@ vector representations through the same sweep and residual builders; the
 oracle holds no sweep code of its own.  The public ``mul`` and ``bracket``
 read the table rows they need without an evaluator, so the tests compare
 them with the oracle's own ``mul`` and ``bracket``.  ``validate`` and the
-Kantor checks sum dicts of residuals from the evaluator's table rows
-(``tables``, ``join``; see ``concrete.pair_sums`` and
-``concrete.kernel_sums``), which the oracle does not provide, and
+Kantor checks sum their residuals by basis tuple from the evaluator's table
+rows and their indexes (``tables``, ``rows``, ``join``; see
+``concrete.pair_sums`` and ``concrete.kernel_sums``, which sums one first
+index at a time), which the oracle does not provide, and
 ``kantor`` binds ``SparseOps`` itself, so the tests compare them with
 sweeps of the unfactored residuals over either adapter instead.
 

@@ -11,6 +11,7 @@ from itertools import permutations, product
 from operator import add, xor
 
 import linalg
+from superbracket.concrete import first_nonzero, kernel_sums
 from superbracket.core import (EVEN, AlgebraError, Alphabet, Sum, Var, fold, map_leaves,
                                scalar_str, var_names)
 from superbracket.engine import GP, FreeAlgebra
@@ -452,3 +453,20 @@ def polarized_is_identity(algebra, term):
             return False, {"assignment": dict(zip(names, idx)),
                            "residual": [scalar_str(x) for x in residual]}
     return True, None
+
+
+def slice_sums(ops, shapes):
+    """Every slice of ``kernel_sums(ops, shapes)`` put together, after
+    checking that there is one slice per basis index and that slice i holds
+    only tuples whose first index is i: a dict from basis tuple to its sum,
+    read as ``first_nonzero`` reads a witness's (a sparse vector, or ``()``
+    for a sum that cancels)."""
+    out, count = {}, 0
+    for i, part in enumerate(kernel_sums(ops, shapes)):
+        assert all(idx[0] == i for idx in part), i
+        for idx, acc in part.items():
+            failure = first_nonzero([{idx: acc}])
+            out[idx] = () if failure is None else failure[1]
+        count += 1
+    assert count == ops.dim
+    return out

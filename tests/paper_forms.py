@@ -12,8 +12,8 @@ and 7) and ``tests/test_farkas.py`` compare the engine with them:
   :func:`jacobi_residual` and :func:`deformed_jacobi_residual`, the claim
   axioms as flat signed sums over an ``ops`` adapter (the five methods of
   :mod:`superbracket.identities`).  The package writes each of them once,
-  as a table of kernel terms that ``identities.residual`` and
-  ``concrete.kernel_sums`` evaluate; these builders are the independent
+  as a table of kernel terms that ``identities.residual`` evaluates and
+  ``concrete.kernel_sums`` sums by first index; these builders are the independent
   oracles that the tests compare the tables with, and ``full_validate_sweep``
   sweeps them in full;
 - :func:`jacobi_defect_residual` and :func:`jordan_gp_residual`, the residuals

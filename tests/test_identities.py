@@ -13,7 +13,8 @@ The two Kantor residuals are compared twice: in their unfactored forms
 over an adapter (the oracles of ``tests/paper_forms.py``), and in the
 package's forms, tables of kernel terms that
 :func:`~superbracket.concrete.kernel_sums` sums over the structure tables
-at every basis 4-tuple in one pass.  The four claim axioms that
+at every reached basis 4-tuple, one first index at a time; the test puts
+all its slices together.  The four claim axioms that
 ``validate`` checks are compared in the same two ways: their builders (the
 oracles of ``tests/paper_forms.py``) and the package's tables of kernel
 terms, summed at every basis triple.
@@ -37,10 +38,10 @@ import pytest
 
 from superbracket import identities
 from superbracket.cli import parse
-from superbracket.concrete import SparseOps, StructureAlgebra, kernel_sums, to_dense, vbasis
+from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
 from superbracket.core import Alphabet, Sum
 from superbracket.engine import GENP, GP, JB, FreeAlgebra
-from helpers import random_homogeneous
+from helpers import random_homogeneous, slice_sums
 import paper_forms
 
 FORMULAS = {
@@ -199,10 +200,10 @@ KERNEL_FORMS = {
 
 @pytest.mark.parametrize("which", (1, 2, 3, *KERNEL_FORMS))
 def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
-    """The bulk sum of the kernel terms at every basis tuple, a tuple that
-    it lacks being the zero vector, is the formula term for term, so a
-    wrong sign on any kernel term changes a residual: the table has no
-    symmetry that could make two terms cancel.  A D term reads the unit,
+    """The sums of the kernel terms, every slice put together, a tuple that
+    they lack being the zero vector, are the formula term for term at every
+    basis tuple, so a wrong sign on any kernel term changes a residual: the
+    table has no symmetry that could make two terms cancel.  A D term reads the unit,
     through the rows D(e_a) that ``validate`` adds to the evaluator."""
     if which in KERNEL_FORMS:
         shapes, name, names = KERNEL_FORMS[which]
@@ -210,7 +211,7 @@ def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
         shapes, name, names = identities.CRITERION_SHAPES[which], None, "fhgw"
     ops = SparseOps(generic)
     ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis) if (row := ops.deriv(e))}
-    sums = kernel_sums(ops, shapes)
+    sums = slice_sums(ops, shapes)
     formulas, nonzero = {}, 0
     for idx in product(range(9), repeat=len(names)):
         pattern = tuple(PARITIES[i] for i in idx)
@@ -221,7 +222,7 @@ def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
         at = dict(zip(names, idx))
         want = identities.evaluate(ops, formulas[pattern], lambda leaf: (
             ops.unit if leaf.name == "1" else ops.basis[at[leaf.name]]))
-        assert tuple(sorted(sums.get(idx, {}).items())) == want, idx
+        assert sums.get(idx, ()) == want, idx
         nonzero += bool(want)
     assert nonzero > 9 ** len(names) // 2
 

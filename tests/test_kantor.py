@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -36,15 +37,15 @@ ONE = Fraction(1)
 def free_criteria_check(algebra: FreeAlgebra) -> Report:
     """The three bracket criteria at every 4-tuple of the generators and the
     unit of a free engine, each residual's terms summed by tuple, reported
-    as :func:`criteria_check` reports them."""
+    as :func:`criteria_check` reports them: one slice of sums per criterion."""
     elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
     sweep = SimpleNamespace(
         basis=elements, parity=algebra.parity,
         render=lambda terms: algebra.element_to_json(Element(algebra, dict(terms))))
     return Report([
         report_entry(sweep, f"jorskob{which}",
-                     {idx: double_criterion_residual(algebra, which, *(elements[i] for i in idx)).terms
-                      for idx in product(range(len(elements)), repeat=4)})
+                     [{idx: double_criterion_residual(algebra, which, *(elements[i] for i in idx)).terms
+                       for idx in product(range(len(elements)), repeat=4)}])
         for which in CRITERIA
     ])
 
@@ -220,3 +221,26 @@ class TestAgreement:
         assert agree
         assert crit.ok is expected
         assert direct.ok is expected
+
+
+class TestMemory:
+    """A Kantor check holds the sums of one first index at a time, so its
+    memory stays far below that of all the reached 4-tuples' sums.  On the
+    dimension-32 doubles of ``wronskian16`` (not Jordan) and
+    ``euler-wronskian16`` (Jordan), both checks of ``kantor-check`` peak at
+    about 2.2 and 1.9 MiB under tracemalloc, against 17.0 and 11.7 MiB when
+    every reached tuple's sum was held at once (Python 3.11)."""
+
+    @pytest.mark.parametrize("make,jordan", [(lambda: wronskian_algebra(16), False),
+                                             (lambda: euler_wronskian_algebra(16), True)],
+                             ids=["wronskian16", "euler-wronskian16"])
+    def test_the_kantor_checks_of_a_dimension_32_double_peak_under_8_mib(self, make, jordan):
+        algebra = make()
+        tracemalloc.start()
+        try:
+            crit, direct, agree = double_is_jordan(algebra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert agree and crit.ok is jordan
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -5,15 +5,16 @@ adapter methods once on the package's sparse adapter and once on the dense
 oracle (:mod:`dense_oracle`), and ask for identical reports, first
 witnesses included.  ``validate`` and the Kantor checks read table rows
 and join kernels: associativity, the claim axioms and the Kantor checks
-sum their residual in one pass over the tuples that nonzero rows reach,
-and the pair checks sum two rows at the pairs that have a row; none relies on a
-symmetry of its residual.  Their reports must equal those of test-side
+sum their residual over the tuples that nonzero rows reach, one first
+index at a time up to the witness's, and the pair checks sum two rows at
+the pairs that have a row; none relies on a symmetry of its residual.  Their reports must equal those of test-side
 loops over every tuple of the unfactored residuals (the builders of
 ``paper_forms`` and ``identities.unit_residual``), over the sparse and the
 dense adapter, also on tables that lack the symmetries of a residual, where
 a check that relied on one would lose a witness; the tests compare the tuples that the checks sum with those a
-brute-force search reaches, and the sums with ``identities.residual`` of
-the same tables at every tuple.
+brute-force search reaches, up to each witness's first index, and the
+sums, every slice put together, with ``identities.residual`` of the same
+tables at every tuple.
 The property test checks the paper's Kantor-double characterization: the
 bracket criteria on A and the super-Jordan identity on K(A) give the same
 verdict.
@@ -58,6 +59,7 @@ from superbracket.identities import (ASSOCIATIVITY, CRITERION_SHAPES, DEFORMED_J
 from superbracket.kantor import (CRITERIA, criteria_check, double_is_jordan, double_of,
                                  super_jordan_check)
 from dense_oracle import DenseOps, dense_run
+from helpers import slice_sums
 from paper_forms import (anticommutativity_residual, associativity_residual,
                          deformed_jacobi_residual, deformed_leibniz_residual,
                          double_criterion_residual, jacobi_residual, leibniz_residual,
@@ -438,7 +440,7 @@ class TestSeededDifferential:
         assert (seen["error"] > 100) is (name == "super-jordan")
 
 
-# -- the Kantor checks cost the tuples that nonzero rows reach --------------------------------
+# -- the kernel-form checks cost the reached tuples up to their witness's first index --------
 
 def reached_tuples(alg, shapes):
     """The basis index tuples at which some kernel term s p_k K(e_k, e_g, e_c)
@@ -465,16 +467,19 @@ def reached_tuples(alg, shapes):
                    for k, _ in rows[table](*(idx[q] for q in pair)))]
 
 
-def bulk_sums(check, alg):
-    """The check's report and the key set of each kernel sum it takes, in
-    the order it takes them (:func:`~superbracket.concrete.kernel_sums`,
-    which ``kantor`` imports)."""
+def read_slices(check, alg):
+    """The check's report and, for each kernel sum that it takes, in order,
+    the set of tuples in the slices that it read
+    (:func:`~superbracket.concrete.kernel_sums`, which ``kantor`` imports):
+    a slice is read once the check has asked for it."""
     keys, kernel_sums = [], concrete.kernel_sums
 
     def record(ops, shapes):
-        sums = kernel_sums(ops, shapes)
-        keys.append(set(sums))
-        return sums
+        read = set()
+        keys.append(read)
+        for part in kernel_sums(ops, shapes):
+            read.update(part)
+            yield part
 
     with mock.patch.object(concrete, "kernel_sums", record), \
             mock.patch.object(kantor, "kernel_sums", record):
@@ -482,15 +487,31 @@ def bulk_sums(check, alg):
     return report, keys
 
 
+def up_to_witness(tuples, entry):
+    """The tuples that a check whose report entry is ``entry`` reads: every
+    one on a pass, and on a fail those whose first index is at most the
+    witness's."""
+    if entry["status"] == "pass":
+        return set(tuples)
+    return {idx for idx in tuples if idx[0] <= entry["witness"]["indices"][0]}
+
+
+def kernel_entries(report):
+    """The entries of a validate report that come from kernel sums."""
+    return [entry for entry in report.to_json()
+            if entry["identity"] not in ("supercommutativity", "unit", "anticommutativity")]
+
+
 class TestOutputSensitivity:
     """validate's associativity and claim axioms and the Kantor checks sum
-    their residual, in one pass, at the tuples where a kernel term is
-    nonzero, and nowhere else, and report the first of them whose sum is not
-    zero."""
+    their residual at the tuples where a kernel term is nonzero, and nowhere
+    else, one first index at a time: a pass sums every reached tuple, and a
+    fail the reached tuples up to its witness's first index, whose least
+    nonzero tuple it reports."""
 
     def test_a_zero_product_sums_nothing_for_leibniz(self):
         # nonlie claims gp: every Leibniz term has a product in it
-        report, keys = bulk_sums(StructureAlgebra.validate, concrete.nonlie_example_algebra())
+        report, keys = read_slices(StructureAlgebra.validate, concrete.nonlie_example_algebra())
         assert report.ok and keys == [set(), set()]
 
     @pytest.mark.parametrize("make", [lambda: euler_wronskian_algebra(5),
@@ -498,7 +519,7 @@ class TestOutputSensitivity:
                              ids=["euler-wronskian5", "untwisted-euler3"])
     def test_validate_sums_the_reached_triples(self, make):
         alg = make()
-        report, keys = bulk_sums(StructureAlgebra.validate, alg)
+        report, keys = read_slices(StructureAlgebra.validate, alg)
         shapes = [ASSOCIATIVITY] + [shape for _, shape in concrete.CLAIM_RULES[alg.claim]]
         reached = [reached_tuples(alg, shape) for shape in shapes]
         assert report.ok and keys == [set(tuples) for tuples in reached]
@@ -509,19 +530,19 @@ class TestOutputSensitivity:
     @pytest.mark.parametrize("double", [False, True], ids=["nonlie", "double-of-nonlie"])
     def test_a_zero_product_costs_no_residual(self, check, double):
         alg = concrete.nonlie_example_algebra()
-        report, keys = bulk_sums(check, double_of(alg) if double else alg)
+        report, keys = read_slices(check, double_of(alg) if double else alg)
         assert report.ok and keys == ([set()] * 3 if check is criteria_check else [set()])
 
     def test_the_double_of_euler_wronskian5(self):
         dbl = double_of(euler_wronskian_algebra(5))
-        report, keys = bulk_sums(super_jordan_check, dbl)
+        report, keys = read_slices(super_jordan_check, dbl)
         reached = reached_tuples(dbl, JORDAN_SHAPES)
         assert report.ok and keys == [set(reached)]
         assert len(reached) == 522 < dbl.dim ** 4 // 10
 
     def test_the_criteria_on_euler_wronskian5(self):
         alg = euler_wronskian_algebra(5)
-        report, keys = bulk_sums(criteria_check, alg)
+        report, keys = read_slices(criteria_check, alg)
         reached = [reached_tuples(alg, CRITERION_SHAPES[which]) for which in CRITERIA]
         assert report.ok and keys == [set(tuples) for tuples in reached]
         assert sum(map(len, reached)) < 3 * alg.dim ** 4 // 4
@@ -530,20 +551,61 @@ class TestOutputSensitivity:
                                              (lambda: euler_wronskian_algebra(4), True)],
                              ids=["wronskian4", "euler-wronskian4"])
     def test_witness_of_the_bulk_sum(self, make, jordan):
-        # the same bulk pass whether the check fails (wronskian4) or passes
+        # the failing checks (wronskian4) read the slices up to their witness's
+        # first index, the passing ones every slice, and both report the full sweep
         alg = make()
-        report, keys = bulk_sums(criteria_check, alg)
+        report, keys = read_slices(criteria_check, alg)
         assert report.ok is jordan
         assert report.to_json() == full_criteria_sweep(alg).to_json()
-        assert keys == [set(reached_tuples(alg, CRITERION_SHAPES[which])) for which in CRITERIA]
+        assert keys == [up_to_witness(reached_tuples(alg, CRITERION_SHAPES[which]), entry)
+                        for which, entry in zip(CRITERIA, report.to_json())]
         dbl = double_of(alg)
-        report, keys = bulk_sums(super_jordan_check, dbl)
+        report, keys = read_slices(super_jordan_check, dbl)
         assert report.ok is jordan
         assert report.to_json() == full_jordan_sweep(dbl).to_json()
-        assert keys == [set(reached_tuples(dbl, JORDAN_SHAPES))]
+        assert keys == [up_to_witness(reached_tuples(dbl, JORDAN_SHAPES), report.to_json()[0])]
+
+    @pytest.mark.parametrize("make", [lambda: wronskian_algebra(5),
+                                      lambda: concrete.adjoin_unit(concrete.nonlie_example_algebra())],
+                             ids=["wronskian5", "unital-nonlie-gp"])
+    def test_a_failing_check_stops_at_its_witness_slice(self, make):
+        # each kernel check sums the reached tuples up to its witness's first
+        # index and no later one; here every witness lies before the last slice
+        alg, fails = make(), 0
+        runs = [(StructureAlgebra.validate, alg,
+                 [ASSOCIATIVITY] + [shape for _, shape in concrete.CLAIM_RULES[alg.claim]]),
+                (criteria_check, alg, [CRITERION_SHAPES[which] for which in CRITERIA]),
+                (super_jordan_check, double_of(alg), [JORDAN_SHAPES])]
+        for check, subject, shapes in runs:
+            report, keys = read_slices(check, subject)
+            entries = kernel_entries(report) if check is StructureAlgebra.validate else report.to_json()
+            for shape, entry, read in zip(shapes, entries, keys, strict=True):
+                reached = reached_tuples(subject, shape)
+                assert read == up_to_witness(reached, entry), (check.__name__, entry["identity"])
+                if entry["status"] == "fail":
+                    assert read < set(reached)
+                    fails += 1
+        assert fails >= 2
+
+    def test_the_seeded_random_tables_read_up_to_their_witnesses(self):
+        # the corpus's tables pass and fail validate's kernel checks and the
+        # criteria, with witnesses at early and late slices
+        stopped = 0
+        for alg in TestSeededDifferential.CORPUS[:300]:
+            shapes = ([ASSOCIATIVITY] + [shape for _, shape in concrete.CLAIM_RULES[alg.claim]]
+                      + [CRITERION_SHAPES[which] for which in CRITERIA])
+            report, keys = read_slices(StructureAlgebra.validate, alg)
+            entries = kernel_entries(report)
+            report, more = read_slices(criteria_check, alg)
+            for shape, entry, read in zip(shapes, entries + report.to_json(), keys + more,
+                                          strict=True):
+                reached = reached_tuples(alg, shape)
+                assert read == up_to_witness(reached, entry), (alg.to_json(), entry["identity"])
+                stopped += read < set(reached)
+        assert stopped > 300  # 455 of the checks stop before their last reached slice
 
 
-# -- the bulk sums against the residual at each basis tuple -----------------------------------
+# -- the slices of the sums against the residual at each basis tuple ----------------------------
 
 # every shape table that kernel_sums sums over an algebra's own tables
 TABLES = {"associativity": ASSOCIATIVITY, "leibniz": LEIBNIZ, "deformed-leibniz": DEFORMED_LEIBNIZ,
@@ -552,17 +614,18 @@ TABLES = {"associativity": ASSOCIATIVITY, "leibniz": LEIBNIZ, "deformed-leibniz"
 
 
 def assert_bulk_equals_tuples(alg, shapes):
-    """kernel_sums over the algebra's tables equals identities.residual of
-    the same shapes at every basis tuple's vectors, and is zero at every
-    tuple that is not a key.  A deformed table reads the rows D(e_a) as
-    ``validate`` adds them.  Returns the number of nonzero residuals."""
+    """kernel_sums over the algebra's tables, every slice put together
+    (:func:`helpers.slice_sums`), equals identities.residual of the same
+    shapes at every basis tuple's vectors, and is zero at every tuple that
+    no slice holds.  A deformed table reads the rows D(e_a) as ``validate``
+    adds them.  Returns the number of nonzero residuals."""
     ops = SparseOps(alg)
     if ops.unit is not None:
         ops.tables["deriv"] = {(a,): row for a, e in enumerate(ops.basis) if (row := ops.deriv(e))}
-    sums, nonzero = concrete.kernel_sums(ops, shapes), 0
+    sums, nonzero = slice_sums(ops, shapes), 0
     for idx in product(range(alg.dim), repeat=len(shapes[0][2]) + 2):
         want = residual(shapes, ops, *(ops.basis[i] for i in idx))
-        assert tuple(sorted(sums.get(idx, {}).items())) == want, idx
+        assert sums.get(idx, ()) == want, idx
         nonzero += bool(want)
     return nonzero
 
@@ -576,10 +639,10 @@ def assert_every_table(alg):
 
 
 class TestBulkSumsVsTuples:
-    """The two evaluators of a shape table agree: the one-pass sums of the
-    checks and the residual of the same table at each tuple's basis
-    vectors, on tables with and without the symmetries and the parity
-    grading."""
+    """The two evaluators of a shape table agree: the sums of the checks,
+    every slice put together, and the residual of the same table at each
+    tuple's basis vectors, on tables with and without the symmetries and
+    the parity grading."""
 
     @pytest.mark.parametrize("make", [
         lambda: wronskian_algebra(4),
