@@ -333,6 +333,14 @@ def _integer(text: str, what: str) -> int:
     return int(text)
 
 
+def _is_identifier(text: str) -> bool:
+    """Whether the text is one identifier of the expression grammar."""
+    try:
+        return [kind for kind, _, _ in _tokenize(text)] == ["ident", "end"]
+    except ParseError:
+        return False
+
+
 def _engine(args):
     from .engine import FreeAlgebra
 
@@ -370,7 +378,10 @@ def _cmd_basis(args) -> int:
     counts = {}
     for piece in args.multidegree.split(","):
         name, _, count = piece.partition(":")
-        counts[name.strip()] = _integer(count or "1", f"the multidegree count of {name.strip()!r}")
+        name = name.strip()
+        if name in counts:  # a later count would silently replace the first
+            raise AlgebraError(f"letter {name!r} is counted twice in the multidegree")
+        counts[name] = _integer(count or "1", f"the multidegree count of {name!r}")
     degrees = algebra.alphabet.degrees_of(counts)
     monos = algebra.basis(degrees)
     payload = []
@@ -442,13 +453,16 @@ def _cmd_eval(args) -> int:
     algebra = _resolve_algebra(args.algebra)
     bindings = {}
     for spec in args.bind or []:
-        name, _, coords = spec.partition("=")
+        name, eq, coords = spec.partition("=")
+        name = name.strip()
+        if not (eq and _is_identifier(name)):
+            raise AlgebraError(f"binding {spec!r} is not name=c0,c1,... with an identifier name")
         vec = [scalar(x) for x in coords.split(",")]
         if len(vec) != algebra.dim:
             raise AlgebraError(f"binding {name!r} has {len(vec)} coordinates, need {algebra.dim}")
-        if name.strip() in bindings:
-            raise AlgebraError(f"variable {name.strip()!r} is bound twice")
-        bindings[name.strip()] = tuple(vec)
+        if name in bindings:
+            raise AlgebraError(f"variable {name!r} is bound twice")
+        bindings[name] = tuple(vec)
     names = sorted(bindings)
     term = parse(Alphabet([(n, 0) for n in names]), args.expr, allow_vars=True)
     vec = algebra.evaluate(term, bindings)

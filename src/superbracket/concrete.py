@@ -11,13 +11,15 @@ Vectors are dense coefficient tuples at the public edge (``mul``,
 inside every check: a sparse vector is a tuple of ``(index, coeff)`` pairs,
 sorted by index and free of zeros, so it is hashable and the zero vector is
 ``()``.  A table row is a sparse vector too, and a table maps a basis
-pair to its nonzero row.  The public ``mul`` and ``bracket`` sum the rows
-of their arguments' coordinate pairs (``_apply``).  :class:`SparseOps` is
-the one evaluator of the tables: each check, and ``evaluate``, makes one,
-which joins the rows into the nonzero values of the kernels of
-associativity, the claim axioms and the Kantor residuals (see
-``identities.KERNELS``), and memoizes products and brackets for the length
-of that check.  Every table check sums its residual by basis tuple, in
+pair to its nonzero row.  One function sums the rows of two vectors'
+coordinate pairs (``_apply``): the public ``mul`` and ``bracket`` call it
+between the dense edge and the sparse form (``_dense_apply``).
+:class:`SparseOps` is the one evaluator of the tables: each check, and
+``evaluate``, makes one, which joins the rows into the nonzero values of
+the kernels of associativity, the claim axioms and the Kantor residuals
+(see ``identities.KERNELS``), and whose ``mul`` and ``bracket`` are each
+``_apply`` of its table memoized for the length of that check
+(``_memoized``).  Every table check sums its residual by basis tuple, in
 slices of tuples: the pair checks sum the rows ij and ji at the pairs that
 have a row, in one slice (:func:`pair_sums`), and the kernel-form checks
 sum every term that the kernel values reach into its basis tuple one first
@@ -81,6 +83,22 @@ def _apply(table, a, b):
     return tuple(sorted(acc.items()))
 
 
+def _memoized(table):
+    """:func:`_apply` of the table, memoized by its two arguments for the
+    life of the function: the ``mul`` or ``bracket`` of one evaluator."""
+    memo = {}
+
+    def op(a, b):
+        if not a or not b:
+            return ()
+        out = memo.get((a, b))
+        if out is None:
+            out = memo[a, b] = _apply(table, a, b)
+        return out
+
+    return op
+
+
 def to_sparse(a, dim):
     """The sparse form of a dense vector of length ``dim``."""
     a = tuple(a)
@@ -95,6 +113,11 @@ def to_dense(a, dim):
     for k, c in a:
         out[k] = c
     return tuple(out)
+
+
+def _dense_apply(table, dim, a, b):
+    """:func:`_apply` at the dense edge, to vectors of length ``dim``."""
+    return to_dense(_apply(table, to_sparse(a, dim), to_sparse(b, dim)), dim)
 
 
 class _RowIndex(dict):
@@ -127,12 +150,13 @@ class SparseOps:
     which map a basis pair (i, j) to its nonzero row; ``tables["basis"]``
     maps (i,) to the basis vector i, and ``validate`` adds
     ``tables["deriv"]``, which maps (i,) to the nonzero row
-    D(e_i) = {e_i, 1}, for the deformed axioms.  Products and
-    brackets of vectors (the unit check, ``evaluate``, ``is_identity``,
-    ``untwisted_algebra``) are summed from the rows and memoized by their
-    arguments for the life of the evaluator, so the memo ends with the
-    check.  ``combine`` skips zero operands and hands a lone operand with
-    coefficient 1 back as it is.  The checks also get the sparse ``basis``
+    D(e_i) = {e_i, 1}, for the deformed axioms.  ``mul`` and ``bracket``
+    are one memoized :func:`_apply` each, of their table (:func:`_memoized`):
+    the products and brackets of vectors (the unit check, ``evaluate``,
+    ``is_identity``, ``untwisted_algebra``) are summed from the rows once
+    per distinct pair of arguments and kept for the life of the evaluator,
+    so the memo ends with the check.  ``combine`` skips zero operands and
+    hands a lone operand with coefficient 1 back as it is.  The checks also get the sparse ``basis``
     and ``unit``, ``is_zero``, the edge conversions ``vector`` and
     ``dense``, and ``render``, a residual's dense report form.  :meth:`join`
     gives the nonzero values of a kernel of ``identities.KERNELS`` at a
@@ -150,23 +174,8 @@ class SparseOps:
         self.tables = {"mul": algebra.product, "bracket": algebra.bracket_table,
                        "basis": {(i,): e for i, e in enumerate(self.basis)}}
         self.rows = _RowIndex(self.tables, d)
-        self._mul_memo, self._bracket_memo, self._values = {}, {}, {}
-
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
-        out = self._mul_memo.get((a, b))
-        if out is None:
-            out = self._mul_memo[(a, b)] = _apply(self.tables["mul"], a, b)
-        return out
-
-    def bracket(self, a, b):
-        if not a or not b:
-            return ()
-        out = self._bracket_memo.get((a, b))
-        if out is None:
-            out = self._bracket_memo[(a, b)] = _apply(self.tables["bracket"], a, b)
-        return out
+        self.mul, self.bracket = _memoized(self.tables["mul"]), _memoized(self.tables["bracket"])
+        self._values = {}
 
     def deriv(self, a):
         if self.unit is None:
@@ -371,7 +380,8 @@ class StructureAlgebra:
     ``product`` and ``bracket`` map index pairs (i, j) to rows
     [(k, coefficient), ...]; missing pairs are zero.  Each row is stored as
     the sparse vector it sums to, and a zero row not at all, so equal tables
-    compare and serialize equal; bilinearity is by construction.
+    compare and serialize equal; bilinearity is by construction.  The
+    coefficients and unit entries are made exact scalars here, once.
     """
 
     def __init__(self, dim, parities, product, bracket=None, unit=None, claim="none"):
@@ -379,6 +389,8 @@ class StructureAlgebra:
             raise AlgebraError(f"unknown claim {claim!r}")
         if type(dim) is not int:
             raise AlgebraError(f"dimension must be an integer, not {dim!r}")
+        if dim < 0:
+            raise AlgebraError(f"dimension must be at least 0, not {dim}")
         self.dim = dim
         self.parities = tuple(parities)
         if any(p not in (0, 1) for p in self.parities):
@@ -398,12 +410,10 @@ class StructureAlgebra:
     # -- bilinear operations ------------------------------------------------
 
     def mul(self, a, b):
-        d = self.dim
-        return to_dense(_apply(self.product, to_sparse(a, d), to_sparse(b, d)), d)
+        return _dense_apply(self.product, self.dim, a, b)
 
     def bracket(self, a, b):
-        d = self.dim
-        return to_dense(_apply(self.bracket_table, to_sparse(a, d), to_sparse(b, d)), d)
+        return _dense_apply(self.bracket_table, self.dim, a, b)
 
     # -- validation -----------------------------------------------------------
 
@@ -513,21 +523,12 @@ class StructureAlgebra:
         for key in ("dim", "parity"):
             if key not in data:
                 raise AlgebraError(f"algebra JSON lacks {key!r}")
-        parity, unit = data["parity"], data.get("unit")
-        if not isinstance(parity, list):
+        if not isinstance(data["parity"], list):
             raise AlgebraError("algebra JSON 'parity' must be a list")
-        if unit is not None:
-            if not isinstance(unit, list):
-                raise AlgebraError("algebra JSON 'unit' must be a list")
-            unit = [scalar(str(x)) for x in unit]
-        return cls(
-            data["dim"],
-            parity,
-            _table_from_json(data.get("product", {}), "product"),
-            _table_from_json(data.get("bracket", {}), "bracket"),
-            unit,
-            data.get("claim", "none"),
-        )
+        return cls(data["dim"], data["parity"],
+                   _table_from_json(data.get("product", {}), "product"),
+                   _table_from_json(data.get("bracket", {}), "bracket"),
+                   data.get("unit"), data.get("claim", "none"))
 
 
 class Report:
@@ -567,8 +568,9 @@ def _evaluate(ops, term, bindings):
 
 
 def _check_table(table, dim):
-    """The table with each row a sparse vector: its entries merged, sorted
-    by target index and free of zeros; a row that sums to zero is left out."""
+    """The table with each row a sparse vector: its coefficients made exact
+    scalars, its entries merged, sorted by target index and free of zeros; a
+    row that sums to zero is left out."""
     out = {}
     def is_index(x):
         return type(x) is int and 0 <= x < dim
@@ -576,11 +578,11 @@ def _check_table(table, dim):
     for (i, j), row in table.items():
         if not (is_index(i) and is_index(j)):
             raise AlgebraError(f"table index ({i},{j}) out of range")
-        acc = {}
-        for k, coeff in row:
+        row = [(k, scalar(coeff)) for k, coeff in row]
+        for k, _ in row:
             if not is_index(k):
                 raise AlgebraError(f"table target index {k} out of range")
-            add_terms(acc, ((k, scalar(coeff)),))
+        acc = add_terms({}, row)
         if acc:
             out[(i, j)] = tuple(sorted(acc.items()))
     return out
@@ -603,7 +605,7 @@ def _table_from_json(data, name):
         except ValueError:
             raise AlgebraError(f"{name} table key {key!r} is not 'i,j'") from None
         try:
-            out[(i, j)] = [(k, scalar(str(c))) for k, c in row]
+            out[(i, j)] = [(k, c) for k, c in row]
         except (TypeError, ValueError):
             raise AlgebraError(f"{name} table row {key!r} must list [k, coeff] pairs") from None
     return out
@@ -665,8 +667,16 @@ def _sub_multisets(ops, indices):
 
 # -- built-in algebras ---------------------------------------------------------
 
+def _truncated_polynomials(m, bracket, claim):
+    """Q[t]/(t^m), t^i t^j = t^{i+j} truncated, with the unit 1 = t^0, the
+    bracket table ``bracket`` and the claim ``claim``."""
+    product = {(i, j): [(i + j, 1)] for i in range(m) for j in range(m - i)}
+    return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), claim)
+
+
 def wronskian_algebra(m: int) -> StructureAlgebra:
-    """Truncated polynomial ring Q[t]/(t^m) with the d/dt Wronskian bracket.
+    """Truncated polynomial ring Q[t]/(t^m) (:func:`_truncated_polynomials`)
+    with the d/dt Wronskian bracket.
 
     {t^i, t^j} = (i - j) t^{i+j-1} truncated.  Note the truncation ideal is
     not d/dt-stable, so the deformed Leibniz identity fails on triples that
@@ -674,34 +684,22 @@ def wronskian_algebra(m: int) -> StructureAlgebra:
     """
     if m < 2:
         raise AlgebraError("need m >= 2")
-    product = {}
-    bracket = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                product[(i, j)] = [(i + j, 1)]
-            if i != j and 0 <= i + j - 1 < m:
-                bracket[(i, j)] = [(i + j - 1, i - j)]
-    return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), "genp")
+    bracket = {(i, j): [(i + j - 1, i - j)]
+               for i in range(m) for j in range(m) if i != j and 0 < i + j <= m}
+    return _truncated_polynomials(m, bracket, "genp")
 
 
 def euler_wronskian_algebra(m: int) -> StructureAlgebra:
-    """Q[t]/(t^m) with the Euler derivation t d/dt: {t^i,t^j} = (i-j) t^{i+j}.
+    """Q[t]/(t^m) (:func:`_truncated_polynomials`) with the Euler derivation
+    t d/dt: {t^i,t^j} = (i-j) t^{i+j}.
 
     The truncation ideal is stable under t d/dt, so this one is a genuinely
     validated generalized Poisson algebra.
     """
     if m < 2:
         raise AlgebraError("need m >= 2")
-    product = {}
-    bracket = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                product[(i, j)] = [(i + j, 1)]
-                if i != j:
-                    bracket[(i, j)] = [(i + j, i - j)]
-    return StructureAlgebra(m, [0] * m, product, bracket, vbasis(m, 0), "genp")
+    bracket = {(i, j): [(i + j, i - j)] for i in range(m) for j in range(m - i) if i != j}
+    return _truncated_polynomials(m, bracket, "genp")
 
 
 def zero_product_algebra(bracket, dim=None) -> StructureAlgebra:
@@ -734,41 +732,31 @@ def nonlie_example_algebra() -> StructureAlgebra:
 
 
 def zero_bracket_poisson(m: int) -> StructureAlgebra:
-    """Q[t]/(t^m) with the zero bracket: a degenerate Poisson algebra."""
-    product = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                product[(i, j)] = [(i + j, 1)]
-    return StructureAlgebra(m, [0] * m, product, {}, vbasis(m, 0), "poisson")
+    """Q[t]/(t^m) (:func:`_truncated_polynomials`) with the zero bracket: a
+    degenerate Poisson algebra.  m = 0 and m = 1 give the zero algebra and
+    Q; the constructor refuses a negative m as a negative dimension."""
+    return _truncated_polynomials(m, {}, "poisson")
 
 
 def adjoin_unit(algebra: StructureAlgebra) -> StructureAlgebra:
-    """Adjoin a unit acting as identity, bracketing to zero.
+    """Adjoin a unit acting as identity, bracketing to zero: the unit is
+    e_0, and each index of the algebra's tables moves one up.
 
     Plain Leibniz survives unit adjunction, so a GP algebra stays GP.
     """
     if algebra.unit is not None:
         raise AlgebraError("algebra already has a unit")
+
+    def shifted(table):
+        return {(i + 1, j + 1): [(k + 1, c) for k, c in row] for (i, j), row in table.items()}
+
     d = algebra.dim + 1
     product = {(0, 0): [(0, 1)]}
-    for i in range(algebra.dim):
-        product[(0, i + 1)] = [(i + 1, 1)]
-        product[(i + 1, 0)] = [(i + 1, 1)]
-    for (i, j), row in algebra.product.items():
-        product[(i + 1, j + 1)] = [(k + 1, c) for k, c in row]
-    bracket = {
-        (i + 1, j + 1): [(k + 1, c) for k, c in row]
-        for (i, j), row in algebra.bracket_table.items()
-    }
-    return StructureAlgebra(
-        d,
-        (0,) + algebra.parities,
-        product,
-        bracket,
-        vbasis(d, 0),
-        algebra.claim,
-    )
+    for i in range(1, d):
+        product[(0, i)] = product[(i, 0)] = [(i, 1)]
+    product.update(shifted(algebra.product))
+    return StructureAlgebra(d, (0,) + algebra.parities, product,
+                            shifted(algebra.bracket_table), vbasis(d, 0), algebra.claim)
 
 
 def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
@@ -784,12 +772,8 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     if any(identities.derivation_residual(ops, a, b) for a, b in iproduct(ops.basis, repeat=2)):
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
     twisted = identities.Twisted(ops, Fraction(1, 2))
-    bracket = {}
-    for i, a in enumerate(ops.basis):
-        for j, b in enumerate(ops.basis):
-            row = twisted.bracket(a, b)
-            if row:
-                bracket[(i, j)] = list(row)
+    bracket = {(i, j): twisted.bracket(a, b)  # a zero row is left out by the constructor
+               for (i, a), (j, b) in iproduct(enumerate(ops.basis), repeat=2)}
     return StructureAlgebra(
         algebra.dim, algebra.parities, dict(algebra.product), bracket, algebra.unit, "jb")
 

@@ -441,6 +441,43 @@ class TestDispatch:
         assert (code, err) == (0, "")
         assert out == "1/1 x1 x2\n1/1 {x2,x1}\ncount 2\n"
 
+    @pytest.mark.parametrize("multidegree", ["x:2,y:1,x:1", "x,y,x", "x:1, y:1,x :0"])
+    def test_repeated_multidegree_letter_is_a_usage_error(self, capsys, multidegree):
+        # a later count of x would silently replace the first
+        code, out, err = self.run(capsys, "basis", "--gens", "x,y", "--multidegree", multidegree)
+        assert (code, out, err) == (2, "", "error: letter 'x' is counted twice in the multidegree\n")
+
+    @pytest.mark.parametrize("spec", ["a", "=1,0,0", "1=0,1,0", "a b=1,0,0", "?a=1,0,0", "a,b=1,0,0"])
+    def test_malformed_binding_is_a_usage_error(self, capsys, spec):
+        # no "=", an empty name, or a name that is not one identifier
+        code, out, err = self.run(capsys, "eval", "--algebra", "builtin:wronskian3",
+                                  "--bind", spec, "?a")
+        assert (code, out) == (2, "")
+        assert err == f"error: binding {spec!r} is not name=c0,c1,... with an identifier name\n"
+
+    @pytest.mark.parametrize("spec,out", [(" a=1,0,0", "1/1 0/1 0/1\n"),
+                                          ("a_1'=0,1,0", "0/1 1/1 0/1\n")])
+    def test_binding_names_are_identifiers(self, capsys, spec, out):
+        name = spec.partition("=")[0].strip()
+        got = self.run(capsys, "eval", "--algebra", "builtin:wronskian3", "--bind", spec, "?" + name)
+        assert got == (0, out, "")
+
+    @pytest.mark.parametrize("text,dim", [('{"dim": -1, "parity": []}', -1),
+                                          ("builtin:zero-bracket-2", -2)], ids=["json", "builtin"])
+    def test_negative_dimension_is_a_usage_error(self, capsys, tmp_path, text, dim):
+        # refused by value, not as a parity list of the wrong length
+        if not text.startswith("builtin:"):
+            path = tmp_path / "negative.json"
+            path.write_text(text)
+            text = str(path)
+        code, out, err = self.run(capsys, "validate", text)
+        assert (code, out, err) == (2, "", f"error: dimension must be at least 0, not {dim}\n")
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_zero_bracket_of_size_zero_and_one_still_validates(self, capsys, m):
+        code, out, err = self.run(capsys, "validate", f"builtin:zero-bracket{m}")
+        assert (code, err) == (0, "") and out.endswith("jacobi: pass\n")
+
     def test_missing_algebra_file_is_a_usage_error(self, capsys, tmp_path):
         code, out, err = self.run(capsys, "validate", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "") and err.startswith("error: cannot read algebra")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from superbracket.cli import parse
+from superbracket.cli import _resolve_algebra, parse
 from superbracket.core import AlgebraError, Alphabet, Bracket, Gen, Prod, Sum, Var
 from superbracket import concrete
 from superbracket.engine import GENP, FreeAlgebra
@@ -347,6 +348,58 @@ class TestBuiltins:
                 )
 
 
+# the first 16 hex digits of the SHA-256 of json.dumps(to_json()) of each
+# builtin: a change to a table, the order of its rows or a serialized
+# scalar shows here
+BUILTIN_JSON_SHA256 = {
+    "wronskian2": "3497028aa17ac105",
+    "wronskian3": "f87fb7e00365cbe1",
+    "wronskian4": "d703864bd7c23faa",
+    "wronskian5": "aca581ed20d470dc",
+    "wronskian6": "260e619c2ed79636",
+    "wronskian7": "b2633f528b71a36e",
+    "wronskian8": "2f59c202a2c018d3",
+    "wronskian12": "ff6eea4fd4038baa",
+    "wronskian16": "8c53c418493ef052",
+    "euler-wronskian2": "09704545a4f49e2d",
+    "euler-wronskian3": "f24a4687d831ab30",
+    "euler-wronskian4": "fe5f2457440de796",
+    "euler-wronskian5": "4538e665bcd7f8d7",
+    "euler-wronskian6": "01908e1c3556e4a0",
+    "euler-wronskian7": "48467f5efcad04bd",
+    "euler-wronskian8": "7333f1d8cf55d362",
+    "euler-wronskian12": "479ccb87c6090e68",
+    "euler-wronskian16": "e885ec13cca798d8",
+    "untwisted-euler2": "4912cdc3281fcae0",
+    "untwisted-euler3": "5c6a825da0784a29",
+    "untwisted-euler4": "06343c8e8662566d",
+    "untwisted-euler5": "5629e72e16476059",
+    "untwisted-euler6": "c72962102f86952f",
+    "untwisted-euler7": "7c5421097002e157",
+    "untwisted-euler8": "6ae39428cfc4a8f1",
+    "untwisted-euler12": "0254e34c50b4d099",
+    "untwisted-euler16": "36947aa456b9d98e",
+    "zero-bracket2": "e94c02241958642a",
+    "zero-bracket3": "810c70339409857b",
+    "zero-bracket4": "c9b794a5bcd29769",
+    "zero-bracket5": "fcf5c1b97282fb5e",
+    "zero-bracket6": "d2c5930f7e8daa7a",
+    "zero-bracket7": "084b50fdf8832408",
+    "zero-bracket8": "c052e913a5dc62d7",
+    "zero-bracket12": "ec5acf8c81a2b794",
+    "zero-bracket16": "11f19c4ac2bceff5",
+    "nonlie": "22c63e5e2c8e7a76",
+    "unital-nonlie-gp": "8148ccb693457401",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_JSON_SHA256))
+def test_builtin_json_is_pinned(name):
+    alg = _resolve_algebra("builtin:" + name)
+    digest = hashlib.sha256(json.dumps(alg.to_json()).encode()).hexdigest()[:16]
+    assert digest == BUILTIN_JSON_SHA256[name]
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         algebra = euler_wronskian_algebra(3)
@@ -406,6 +459,16 @@ class TestJson:
         # "10" would be read character by character as the vector (1, 0)
         with pytest.raises(AlgebraError, match="unit must be a sequence"):
             StructureAlgebra(2, [0, 0], {(0, 0): [(0, ONE)]}, {}, unit, "none")
+
+    @pytest.mark.parametrize("make,dim", [
+        (lambda: StructureAlgebra(-1, [], {}), -1),
+        (lambda: StructureAlgebra.from_json({"dim": -1, "parity": []}), -1),
+        (lambda: zero_bracket_poisson(-2), -2),
+    ], ids=["constructor", "json", "zero-bracket"])
+    def test_negative_dimension_rejected(self, make, dim):
+        # refused by value, not as a parity list of the wrong length
+        with pytest.raises(AlgebraError, match=f"^dimension must be at least 0, not {dim}$"):
+            make()
 
     @pytest.mark.parametrize("args", [
         (2, [0, 2], {}),

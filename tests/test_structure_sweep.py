@@ -908,6 +908,19 @@ class TestSparseVectors:
         alg.validate(), criteria_check(alg), alg.is_identity(Bracket(Var("a"), Var("a")))
         assert vars(alg) == before
 
+    def test_memo_sums_each_pair_once_per_table(self):
+        ops = SparseOps(euler_wronskian_algebra(4))
+        a, b = ((1, 1),), ((1, 2), (2, Fraction(1, 2)))
+        with mock.patch.object(concrete, "_apply", wraps=concrete._apply) as apply:
+            for _ in range(3):
+                assert ops.mul(a, b) == ((2, 2), (3, Fraction(1, 2)))
+                assert ops.bracket(a, b) == ((3, Fraction(-1, 2)),)
+                assert ops.mul(b, a) == ops.mul(a, b)
+                assert ops.mul((), b) == ops.bracket(a, ()) == ()
+        # (a, b) in each table and (b, a) in the product; a zero operand sums nothing
+        assert [call.args[0] is ops.tables["mul"] for call in apply.call_args_list] == [True, False, True]
+        assert [call.args[1:] for call in apply.call_args_list] == [(a, b), (a, b), (b, a)]
+
     @pytest.mark.parametrize("op", ["mul", "bracket"])
     def test_wrong_length_vectors_rejected(self, op):
         bracket = {(0, 1): [(1, 1)], (1, 0): [(1, -1)]}
