@@ -28,10 +28,8 @@ the parser would multiply out before the fold.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import (
     GENP,
@@ -47,6 +45,7 @@ from .core import (
     Var,
     fold,
     is_integer_text,
+    ratio,
     scalar,
     scalar_str,
     var_names,
@@ -167,7 +166,7 @@ class _Parser:
                 _, den, at = self.expect("num")
                 if int(den) == 0:
                     raise ParseError("zero denominator", at)
-                coeff = scalar(Fraction(coeff, int(den)))
+                coeff = ratio(coeff, int(den))
         factors = []
         while True:
             if self.peek()[0] == "*" and (factors or had_coeff):
@@ -283,17 +282,18 @@ def print_element(algebra, e: Element) -> str:
 # -- command-line interface -----------------------------------------------------
 
 def _alphabet_from_option(spec: str) -> Alphabet:
-    """--gens "x1,x2,th:odd" -> alphabet (parity defaults to even)."""
+    """--gens "x1,x2,th:odd" -> alphabet (parity defaults to even); each
+    name must be one identifier of the expression grammar."""
     gens = []
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if ":" in piece:
-            name, parity = piece.split(":", 1)
-            gens.append((name.strip(), parity.strip()))
-        else:
-            gens.append((piece, "even"))
+        name, colon, parity = piece.partition(":")
+        name = name.strip()
+        if not _is_identifier(name):
+            raise AlgebraError(f"generator {name!r} of --gens is not an identifier")
+        gens.append((name, parity.strip() if colon else "even"))
     return Alphabet(gens)
 
 
@@ -351,9 +351,10 @@ def _engine(args):
 
 def _emit(args, payload, text):
     if getattr(args, "json", False):
-        print(json.dumps(payload))
-    else:
-        print(text)
+        import json
+
+        text = json.dumps(payload)
+    print(text)
 
 
 def _cmd_nf(args) -> int:
@@ -472,6 +473,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_farkas(args) -> int:
+    import json
+
     from . import farkas
 
     algebra = _engine(args)

@@ -32,15 +32,13 @@ its residual.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from operator import itemgetter, not_
 
-from .core import AlgebraError, Gen, Sum, Var, fold, scalar, scalar_str
+from .core import AlgebraError, Gen, Sum, Var, evaluate, fold, ratio, scalar, scalar_str
 from . import identities
 from .elements import add_terms
 
@@ -564,7 +562,7 @@ def _evaluate(ops, term, bindings):
             return ops.unit
         raise AlgebraError(f"unbound leaf {t.name!r}")
 
-    return identities.evaluate(ops, term, leaf)
+    return evaluate(ops, term, leaf)
 
 
 def _check_table(table, dim):
@@ -612,6 +610,8 @@ def _table_from_json(data, name):
 
 
 def _json_loads(text):
+    import json
+
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -771,7 +771,7 @@ def untwisted_algebra(algebra: StructureAlgebra) -> StructureAlgebra:
     ops = SparseOps(algebra)
     if any(identities.derivation_residual(ops, a, b) for a, b in iproduct(ops.basis, repeat=2)):
         raise AlgebraError("bracket-with-unit is not a derivation of the product")
-    twisted = identities.Twisted(ops, Fraction(1, 2))
+    twisted = identities.Twisted(ops, ratio(1, 2))
     bracket = {(i, j): twisted.bracket(a, b)  # a zero row is left out by the constructor
                for (i, a), (j, b) in iproduct(enumerate(ops.basis), repeat=2)}
     return StructureAlgebra(

@@ -1,4 +1,5 @@
-"""Graded alphabet, exact scalars, and raw term trees with their fold.
+"""Graded alphabet, exact scalars, and raw term trees with their fold and
+their one evaluator.
 
 The base field is fixed to the rationals, and every coefficient in the package
 keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
@@ -10,12 +11,20 @@ compare equal and hash equal (``Fraction(2, 1) == 2``), so the same code
 serves both, the integer path skips the cost of building Fractions, and every
 identity check stays an exact zero test.  All values here are immutable and
 every function is pure.
+
+The package makes a Fraction in one place, :func:`ratio`, for a quotient p/q
+that is not an integer, whether read from input or written in the code;
+every other Fraction comes of arithmetic on one, or from the caller.  So
+:mod:`fractions` is imported there, on the first such quotient, and a command
+whose numbers are all integers never loads it (nor :mod:`decimal`, which it
+imports).  :func:`scalar` tells a Fraction without the module, since none
+can exist before it is loaded.  Likewise :mod:`json` is imported inside the
+functions that read or write JSON.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+import sys
 from operator import attrgetter
 
 EVEN = 0
@@ -37,18 +46,26 @@ class DegreeGuardError(AlgebraError):
     """An intermediate monomial exceeded the configured degree bound."""
 
 
-Scalar = int | Fraction
+def ratio(p: int, q: int) -> int | Fraction:
+    """The exact scalar p/q of two ints: an ``int`` when q divides p, else a
+    Fraction.  It is where the package makes a Fraction, and so where it
+    imports :mod:`fractions`; q = 0 raises ZeroDivisionError."""
+    if p % q == 0:
+        return p // q
+    from fractions import Fraction
+
+    return Fraction(p, q)
 
 
-def scalar(value) -> Scalar:
+def scalar(value) -> int | Fraction:
     """Coerce ints, strings like ``"3/2"``, and Fractions to an exact scalar.
 
     The result is an ``int`` when the value is integral and a ``Fraction``
     with denominator greater than 1 otherwise; ints come back unchanged.
     Booleans are refused rather than read as 0 or 1.  A string must be an
     integer (see :func:`is_integer_text`), optionally followed by ``/`` and
-    ASCII digits: ``Fraction`` alone would also read other scripts' digits,
-    ``_`` digit groups, padding spaces and decimals.
+    ASCII digits other than all zeros: ``Fraction`` alone would also read
+    other scripts' digits, ``_`` digit groups, padding spaces and decimals.
     """
     if type(value) is int:
         return value
@@ -56,11 +73,13 @@ def scalar(value) -> Scalar:
         num, slash, den = value.partition("/")
         if not (is_integer_text(num) and (not slash or den.isascii() and den.isdigit())):
             raise AlgebraError(f"not an exact scalar: {value!r}")
-        try:
-            value = Fraction(value)
-        except ZeroDivisionError:
-            raise AlgebraError(f"not an exact scalar: {value!r}") from None
-    if isinstance(value, Fraction):
+        if not slash:
+            return int(num)
+        if not int(den):
+            raise AlgebraError(f"not an exact scalar: {value!r}")
+        return ratio(int(num), int(den))
+    fractions = sys.modules.get("fractions")  # a Fraction exists only once it is loaded
+    if fractions and isinstance(value, fractions.Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
@@ -74,7 +93,7 @@ def is_integer_text(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def scalar_str(value: Scalar) -> str:
+def scalar_str(value: int | Fraction) -> str:
     """Render a scalar as ``p/q`` with the denominator always present."""
     return f"{value.numerator}/{value.denominator}"
 
@@ -182,6 +201,8 @@ class Alphabet:
         """The alphabet :meth:`to_json` writes; data of any other shape is an
         :class:`AlgebraError`."""
         if isinstance(data, str):
+            import json
+
             try:
                 data = json.loads(data)
             except ValueError as exc:
@@ -294,6 +315,22 @@ def map_leaves(term, fn):
         return type(t)(*kids)
 
     return fold(term, fn, node)
+
+
+def evaluate(ops, term, leaf):
+    """A term tree's value over an adapter (see :mod:`~superbracket.identities`):
+    ``leaf(g)`` at each Gen and Var leaf, ``combine`` at a Sum (its
+    coefficients through :func:`scalar`), ``mul`` at a Prod and ``bracket``
+    at a Bracket.  It is the one fold of a term tree over an adapter: the free
+    engine's normal form and substitution and a structure algebra's term
+    evaluation differ only in how they read a leaf."""
+
+    def node(t, values):
+        if isinstance(t, Sum):
+            return ops.combine([(scalar(c), v) for (c, _), v in zip(t.terms, values)])
+        return (ops.mul if isinstance(t, Prod) else ops.bracket)(*values)
+
+    return fold(term, leaf, node)
 
 
 def var_names(term) -> set:

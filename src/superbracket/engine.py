@@ -52,6 +52,7 @@ from .core import (
     Gen,
     Prod,
     Sum,
+    evaluate,
     fold,
     scalar,
     scalar_str,
@@ -64,7 +65,6 @@ from .elements import (
     monomial_factor_count,
     monomial_parity,
 )
-from .identities import evaluate
 from .liebasis import WordSpace
 from .speedups import merge_factors
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -462,6 +463,23 @@ class TestDispatch:
         got = self.run(capsys, "eval", "--algebra", "builtin:wronskian3", "--bind", spec, "?" + name)
         assert got == (0, out, "")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["nf", "--gens", "a b", "{a,a}"], "a b"),
+        (["nf", "--gens", "x,?y", "x"], "?y"),
+        (["nf", "--gens", "x,:odd", "x"], ""),
+        (["basis", "--gens", "x,1", "--multidegree", "x:1"], "1"),
+        (["check-identity", "--algebra", "builtin:wronskian3", "--gens", "a b", "{?a,?b}"], "a b"),
+    ], ids=["space", "variable", "empty", "number", "check-identity"])
+    def test_generator_names_are_identifiers(self, capsys, argv, name):
+        # a name the expression grammar cannot write is refused as such, not
+        # blamed on the expression or declared as a generator
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: generator {name!r} of --gens is not an identifier\n")
+
+    def test_generator_names_keep_their_parity_and_spacing(self, capsys):
+        code, out, err = self.run(capsys, "nf", "--gens", " x_1' , th : odd", "{th,x_1'} + th*th")
+        assert (code, out, err) == (0, "1/1 {th,x_1'}\n", "")
+
     @pytest.mark.parametrize("text,dim", [('{"dim": -1, "parity": []}', -1),
                                           ("builtin:zero-bracket-2", -2)], ids=["json", "builtin"])
     def test_negative_dimension_is_a_usage_error(self, capsys, tmp_path, text, dim):
@@ -689,6 +707,47 @@ def _loaded_after(*commands, watched=_WATCHED):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# A fresh interpreter runs one command, argv[2:], and prints as its last line
+# which of the comma-separated modules of argv[1] are then loaded.  It imports
+# nothing beside the CLI, so the standard-library modules that only some
+# commands need (json, fractions and the decimal module that fractions
+# loads) count too.
+_EXIT_PROBE = """
+import sys
+from superbracket.cli import main
+code = main(sys.argv[2:])
+print(sorted(name for name in sys.argv[1].split(",") if name in sys.modules))
+sys.exit(code)
+"""
+
+_ON_DEMAND = ["decimal", "fractions", "json", "superbracket.identities"]
+_FRACTIONS = ["decimal", "fractions"]
+
+# the one farkas input of the benchmark's cli-session whose coefficients are not integers
+_HALVES = "-1/2 {{z,1},{y,x}} - 1/2 {{z,x},{y,1}} - 1/2 {{z,y},{x,1}} + 1/1 x {{z,1},{y,1}}"
+_HALVES_CUSTOMARY = (
+    '{"m": 5, "letters": ["z", "x\'", "x\'\'", "y\'", "y\'\'"], "terms": ['
+    '{"coeff": "-1/2", "pairs": [[1, 2], [3, 4]], "D": [5]}, '
+    '{"coeff": "-1/2", "pairs": [[1, 2], [3, 5]], "D": [4]}, '
+    '{"coeff": "-1/2", "pairs": [[1, 3], [2, 4]], "D": [5]}, '
+    '{"coeff": "-1/2", "pairs": [[1, 3], [2, 5]], "D": [4]}, '
+    '{"coeff": "1/2", "pairs": [[1, 4], [2, 5]], "D": [3]}, '
+    '{"coeff": "1/2", "pairs": [[1, 4], [3, 5]], "D": [2]}, '
+    '{"coeff": "1/2", "pairs": [[1, 5], [2, 4]], "D": [3]}, '
+    '{"coeff": "1/2", "pairs": [[1, 5], [3, 4]], "D": [2]}]}')
+
+
+def _run_and_loaded(argv, watched=_ON_DEMAND):
+    """(exit code, stdout without the probe's line, the watched modules loaded)."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _EXIT_PROBE, ",".join(watched), *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        cwd=root)
+    *out, loaded = proc.stdout.splitlines()
+    return proc.returncode, "\n".join(out), ast.literal_eval(loaded)
+
+
 class TestColdStartImports:
     def test_importing_the_cli_loads_only_the_free_engine(self):
         assert _loaded_after() == [[]]
@@ -711,6 +770,26 @@ class TestColdStartImports:
                              ["validate", "builtin:wronskian3"],
                              ["farkas", "--gens", "x,y", "--input", "{x,y}", "--letters", "x,y"])
         assert seen == [[], [], [_CONCRETE], [_CONCRETE, _FARKAS]]
+
+    @pytest.mark.parametrize("argv, out, loaded", [
+        (["nf", "--gens", "x,y", "{x,y}"], "-1/1 {y,x}", []),
+        (["nf", "--gens", "x", "6/3 x - 0/5 x"], "2/1 x", []),
+        (["nf", "--json", "--gens", "x", "6/3 x"],
+         '[{"coeff": "2/1", "monomial": [{"word": "x", "exp": 1}]}]', ["json"]),
+        (["nf", "--gens", "x", "1/2 x"], "1/2 x", _FRACTIONS),
+        (["validate", "builtin:euler-wronskian3"],
+         "supercommutativity: pass\nassociativity: pass\nunit: pass\n"
+         "anticommutativity: pass\ndeformed-leibniz: pass\njacobi: pass",
+         ["superbracket.identities"]),
+        (["eval", "--algebra", "builtin:euler-wronskian3", "--bind", "a=1,0,0",
+          "--bind", "b=0,1,0", "{?a,?b}"], "0/1 -1/1 0/1", ["superbracket.identities"]),
+        (["farkas", "--gens", "x,y,z", "--letters", "x,y,z", "--json", "--input", _HALVES],
+         _HALVES_CUSTOMARY, _ON_DEMAND),
+    ], ids=["nf", "nf-whole-ratios", "nf-json", "nf-half", "validate", "eval", "farkas-halves"])
+    def test_fractions_json_and_the_identity_tables_load_on_demand(self, argv, out, loaded):
+        # fractions comes with the first ratio that is not an integer, json
+        # with --json, and the identity tables with the structure checks
+        assert _run_and_loaded(argv) == (0, out, loaded)
 
     @pytest.mark.parametrize("argv, loaded", [
         (["kantor-check", "--algebra", "builtin:wronskian3"], []),

@@ -8,13 +8,14 @@ the engine or a structure algebra hands back must satisfy the invariant.
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from superbracket import concrete, identities, kantor
-from superbracket.core import AlgebraError, Sum, scalar
+from superbracket.core import AlgebraError, Sum, ratio, scalar
 from superbracket.elements import Element, add_terms
 from helpers import random_homogeneous, random_term
 
@@ -43,6 +44,23 @@ def as_fractions(e: Element) -> Element:
     return Element(e.algebra, {m: Fraction(c) for m, c in e.terms.items()})
 
 
+def assert_read_as_fraction(text):
+    """``scalar(text)`` agrees with ``Fraction(text)`` made an int when
+    whole, and refuses where Fraction refuses, with its one message.  On
+    strings of an optional ``-``, ASCII digits and an optional ``/digits``,
+    the package's number syntax and Fraction's are the same."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(AlgebraError) as refused:
+            scalar(text)
+        assert str(refused.value) == f"not an exact scalar: {text!r}"
+        return
+    want = want.numerator if want.denominator == 1 else want
+    got = scalar(text)
+    assert (got, type(got)) == (want, type(want))
+
+
 @pytest.fixture(params=["genp", "jb", "gp"])
 def algebra(request):
     return request.getfixturevalue(request.param)
@@ -65,12 +83,28 @@ class TestScalar:
     def test_a_minus_sign_leads(self):
         assert scalar("-6/4") == Fraction(-3, 2) and scalar("-0") == 0 and scalar("-7") == -7
 
-    @pytest.mark.parametrize("value", [True, False, 0.5, None, "x", "1/0", "\u0661", "\u0663/2",
-                                       "1_0", " 1", "1 ", "1/ 2", "+1", "1/-2", "1/", "-", "",
-                                       "1.5", "1e3"])
+    @pytest.mark.parametrize("value", [True, False, 0.5, 2.0, Decimal("2"), Decimal("0.5"), None,
+                                       "x", "1/0", "\u0661", "\u0663/2", "1_0", " 1", "1 ",
+                                       "1/ 2", "+1", "1/-2", "1/", "-", "", "1.5", "1e3"])
     def test_rejected(self, value):
         with pytest.raises(AlgebraError):
             scalar(value)
+
+    @pytest.mark.parametrize("text", ["6/3", "0/5", "-0", "-0/7", "007/002", "-12/8", "1/0",
+                                      "1/00", "-/2", "/2"])
+    def test_strings_read_as_fraction_reads_them(self, text):
+        assert_read_as_fraction(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.from_regex(r"-?[0-9]{0,4}(/[0-9]{0,3})?", fullmatch=True))
+    def test_generated_strings_read_as_fraction_reads_them(self, text):
+        assert_read_as_fraction(text)
+
+    @given(p=st.integers(-50, 50), q=st.integers(-12, 12).filter(bool))
+    def test_ratio_is_the_int_or_the_fraction(self, p, q):
+        want = Fraction(p, q)
+        got = ratio(p, q)
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
 
     def test_coefficient_of_a_missing_monomial_is_int_zero(self, genp):
         # a sum that cancels drops the monomial instead of storing Fraction(0)

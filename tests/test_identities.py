@@ -39,7 +39,7 @@ import pytest
 from superbracket import identities
 from superbracket.cli import parse
 from superbracket.concrete import SparseOps, StructureAlgebra, to_dense, vbasis
-from superbracket.core import Alphabet, Sum
+from superbracket.core import Alphabet, Sum, evaluate
 from superbracket.engine import GENP, GP, JB, FreeAlgebra
 from helpers import random_homogeneous, slice_sums
 import paper_forms
@@ -220,7 +220,7 @@ def test_kernel_forms_match_their_formulas_on_a_random_table(generic, which):
                 koszul_formula(FORMULAS[name], Alphabet([]), names, dict(zip(names, pattern)))
                 if name else criterion_formula(which, Alphabet([]), pattern))
         at = dict(zip(names, idx))
-        want = identities.evaluate(ops, formulas[pattern], lambda leaf: (
+        want = evaluate(ops, formulas[pattern], lambda leaf: (
             ops.unit if leaf.name == "1" else ops.basis[at[leaf.name]]))
         assert sums.get(idx, ()) == want, idx
         nonzero += bool(want)
