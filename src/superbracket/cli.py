@@ -38,14 +38,14 @@ from .core import (
     AlgebraError,
     Alphabet,
     Bracket,
-    DegreeGuardError,
     Gen,
+    GuardError,
     Prod,
     Sum,
     Var,
     fold,
-    is_integer_text,
     ratio,
+    read_integer,
     scalar,
     scalar_str,
     var_names,
@@ -160,13 +160,13 @@ class _Parser:
         if had_coeff:
             # an integer or p/q coefficient; a bare "1" is the unit factor
             self.next()
-            coeff = int(text)
+            coeff = read_integer(text)
             if self.peek()[0] == "/":
                 self.next()
                 _, den, at = self.expect("num")
-                if int(den) == 0:
+                if (q := read_integer(den)) == 0:
                     raise ParseError("zero denominator", at)
-                coeff = ratio(coeff, int(den))
+                coeff = ratio(coeff, q)
         factors = []
         while True:
             if self.peek()[0] == "*" and (factors or had_coeff):
@@ -321,16 +321,8 @@ def _resolve_algebra(path: str):
     }
     for family, build in sized.items():
         if name.startswith(family):
-            return build(_integer(name[len(family):], f"the size N of builtin:{family}N"))
+            return build(read_integer(name[len(family):], f"the size N of builtin:{family}N"))
     raise AlgebraError(f"unknown builtin {name!r} (try {_BUILTIN_DOC})")
-
-
-def _integer(text: str, what: str) -> int:
-    """An optional ``-`` and ASCII digits, read as an int; ``int()`` alone
-    would also take other scripts' digits, spaces and underscores."""
-    if not is_integer_text(text):
-        raise AlgebraError(f"{what} must be an integer, not {text!r}")
-    return int(text)
 
 
 def _is_identifier(text: str) -> bool:
@@ -345,7 +337,7 @@ def _engine(args):
     from .engine import FreeAlgebra
 
     alphabet = _alphabet_from_option(args.gens)
-    guard = _integer(os.environ.get("JB_MAX_DEGREE", "12"), "JB_MAX_DEGREE")
+    guard = read_integer(os.environ.get("JB_MAX_DEGREE", "12"), "JB_MAX_DEGREE")
     return FreeAlgebra(alphabet, args.theory, max_degree=guard)
 
 
@@ -368,7 +360,7 @@ def _cmd_nf(args) -> int:
 def _cmd_dim(args) -> int:
     from .engine import dim_multilinear
 
-    n = _integer(args.n, "n")
+    n = read_integer(args.n, "n")
     value = dim_multilinear(n, args.theory)
     _emit(args, {"n": n, "theory": args.theory, "dim": value}, str(value))
     return EXIT_OK
@@ -382,7 +374,7 @@ def _cmd_basis(args) -> int:
         name = name.strip()
         if name in counts:  # a later count would silently replace the first
             raise AlgebraError(f"letter {name!r} is counted twice in the multidegree")
-        counts[name] = _integer(count or "1", f"the multidegree count of {name!r}")
+        counts[name] = read_integer(count or "1", f"the multidegree count of {name!r}")
     degrees = algebra.alphabet.degrees_of(counts)
     monos = algebra.basis(degrees)
     payload = []
@@ -575,7 +567,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a buffered stdout fails here, not at exit
         return code
-    except DegreeGuardError as exc:
+    except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except AlgebraError as exc:

@@ -38,7 +38,8 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from operator import itemgetter, not_
 
-from .core import AlgebraError, Gen, Sum, Var, evaluate, fold, ratio, scalar, scalar_str
+from .core import (AlgebraError, Gen, Sum, Var, evaluate, fold, ratio, read_integer, read_json,
+                   scalar, scalar_str)
 from . import identities
 from .elements import add_terms
 
@@ -391,9 +392,8 @@ class StructureAlgebra:
             raise AlgebraError(f"dimension must be at least 0, not {dim}")
         self.dim = dim
         self.parities = tuple(parities)
-        if any(p not in (0, 1) for p in self.parities):
+        if any(type(p) is not int or p not in (0, 1) for p in self.parities):
             raise AlgebraError(f"parities must be 0 or 1, not {list(self.parities)}")
-        self.parities = tuple(int(p) for p in self.parities)
         if len(self.parities) != self.dim:
             raise AlgebraError("parity list length != dimension")
         self.product = _check_table(product, self.dim)
@@ -515,7 +515,7 @@ class StructureAlgebra:
     @classmethod
     def from_json(cls, data) -> "StructureAlgebra":
         if isinstance(data, str):
-            data = _json_loads(data)
+            data = read_json(data, "algebra")
         if not isinstance(data, dict):
             raise AlgebraError(f"algebra JSON must be an object, not {type(data).__name__}")
         for key in ("dim", "parity"):
@@ -598,26 +598,14 @@ def _table_from_json(data, name):
         raise AlgebraError(f"algebra JSON {name!r} must be an object")
     out = {}
     for key, row in data.items():
+        ij = [read_integer(x) for x in key.split(",")]
+        if len(ij) != 2 or None in ij:
+            raise AlgebraError(f"{name} table key {key!r} is not 'i,j'")
         try:
-            i, j = (int(x) for x in key.split(","))
-        except ValueError:
-            raise AlgebraError(f"{name} table key {key!r} is not 'i,j'") from None
-        try:
-            out[(i, j)] = [(k, c) for k, c in row]
+            out[tuple(ij)] = [(k, c) for k, c in row]
         except (TypeError, ValueError):
             raise AlgebraError(f"{name} table row {key!r} must list [k, coeff] pairs") from None
     return out
-
-
-def _json_loads(text):
-    import json
-
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise AlgebraError(f"algebra is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise AlgebraError("algebra JSON is nested too deeply to read") from None
 
 
 # -- polarization ----------------------------------------------------------------
@@ -784,4 +772,4 @@ def load_algebra(path) -> StructureAlgebra:
             text = fh.read()
     except OSError as exc:
         raise AlgebraError(f"cannot read algebra {str(path)!r}: {exc.strerror}") from None
-    return StructureAlgebra.from_json(_json_loads(text))
+    return StructureAlgebra.from_json(text)

@@ -19,7 +19,9 @@ every other Fraction comes of arithmetic on one, or from the caller.  So
 whose numbers are all integers never loads it (nor :mod:`decimal`, which it
 imports).  :func:`scalar` tells a Fraction without the module, since none
 can exist before it is loaded.  Likewise :mod:`json` is imported inside the
-functions that read or write JSON.
+functions that read or write JSON.  Outside text is read by :func:`read_integer`
+and :func:`read_json`, and a number past the interpreter's int/str digit limit
+is refused there, as an input, and by :func:`scalar_str`, as a result.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ class AlgebraError(Exception):
     """Base class for user-facing errors raised by this package."""
 
 
-class DegreeGuardError(AlgebraError):
+class GuardError(AlgebraError):
+    """A computation went past a bound the package keeps, not the input's fault."""
+
+
+class DegreeGuardError(GuardError):
     """An intermediate monomial exceeded the configured degree bound."""
 
 
@@ -63,21 +69,19 @@ def scalar(value) -> int | Fraction:
     The result is an ``int`` when the value is integral and a ``Fraction``
     with denominator greater than 1 otherwise; ints come back unchanged.
     Booleans are refused rather than read as 0 or 1.  A string must be an
-    integer (see :func:`is_integer_text`), optionally followed by ``/`` and
-    ASCII digits other than all zeros: ``Fraction`` alone would also read
+    integer (see :func:`read_integer`), optionally followed by ``/`` and an
+    unsigned integer other than zero: ``Fraction`` alone would also read
     other scripts' digits, ``_`` digit groups, padding spaces and decimals.
     """
     if type(value) is int:
         return value
     if isinstance(value, str):
         num, slash, den = value.partition("/")
-        if not (is_integer_text(num) and (not slash or den.isascii() and den.isdigit())):
+        p = read_integer(num)
+        q = None if den.startswith("-") else read_integer(den) if slash else 1
+        if p is None or not q:
             raise AlgebraError(f"not an exact scalar: {value!r}")
-        if not slash:
-            return int(num)
-        if not int(den):
-            raise AlgebraError(f"not an exact scalar: {value!r}")
-        return ratio(int(num), int(den))
+        return ratio(p, q)
     fractions = sys.modules.get("fractions")  # a Fraction exists only once it is loaded
     if fractions and isinstance(value, fractions.Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -86,16 +90,43 @@ def scalar(value) -> int | Fraction:
     raise AlgebraError(f"not an exact scalar: {value!r}")
 
 
-def is_integer_text(text: str) -> bool:
-    """Whether the string is an optional ``-`` and ASCII digits, the one
-    integer syntax of the package."""
+def read_integer(text: str, what: str = "") -> int | None:
+    """The int of an optional ``-`` and ASCII digits, the package's one integer
+    syntax (``int()`` would also read other scripts' digits, ``_`` and spaces).
+    Other text gives None, or an AlgebraError when ``what`` names the number.
+    More digits than the interpreter converts (4,300 by default) always raise."""
     digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
+    if not (digits.isascii() and digits.isdigit()):
+        if what:
+            raise AlgebraError(f"{what} must be an integer, not {text!r}")
+        return None
+    try:
+        return int(text)
+    except ValueError:  # ASCII digits fail only past the limit
+        raise AlgebraError(f"{what or 'a number'} is longer than the limit of "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def read_json(text: str, what: str):
+    """The value of JSON text; bad or too deeply nested text is an AlgebraError."""
+    import json
+
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise AlgebraError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraError(f"{what} JSON is nested too deeply to read") from None
 
 
 def scalar_str(value: int | Fraction) -> str:
-    """Render a scalar as ``p/q`` with the denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    """Render a scalar as ``p/q`` with the denominator always present; a
+    number past the interpreter's digit limit is a GuardError."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise GuardError(f"a number in the result is longer than the limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class _Value:
@@ -149,13 +180,16 @@ class Alphabet:
 
     Construct from ``[(name, parity), ...]`` for the non-unit generators in
     declaration order; the unit is inserted automatically below them.
-    Parities may be given as 0/1 or the strings ``"even"``/``"odd"``.
+    Parities may be given as the ints 0/1 or the strings ``"even"``/``"odd"``.
     """
 
     def __init__(self, names_parities):
         gens = [Generator(0, UNIT_NAME, EVEN)]
         for name, parity in names_parities:
-            gens.append(Generator(len(gens), str(name), _coerce_parity(parity)))
+            p = {"even": EVEN, "odd": ODD}.get(parity, parity) if type(parity) is str else parity
+            if type(p) is not int or p not in (EVEN, ODD):
+                raise AlgebraError(f"bad parity {parity!r}")
+            gens.append(Generator(len(gens), str(name), p))
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate generator names in {names}")
@@ -201,16 +235,11 @@ class Alphabet:
         """The alphabet :meth:`to_json` writes; data of any other shape is an
         :class:`AlgebraError`."""
         if isinstance(data, str):
-            import json
-
-            try:
-                data = json.loads(data)
-            except ValueError as exc:
-                raise AlgebraError(f"alphabet is not valid JSON: {exc}") from None
+            data = read_json(data, "alphabet")
         gens = data.get("generators") if isinstance(data, dict) else None
         if not (isinstance(gens, list) and all(
-                isinstance(g, dict) and isinstance(g.get("name"), str) and "parity" in g
-                for g in gens)):
+                isinstance(g, dict) and isinstance(g.get("name"), str)
+                and type(g.get("parity")) in (int, str) for g in gens)):
             raise AlgebraError("alphabet JSON must be an object with a 'generators' list "
                                "of {'name': str, 'parity': ...} objects")
         return cls([(g["name"], g["parity"]) for g in gens])
@@ -218,16 +247,6 @@ class Alphabet:
     def __repr__(self):
         inner = ",".join(f"{g.name}:{g.parity}" for g in self.generators)
         return f"Alphabet({inner})"
-
-
-def _coerce_parity(parity) -> int:
-    if parity in (EVEN, ODD):
-        return int(parity)
-    if parity == "even":
-        return EVEN
-    if parity == "odd":
-        return ODD
-    raise AlgebraError(f"bad parity {parity!r}")
 
 
 # ---------------------------------------------------------------------------

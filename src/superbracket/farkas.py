@@ -234,7 +234,7 @@ class CustomaryPolynomial:
                     and all(isinstance(p, list) and len(p) == 2 for p in pq)):
                 raise AlgebraError(f"customary JSON term {t!r} needs a 'coeff', "
                                    "'pairs' of [p, q] and a 'D' list")
-            pairs.append(((tuple(map(tuple, pq)), tuple(ds)), scalar(str(t["coeff"]))))
+            pairs.append(((tuple(map(tuple, pq)), tuple(ds)), scalar(t["coeff"])))
         return cls(letters, add_terms({}, pairs))
 
     def __eq__(self, other):

@@ -20,6 +20,12 @@ from helpers import random_homogeneous
 
 ALPHABET = Alphabet([("x1", 0), ("x2", 0), ("x3", 0), ("th", 1)])
 
+# Python's int/str conversion limit is 4,300 digits by default
+PAST = "1" * 5000
+EDGE, OVER = "1" * 4300, "1" * 4301
+NINES = "9" * 3000  # its square has 6,000 digits
+PAST_LIMIT = "is longer than the limit of 4300 digits"
+
 
 class TestParse:
     def test_nested_bracket(self):
@@ -374,7 +380,13 @@ class TestDispatch:
         ('{"dim": 1, "parity": [0]', "not valid JSON"),
         ('{"dim": 2, "parity": [0, 0], "product": {"0,0": [[1.7, "1/1"]]}}', "target index 1.7 out of range"),
         ('{"dim": 1, "parity": [2]}', "parities must be 0 or 1"),
-    ], ids=["no-dim", "bad-table-key", "not-an-object", "not-json", "float-target", "parity-2"])
+        ('{"dim": 2, "parity": [0, 0], "product": {"1_0,0": [[0, "1/1"]]}}', "key '1_0,0' is not 'i,j'"),
+        ('{"dim": 2, "parity": [0, 0], "product": {" 1,0": [[0, "1/1"]]}}', "key ' 1,0' is not 'i,j'"),
+        ('{"dim": 2, "parity": [0, 0], "product": {"\u0661,0": [[0, "1/1"]]}}',
+         "key '\u0661,0' is not 'i,j'"),
+        ('{"dim": 1, "parity": [true]}', "parities must be 0 or 1"),
+    ], ids=["no-dim", "bad-table-key", "not-an-object", "not-json", "float-target", "parity-2",
+            "table-key-underscore", "table-key-space", "table-key-arabic-indic", "parity-true"])
     def test_malformed_algebra_json_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -409,8 +421,27 @@ class TestDispatch:
          "not an exact scalar: '1_0'"),
         (["eval", "--algebra", "builtin:wronskian3", "--bind", "a= 1 ,0,0", "?a"], {},
          "not an exact scalar: ' 1 '"),
+        (["dim", PAST], {}, f"n {PAST_LIMIT}"),
+        (["nf", "--gens", "x", f"{PAST} x"], {}, f"a number {PAST_LIMIT}"),
+        (["nf", "--gens", "x", f"1/{PAST} x"], {}, f"a number {PAST_LIMIT}"),
+        (["nf", "--gens", "x", f"{OVER} x"], {}, f"a number {PAST_LIMIT}"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", f"a={PAST},0,0", "?a"], {},
+         f"a number {PAST_LIMIT}"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", f"a=1/{PAST},0,0", "?a"], {},
+         f"a number {PAST_LIMIT}"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", f"a={OVER},0,0", "?a"], {},
+         f"a number {PAST_LIMIT}"),
+        (["basis", "--gens", "x", "--multidegree", f"x:{PAST}"], {},
+         f"the multidegree count of 'x' {PAST_LIMIT}"),
+        (["validate", f"builtin:wronskian{PAST}"], {},
+         f"the size N of builtin:wronskianN {PAST_LIMIT}"),
+        (["nf", "--gens", "x", "x"], {"JB_MAX_DEGREE": PAST}, f"JB_MAX_DEGREE {PAST_LIMIT}"),
     ], ids=["dim", "multidegree-count", "builtin-size", "builtin-space", "guard-underscore",
-            "guard-arabic-indic", "eval-binding", "eval-binding-underscore", "eval-binding-spaces"])
+            "guard-arabic-indic", "eval-binding", "eval-binding-underscore", "eval-binding-spaces",
+            "dim-past-limit", "nf-coefficient-past-limit", "nf-denominator-past-limit",
+            "nf-coefficient-4301", "eval-binding-past-limit", "eval-denominator-past-limit",
+            "eval-binding-4301", "multidegree-count-past-limit", "builtin-size-past-limit",
+            "guard-past-limit"])
     def test_numbers_are_ascii_digits(self, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -420,7 +451,10 @@ class TestDispatch:
     @pytest.mark.parametrize("argv,out", [
         (["dim", "-0"], None), (["dim", "6"], "4320\n"),
         (["basis", "--gens", "x", "--multidegree", "x:2"], "1/1 x x\ncount 1\n"),
-    ], ids=["dim-minus-zero", "dim", "basis"])
+        (["nf", "--gens", "x", f"{EDGE} x"], f"{EDGE}/1 x\n"),
+        (["eval", "--algebra", "builtin:wronskian3", "--bind", f"a={EDGE},0,0", "?a"],
+         f"{EDGE}/1 0/1 0/1\n"),
+    ], ids=["dim-minus-zero", "dim", "basis", "nf-coefficient-4300", "eval-binding-4300"])
     def test_ascii_numbers_still_read(self, capsys, argv, out):
         code, got, err = self.run(capsys, *argv)
         if out is None:  # read as 0, which dim refuses by value
@@ -597,6 +631,16 @@ class TestDispatch:
         monkeypatch.setenv("JB_MAX_DEGREE", "2")
         code, _, err = self.run(capsys, "nf", "--theory", "gp", "--gens", "x,y", "x*x*x*y")
         assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--gens", "x", f"({NINES} x)({NINES} x)"],
+        ["nf", "--json", "--gens", "x", f"({NINES} x)({NINES} x)"],
+        ["eval", "--algebra", "builtin:wronskian3", "--bind", f"a={NINES},0,0", "?a*?a"],
+        ["eval", "--json", "--algebra", "builtin:wronskian3", "--bind", f"a={NINES},0,0", "?a*?a"],
+    ], ids=["nf", "nf-json", "eval", "eval-json"])
+    def test_a_result_past_the_digit_limit_is_a_guard_error(self, capsys, argv):
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: a number in the result {PAST_LIMIT}\n")
 
     def test_malformed_degree_guard_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("JB_MAX_DEGREE", "abc")

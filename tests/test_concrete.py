@@ -475,9 +475,12 @@ class TestJson:
         (2, [0, 0], {(0, 0): [(1.7, ONE)]}),
         (2, [0, 0], {(0.5, 0): [(1, ONE)]}),
         ("2", [0, 0], {}),
-    ], ids=["parity-2", "float-target", "float-key", "string-dim"])
+        (2, [True, 0], {}),
+        (2, [1.0, 0], {}),
+    ], ids=["parity-2", "float-target", "float-key", "string-dim", "parity-true", "parity-float"])
     def test_non_integer_or_non_binary_rejected(self, args):
         # coercing would give a silently different algebra: parity 2 read as
-        # even, target 1.7 as 1, key (0.5, 0) as a row no product reads
+        # even, target 1.7 as 1, key (0.5, 0) as a row no product reads;
+        # a parity is the int 0 or 1, as a coefficient and an index are ints
         with pytest.raises(AlgebraError):
             StructureAlgebra(*args)

@@ -36,6 +36,11 @@ class TestAlphabet:
         with pytest.raises(AlgebraError):
             Alphabet([("a", 0), ("a", 1)])
 
+    @pytest.mark.parametrize("parity", [True, 1.0, 2, "1", None])
+    def test_parity_is_the_int_0_or_1_or_its_name(self, parity):
+        with pytest.raises(AlgebraError, match="^bad parity "):
+            Alphabet([("x", parity)])
+
     def test_json_round_trip(self):
         data = ALPHABET.to_json()
         assert data == {"generators": [
@@ -50,9 +55,10 @@ class TestAlphabet:
     @pytest.mark.parametrize("data", [
         "{}", "[1]", '{"generators": 3}', '{"generators": [{"name": "x"}]}',
         '{"generators": ["x"]}', "not json", '{"generators": [{"name": 1, "parity": "even"}]}',
-        {"generators": [{"parity": "odd"}]},
+        {"generators": [{"parity": "odd"}]}, '{"generators": [{"name": "x", "parity": true}]}',
+        '{"generators": [{"name": "x", "parity": 1.0}]}', "[" * 100_000,
     ], ids=["empty-object", "list", "generators-int", "no-parity", "bare-name", "not-json",
-            "int-name", "dict-no-name"])
+            "int-name", "dict-no-name", "parity-true", "parity-float", "nested-too-deeply"])
     def test_malformed_json_is_an_algebra_error(self, data):
         with pytest.raises(AlgebraError, match="alphabet"):
             Alphabet.from_json(data)
