@@ -380,7 +380,7 @@ def _cmd_basis(args) -> int:
     payload = []
     lines = []
     for m in monos:
-        e = Element(algebra, {m: 1})
+        e = Element(algebra, {m: 1}, 1)
         payload.append(algebra.element_to_json(e)[0]["monomial"])
         lines.append(print_element(algebra, e))
     _emit(args, {"count": len(monos), "monomials": payload},

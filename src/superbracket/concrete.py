@@ -598,7 +598,7 @@ def _table_from_json(data, name):
         raise AlgebraError(f"algebra JSON {name!r} must be an object")
     out = {}
     for key, row in data.items():
-        ij = [read_integer(x) for x in key.split(",")]
+        ij = [read_integer(x) for x in key.split(",")] if isinstance(key, str) else []
         if len(ij) != 2 or None in ij:
             raise AlgebraError(f"{name} table key {key!r} is not 'i,j'")
         try:

@@ -3,14 +3,18 @@ their one evaluator.
 
 The base field is fixed to the rationals, and every coefficient in the package
 keeps one invariant: it is a plain ``int``, or a :class:`fractions.Fraction`
-whose denominator is greater than 1.  :func:`scalar` sets it on input; the
-one accumulator of coefficient sums, :func:`superbracket.elements.add_terms`,
-keeps it (and stores no zero), and ``FreeAlgebra._add_products`` is that
-accumulator's one inline twin.  Python's ints and Fractions mix exactly,
-compare equal and hash equal (``Fraction(2, 1) == 2``), so the same code
-serves both, the integer path skips the cost of building Fractions, and every
-identity check stays an exact zero test.  All values here are immutable and
-every function is pure.
+whose denominator is greater than 1.  :func:`scalar` sets it on input, and
+the one accumulator of coefficient sums,
+:func:`superbracket.elements.add_terms`, keeps it (and stores no zero).  A
+free-engine element goes one step further: it stores int numerators over one
+denominator (see :mod:`superbracket.elements`), so its product, bracket and
+sums, with ``FreeAlgebra._add_products``, the accumulator's one inline twin,
+see only ints, and its coefficients become invariant scalars only in its
+rational view.  Python's ints and Fractions mix exactly, compare equal and
+hash equal (``Fraction(2, 1) == 2``), so the same code serves both, the
+integer path skips the cost of building Fractions, and every identity check
+stays an exact zero test.  All values here are immutable and every function
+is pure.
 
 The package makes a Fraction in one place, :func:`ratio`, for a quotient p/q
 that is not an integer, whether read from input or written in the code;
@@ -108,13 +112,17 @@ def read_integer(text: str, what: str = "") -> int | None:
 
 
 def read_json(text: str, what: str):
-    """The value of JSON text; bad or too deeply nested text is an AlgebraError."""
+    """The value of JSON text; bad or too deeply nested text, or a number past
+    the interpreter's int/str digit limit, is an AlgebraError."""
     import json
 
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise AlgebraError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:  # valid text whose int is past the digit limit
+        raise AlgebraError(f"{what} holds a number longer than the limit of "
+                           f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise AlgebraError(f"{what} JSON is nested too deeply to read") from None
 

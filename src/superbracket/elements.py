@@ -1,12 +1,17 @@
 """Sparse elements: rational linear combinations of commutative monomials.
 
-Coefficients keep the package invariant (see :mod:`superbracket.core`): an
-``int``, or a ``Fraction`` whose denominator is greater than 1, and never
-zero.  :func:`~superbracket.core.scalar` sets it on input; :func:`add_terms`,
-the one accumulator of coefficient sums, keeps it for every sum and scaled
-copy but the negated or unscaled one, which sums nothing.
-``FreeAlgebra._add_products``, the product's merge loop, is its one inline
-twin.
+An element is stored as int numerators over one denominator: a dict ``num``
+from monomial to a nonzero ``int`` and a positive ``int`` ``den``, in
+canonical form, gcd(den, *num) = 1, and den = 1 for zero.  So the free
+engine's product, bracket and sums work on ints alone, each operation
+multiplying or taking the lcm of the denominators once, and exact ``==`` and
+``hash`` compare ``(num, den)``.  :meth:`Element.terms` is the rational
+view, each coefficient in the package invariant (see
+:mod:`superbracket.core`), and :meth:`FreeAlgebra.element
+<superbracket.engine.FreeAlgebra.element>` is the one constructor from
+rational coefficients.  :func:`add_terms`, the one accumulator of
+coefficient sums, stores no zero; ``FreeAlgebra._add_products``, the
+product's merge loop, is its one inline twin.
 
 A monomial is a key-sorted tuple of factors ``(key, parity, exp)`` where the
 key is the int rank of an interned basis word of the owning algebra's word
@@ -20,14 +25,14 @@ engine (generalized Poisson, Jordan brackets, generic Poisson); they differ
 only in what the owning algebra's one word rule rewrites when it brackets
 two basis words.
 
-Elements are immutable, so an element's term dict may be shared: a bracket
-of two one-term elements may hold the owning algebra's cached one, or a
-fresh one that the cache does not keep.
+Elements are immutable, so an element's numerator dict may be shared: a
+bracket of two one-term elements may hold the owning algebra's cached one,
+or a fresh one that the cache does not keep.
 """
 
 from __future__ import annotations
 
-from .core import AlgebraError, scalar
+from .core import AlgebraError, ratio, scalar
 
 UNIT_MONOMIAL = ()
 
@@ -48,11 +53,12 @@ def add_terms(out: dict, pairs, k=1) -> dict:
     """Add ``k * c`` at ``key`` into ``out`` for each ``(key, c)`` of
     ``pairs``, and return ``out``.
 
-    The accumulator of every sparse coefficient sum, keeping the invariant:
-    no zero is stored (k = 0 or c = 0 adds nothing, and a key whose sum
-    reaches zero is removed), and an integral Fraction sum or product is
-    stored as an ``int``.  ``k`` and the ``c`` are scalars; k = +-1 costs no
-    multiplication (a Fraction product costs a gcd).
+    The accumulator of every sparse coefficient sum.  No zero is stored (k =
+    0 or c = 0 adds nothing, and a key whose sum reaches zero is removed).
+    The free engine sums int numerators over one denominator here, so it
+    sees only ints; the structure tables and the customary polynomials sum
+    scalars, and an integral Fraction sum or product is stored as an
+    ``int``.  k = +-1 costs no multiplication.
     """
     if not k:
         return out
@@ -75,14 +81,41 @@ def add_terms(out: dict, pairs, k=1) -> dict:
     return out
 
 
+def over(algebra, num: dict, den: int) -> "Element":
+    """The element ``num / den`` in canonical form, for int numerators with
+    no zero and a positive ``den``; ``num`` itself is left unchanged, so it
+    may be shared.  A denominator of 1 costs one test."""
+    if den != 1:
+        # a denominator above 1 comes only from a Fraction, so fractions has
+        # loaded math by now; a command with int coefficients never loads it
+        from math import gcd
+
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return Element(algebra, num, den)
+
+
 class Element:
-    """A finite rational combination of monomials of one algebra."""
+    """A finite rational combination of monomials of one algebra, as int
+    numerators ``num`` over one denominator ``den`` in canonical form."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "num", "den")
 
-    def __init__(self, algebra, terms: dict):
+    def __init__(self, algebra, num: dict, den: int):
         self.algebra = algebra
-        self.terms = terms
+        self.num = num
+        self.den = den
+
+    @property
+    def terms(self) -> dict:
+        """The rational view ``{monomial: coefficient}``, each coefficient in
+        the package invariant; with den = 1 it is ``num`` itself."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return {m: ratio(c, den) for m, c in self.num.items()}
 
     # -- ring structure -----------------------------------------------------
 
@@ -97,7 +130,7 @@ class Element:
         return algebra.combine(((1, self), (-1, other)))
 
     def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        return Element(self.algebra, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -109,36 +142,34 @@ class Element:
 
     def scale(self, coeff) -> "Element":
         k = scalar(coeff)
-        # k = +-1 sums nothing, so it needs no accumulator; an integral
-        # Fraction, which only an element built past the invariant can hold,
-        # still comes out an int
         if k == 1:
-            return Element(self.algebra, {m: c if type(c) is int else scalar(c)
-                                          for m, c in self.terms.items()})
+            return self
         if k == -1:
-            return Element(self.algebra, {m: -c if type(c) is int else scalar(-c)
-                                          for m, c in self.terms.items()})
-        return Element(self.algebra, add_terms({}, self.terms.items(), k))
+            return -self
+        if not k:
+            return Element(self.algebra, {}, 1)
+        p = k.numerator
+        return over(self.algebra, {m: p * c for m, c in self.num.items()}, k.denominator * self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.algebra is other.algebra and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- graded data --------------------------------------------------------
 
     def parity(self) -> int:
         """Common parity of all monomials; raises if mixed."""
-        parities = {monomial_parity(m) for m in self.terms}
+        parities = {monomial_parity(m) for m in self.num}
         if len(parities) > 1:
             raise AlgebraError("element is not parity-homogeneous")
         return parities.pop() if parities else 0
@@ -148,9 +179,8 @@ class Element:
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
 
     def __repr__(self):
-        return f"Element({self.algebra.theory}, {len(self.terms)} terms)"
+        return f"Element({self.algebra.theory}, {len(self.num)} terms)"
 
 
 def _monomial_sort_key(m):
     return (monomial_factor_count(m), tuple((k, e) for k, _, e in m))
-

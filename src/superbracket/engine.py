@@ -39,7 +39,7 @@ theory's algebra.
 from __future__ import annotations
 
 import sys
-from itertools import product
+from itertools import chain, product
 
 from .core import (
     GENP,
@@ -64,6 +64,7 @@ from .elements import (
     add_terms,
     monomial_factor_count,
     monomial_parity,
+    over,
 )
 from .liebasis import WordSpace
 from .speedups import merge_factors
@@ -91,21 +92,34 @@ class FreeAlgebra:
     # -- constructors ---------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(self, {})
+        return Element(self, {}, 1)
 
     def one(self) -> Element:
-        return Element(self, {UNIT_MONOMIAL: _ONE})
+        return Element(self, {UNIT_MONOMIAL: _ONE}, 1)
 
     def gen(self, name: str) -> Element:
         return self.word_element(self.space.leaf(name))
 
     def word_element(self, w) -> Element:
         """The basis word as an element; the bare unit letter is the unit."""
-        return Element(self, {w.monomial: _ONE})
+        return Element(self, {w.monomial: _ONE}, 1)
 
     def element(self, pairs) -> Element:
-        """Element from (coefficient, monomial) pairs."""
-        return Element(self, add_terms({}, ((m, scalar(c)) for c, m in pairs)))
+        """Element from (coefficient, monomial) pairs, the coefficients any
+        exact scalars: the one constructor from rational coefficients.  The
+        loop that reads them learns their common denominator."""
+        read = []
+        den = 1
+        for c, m in pairs:
+            c = scalar(c)
+            if type(c) is not int:
+                from math import lcm  # see over(): fractions has loaded it
+
+                den = lcm(den, c.denominator)
+            read.append((m, c))
+        if den != 1:
+            read = [(m, c.numerator * (den // c.denominator)) for m, c in read]
+        return over(self, add_terms({}, read), den)
 
     # -- structure ---------------------------------------------------------
 
@@ -120,30 +134,40 @@ class FreeAlgebra:
         """Supercommutative associative product, bilinear monomial merge."""
         self._claim(a, b)
         out = {}
-        self._add_products(out, a.terms, b.terms.items())
-        return Element(self, out)
+        self._add_products(out, a.num, b.num.items())
+        den = a.den * b.den
+        return Element(self, out, 1) if den == 1 else over(self, out, den)
 
     def bracket(self, a: Element, b: Element) -> Element:
         """The superbracket, bilinear over monomials.  Straightening recurses
         per Jacobi step, so a word nested past the recursion limit is an
         :class:`AlgebraError`; the cache keeps only finished pairs."""
         self._claim(a, b)
+        an, bn = a.num, b.num
+        den = a.den * b.den
         try:
-            if len(a.terms) == 1 and len(b.terms) == 1:
+            if len(an) == 1 and len(bn) == 1:
                 # one monomial pair: an element over _bracket_mono's term dict
                 # (the cache's own or a fresh one; elements are immutable, so
                 # sharing is safe) or its multiple
-                (m1, c1), = a.terms.items()
-                (m2, c2), = b.terms.items()
+                (m1, c1), = an.items()
+                (m2, c2), = bn.items()
                 k = c1 * c2
-                cached = self._bracket_mono(m1, m2)
-                return Element(self, cached if k == 1 else add_terms({}, cached.items(), scalar(k)))
-            out = {}
-            for m1, c1 in a.terms.items():
-                for m2, c2 in b.terms.items():
-                    k = c1 * c2
-                    add_terms(out, self._bracket_mono(m1, m2).items(), k if type(k) is int else scalar(k))
-            return Element(self, out)
+                if den != 1:
+                    from math import gcd  # see over(): fractions has loaded it
+
+                    g = gcd(k, den)
+                    k //= g
+                    den //= g
+                out = self._bracket_mono(m1, m2)
+                if k != 1:
+                    out = {m: k * c for m, c in out.items()}
+            else:
+                out = {}
+                for m1, c1 in an.items():
+                    for m2, c2 in bn.items():
+                        add_terms(out, self._bracket_mono(m1, m2).items(), c1 * c2)
+            return Element(self, out, 1) if den == 1 else over(self, out, den)
         except RecursionError:
             raise AlgebraError(f"bracket nests too deep for the recursion limit "
                                f"({sys.getrecursionlimit()})") from None
@@ -153,11 +177,12 @@ class FreeAlgebra:
         ``out``: the product's one merge loop, with the degree guard.
 
         ``right`` is a sequence of (monomial, coefficient) pairs, so a caller
-        scaling a single monomial passes the scale as its coefficient.  This
-        is the one inline twin of :func:`~superbracket.elements.add_terms`,
-        kept inline because a call per merged term would cost: it keeps the
-        same invariant (no zero stored, an integral Fraction stored as an
-        ``int``), and a coefficient of +-1 costs no multiplication.
+        scaling a single monomial passes the scale as its coefficient.  The
+        coefficients are int numerators over one denominator, which the
+        caller keeps.  This is the one inline twin of
+        :func:`~superbracket.elements.add_terms`, kept inline because a call
+        per merged term would cost: it stores no zero, and a coefficient of
+        +-1 costs no multiplication.
         """
         guard = self.max_degree
         by_key = self.space.by_key
@@ -171,15 +196,13 @@ class FreeAlgebra:
                         f"monomial degree exceeds guard ({guard}); "
                         "raise JB_MAX_DEGREE if intended"
                     )
-                if c2 == 1 or c2 == -1:  # an int: the invariant has no Fraction +-1
+                if c2 == 1 or c2 == -1:
                     c = c1 if c2 == sign else -c1
                 else:
                     c = c1 * c2 if sign == 1 else -c1 * c2
                 val = out.get(merged)
                 if val is not None:
                     c += val
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
                 if c:
                     out[merged] = c
                 elif val is not None:
@@ -197,11 +220,35 @@ class FreeAlgebra:
         return a.parity()
 
     def combine(self, pairs) -> Element:
-        """The sum of the (coefficient, element) pairs."""
+        """The sum of the (coefficient, element) pairs.  While every
+        coefficient is an int and every element's ``den`` is 1, it is one int
+        accumulation; from the first pair that is not, the rest is summed
+        over the lcm of the denominators."""
         out = {}
+        pairs = iter(pairs)
         for coeff, el in pairs:
-            add_terms(out, el.terms.items(), coeff if type(coeff) is int else scalar(coeff))
-        return Element(self, out)
+            if type(coeff) is not int or el.den != 1:
+                return self._combine_over(out, chain(((coeff, el),), pairs))
+            add_terms(out, el.num.items(), coeff)
+        return Element(self, out, 1)
+
+    def _combine_over(self, out, pairs) -> Element:
+        """:meth:`combine`'s sum of ``pairs`` into ``out``, the int sum so
+        far, over the lcm of the denominators: a denominator that the common
+        one does not hold scales what is summed so far once."""
+        den = 1
+        for coeff, el in pairs:
+            coeff = scalar(coeff)
+            q = coeff.denominator * el.den
+            if den % q:
+                from math import lcm  # see over(): fractions has loaded it
+
+                grow = lcm(den, q) // den
+                for m in out:
+                    out[m] *= grow
+                den *= grow
+            add_terms(out, el.num.items(), coeff.numerator * (den // q))
+        return over(self, out, den)
 
     # -- monomial-level bracket ---------------------------------------------
 

@@ -117,7 +117,7 @@ def letter_height(poly: PoissonPolynomial, x: str) -> int:
     idx = poly.algebra.alphabet.gen(x).index
     space = poly.algebra.space
     best = 0
-    for m in poly.element.terms:
+    for m in poly.element.num:
         for key, _, _ in m:
             w = space.by_key[key]
             if w.degrees[idx]:
@@ -282,7 +282,7 @@ def reduce_to_customary(poly: PoissonPolynomial) -> ReductionResult:
     """
     if poly.is_zero():
         raise DegenerateReductionError("input polynomial is zero")
-    degrees = [poly.algebra.monomial_degrees(m) for m in poly.element.terms]
+    degrees = [poly.algebra.monomial_degrees(m) for m in poly.element.num]
     for x in poly.letters:
         idx = poly.algebra.alphabet.gen(x).index
         if any(d[idx] > 1 for d in degrees):

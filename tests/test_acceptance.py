@@ -15,7 +15,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 from superbracket.core import Alphabet
-from superbracket.elements import Element, monomial_factor_count
+from superbracket.elements import monomial_factor_count
 from superbracket.engine import GENP, GP, JB, FreeAlgebra, GpAlgebra, dim_multilinear
 from superbracket.liebasis import WordSpace
 from superbracket import identities
@@ -254,10 +254,10 @@ def test_criterion_8_confluence():
                 monos.extend(algebra.basis(degs))
         splittable = [m for m in monos if monomial_factor_count(m) >= 2]
         for m1 in monos:
-            a = Element(algebra, {m1: Fraction(1)})
+            a = algebra.element([(Fraction(1), m1)])
             pa = a.parity()
             for m2 in splittable:
-                route1 = algebra.bracket(a, Element(algebra, {m2: Fraction(1)}))
+                route1 = algebra.bracket(a, algebra.element([(Fraction(1), m2)]))
                 for idx, (key, par, exp) in enumerate(m2):
                     if exp > 1:
                         rest = m2[:idx] + ((key, par, exp - 1),) + m2[idx + 1:]
@@ -267,8 +267,8 @@ def test_criterion_8_confluence():
                     for _, p2, e2 in m2[:idx]:
                         prefix ^= p2 & e2 & 1
                     pull_sign = sgnbit(prefix & par)
-                    b = Element(algebra, {((key, par, 1),): Fraction(1)})
-                    cc = Element(algebra, {rest: Fraction(1)})
+                    b = algebra.element([(Fraction(1), ((key, par, 1),))])
+                    cc = algebra.element([(Fraction(1), rest)])
                     route2 = (
                         algebra.mul(algebra.bracket(a, b), cc)
                         + algebra.mul(b, algebra.bracket(a, cc)).scale(sgnbit(pa & par))

@@ -27,6 +27,11 @@ NINES = "9" * 3000  # its square has 6,000 digits
 PAST_LIMIT = "is longer than the limit of 4300 digits"
 
 
+class FileText(str):
+    """A command-line argument given as text: the test writes the text to a
+    file and passes the file's path."""
+
+
 class TestParse:
     def test_nested_bracket(self):
         t = parse(ALPHABET, "{x1,{x2,x3}}")
@@ -436,15 +441,22 @@ class TestDispatch:
         (["validate", f"builtin:wronskian{PAST}"], {},
          f"the size N of builtin:wronskianN {PAST_LIMIT}"),
         (["nf", "--gens", "x", "x"], {"JB_MAX_DEGREE": PAST}, f"JB_MAX_DEGREE {PAST_LIMIT}"),
+        (["validate", FileText(f'{{"dim": {PAST}, "parity": []}}')], {},
+         "algebra holds a number longer than the limit of 4300 digits"),
     ], ids=["dim", "multidegree-count", "builtin-size", "builtin-space", "guard-underscore",
             "guard-arabic-indic", "eval-binding", "eval-binding-underscore", "eval-binding-spaces",
             "dim-past-limit", "nf-coefficient-past-limit", "nf-denominator-past-limit",
             "nf-coefficient-4301", "eval-binding-past-limit", "eval-denominator-past-limit",
             "eval-binding-4301", "multidegree-count-past-limit", "builtin-size-past-limit",
-            "guard-past-limit"])
-    def test_numbers_are_ascii_digits(self, capsys, monkeypatch, argv, env, message):
+            "guard-past-limit", "algebra-file-past-limit"])
+    def test_numbers_are_ascii_digits(self, capsys, monkeypatch, tmp_path, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
+        for i, arg in enumerate(argv):
+            if isinstance(arg, FileText):
+                path = tmp_path / f"arg{i}.json"
+                path.write_text(arg)
+                argv = argv[:i] + [str(path)] + argv[i + 1:]
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "") and err == f"error: {message}\n"
 

@@ -10,12 +10,14 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from superbracket import concrete, identities, kantor
-from superbracket.core import AlgebraError, Sum, ratio, scalar
+from superbracket.core import AlgebraError, Alphabet, Sum, ratio, scalar
+from superbracket.engine import FreeAlgebra
 from superbracket.elements import Element, add_terms
 from helpers import random_homogeneous, random_term
 
@@ -40,8 +42,9 @@ def assert_invariant(e: Element):
 
 
 def as_fractions(e: Element) -> Element:
-    """The same element with every coefficient a Fraction, integral ones included."""
-    return Element(e.algebra, {m: Fraction(c) for m, c in e.terms.items()})
+    """The same element built from every coefficient as a Fraction, integral
+    ones included, through the one rational constructor."""
+    return e.algebra.element((Fraction(c), m) for m, c in e.terms.items())
 
 
 def assert_read_as_fraction(text):
@@ -198,6 +201,92 @@ class TestFreeEngine:
             assert back == jb.bracket(a, b)
             assert_invariant(twisted)
             assert_invariant(back)
+
+
+COEFFICIENTS = (Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2), Fraction(-3, 1), 1, -1, 3,
+                Fraction(5, 6))
+
+
+def assert_canonical(e: Element):
+    """int numerators over one positive denominator: no zero numerator,
+    gcd(den, *num) = 1, and den = 1 for zero."""
+    assert type(e.den) is int and e.den >= 1
+    assert all(type(c) is int and c for c in e.num.values()), e.num
+    assert gcd(e.den, *e.num.values()) == 1
+    assert e.num or e.den == 1
+
+
+def reference(e: Element) -> dict:
+    """The element as a plain dict of Fractions, from its rational view."""
+    return {m: Fraction(c) for m, c in e.terms.items()}
+
+
+def fraction_sum(pairs) -> dict:
+    """The sum of the (Fraction, {monomial: Fraction}) pairs, no zero kept."""
+    out = {}
+    for k, terms in pairs:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + Fraction(k) * c
+    return {m: c for m, c in out.items() if c}
+
+
+class TestNumeratorsOverOneDenominator:
+    """A seeded differential of the element representation against a
+    Fraction-dict reference.  The reference expands each operation
+    bilinearly over unit-coefficient monomials and sums the coefficients as
+    Fractions, so only the engine's monomial rules are shared with it."""
+
+    @pytest.fixture(params=["genp", "jb", "gp"])
+    def small(self, request):
+        return FreeAlgebra(Alphabet([("x1", 0), ("x2", 0), ("th", 1)]), request.param)
+
+    @staticmethod
+    def random_element(algebra, rng):
+        shape = random_homogeneous(algebra, rng, max_degree=3, max_terms=3)
+        return algebra.element((rng.choice(COEFFICIENTS), m) for m in shape.terms)
+
+    @staticmethod
+    def unit(algebra, m):
+        return algebra.element([(1, m)])
+
+    def bilinear(self, algebra, op, a, b):
+        return fraction_sum((c1 * c2, reference(op(self.unit(algebra, m1), self.unit(algebra, m2))))
+                            for m1, c1 in reference(a).items() for m2, c2 in reference(b).items())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_operations_match_the_fraction_reference(self, small, seed):
+        rng = random.Random(seed)
+        a, b, c = (self.random_element(small, rng) for _ in range(3))
+        k = rng.choice(COEFFICIENTS)
+        checks = [
+            (small.mul(a, b), self.bilinear(small, small.mul, a, b)),
+            (small.bracket(a, b), self.bilinear(small, small.bracket, a, b)),
+            (small.deriv(a), fraction_sum((c1, reference(small.deriv(self.unit(small, m))))
+                                          for m, c1 in reference(a).items())),
+            (small.combine([(Fraction(1, 2), a), (Fraction(-2, 3), b), (Fraction(6, 3), c), (1, a)]),
+             fraction_sum([(Fraction(1, 2), reference(a)), (Fraction(-2, 3), reference(b)),
+                           (2, reference(c)), (1, reference(a))])),
+            (small.combine([(1, a), (-1, a)]), {}),
+            (a.scale(k), fraction_sum([(k, reference(a))])),
+            (-a, fraction_sum([(-1, reference(a))])),
+            (a - b, fraction_sum([(1, reference(a)), (-1, reference(b))])),
+        ]
+        for got, want in checks:
+            assert_canonical(got)
+            assert reference(got) == want
+            assert got == small.element((w, m) for m, w in want.items())
+
+    def test_equal_builds_are_equal_and_hash_alike(self, small):
+        x, th = small.gen("x1"), small.gen("th")
+        xth = small.mul(x, th)
+        for e in (x, xth, small.bracket(x, th)):
+            for same in (e.scale(2).scale(Fraction(1, 2)),
+                         e.scale(Fraction(1, 3)) + e.scale(Fraction(2, 3)),
+                         small.combine([(Fraction(3, 4), e), (Fraction(1, 4), e)]),
+                         small.element([(Fraction(c, 2), m) for m, c in e.terms.items()] * 2)):
+                assert_canonical(same)
+                assert same == e and hash(same) == hash(e)
+                assert (same.num, same.den) == (e.num, e.den)
 
 
 class TestNoZeroStored:

@@ -470,6 +470,11 @@ class TestJson:
         with pytest.raises(AlgebraError, match=f"^dimension must be at least 0, not {dim}$"):
             make()
 
+    def test_table_key_that_is_not_a_string_rejected(self):
+        # JSON keys are strings; a dict built in Python may hold other keys
+        with pytest.raises(AlgebraError, match=r"^product table key \(0, 0\) is not 'i,j'$"):
+            StructureAlgebra.from_json({"dim": 1, "parity": [0], "product": {(0, 0): []}})
+
     @pytest.mark.parametrize("args", [
         (2, [0, 2], {}),
         (2, [0, 0], {(0, 0): [(1.7, ONE)]}),

@@ -68,7 +68,7 @@ class TestNormalForm:
                 piece = gp.one()
                 for key, par, exp in m:
                     atom = gp.space.by_key[key]
-                    single = type(e)(gp, {((key, par, 1),): Fraction(1)})
+                    single = gp.element([(Fraction(1), ((key, par, 1),))])
                     for _k in range(exp):
                         piece = gp.mul(piece, single)
                 again = again + piece.scale(c)

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from superbracket.core import AlgebraError, Alphabet
-from superbracket.elements import Element
 from superbracket.engine import GENP, JB, FreeAlgebra
 from superbracket.concrete import (
     Report,
@@ -41,7 +40,8 @@ def free_criteria_check(algebra: FreeAlgebra) -> Report:
     elements = [algebra.gen(n) for n in algebra.alphabet.names()] + [algebra.one()]
     sweep = SimpleNamespace(
         basis=elements, parity=algebra.parity,
-        render=lambda terms: algebra.element_to_json(Element(algebra, dict(terms))))
+        render=lambda terms: algebra.element_to_json(
+            algebra.element((c, m) for m, c in dict(terms).items())))
     return Report([
         report_entry(sweep, f"jorskob{which}",
                      [{idx: double_criterion_residual(algebra, which, *(elements[i] for i in idx)).terms
